@@ -13,7 +13,7 @@ from .measures import (MeasureKind, MeasureValue, assisted_estimate,
                        concurrence_interval, concurrence_pure,
                        concurrence_two_qubit, cren_two_qubit, eof, f_eof,
                        f_renyi, g_tsallis, negativity, renyi, tsallis)
-from .states import (DensityMatrix, PureState, SchmidtParams, bell,
+from .states import (AMP_CAP, DensityMatrix, PureState, SchmidtParams, bell,
                      example1_params, ghz, load_state, random_pure,
                      reduce_state, save_state, schmidt3, seed_path, w_state)
 

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapabilityError, ParameterError
-from .measures import MeasureKind, assisted_estimate, concurrence_interval
+from .measures import MeasureKind, assisted_estimate
 from .states import PureState, seed_path
 
 SQRT2 = math.sqrt(2.0)
@@ -59,7 +59,7 @@ class BoundFamily:
         return alpha / self.scale_div
 
     def alpha_ok(self, alpha: float) -> bool:
-        return self.alpha_min - 1e-12 <= alpha <= self.alpha_max + 1e-12
+        return math.isfinite(alpha) and self.alpha_min - 1e-12 <= alpha <= self.alpha_max + 1e-12
 
     def mu_ok(self, mu: float) -> bool:
         if self.direction == MONOGAMY:
@@ -139,7 +139,7 @@ class BoundParams:
     def __post_init__(self):
         if not self.family.alpha_ok(self.alpha):
             raise ParameterError(
-                f"alpha={self.alpha} outside [{self.family.alpha_min}, "
+                f"alpha={self.alpha} is not finite or outside [{self.family.alpha_min}, "
                 f"{self.family.alpha_max}] for {self.family.label}")
         for name in ("mu", "ell"):
             vals = getattr(self, name)
@@ -422,38 +422,54 @@ def _plain_kind(kind: MeasureKind) -> MeasureKind:
     return MeasureKind(kind.name, q=kind.q, order=kind.order, assisted=False)
 
 
-def _chain_bounds(state: PureState, family: BoundFamily):
+def _group_is_pure(state: PureState, r: int) -> bool:
+    """Tr rho² >= 1 - 1e-10 for the group A,B_r..B_{N-1} of a pure state.
+
+    Both sides of the cut (A,B_r..) | (B_1..B_{r-1}) have the same purity,
+    so it is read from the reduced state of the smaller side.
+    """
+    group = [0] + list(range(r, state.n_qubits))
+    complement = list(range(1, r))
+    return state.reduce(min(complement, group, key=len)).is_pure()
+
+
+def _chain_bounds(state: PureState, family: BoundFamily, pair_vals):
     """Certified (lo, hi) for M(A | B_r...B_{N-1}), r = 1..N-1.
 
-    The first entry (full split of the pure state) and the last (a
-    two-qubit pair) are exact.  Intermediate mixed groups are certified
-    intervals for the concurrence family and uncertified (None) for the
-    entropic and assisted families, and for the convex-roof negativity.
+    pair_vals are the exact pair values M(A,B_1)..M(A,B_{N-1}) for
+    monogamy families (None for polygamy).  The first entry (full split of
+    the pure state) and the last (the pair A,B_{N-1}, read from pair_vals)
+    are exact.  No intermediate group state is formed.  For the
+    concurrence family an intermediate group A,B_r..B_{N-1} gets
+
+    - lo = sqrt(sum_{j>=r} C²(A,B_j)), the Osborne-Verstraete N-qubit
+      inequality (PRL 96, 220503, 2006), over the given pair values;
+    - hi = C(A|B_1...B_{N-1}): the group's rho_A is the global rho_A, and
+      sqrt(2[1 - Tr rho_A²]) bounds the convex roof from above (see
+      concurrence_interval);
+    - (hi, hi) when the group is pure (see _group_is_pure), where the
+      upper leg is the exact value.
+
+    Intermediate groups are uncertified (None) for the entropic and
+    assisted families, and for the convex-roof negativity.
     """
     kind = _plain_kind(family.measure)
     n = state.n_qubits
-    out = []
-    for r in range(1, n):
+    full = kind.pure_value(state, [0])
+    # assisted value of a pure state equals the plain value
+    out = [(full, full)]
+    for r in range(2, n):
         if family.direction == POLYGAMY:
-            if r == 1:
-                # assisted value of a pure state equals the plain value
-                v = kind.pure_value(state, [0])
-                out.append((v, v))
-            else:
-                out.append(None)
-            continue
-        if r == 1:
-            v = kind.pure_value(state, [0])
-            out.append((v, v))
-        elif r == n - 1:
-            v = kind.two_qubit_value(state.reduce([0, n - 1]))
-            out.append((v, v))
-        elif kind.name == "concurrence":
-            sub = state.reduce([0] + list(range(r, n)))
-            iv = concurrence_interval(sub, side=0)
-            out.append(iv.bounds)
-        else:
             out.append(None)
+        elif r == n - 1:
+            out.append((pair_vals[-1], pair_vals[-1]))
+        elif kind.name != "concurrence":
+            out.append(None)
+        elif _group_is_pure(state, r):
+            out.append((full, full))
+        else:
+            lo = math.sqrt(sum(v * v for v in pair_vals[r - 1:]))
+            out.append((lo, max(lo, full)))
     return out
 
 
@@ -502,12 +518,12 @@ def check_conditions(state: PureState, params: BoundParams) -> ConditionReport:
     if params.mu is None or params.ell is None:
         raise ParameterError("check_conditions needs explicit mu and ell")
     p = family.hypothesis_power
-    chain = _chain_bounds(state, family)
     if family.direction == MONOGAMY:
         pair_vals = [family.measure.two_qubit_value(rho) for rho in _pair_states(state)]
     else:
         # assisted pairwise values are heuristic: never certified
         pair_vals = None
+    chain = _chain_bounds(state, family, pair_vals)
     n_steps = state.n_qubits - 2
 
     steps = []

@@ -3,12 +3,14 @@ verify bound instances, and run the randomized property corpus.
 
 Exit codes: 0 success / bound certified; 1 I/O or internal failure;
 2 invalid parameters or an uncertifiable regime (capability error);
-3 hypothesis conditions not certified (undecidable or failed);
+3 hypothesis conditions not certified (undecidable or failed), or a NaN
+margin;
 4 certified violation (defect signal).
 """
 
 import argparse
 import json
+import math
 import sys
 
 from . import corpus as corpus_mod
@@ -136,7 +138,7 @@ def cmd_measure(args) -> int:
 
     if len(keep) == state.n_qubits:
         if args.kind == "negativity":
-            mv = negativity(state.density_matrix(), side=left)
+            mv = negativity(state, side=left)
         elif args.kind == "concurrence":
             mv = concurrence_pure(state, left)
         else:
@@ -214,9 +216,9 @@ def cmd_verify(args) -> int:
     record = {"command": "verify", "input": source, "theorem": args.theorem}
     record.update(report.to_dict())
     emit(record, args.out)
-    if report.conditions.all_hold:
-        return 0 if report.margin >= -MARGIN_TOL else 4
-    return 3
+    if not report.conditions.all_hold or math.isnan(report.margin):
+        return 3
+    return 0 if report.margin >= -MARGIN_TOL else 4
 
 
 def cmd_sweep(args) -> int:
@@ -224,6 +226,10 @@ def cmd_sweep(args) -> int:
     q = args.q if args.kind == "tsallis" else None
     order = args.aacute if args.kind == "renyi" else None
     family = bound_family(args.kind, "monogamy", q=q, order=order)
+    if not (math.isfinite(args.alpha_min) and math.isfinite(args.alpha_max)):
+        raise ParameterError(
+            f"--alpha-min and --alpha-max must be finite, got "
+            f"{args.alpha_min} and {args.alpha_max}")
     if args.alpha_min < family.alpha_min - 1e-12:
         raise ParameterError(
             f"--alpha-min {args.alpha_min} is below the family domain "
@@ -356,6 +362,10 @@ def main(argv=None) -> int:
     except (ParameterError, DomainError, DimensionError, ContractError,
             CapabilityError) as exc:
         print(f"entmono: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        # a finite but huge exponent overflows a power of a value above 1
+        print(f"entmono: result out of floating-point range: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"entmono: {exc}", file=sys.stderr)

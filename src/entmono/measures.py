@@ -91,13 +91,15 @@ class MeasureKind:
         if self.name not in ("concurrence", "cren", "eof", "tsallis", "renyi"):
             raise ParameterError(f"unknown measure kind {self.name!r}")
         if self.name == "tsallis":
-            if self.q is None or self.q <= 0 or self.q == 1:
-                raise ParameterError(f"tsallis requires q > 0, q != 1, got {self.q}")
+            if self.q is None or not math.isfinite(self.q) or self.q <= 0 or self.q == 1:
+                raise ParameterError(f"tsallis requires finite q > 0, q != 1, got {self.q}")
         elif self.q is not None:
             raise ParameterError(f"q is only meaningful for tsallis, got kind {self.name!r}")
         if self.name == "renyi":
-            if self.order is None or self.order <= 0 or self.order == 1:
-                raise ParameterError(f"renyi requires order > 0, order != 1, got {self.order}")
+            if (self.order is None or not math.isfinite(self.order) or self.order <= 0
+                    or self.order == 1):
+                raise ParameterError(
+                    f"renyi requires finite order > 0, order != 1, got {self.order}")
         elif self.order is not None:
             raise ParameterError(f"order is only meaningful for renyi, got kind {self.name!r}")
 
@@ -267,18 +269,22 @@ def concurrence_interval(rho: DensityMatrix, side: int = 0) -> MeasureValue:
 def negativity(rho, side=0) -> MeasureValue:
     """Negativity ||rho^{T_side}|| - 1 for the split side | rest.
 
-    Accepts a DensityMatrix or a PureState (converted to its projector);
-    side may be one subsystem index or a group of them (the transpose is
-    applied to each factor in the group).  The result is clamped at 0
-    from below (roundoff tolerance 1e-12).
+    Accepts a DensityMatrix or a PureState; side may be one subsystem
+    index or a group of them (the transpose is applied to each factor in
+    the group).  A pure state never forms its projector: with s_i the
+    singular values of its amplitude matrix reshaped as side | rest (the
+    Schmidt coefficients), ||rho^{T_side}|| = (sum_i s_i)² exactly.  A
+    density matrix takes the partial transpose and its trace norm.  The
+    result is clamped at 0 from below (roundoff tolerance 1e-12).
     """
-    if isinstance(rho, PureState):
-        rho = rho.density_matrix()
     sides = sorted({int(side)} if np.isscalar(side) else {int(i) for i in side})
     if not sides or sides[0] < 0 or sides[-1] >= len(rho.dims):
         raise DimensionError(f"side {side!r} out of range for dims {rho.dims}")
     if len(sides) == len(rho.dims):
         raise DimensionError("side must leave at least one factor untransposed")
+    if isinstance(rho, PureState):
+        s = np.linalg.svd(rho.amplitude_matrix(sides), compute_uv=False)
+        return MeasureValue.exact(max(0.0, float(np.sum(s)) ** 2 - 1.0))
     pt = rho.matrix
     for idx in sides:
         pt = partial_transpose(pt, rho.dims, idx)

@@ -3,6 +3,10 @@ GHZ and W states, Haar-random pure states, and reduced density matrices.
 
 Qubit 0 is subsystem A; the remaining qubits are B, C, ... in tensor order
 (most significant bit first in computational-basis indexing).
+
+Amplitude vectors are capped at AMP_CAP = 2**20 entries (20 qubits);
+dense matrices, including every reduced density matrix, at the 12-qubit
+DIM_CAP of the dense kernel.
 """
 
 import json
@@ -12,6 +16,10 @@ import numpy as np
 
 from .densemat import DIM_CAP, partial_trace, psd_eigvals
 from .errors import ContractError, DimensionError, ParameterError
+
+# Amplitude-vector cap: 20 qubits.  Dense matrices stay under DIM_CAP.
+MAX_QUBITS = 20
+AMP_CAP = 2 ** MAX_QUBITS
 
 NORM_TOL = 1e-12
 FILE_NORM_TOL = 1e-9
@@ -47,16 +55,46 @@ class PureState:
         return len(self.dims)
 
     def density_matrix(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), self.dims)
+        """The rank-1 projector |psi><psi| (at most DIM_CAP rows)."""
+        _check_dense(self.amplitudes.size, "density matrix")
+        return DensityMatrix._from_gram(
+            np.outer(self.amplitudes, self.amplitudes.conj()), self.dims)
 
-    def reduce(self, keep) -> "DensityMatrix":
-        """Reduced density matrix on the kept subsystems (ascending order)."""
+    def amplitude_matrix(self, keep) -> np.ndarray:
+        """The amplitudes as a (d_keep, d_rest) matrix M for the split keep | rest.
+
+        Rows run over the kept subsystems in ascending order, columns over
+        the rest, so psi = vec(M) up to that axis permutation.  M·M† is the
+        reduced state on keep, and the singular values of M are the
+        Schmidt coefficients of the split.  An empty keep raises
+        ParameterError and an out-of-range index DimensionError.
+        """
         keep = sorted(set(int(i) for i in keep))
         if not keep:
             raise ParameterError("keep set must be nonempty")
-        rho = np.outer(self.amplitudes, self.amplitudes.conj())
-        sub = partial_trace(rho, self.dims, keep)
-        return DensityMatrix(sub, tuple(self.dims[i] for i in keep))
+        n = self.n_qubits
+        if keep[0] < 0 or keep[-1] >= n:
+            raise DimensionError(f"keep indices {keep} out of range for {n} subsystems")
+        rest = [i for i in range(n) if i not in keep]
+        d_keep = int(np.prod([self.dims[i] for i in keep]))
+        psi = np.transpose(self.amplitudes.reshape(self.dims), keep + rest)
+        return psi.reshape(d_keep, -1)
+
+    def reduce(self, keep) -> "DensityMatrix":
+        """Reduced density matrix on the kept subsystems (ascending order).
+
+        Computed as M·M† from :meth:`amplitude_matrix`, at O(2^n · d_keep)
+        cost and without forming the full projector.  The product of a
+        unit-norm amplitude matrix with its adjoint is Hermitian, PSD and
+        unit-trace by construction, so the result skips the eigenvalue
+        re-check of the public constructor.  Errors are those of
+        :meth:`amplitude_matrix`, plus DimensionError when the kept side
+        exceeds the dense cap of 12 qubits.
+        """
+        keep = sorted(set(int(i) for i in keep))
+        m = self.amplitude_matrix(keep)
+        _check_dense(m.shape[0], "reduced state")
+        return DensityMatrix._from_gram(m @ m.conj().T, tuple(self.dims[i] for i in keep))
 
 
 @dataclass(frozen=True)
@@ -64,7 +102,10 @@ class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix with per-subsystem dimensions.
 
     Invariants (Hermitian within 1e-10, trace 1 within 1e-10, minimum
-    eigenvalue >= -1e-10) are validated once at construction.
+    eigenvalue >= -1e-10) are validated once at public construction.  The
+    only exception is the private :meth:`_from_gram`, which pure-state
+    reductions use for M·M† of a unit-norm amplitude matrix: that product
+    satisfies the invariants by construction.
     """
 
     matrix: np.ndarray
@@ -84,12 +125,26 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
 
+    @classmethod
+    def _from_gram(cls, m: np.ndarray, dims: tuple) -> "DensityMatrix":
+        """Trusted constructor for M·M† with M a unit-norm amplitude matrix.
+
+        Skips validation: the caller guarantees a Hermitian, PSD,
+        unit-trace complex matrix whose shape matches dims.
+        """
+        rho = object.__new__(cls)
+        m.flags.writeable = False
+        object.__setattr__(rho, "matrix", m)
+        object.__setattr__(rho, "dims", tuple(dims))
+        return rho
+
     @property
     def n_subsystems(self) -> int:
         return len(self.dims)
 
     def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
+        """Tr rho² as the squared Frobenius norm (rho is Hermitian)."""
+        return float(np.vdot(self.matrix, self.matrix).real)
 
     def is_pure(self, tol=1e-10) -> bool:
         return self.purity() >= 1.0 - tol
@@ -224,8 +279,14 @@ def seed_path(seed, *indices) -> tuple:
 
 
 def _check_qubits(n: int):
-    if 2 ** n > DIM_CAP:
-        raise DimensionError(f"{n} qubits exceed the dense-storage cap of {DIM_CAP} amplitudes")
+    if n > MAX_QUBITS:
+        raise DimensionError(f"{n} qubits exceed the amplitude cap of {AMP_CAP} amplitudes")
+
+
+def _check_dense(d: int, what: str):
+    if d > DIM_CAP:
+        raise DimensionError(
+            f"{what} of dimension {d} exceeds the dense-storage cap of {DIM_CAP}")
 
 
 def save_state(state: PureState, path):
@@ -253,6 +314,7 @@ def load_state(path) -> PureState:
         amps = np.array([complex(re, im) for re, im in pairs], dtype=complex)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"malformed state file: {exc}") from exc
+    _check_qubits(n)
     if amps.size != 2 ** n:
         raise DimensionError(
             f"state file lists {amps.size} amplitudes for {n} qubits (expected {2 ** n})"

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -238,11 +239,75 @@ class TestVerify:
              "--alpha", "2", "--auto"], capsys)
         assert code == 4
 
+    def test_nan_margin_never_exit_four(self, capsys, monkeypatch):
+        real = cli.verify
+
+        def patched(*args, **kwargs):
+            rep = real(*args, **kwargs)
+            object.__setattr__(rep, "margin", float("nan"))
+            return rep
+
+        monkeypatch.setattr(cli, "verify", patched)
+        code, rec, _ = run_json(
+            ["verify", "--preset", "example1", "--theorem", "concurrence",
+             "--alpha", "2", "--auto"], capsys)
+        assert rec["conditions"]["summary"] == "holds"
+        assert code == 3
+
+    def test_ghz16_concurrence_is_fast(self, capsys):
+        ones = ",".join(["1"] * 14)
+        t0 = time.perf_counter()
+        code, rec, _ = run_json(
+            ["verify", "--preset", "ghz:16", "--theorem", "concurrence",
+             "--alpha", "2", "--mu", ones, "--ell", ones], capsys)
+        elapsed = time.perf_counter() - t0
+        assert code == 3
+        assert rec["lhs_measure"] == pytest.approx(1.0, abs=1e-12)
+        assert elapsed < 1.0
+
     def test_unknown_selector(self, capsys):
         code, _, err = run_cli(
             ["verify", "--preset", "example1", "--theorem", "thm9-magic",
              "--alpha", "2"], capsys)
         assert code == 2
+
+
+NON_FINITE = [
+    ["measure", "--preset", "example1", "--kind", "tsallis", "--q", "nan",
+     "--partition", "A|BC"],
+    ["measure", "--preset", "example1", "--kind", "tsallis", "--q", "inf",
+     "--partition", "A|B"],
+    ["measure", "--preset", "example1", "--kind", "renyi", "--aacute", "nan",
+     "--partition", "A|BC"],
+    ["measure", "--preset", "example1", "--kind", "renyi", "--aacute", "inf",
+     "--partition", "A|BC"],
+    ["verify", "--preset", "example1", "--theorem", "concurrence", "--alpha", "inf"],
+    ["verify", "--preset", "example1", "--theorem", "concurrence", "--alpha", "nan"],
+    ["verify", "--preset", "example1", "--theorem", "eoa", "--alpha", "nan"],
+    ["verify", "--preset", "example1", "--theorem", "concurrence", "--alpha", "2",
+     "--k", "nan"],
+    ["verify", "--preset", "example1", "--theorem", "concurrence", "--alpha", "2",
+     "--mu", "inf", "--ell", "1"],
+    ["verify", "--preset", "example1", "--theorem", "tsallis", "--alpha", "2",
+     "--q", "nan"],
+    ["sweep", "--preset", "example1", "--kind", "concurrence",
+     "--alpha-min", "2", "--alpha-max", "inf", "--steps", "3"],
+    ["sweep", "--preset", "example1", "--kind", "concurrence",
+     "--alpha-min", "nan", "--alpha-max", "3", "--steps", "3"],
+    ["sweep", "--preset", "example1", "--kind", "concurrence",
+     "--alpha-min=-inf", "--alpha-max", "3", "--steps", "3"],
+    # finite but so large that a power of a value above 1 overflows
+    ["verify", "--preset", "example1", "--theorem", "concurrence", "--alpha", "1e300",
+     "--mu", "2", "--ell", "2"],
+]
+
+
+@pytest.mark.parametrize("args", NON_FINITE, ids=lambda a: " ".join(a[3:]))
+def test_non_finite_parameters_exit_two(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("entmono: ") and "Traceback" not in err
 
 
 class TestCorpus:

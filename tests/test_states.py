@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from entmono import (DensityMatrix, ParameterError, PureState, SchmidtParams,
-                     bell, concurrence_pure, concurrence_two_qubit,
+from entmono import (AMP_CAP, DensityMatrix, DimensionError, ParameterError,
+                     PureState, SchmidtParams, bell, concurrence_pure,
+                     concurrence_two_qubit,
                      example1_params, ghz, load_state, random_pure,
                      reduce_state, save_state, schmidt3, seed_path, w_state)
 from entmono.densemat import partial_trace
@@ -123,6 +124,17 @@ class TestReduce:
         with pytest.raises(ParameterError):
             bell().reduce([])
 
+    def test_out_of_range_keep(self):
+        with pytest.raises(DimensionError):
+            bell().reduce([0, 2])
+        with pytest.raises(DimensionError):
+            bell().reduce([-1])
+
+    def test_trusted_result_is_read_only(self):
+        rho = random_pure(3, 2).reduce([0, 2])
+        assert not rho.matrix.flags.writeable
+        assert rho.dims == (2, 2)
+
     def test_reduce_state_alias(self):
         state = random_pure(2, 4)
         assert np.allclose(reduce_state(state, [0]).matrix,
@@ -141,6 +153,31 @@ class TestDensityMatrixValidation:
     def test_accepts_valid(self):
         rho = DensityMatrix(np.eye(4) / 4, (2, 2))
         assert rho.purity() == pytest.approx(0.25)
+
+
+class TestCaps:
+    def test_amplitude_cap_is_twenty_qubits(self):
+        assert AMP_CAP == 2 ** 20
+        assert ghz(16).n_qubits == 16
+        for make in (ghz, w_state, lambda n: random_pure(n, 0)):
+            with pytest.raises(DimensionError):
+                make(21)
+
+    def test_dense_cap_on_projector(self):
+        with pytest.raises(DimensionError):
+            ghz(13).density_matrix()
+
+    def test_dense_cap_on_reduction(self):
+        state = ghz(14)
+        with pytest.raises(DimensionError):
+            state.reduce(range(13))
+        assert state.reduce(range(2)).dims == (2, 2)
+
+    def test_load_state_checks_the_cap(self, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"n_qubits": 21, "amplitudes": [[1.0, 0.0]]}))
+        with pytest.raises(DimensionError, match="cap"):
+            load_state(path)
 
 
 class TestStateFiles:
