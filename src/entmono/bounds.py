@@ -585,20 +585,26 @@ def resolve_params(state: PureState, params: BoundParams, budget: int = 200,
     """
     if params.mu is not None and params.ell is not None:
         return params
-    family = params.family
-    n = state.n_qubits
-    if n != 3:
+    _require_exact_chain(state)
+    pair_vals, _ = _pair_values(state, params.family, budget=budget, seed=seed)
+    lhs = _plain_kind(params.family.measure).pure_value(state, [0])
+    return _extracted_params(params, lhs, pair_vals)
+
+
+def _require_exact_chain(state: PureState):
+    if state.n_qubits != 3:
         raise CapabilityError(
             "automatic (mu, l) extraction needs the exact three-qubit chain; "
-            f"supply mu and ell explicitly for {n}-qubit states")
-    kind = family.measure
-    if family.direction == POLYGAMY:
-        lhs = _plain_kind(kind).pure_value(state, [0])
-        pair_vals, _ = _pair_values(state, family, budget=budget, seed=seed)
-        chain = [lhs, pair_vals[-1]]
-    else:
-        pair_vals = [kind.two_qubit_value(rho) for rho in _pair_states(state)]
-        chain = [kind.pure_value(state, [0]), pair_vals[-1]]
+            f"supply mu and ell explicitly for {state.n_qubits}-qubit states")
+
+
+def _extracted_params(params: BoundParams, lhs: float, pair_vals) -> BoundParams:
+    """params with (mu, ell) extracted from a three-qubit chain.
+
+    lhs is M(A|B_1B_2) and pair_vals are M(A,B_1), M(A,B_2).
+    """
+    family = params.family
+    chain = [lhs, pair_vals[-1]]
     mus, ells = extract_mu_l(chain, pair_vals[:-1], family, split=params.split)
     mus = [1.0 if m is None else m for m in mus]
     ells = [1.0 if l is None else l for l in ells]
@@ -632,10 +638,14 @@ def verify(state: PureState, params: BoundParams, comparator_k: float = 0.5,
             f"{family.label} beyond 3 qubits lacks certified chain values "
             f"M(A|B_r..B_{state.n_qubits - 1}); rerun with comparator_only=True")
 
-    params = resolve_params(state, params, budget=budget, seed=seed)
+    auto = params.mu is None or params.ell is None
+    if auto:
+        _require_exact_chain(state)
+    # computed once: for assisted families each value is a full restart search
     pair_vals, value_status = _pair_values(state, family, budget=budget, seed=seed)
-    kind = _plain_kind(family.measure)
-    lhs_measure = kind.pure_value(state, [0])
+    lhs_measure = _plain_kind(family.measure).pure_value(state, [0])
+    if auto:
+        params = _extracted_params(params, lhs_measure, pair_vals)
 
     breakdown = rhs_assemble(pair_vals, params)
     priors = {

@@ -85,10 +85,13 @@ def load_input(args) -> tuple:
         return schmidt3(example1_params()), preset
     if name == "bell":
         return bell(), preset
-    if name.startswith("ghz:"):
-        return ghz(int(name.split(":", 1)[1])), preset
-    if name.startswith("w:"):
-        return w_state(int(name.split(":", 1)[1])), preset
+    for prefix, build in (("ghz:", ghz), ("w:", w_state)):
+        if name.startswith(prefix):
+            try:
+                n = int(name[len(prefix):])
+            except ValueError:
+                raise ParameterError(f"preset {preset!r} needs an integer qubit count") from None
+            return build(n), preset
     raise ParameterError(
         f"unknown preset {preset!r}; expected example1, bell, ghz:N or w:N")
 
@@ -197,7 +200,10 @@ def family_from_args(args, key: str):
 def parse_floats(text):
     if text is None:
         return None
-    return tuple(float(v) for v in str(text).split(",") if v.strip())
+    try:
+        return tuple(float(v) for v in str(text).split(",") if v.strip())
+    except ValueError:
+        raise ParameterError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 def cmd_verify(args) -> int:

@@ -7,6 +7,18 @@ RNG stream per sample from (master seed, index) so the sample set does
 not depend on evaluation order; the scalar suites draw one vectorized
 block.  A suite reports its violation count and worst observed slack;
 slack >= -tolerance everywhere means the property holds.
+
+The state-based suites (ckw, consistency, lemma2) evaluate their samples
+in blocks of at most BLOCK states, so peak memory does not grow with the
+sample count.  A block is an (S, 2**n) amplitude array drawn stream by
+stream (:func:`states.haar_block`, with the PureState checks applied to
+the whole block); every reduction is M·M† of the (S, d_keep, d_rest)
+amplitude matrices, pure-state values come from the stacked marginal
+spectra, and pair concurrences from one batched Wootters evaluation on
+the (S, 4, 4) stack.  Slack arrays are recorded with
+:meth:`SuiteResult.record_all`, which keeps the first five offenders in
+sample order.  lemma2 keeps a per-sample loop for the (mu, l) extraction
+and the weights; lemma1 and hierarchy draw their scalars in one block.
 """
 
 import math
@@ -16,9 +28,12 @@ import numpy as np
 
 from .bounds import bound_family, coefficient_K, extract_mu_l
 from .errors import ParameterError
-from .measures import (concurrence_pure, concurrence_two_qubit, eof, f_eof,
-                       f_renyi, g_tsallis, renyi, tsallis)
-from .states import random_pure, seed_path
+from .measures import (MeasureKind, f_eof, f_renyi, g_tsallis,
+                       wootters_concurrence)
+from .states import gram, haar_block, seed_path, split_amplitudes
+
+# samples per evaluated block of the state-based suites
+BLOCK = 1024
 
 SUITE_NAMES = ("lemma1", "ckw", "consistency", "hierarchy", "lemma2")
 
@@ -47,6 +62,19 @@ class SuiteResult:
             self.violations += 1
             if detail is not None and len(self.offenders) < 5:
                 self.offenders.append(detail)
+
+    def record_all(self, slacks, detail):
+        """Record an array of slacks; detail(i) is the offender dict of entry i.
+
+        Equivalent to calling :meth:`record` on each entry in order.
+        """
+        slacks = np.asarray(slacks, dtype=float)
+        if slacks.size:
+            self.worst_slack = min(self.worst_slack, float(np.min(slacks)))
+        bad = np.flatnonzero(slacks < -self.tolerance)
+        self.violations += int(bad.size)
+        for i in bad[:max(0, 5 - len(self.offenders))]:
+            self.offenders.append(detail(int(i)))
 
     @property
     def passed(self) -> bool:
@@ -87,16 +115,38 @@ def suite_lemma1(samples: int, seed: int) -> SuiteResult:
     return res
 
 
+def _blocks(n: int, samples: int, seed: int):
+    """(first sample index, (S, 2**n) amplitudes) per block of Haar samples."""
+    for start in range(0, samples, BLOCK):
+        yield start, haar_block(n, seed, start, min(samples, start + BLOCK))
+
+
+def _marginal_spectra(amps: np.ndarray, dims: tuple, keep) -> np.ndarray:
+    """Spectra of the reduced states on keep, one row per state (PSD by construction)."""
+    rho = gram(split_amplitudes(amps, dims, keep))
+    return np.maximum(np.linalg.eigvalsh(rho), 0.0)
+
+
+_CONCURRENCE = MeasureKind("concurrence")
+
+
+def _three_qubit_concurrences(amps: np.ndarray):
+    """C(A|BC), C(AB) and C(AC) of each row of an (S, 8) amplitude block."""
+    dims = (2, 2, 2)
+    c_abc = _CONCURRENCE.from_spectrum(_marginal_spectra(amps, dims, [0]))
+    c_ab = wootters_concurrence(gram(split_amplitudes(amps, dims, [0, 1])))
+    c_ac = wootters_concurrence(gram(split_amplitudes(amps, dims, [0, 2])))
+    return c_abc, c_ab, c_ac
+
+
 def suite_ckw(samples: int, seed: int) -> SuiteResult:
     """C²(A|BC) >= C²(AB) + C²(AC) on Haar-random 3-qubit pure states."""
     res = SuiteResult("ckw", samples, seed, tolerance=1e-9)
-    for i in range(samples):
-        state = random_pure(3, seed_path(seed, i))
-        c_abc = float(concurrence_pure(state, [0]))
-        c_ab = float(concurrence_two_qubit(state.reduce([0, 1])))
-        c_ac = float(concurrence_two_qubit(state.reduce([0, 2])))
-        slack = c_abc ** 2 - c_ab ** 2 - c_ac ** 2
-        res.record(slack, {"sample": i, "c_abc": c_abc, "c_ab": c_ab, "c_ac": c_ac})
+    for start, amps in _blocks(3, samples, seed):
+        c_abc, c_ab, c_ac = _three_qubit_concurrences(amps)
+        res.record_all(c_abc ** 2 - c_ab ** 2 - c_ac ** 2,
+                       lambda i: {"sample": start + i, "c_abc": float(c_abc[i]),
+                                  "c_ab": float(c_ab[i]), "c_ac": float(c_ac[i])})
     return res
 
 
@@ -108,15 +158,19 @@ def suite_consistency(samples: int, seed: int) -> SuiteResult:
     """On random two-qubit pure states the entropic measures equal their
     closed-form functions of the concurrence."""
     res = SuiteResult("consistency", samples, seed, tolerance=1e-9)
-    for i in range(samples):
-        state = random_pure(2, seed_path(seed, i))
-        c = float(concurrence_pure(state, [0]))
-        devs = [abs(float(eof(state, [0])) - f_eof(c * c))]
+    for start, amps in _blocks(2, samples, seed):
+        evs = _marginal_spectra(amps, (2, 2), [0])
+        c = _CONCURRENCE.from_spectrum(evs)
+        devs = [np.abs(MeasureKind("eof").from_spectrum(evs) - f_eof(c * c))]
         for q in CONSISTENCY_QS:
-            devs.append(abs(float(tsallis(state, [0], q=q)) - g_tsallis(c * c, q)))
+            devs.append(np.abs(MeasureKind("tsallis", q=q).from_spectrum(evs)
+                               - g_tsallis(c * c, q)))
         for order in CONSISTENCY_ORDERS:
-            devs.append(abs(float(renyi(state, [0], order=order)) - f_renyi(c, order)))
-        res.record(-max(devs), {"sample": i, "concurrence": c, "max_dev": max(devs)})
+            devs.append(np.abs(MeasureKind("renyi", order=order).from_spectrum(evs)
+                               - f_renyi(c, order)))
+        max_dev = np.max(devs, axis=0)
+        res.record_all(-max_dev, lambda i: {"sample": start + i, "concurrence": float(c[i]),
+                                            "max_dev": float(max_dev[i])})
     return res
 
 
@@ -154,24 +208,22 @@ def suite_lemma2(samples: int, seed: int) -> SuiteResult:
     """
     res = SuiteResult("lemma2", samples, seed, tolerance=1e-9)
     fam = bound_family("concurrence")
-    for i in range(samples):
-        state = random_pure(3, seed_path(seed, i))
-        c_abc = float(concurrence_pure(state, [0]))
-        c_ab = float(concurrence_two_qubit(state.reduce([0, 1])))
-        c_ac = float(concurrence_two_qubit(state.reduce([0, 2])))
-        (mu,), (ell,) = extract_mu_l([c_abc, c_ac], [c_ab], fam)
-        if mu is None:
-            continue  # A carries no entanglement with C: bound is trivial
-        for alpha in LEMMA2_ALPHAS:
-            rhs = c_ab ** alpha + coefficient_K(mu, ell, alpha, fam) * c_ac ** alpha
-            res.record(c_abc ** alpha - rhs,
-                       {"sample": i, "alpha": alpha, "mu": mu, "ell": ell,
-                        "variant": "extracted"})
-            if ell >= 1.0:
-                rhs1 = c_ab ** alpha + coefficient_K(mu, 1.0, alpha, fam) * c_ac ** alpha
-                res.record(c_abc ** alpha - rhs1,
-                           {"sample": i, "alpha": alpha, "mu": mu, "ell": 1.0,
-                            "variant": "l=1"})
+    for start, amps in _blocks(3, samples, seed):
+        for i, vals in enumerate(zip(*_three_qubit_concurrences(amps)), start):
+            c_abc, c_ab, c_ac = (float(v) for v in vals)
+            (mu,), (ell,) = extract_mu_l([c_abc, c_ac], [c_ab], fam)
+            if mu is None:
+                continue  # A carries no entanglement with C: bound is trivial
+            for alpha in LEMMA2_ALPHAS:
+                rhs = c_ab ** alpha + coefficient_K(mu, ell, alpha, fam) * c_ac ** alpha
+                res.record(c_abc ** alpha - rhs,
+                           {"sample": i, "alpha": alpha, "mu": mu, "ell": ell,
+                            "variant": "extracted"})
+                if ell >= 1.0:
+                    rhs1 = c_ab ** alpha + coefficient_K(mu, 1.0, alpha, fam) * c_ac ** alpha
+                    res.record(c_abc ** alpha - rhs1,
+                               {"sample": i, "alpha": alpha, "mu": mu, "ell": 1.0,
+                                "variant": "l=1"})
     return res
 
 

@@ -24,6 +24,9 @@ from .states import DensityMatrix, PureState, seed_path
 TSALLIS_Q_LO = (5.0 - math.sqrt(13.0)) / 2.0
 TSALLIS_Q_HI = (5.0 + math.sqrt(13.0)) / 2.0
 
+# assisted_estimate restarts evaluated in one stack; bounds its memory for any budget
+RESTART_BLOCK = 256
+
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SY, _SY)
 
@@ -113,36 +116,55 @@ class MeasureKind:
             base = self.name
         return f"assisted-{base}" if self.assisted else base
 
-    def from_concurrence(self, c: float) -> float:
+    def from_concurrence(self, c):
         """Value of this measure on any state of known concurrence c.
 
         Valid on 2 x m pure states and two-qubit mixed states, where each
-        family is a fixed monotone function of the concurrence.
+        family is a fixed monotone function of the concurrence.  c may be
+        a scalar (a float is returned) or an array (elementwise).
         """
-        c = min(max(float(c), 0.0), 1.0)
+        c = np.minimum(np.maximum(np.asarray(c, dtype=float), 0.0), 1.0)
         if self.name in ("concurrence", "cren"):
-            return c
+            return _scalar_or_array(c)
         if self.name == "eof":
             return f_eof(c * c)
         if self.name == "tsallis":
             return g_tsallis(c * c, self.q)
         return f_renyi(c, self.order)
 
-    def pure_value(self, state: PureState, keep) -> float:
-        """Exact value on a pure state for the bipartition keep | rest."""
-        marg = state.reduce(keep)
-        evs = marg.eigvals()
+    def from_spectrum(self, evs):
+        """Value on a pure state whose marginal on either side has spectrum evs.
+
+        evs holds nonnegative eigenvalues along its last axis; leading axes
+        are a stack of states (an array is returned) and a single spectrum
+        gives a float.
+        """
+        p = np.asarray(evs, dtype=float)
         if self.name == "concurrence":
-            return _conc_from_purity(evs)
-        if self.name == "cren":
+            out = _conc_from_purity(p)
+        elif self.name == "cren":
             # (Tr sqrt(rho_keep))^2 - 1; equals the concurrence whenever one
             # side is a single qubit (Schmidt rank <= 2).
-            return max(0.0, float(np.sum(np.sqrt(evs))) ** 2 - 1.0)
-        if self.name == "eof":
-            return _entropy_vn(evs)
-        if self.name == "tsallis":
-            return _entropy_tsallis(evs, self.q)
-        return _entropy_renyi(evs, self.order)
+            out = np.maximum(0.0, np.sqrt(p).sum(axis=-1) ** 2 - 1.0)
+        elif self.name == "eof":
+            out = _entropy_vn(p)
+        elif self.name == "tsallis":
+            out = _entropy_tsallis(p, self.q)
+        else:
+            out = _entropy_renyi(p, self.order)
+        return _scalar_or_array(out)
+
+    def pure_value(self, state: PureState, keep) -> float:
+        """Exact value on a pure state for the bipartition keep | rest.
+
+        The marginal is taken on the smaller side: both marginals of a pure
+        state share their nonzero spectrum, and the smaller one stays
+        within the dense cap on wide registers.
+        """
+        keep = sorted(set(int(i) for i in keep))
+        rest = [i for i in range(state.n_qubits) if i not in keep]
+        side = rest if rest and len(rest) < len(keep) else keep
+        return self.from_spectrum(state.reduce(side).eigvals())
 
     def two_qubit_value(self, rho: DensityMatrix) -> float:
         """Exact value on a two-qubit mixed state via the Wootters form."""
@@ -155,6 +177,9 @@ class MeasureKind:
         return self.from_concurrence(c)
 
 
+_CONCURRENCE = MeasureKind("concurrence")
+
+
 def _require_two_qubits(rho: DensityMatrix, what: str):
     if not isinstance(rho, DensityMatrix):
         raise ParameterError(f"{what} expects a DensityMatrix, got {type(rho).__name__}")
@@ -162,27 +187,33 @@ def _require_two_qubits(rho: DensityMatrix, what: str):
         raise DimensionError(f"{what} requires a 2x2-qubit state, got dims {rho.dims}")
 
 
-def _conc_from_purity(evs) -> float:
-    purity = float(np.sum(np.asarray(evs) ** 2))
-    return math.sqrt(max(0.0, 2.0 * (1.0 - purity)))
+# Entropic functions of spectra held along the last axis of p (nonnegative,
+# unit sum); leading axes are a stack of states.  0·log 0 := 0.
+
+def _conc_from_purity(p):
+    return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - (p ** 2).sum(axis=-1))))
 
 
-def _entropy_vn(evs) -> float:
-    p = np.asarray(evs)
-    p = p[p > 0]
-    return float(-np.sum(p * np.log2(p)))
+def _entropy_vn(p):
+    plogp = p * np.log2(p + (p == 0.0))  # log2 1 = 0 on the zero entries
+    return 0.0 - plogp.sum(axis=-1)
 
 
-def _entropy_tsallis(evs, q: float) -> float:
-    p = np.asarray(evs)
-    p = p[p > 0]
-    return float((1.0 - np.sum(p ** q)) / (q - 1.0))
+def _entropy_tsallis(p, q: float):
+    return (1.0 - (p ** q).sum(axis=-1)) / (q - 1.0)
 
 
-def _entropy_renyi(evs, order: float) -> float:
-    p = np.asarray(evs)
-    p = p[p > 0]
-    return float(np.log2(np.sum(p ** order)) / (1.0 - order))
+def _entropy_renyi(p, order: float):
+    # log2 sum p^a = a log2 p_max + log2 sum (p/p_max)^a: no power under- or
+    # overflows for any finite order, so the result stays finite
+    top = p.max(axis=-1)
+    tail = ((p / top[..., None]) ** order).sum(axis=-1)
+    return np.log2(top) * (order / (1.0 - order)) + np.log2(tail) / (1.0 - order)
+
+
+def _scalar_or_array(x):
+    """A float for a 0-d result, the array otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def concurrence_pure(state: PureState, keep) -> MeasureValue:
@@ -197,33 +228,35 @@ def concurrence_pure(state: PureState, keep) -> MeasureValue:
             f"keep must be a proper nonempty subsystem subset, got {keep} "
             f"of {state.n_qubits}"
         )
-    return MeasureValue.exact(_conc_from_purity(state.reduce(keep).eigvals()))
+    return MeasureValue.exact(_CONCURRENCE.pure_value(state, keep))
 
 
 # eigenvalues of a unit-trace state below this are treated as rank noise
 _RANK_TOL = 1e-12
 
 
-def concurrence_two_qubit(rho: DensityMatrix) -> MeasureValue:
-    """Wootters concurrence of a two-qubit mixed state.
+def wootters_concurrence(rhos: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of each two-qubit state in an (S, 4, 4) stack.
 
     C = max{0, l1 - l2 - l3 - l4} where the l_i are the descending square
     roots of the eigenvalues of rho (sy x sy) rho* (sy x sy).  They are
     computed as the singular values of Psi^T (sy x sy) Psi with Psi built
     from the rank-retained eigenpairs of rho: the same spectrum, but the
     square root never touches near-zero eigenvalues, whose noise would
-    otherwise surface at the sqrt(eps) level on low-rank states.
+    otherwise surface at the sqrt(eps) level on low-rank states.  Dropped
+    eigenpairs become zero columns of Psi, which only add zero singular
+    values.  The inputs are trusted to be density matrices.
     """
+    evs, vecs = np.linalg.eigh(rhos)
+    psi = vecs * np.sqrt(np.where(evs > _RANK_TOL, evs, 0.0))[..., None, :]
+    lam = np.linalg.svd(np.swapaxes(psi, -1, -2) @ _YY @ psi, compute_uv=False)
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+
+
+def concurrence_two_qubit(rho: DensityMatrix) -> MeasureValue:
+    """Wootters concurrence of a two-qubit mixed state (see wootters_concurrence)."""
     _require_two_qubits(rho, "concurrence_two_qubit")
-    evs, vecs = np.linalg.eigh(rho.matrix)
-    keep = evs > _RANK_TOL
-    psi = vecs[:, keep] * np.sqrt(evs[keep])
-    lam = np.zeros(4)
-    if psi.shape[1]:
-        sv = np.linalg.svd(psi.T @ _YY @ psi, compute_uv=False)
-        lam[:sv.size] = sv
-    lam = np.sort(lam)[::-1]
-    return MeasureValue.exact(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    return MeasureValue.exact(float(wootters_concurrence(rho.matrix[None])[0]))
 
 
 def concurrence_interval(rho: DensityMatrix, side: int = 0) -> MeasureValue:
@@ -262,7 +295,7 @@ def concurrence_interval(rho: DensityMatrix, side: int = 0) -> MeasureValue:
         pair = rho.partial_trace([side, j])
         lo_sq += float(concurrence_two_qubit(pair)) ** 2
     lo = math.sqrt(lo_sq)
-    hi = _conc_from_purity(rho.partial_trace([side]).eigvals())
+    hi = float(_conc_from_purity(rho.partial_trace([side]).eigvals()))
     return MeasureValue.interval(lo, max(lo, hi))
 
 
@@ -302,18 +335,22 @@ def cren_two_qubit(rho: DensityMatrix) -> MeasureValue:
     return concurrence_two_qubit(rho)
 
 
-def f_eof(x: float) -> float:
+# The closed forms below are the entropies of the marginal spectrum
+# ((1+s)/2, (1-s)/2), s = sqrt(1 - C²), of a 2 x m pure state with
+# concurrence C.  Each takes a scalar (returns a float) or an array
+# (elementwise); any argument outside [0, 1] raises DomainError.
+
+def f_eof(x):
     """Entanglement of formation as a function of squared concurrence.
 
     f(x) = H((1 + sqrt(1-x))/2) with H the base-2 binary entropy;
     monotonically increasing on [0, 1] with f(0) = 0, f(1) = 1.
     """
     x = _unit_interval(x, "f_eof")
-    h = (1.0 + math.sqrt(1.0 - x)) / 2.0
-    return _h2(h)
+    return _scalar_or_array(_entropy_vn(_two_level(x)))
 
 
-def g_tsallis(x: float, q: float) -> float:
+def g_tsallis(x, q: float):
     """Tsallis-q entanglement as a function of squared concurrence.
 
     g_q(x) = [1 - ((1+s)/2)^q - ((1-s)/2)^q]/(q-1) with s = sqrt(1-x);
@@ -322,11 +359,10 @@ def g_tsallis(x: float, q: float) -> float:
     if q <= 0 or q == 1:
         raise ParameterError(f"g_tsallis requires q > 0, q != 1, got {q}")
     x = _unit_interval(x, "g_tsallis")
-    s = math.sqrt(1.0 - x)
-    return (1.0 - ((1.0 + s) / 2.0) ** q - ((1.0 - s) / 2.0) ** q) / (q - 1.0)
+    return _scalar_or_array(_entropy_tsallis(_two_level(x), q))
 
 
-def f_renyi(x: float, order: float) -> float:
+def f_renyi(x, order: float):
     """Renyi entanglement as a function of the concurrence (not squared).
 
     f_a(x) = log2[((1-s)/2)^a + ((1+s)/2)^a]/(1-a) with s = sqrt(1-x²);
@@ -335,9 +371,15 @@ def f_renyi(x: float, order: float) -> float:
     if order <= 0 or order == 1:
         raise ParameterError(f"f_renyi requires order > 0, order != 1, got {order}")
     x = _unit_interval(x, "f_renyi")
-    s = math.sqrt(max(0.0, 1.0 - x * x))
-    total = ((1.0 - s) / 2.0) ** order + ((1.0 + s) / 2.0) ** order
-    return math.log2(total) / (1.0 - order)
+    return _scalar_or_array(_entropy_renyi(_two_level(x * x), order))
+
+
+_HALVES = np.array([0.5, -0.5])
+
+
+def _two_level(x):
+    """Spectrum ((1+s)/2, (1-s)/2), s = sqrt(1-x), along a new last axis (x in [0, 1])."""
+    return np.multiply.outer(np.sqrt(1.0 - x), _HALVES) + 0.5
 
 
 def eof(state, partition=None) -> MeasureValue:
@@ -384,9 +426,9 @@ def _entropic_dispatch(kind: MeasureKind, state, partition) -> MeasureValue:
     raise ParameterError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
 
 
-def _pure_two_qubit_concurrence(vec: np.ndarray) -> float:
-    # |<phi|sy x sy|phi*>| = 2|a d - b c| for amplitudes (a, b, c, d)
-    return 2.0 * abs(vec[0] * vec[3] - vec[1] * vec[2])
+def _pure_two_qubit_concurrence(vecs: np.ndarray) -> np.ndarray:
+    # |<phi|sy x sy|phi*>| = 2|a d - b c| for amplitudes (a, b, c, d) along the last axis
+    return 2.0 * np.abs(vecs[..., 0] * vecs[..., 3] - vecs[..., 1] * vecs[..., 2])
 
 
 def assisted_estimate(rho: DensityMatrix, kind: MeasureKind, budget: int = 200,
@@ -399,7 +441,9 @@ def assisted_estimate(rho: DensityMatrix, kind: MeasureKind, budget: int = 200,
     returned.  It is flagged heuristic and never feeds certified verdicts.
     The estimate is at least the non-assisted measure (every decomposition
     average dominates the convex-roof minimum) and is nondecreasing in
-    ``budget`` for a fixed seed.
+    ``budget`` for a fixed seed.  Restart i draws from its own (seed, i)
+    stream; up to RESTART_BLOCK restarts are evaluated as one stack, so
+    memory stays bounded for any budget.
     """
     if not kind.assisted:
         raise ParameterError("assisted_estimate requires a kind with assisted=True")
@@ -414,38 +458,51 @@ def assisted_estimate(rho: DensityMatrix, kind: MeasureKind, budget: int = 200,
     mask = evs > 1e-12
     evs, vecs = evs[mask], vecs[:, mask]
     rank = max(1, int(mask.sum()))
-    roots = np.sqrt(evs)
+    members = np.sqrt(evs)[:, None] * vecs.T  # rows: the unnormalized eigen-ensemble
 
-    def ensemble_average(u: np.ndarray) -> float:
-        tilde = u @ (roots[:, None] * vecs.T)  # rows are unnormalized members
-        probs = np.real(np.sum(np.abs(tilde) ** 2, axis=1))
-        total = 0.0
-        for p, row in zip(probs, tilde):
-            if p <= 1e-14:
-                continue
-            total += p * kind.from_concurrence(_pure_two_qubit_concurrence(row / math.sqrt(p)))
-        return total
-
-    best = ensemble_average(np.eye(rank))
-    for i in range(budget):
-        rng = np.random.default_rng(seed_path(seed, i))
-        m = int(rng.integers(rank, rank * rank + 1)) if rank > 1 else 1
-        z = rng.normal(size=(m, rank)) + 1j * rng.normal(size=(m, rank))
-        u, _ = np.linalg.qr(z)
-        best = max(best, ensemble_average(u))
+    best = float(_ensemble_averages([np.eye(rank)], members, kind)[0])
+    for start in range(0, budget, RESTART_BLOCK):
+        draws = []
+        for i in range(start, min(budget, start + RESTART_BLOCK)):
+            rng = np.random.default_rng(seed_path(seed, i))
+            m = int(rng.integers(rank, rank * rank + 1)) if rank > 1 else 1
+            draws.append(rng.normal(size=(m, rank)) + 1j * rng.normal(size=(m, rank)))
+        mixes = _q_factors(draws)
+        best = max(best, float(np.max(_ensemble_averages(mixes, members, kind))))
     return MeasureValue.heuristic(best)
 
 
-def _h2(p: float) -> float:
-    total = 0.0
-    for x in (p, 1.0 - p):
-        if x > 0.0:
-            total -= x * math.log2(x)
-    return total
+def _q_factors(draws) -> list:
+    """Q of the reduced QR decomposition of each matrix, one LAPACK stack per shape."""
+    out = [None] * len(draws)
+    for shape in {z.shape for z in draws}:
+        idx = [k for k, z in enumerate(draws) if z.shape == shape]
+        for k, q in zip(idx, np.linalg.qr(np.stack([draws[k] for k in idx]))[0]):
+            out[k] = q
+    return out
 
 
-def _unit_interval(x: float, what: str) -> float:
-    x = float(x)
-    if not -1e-12 <= x <= 1.0 + 1e-12:
-        raise DomainError(f"{what} requires an argument in [0, 1], got {x!r}")
-    return min(max(x, 0.0), 1.0)
+def _ensemble_averages(mixes, members: np.ndarray, kind: MeasureKind) -> np.ndarray:
+    """Ensemble average of kind for each isometry u in mixes.
+
+    The rows of u @ members are the unnormalized pure members of one
+    decomposition, with weights p = |row|²; members with p <= 1e-14 are
+    skipped.  All ensembles are evaluated in one stack.
+    """
+    tilde = np.concatenate(mixes) @ members
+    probs = np.sum(np.abs(tilde) ** 2, axis=1)
+    live = probs > 1e-14
+    p = probs[live]
+    terms = np.zeros(probs.size)
+    terms[live] = p * kind.from_concurrence(
+        _pure_two_qubit_concurrence(tilde[live] / np.sqrt(p)[:, None]))
+    return np.add.reduceat(terms, np.cumsum([0] + [len(u) for u in mixes[:-1]]))
+
+
+def _unit_interval(x, what: str) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    inside = (x >= -1e-12) & (x <= 1.0 + 1e-12)
+    if not inside.all():
+        bad = float(x[~inside][0])
+        raise DomainError(f"{what} requires an argument in [0, 1], got {bad!r}")
+    return np.minimum(np.maximum(x, 0.0), 1.0)

@@ -41,11 +41,7 @@ class PureState:
             raise DimensionError(
                 f"amplitude count {amps.size} does not match dims {dims}"
             )
-        if not np.all(np.isfinite(amps)):
-            raise ContractError("amplitudes contain NaN or Inf")
-        norm2 = float(np.real(np.vdot(amps, amps)))
-        if abs(norm2 - 1.0) > NORM_TOL:
-            raise ParameterError(f"state norm² = {norm2!r} deviates from 1 beyond {NORM_TOL}")
+        _check_unit(amps)
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
@@ -75,10 +71,7 @@ class PureState:
         n = self.n_qubits
         if keep[0] < 0 or keep[-1] >= n:
             raise DimensionError(f"keep indices {keep} out of range for {n} subsystems")
-        rest = [i for i in range(n) if i not in keep]
-        d_keep = int(np.prod([self.dims[i] for i in keep]))
-        psi = np.transpose(self.amplitudes.reshape(self.dims), keep + rest)
-        return psi.reshape(d_keep, -1)
+        return split_amplitudes(self.amplitudes, self.dims, keep)
 
     def reduce(self, keep) -> "DensityMatrix":
         """Reduced density matrix on the kept subsystems (ascending order).
@@ -94,7 +87,7 @@ class PureState:
         keep = sorted(set(int(i) for i in keep))
         m = self.amplitude_matrix(keep)
         _check_dense(m.shape[0], "reduced state")
-        return DensityMatrix._from_gram(m @ m.conj().T, tuple(self.dims[i] for i in keep))
+        return DensityMatrix._from_gram(gram(m), tuple(self.dims[i] for i in keep))
 
 
 @dataclass(frozen=True)
@@ -257,9 +250,51 @@ def random_pure(n: int, seed) -> PureState:
         raise ParameterError(f"random_pure requires n >= 1 qubits, got {n}")
     _check_qubits(n)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    v = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    return PureState(_haar_vector(rng, 2 ** n), (2,) * n)
+
+
+def haar_block(n: int, seed, start: int, stop: int) -> np.ndarray:
+    """Amplitudes of random_pure(n, seed_path(seed, i)) for start <= i < stop.
+
+    One row per sample, each drawn from its own (seed, i) stream in the
+    same order as :func:`random_pure`, so a block holds exactly the states
+    of the one-state-at-a-time path.  The rows pass the PureState checks
+    (finite, norm² within NORM_TOL of 1) as one block.
+    """
+    d = 2 ** n
+    out = np.empty((stop - start, d), dtype=complex)
+    for row, i in enumerate(range(start, stop)):
+        out[row] = _haar_vector(np.random.default_rng(seed_path(seed, i)), d)
+    _check_unit(out)
+    return out
+
+
+def _haar_vector(rng, d: int) -> np.ndarray:
+    # real parts first, then imaginary parts: the draw order fixes the sample set
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
     v /= np.linalg.norm(v)
-    return PureState(v, (2,) * n)
+    return v
+
+
+def split_amplitudes(amps: np.ndarray, dims: tuple, keep) -> np.ndarray:
+    """Amplitudes (..., prod(dims)) as matrices (..., d_keep, d_rest).
+
+    keep is a sorted list of valid subsystem indices; rows run over the
+    kept subsystems in ascending order and columns over the rest, so M·M†
+    (:func:`gram`) is the reduced state on keep for every leading index.
+    """
+    lead = amps.shape[:-1]
+    k = len(lead)
+    rest = [i for i in range(len(dims)) if i not in keep]
+    d_keep = int(np.prod([dims[i] for i in keep]))
+    psi = amps.reshape(lead + tuple(dims))
+    psi = np.transpose(psi, list(range(k)) + [k + i for i in keep + rest])
+    return psi.reshape(lead + (d_keep, -1))
+
+
+def gram(m: np.ndarray) -> np.ndarray:
+    """M·M† over the last two axes."""
+    return m @ np.swapaxes(m.conj(), -1, -2)
 
 
 def reduce_state(state: PureState, keep) -> DensityMatrix:
@@ -272,10 +307,29 @@ def seed_path(seed, *indices) -> tuple:
 
     Feeding the result to ``numpy.random.default_rng`` gives independent,
     reproducible streams per (master seed, index, ...) path, so parallel
-    and serial sample evaluation agree exactly.
+    and serial sample evaluation agree exactly.  A negative entry raises
+    ParameterError (the generator accepts only nonnegative integers).
     """
     base = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    return tuple(int(x) for x in base) + tuple(int(i) for i in indices)
+    path = tuple(int(x) for x in base) + tuple(int(i) for i in indices)
+    if any(x < 0 for x in path):
+        raise ParameterError(f"seeds must be nonnegative integers, got {path}")
+    return path
+
+
+def _check_unit(amps: np.ndarray):
+    """Raise unless each vector along the last axis is finite with norm² 1.
+
+    The norm² tolerance is NORM_TOL; the first offending norm² is quoted.
+    """
+    if not np.all(np.isfinite(amps)):
+        raise ContractError("amplitudes contain NaN or Inf")
+    norm2 = (np.einsum("...i,...i->...", amps.real, amps.real)
+             + np.einsum("...i,...i->...", amps.imag, amps.imag))
+    bad = np.abs(norm2 - 1.0) > NORM_TOL
+    if np.any(bad):
+        raise ParameterError(
+            f"state norm² = {float(norm2[bad][0])!r} deviates from 1 beyond {NORM_TOL}")
 
 
 def _check_qubits(n: int):

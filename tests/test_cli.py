@@ -310,6 +310,68 @@ def test_non_finite_parameters_exit_two(args, capsys):
     assert err.startswith("entmono: ") and "Traceback" not in err
 
 
+MALFORMED = [
+    ["corpus", "--suite", "all", "--seed", "-1"],
+    ["corpus", "--suite", "ckw", "--samples", "10", "--seed", "-1"],
+    ["verify", "--preset", "example1", "--theorem", "eoa", "--alpha", "0.5",
+     "--seed", "-3"],
+    ["sweep", "--preset", "example1", "--kind", "concurrence", "--alpha-min", "2",
+     "--alpha-max", "3", "--steps", "3", "--mu", "abc", "--ell", "1"],
+    ["verify", "--preset", "example1", "--theorem", "concurrence", "--alpha", "3",
+     "--mu", "1,x", "--ell", "1,1"],
+    ["measure", "--preset", "ghz:x", "--kind", "eof", "--partition", "A|B"],
+    ["measure", "--preset", "w:", "--kind", "eof", "--partition", "A|B"],
+]
+
+
+@pytest.mark.parametrize("args", MALFORMED, ids=lambda a: " ".join(a))
+def test_malformed_arguments_exit_two(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("entmono: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["concurrence", "eof", "cren"])
+def test_pure_value_reads_the_smaller_side(kind, capsys):
+    # the keep side has 13 qubits, beyond the dense cap; the other side has one
+    code, rec, _ = run_json(
+        ["measure", "--preset", "ghz:14", "--kind", kind,
+         "--partition", "ABCDEFGHIJKLM|N"], capsys)
+    assert code == 0
+    assert rec["value"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("partition", ["A|B", "A|BC"])
+def test_huge_renyi_order_stays_finite(partition, capsys):
+    # the order-a powers of the spectrum underflow; the value tends to -log2 p_max
+    code, rec, _ = run_json(
+        ["measure", "--preset", "example1", "--kind", "renyi", "--aacute", "1e300",
+         "--partition", partition], capsys)
+    assert code == 0
+    assert rec["status"] == "exact"
+    assert rec["value"] is not None and 0.0 < rec["value"] < 1.0
+
+
+@pytest.mark.parametrize("theorem", [["eoa"], ["teoa", "--q", "2"],
+                                     ["reoa", "--aacute", "1.2"]])
+def test_verify_estimates_each_assisted_pair_once(theorem, capsys, monkeypatch):
+    import entmono.bounds as bounds
+    calls = []
+    original = bounds.assisted_estimate
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("seed"))
+        return original(*args, **kwargs)
+
+    args = ["verify", "--preset", "example1", "--theorem", theorem[0], "--alpha", "0.5",
+            "--budget", "20"] + theorem[1:]
+    code, before, _ = run_cli(args, capsys)
+    monkeypatch.setattr(bounds, "assisted_estimate", counted)
+    assert run_cli(args, capsys)[:2] == (code, before)
+    assert len(calls) == 2 and len(set(calls)) == 2
+
+
 class TestCorpus:
     def test_small_run_passes(self, capsys):
         code, rec, _ = run_json(

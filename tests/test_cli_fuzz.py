@@ -1,0 +1,80 @@
+"""Fuzz of the CLI boundary: drawn argv over all four commands, with
+negative seeds, non-finite and malformed numbers, out-of-range sizes and
+bad selectors.  Every invocation must end with a documented exit code
+(0, 2, 3 or 4) and never with a traceback."""
+
+import contextlib
+import io
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import entmono.cli as cli
+
+FUZZ = settings(max_examples=150, deadline=None)
+
+NUMBERS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e300", "-1e300", "1e-320",
+                     "abc", "", "1,1", "2,nan"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-5, 8).map(str),
+)
+SEEDS = st.one_of(st.integers(-10, 10), st.integers(-2 ** 70, 2 ** 70)).map(str)
+PRESETS = st.sampled_from(["example1", "bell", "ghz:1", "ghz:3", "ghz:4", "w:3", "w:5",
+                           "ghz:x", "w:", "ghz:-2", "ghz:25", "nope"])
+PARTITIONS = st.sampled_from(["A|BC", "A|B", "AB|C", "A|C", "B|AC", "A|A", "A|Z", "ABC",
+                              "|B", "a|bc", "A|B|C", "AB|CD", "A|BCD"])
+THEOREMS = st.sampled_from(["concurrence", "cren", "eof", "tsallis", "renyi", "eoa", "teoa",
+                            "reoa", "thm1-eoa", "bogus"])
+
+
+def option(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(["measure", "sweep", "verify", "corpus"]))
+    if command == "corpus":
+        suite = draw(st.sampled_from(["all", "lemma1", "ckw", "consistency", "hierarchy",
+                                      "lemma2", "bogus"]))
+        samples = draw(st.integers(-2, 25).map(str))
+        return (["corpus", "--suite", suite, "--samples", samples]
+                + draw(option("--seed", SEEDS)))
+    argv = [command, "--preset", draw(PRESETS)]
+    if command == "measure":
+        argv += ["--kind", draw(st.sampled_from(["concurrence", "cren", "negativity", "eof",
+                                                 "tsallis", "renyi"])),
+                 "--partition", draw(PARTITIONS)]
+        argv += draw(option("--q", NUMBERS)) + draw(option("--aacute", NUMBERS))
+    elif command == "sweep":
+        argv += ["--kind", draw(st.sampled_from(["concurrence", "cren", "eof", "tsallis",
+                                                 "renyi"])),
+                 "--alpha-min=" + draw(NUMBERS), "--alpha-max=" + draw(NUMBERS),
+                 "--steps", draw(st.integers(-1, 8).map(str))]
+        argv += draw(option("--q", NUMBERS)) + draw(option("--aacute", NUMBERS))
+        argv += draw(option("--k", NUMBERS)) + draw(option("--m-split", NUMBERS))
+        argv += draw(option("--mu", NUMBERS)) + draw(option("--ell", NUMBERS))
+        argv += draw(option("--seed", SEEDS))
+    else:
+        argv += ["--theorem", draw(THEOREMS), "--alpha=" + draw(NUMBERS),
+                 "--budget", draw(st.integers(-1, 4).map(str))]
+        argv += draw(option("--q", NUMBERS)) + draw(option("--aacute", NUMBERS))
+        argv += draw(option("--k", NUMBERS)) + draw(option("--m-split", NUMBERS))
+        argv += draw(option("--mu", NUMBERS)) + draw(option("--ell", NUMBERS))
+        argv += draw(option("--seed", SEEDS))
+        argv += draw(st.sampled_from([[], ["--auto"], ["--comparator-only"]]))
+    return argv
+
+
+@FUZZ
+@given(argvs())
+def test_every_invocation_ends_with_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects malformed syntax with exit 2
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
