@@ -1,20 +1,21 @@
 """Entanglement measures on multi-qubit states and verification of the
 tightened one-to-group monogamy/polygamy bounds against prior bounds."""
 
-from .bounds import (BoundFamily, BoundParams, BoundReport, ConditionReport,
-                     bound_family, check_conditions, coefficient_K,
-                     extract_mu_l, prior_rhs, resolve_params, rhs_assemble,
+from .bounds import (BoundFamily, BoundParams, BoundReport, Chain,
+                     ConditionReport, Interval, bound_family,
+                     check_conditions, coefficient_K, extract_mu_l,
+                     measure_chain, prior_rhs, resolve_params, rhs_assemble,
                      verify)
-from .densemat import (DIM_CAP, herm_eigvals, kron, partial_trace,
+from .densemat import (DIM_CAP, herm_eigvals, partial_trace,
                        partial_transpose, trace_norm)
 from .errors import (CapabilityError, ContractError, DimensionError,
                      DomainError, ParameterError)
 from .measures import (MeasureKind, MeasureValue, assisted_estimate,
                        concurrence_interval, concurrence_pure,
-                       concurrence_two_qubit, cren_two_qubit, eof, f_eof,
-                       f_renyi, g_tsallis, negativity, renyi, tsallis)
+                       concurrence_two_qubit, eof, f_eof, f_renyi,
+                       g_tsallis, negativity, renyi, tsallis)
 from .states import (AMP_CAP, DensityMatrix, PureState, SchmidtParams, bell,
                      example1_params, ghz, load_state, random_pure,
-                     reduce_state, save_state, schmidt3, seed_path, w_state)
+                     save_state, schmidt3, seed_path, w_state)
 
 __version__ = "0.1.0"

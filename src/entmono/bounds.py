@@ -12,6 +12,15 @@ depending on the measure family, against the prior constants 2^s - 1,
 hypotheses on the chain of residual-group values; polygamy families bound
 the assisted duals from above (<=).
 
+Every bound is built from one measured object, the Chain of a (state,
+family) pair, which measure_chain computes once per command: the full
+value M(A|B_1...B_{N-1}), the pair values M(A,B_i) with their provenance
+(exact closed forms, or heuristic assisted estimates), and a certified
+Interval for each residual link M(A|B_r...B_{N-1}), or None where no
+certified value exists.  Parameter extraction (resolve_params), the
+right-hand sides, the prior bounds and the hypothesis checks
+(check_conditions) all read that record; none measures again.
+
 Hypothesis parameters outside their theorem ranges (mu >= 1 and l >= 1
 for monogamy; 0 < mu <= 1, l >= 1 for polygamy) are reported as failed
 conditions rather than rejected, so that extracted maximal parameters can
@@ -124,8 +133,9 @@ def bound_family(measure, direction: str = MONOGAMY, q: float = None,
 class BoundParams:
     """Instantiation of one bound: exponent, per-step (mu_r, l_r), split.
 
-    mu/ell of None request automatic extraction of the maximal feasible
-    parameters (exact only for three-qubit pure states).  split of None is
+    mu and ell both None request automatic extraction of the maximal
+    feasible parameters (exact only for three-qubit pure states); giving
+    only one of them is a ParameterError.  split of None is
     the all-steps chain; split m in [1, N-2] groups steps m+1..N-2 with
     the swapped-role hypotheses.
     """
@@ -149,7 +159,9 @@ class BoundParams:
             if any(not math.isfinite(v) or v <= 0 for v in vals):
                 raise ParameterError(f"{name} entries must be positive finite, got {vals}")
             object.__setattr__(self, name, vals)
-        if self.mu is not None and self.ell is not None and len(self.mu) != len(self.ell):
+        if (self.mu is None) != (self.ell is None):
+            raise ParameterError("give both mu and ell, or neither for extraction")
+        if self.mu is not None and len(self.mu) != len(self.ell):
             raise ParameterError(
                 f"mu and ell lengths differ: {len(self.mu)} vs {len(self.ell)}")
         if self.split is not None and int(self.split) < 1:
@@ -322,7 +334,7 @@ def rhs_assemble(values, params: BoundParams) -> RhsBreakdown:
     if any(v < 0 for v in values):
         raise ParameterError(f"measure values must be nonnegative, got {values}")
     n_steps = len(values) - 1
-    if params.mu is None or params.ell is None:
+    if params.mu is None:
         raise ParameterError("rhs_assemble needs explicit mu and ell (resolve auto first)")
     if len(params.mu) != n_steps or len(params.ell) != n_steps:
         raise ParameterError(
@@ -402,24 +414,43 @@ def extract_mu_l(chain, pairs, family: BoundFamily, split: int = None):
     return tuple(mus), tuple(ells)
 
 
-def _pair_states(state: PureState):
-    return [state.reduce([0, i]) for i in range(1, state.n_qubits)]
+@dataclass(frozen=True)
+class Interval:
+    """Certified range lo <= x <= hi of a nonnegative measured value.
+
+    Powers (p > 0), nonnegative scalings and sums map certified ranges to
+    certified ranges endpoint by endpoint.
+    """
+
+    lo: float
+    hi: float
+
+    @classmethod
+    def point(cls, v: float) -> "Interval":
+        return cls(v, v)
+
+    def __pow__(self, p: float) -> "Interval":
+        return Interval(self.lo ** p, self.hi ** p)
+
+    def __rmul__(self, c: float) -> "Interval":
+        return Interval(c * self.lo, c * self.hi)
+
+    def __add__(self, other: "Interval") -> "Interval":
+        return Interval(self.lo + other.lo, self.hi + other.hi)
 
 
-def _pair_values(state: PureState, family: BoundFamily, budget: int, seed):
-    """Pairwise measure values; heuristic estimates for assisted duals."""
-    kind = family.measure
-    if family.direction == POLYGAMY:
-        vals = [assisted_estimate(rho, kind, budget=budget, seed=seed_path(seed, i)).value
-                for i, rho in enumerate(_pair_states(state))]
-        return vals, "heuristic"
-    return [kind.two_qubit_value(rho) for rho in _pair_states(state)], "exact"
+@dataclass(frozen=True)
+class Chain:
+    """The measured chain of one (state, family); see measure_chain."""
 
+    full: float        # M(A|B_1...B_{N-1}), exact
+    pairs: tuple       # M(A,B_1)..M(A,B_{N-1})
+    status: str        # exact | heuristic: provenance of the pair values
+    links: tuple       # Interval of M(A|B_r...B_{N-1}), r = 1..N-1, or None
 
-def _plain_kind(kind: MeasureKind) -> MeasureKind:
-    if not kind.assisted:
-        return kind
-    return MeasureKind(kind.name, q=kind.q, order=kind.order, assisted=False)
+    @property
+    def n_qubits(self) -> int:
+        return len(self.pairs) + 1
 
 
 def _group_is_pure(state: PureState, r: int) -> bool:
@@ -433,185 +464,148 @@ def _group_is_pure(state: PureState, r: int) -> bool:
     return state.reduce(min(complement, group, key=len)).is_pure()
 
 
-def _chain_bounds(state: PureState, family: BoundFamily, pair_vals):
-    """Certified (lo, hi) for M(A | B_r...B_{N-1}), r = 1..N-1.
+def measure_chain(state: PureState, family: BoundFamily, budget: int = 200,
+                  seed=0) -> Chain:
+    """Measure the chain of one (state, family) once; see Chain.
 
-    pair_vals are the exact pair values M(A,B_1)..M(A,B_{N-1}) for
-    monogamy families (None for polygamy).  The first entry (full split of
-    the pure state) and the last (the pair A,B_{N-1}, read from pair_vals)
-    are exact.  No intermediate group state is formed.  For the
-    concurrence family an intermediate group A,B_r..B_{N-1} gets
+    Pair values are the exact two-qubit closed forms for monogamy families
+    and heuristic assisted estimates (budget restarts, pair i drawing from
+    seed_path(seed, i)) for polygamy families.  The full value is the
+    exact pure-state measure (an assisted value of a pure state equals the
+    plain value).  No intermediate group state is formed: the first link
+    and, for monogamy families, the last (the pair A,B_{N-1}) are exact,
+    and for the concurrence family an intermediate group A,B_r..B_{N-1}
+    gets
 
     - lo = sqrt(sum_{j>=r} C²(A,B_j)), the Osborne-Verstraete N-qubit
-      inequality (PRL 96, 220503, 2006), over the given pair values;
+      inequality (PRL 96, 220503, 2006), over the pair values;
     - hi = C(A|B_1...B_{N-1}): the group's rho_A is the global rho_A, and
       sqrt(2[1 - Tr rho_A²]) bounds the convex roof from above (see
       concurrence_interval);
-    - (hi, hi) when the group is pure (see _group_is_pure), where the
+    - the point hi when the group is pure (see _group_is_pure), where the
       upper leg is the exact value.
 
-    Intermediate groups are uncertified (None) for the entropic and
-    assisted families, and for the convex-roof negativity.
+    Every other link is uncertified (None): intermediate groups of the
+    entropic families and the convex-roof negativity, and every link
+    beyond the first of the assisted families.
     """
-    kind = _plain_kind(family.measure)
-    n = state.n_qubits
+    kind = family.measure
+    rhos = [state.reduce([0, i]) for i in range(1, state.n_qubits)]
+    if family.direction == POLYGAMY:
+        pairs = [assisted_estimate(rho, kind, budget=budget, seed=seed_path(seed, i)).value
+                 for i, rho in enumerate(rhos)]
+    else:
+        pairs = [kind.two_qubit_value(rho) for rho in rhos]
     full = kind.pure_value(state, [0])
-    # assisted value of a pure state equals the plain value
-    out = [(full, full)]
+    n = state.n_qubits
+    links = [Interval.point(full)]
     for r in range(2, n):
         if family.direction == POLYGAMY:
-            out.append(None)
+            links.append(None)
         elif r == n - 1:
-            out.append((pair_vals[-1], pair_vals[-1]))
+            links.append(Interval.point(pairs[-1]))
         elif kind.name != "concurrence":
-            out.append(None)
+            links.append(None)
         elif _group_is_pure(state, r):
-            out.append((full, full))
+            links.append(Interval.point(full))
         else:
-            lo = math.sqrt(sum(v * v for v in pair_vals[r - 1:]))
-            out.append((lo, max(lo, full)))
-    return out
+            lo = math.sqrt(sum(v * v for v in pairs[r - 1:]))
+            links.append(Interval(lo, max(lo, full)))
+    status = "heuristic" if family.direction == POLYGAMY else "exact"
+    return Chain(full, tuple(pairs), status, tuple(links))
 
 
-def _clause(desc, lhs_bounds, rhs_bounds, direction=">=") -> ConditionStep:
-    """Certified verdict for lhs >= rhs (or <=) given (lo, hi) bounds."""
-    if lhs_bounds is None or rhs_bounds is None:
+def _clause(desc, lhs: Interval, rhs: Interval, op=">=") -> ConditionStep:
+    """Certified verdict for lhs >= rhs (or <=); None is an uncertified side."""
+    if lhs is None or rhs is None:
         return ConditionStep(desc, "undecidable")
-    llo, lhi = lhs_bounds
-    rlo, rhi = rhs_bounds
-    if direction == "<=":
-        llo, lhi, rlo, rhi = rlo, rhi, llo, lhi
-    if llo >= rhi - CERT_TOL:
-        return ConditionStep(desc, "holds", llo - rhi)
-    if lhi < rlo - CERT_TOL:
-        return ConditionStep(desc, "fails", lhi - rlo)
+    if op == "<=":
+        lhs, rhs = rhs, lhs
+    if lhs.lo >= rhs.hi - CERT_TOL:
+        return ConditionStep(desc, "holds", lhs.lo - rhs.hi)
+    if lhs.hi < rhs.lo - CERT_TOL:
+        return ConditionStep(desc, "fails", lhs.hi - rhs.lo)
     return ConditionStep(desc, "undecidable")
 
 
-def _power_bounds(bounds, p):
-    if bounds is None:
-        return None
-    return (bounds[0] ** p, bounds[1] ** p)
-
-
-def _scale_bounds(bounds, c):
-    if bounds is None:
-        return None
-    return (c * bounds[0], c * bounds[1])
-
-
-def _sum_bounds(a, b):
-    if a is None or b is None:
-        return None
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def check_conditions(state: PureState, params: BoundParams) -> ConditionReport:
+def check_conditions(chain: Chain, params: BoundParams) -> ConditionReport:
     """Hypothesis check for every chain step, interval-certified.
 
     Three-qubit pure states yield exact verdicts.  For larger registers
-    the concurrence family certifies what its intervals allow and reports
-    "undecidable" otherwise; entropic and assisted families are
-    undecidable beyond the exact regime by policy.
+    the concurrence family certifies what its links allow and reports
+    "undecidable" otherwise; heuristic pair values and uncertified links
+    never certify a clause.
     """
     family = params.family
-    if params.mu is None or params.ell is None:
+    if params.mu is None:
         raise ParameterError("check_conditions needs explicit mu and ell")
     p = family.hypothesis_power
-    if family.direction == MONOGAMY:
-        pair_vals = [family.measure.two_qubit_value(rho) for rho in _pair_states(state)]
-    else:
-        # assisted pairwise values are heuristic: never certified
-        pair_vals = None
-    chain = _chain_bounds(state, family, pair_vals)
-    n_steps = state.n_qubits - 2
+    # None (uncertified) stays None through every expression below
+    links = [link and link ** p for link in chain.links]
+    pairs = [Interval.point(v ** p) if chain.status == "exact" else None
+             for v in chain.pairs]
+    mono = family.direction == MONOGAMY
+    op = ">=" if mono else "<="
+    ptxt = "" if p == 1.0 else f"^{p:g}"
 
     steps = []
-    for r in range(1, n_steps + 1):
+    for r in range(1, chain.n_qubits - 1):
         mu, ell = params.mu[r - 1], params.ell[r - 1]
-        mu_desc = (f"step {r}: mu_{r} >= 1" if family.direction == MONOGAMY
-                   else f"step {r}: 0 < mu_{r} <= 1")
-        mu_slack = mu - 1.0 if family.direction == MONOGAMY else 1.0 - mu
         steps.append(ConditionStep(
-            mu_desc, "holds" if family.mu_ok(mu) else "fails", mu_slack))
+            f"step {r}: mu_{r} >= 1" if mono else f"step {r}: 0 < mu_{r} <= 1",
+            "holds" if family.mu_ok(mu) else "fails",
+            mu - 1.0 if mono else 1.0 - mu))
         steps.append(ConditionStep(
             f"step {r}: l_{r} >= 1", "holds" if family.ell_ok(ell) else "fails",
             ell - 1.0))
 
-        parent = _power_bounds(chain[r - 1], p)
-        tail = _power_bounds(chain[r], p)
-        pair = None
-        if pair_vals is not None:
-            pair = (pair_vals[r - 1] ** p, pair_vals[r - 1] ** p)
-        i_branch = params.split is None or r <= int(params.split)
-        ptxt = "" if p == 1.0 else f"^{p:g}"
-        if i_branch:
-            steps.append(_clause(
-                f"step {r}: M{ptxt}(A,B{r}) >= l_{r} * M{ptxt}(A|B{r + 1}..)",
-                pair, _scale_bounds(tail, ell)))
-            second = _sum_bounds(pair, _scale_bounds(tail, mu))
-            if family.direction == MONOGAMY:
-                steps.append(_clause(
-                    f"step {r}: M{ptxt}(A|B{r}..) >= M{ptxt}(A,B{r}) + mu_{r} * M{ptxt}(A|B{r + 1}..)",
-                    parent, second))
-            else:
-                steps.append(_clause(
-                    f"step {r}: M(A|B{r}..) <= M(A,B{r}) + mu_{r} * M(A|B{r + 1}..)",
-                    parent, second, direction="<="))
+        # steps up to the split compare the pair against the tail; beyond it
+        # the two swap roles; the second clause is x + mu*y either way
+        pair_txt, tail_txt = f"M{ptxt}(A,B{r})", f"M{ptxt}(A|B{r + 1}..)"
+        if params.split is None or r <= int(params.split):
+            x, y, xt, yt = pairs[r - 1], links[r], pair_txt, tail_txt
+            sum_txt = f"{xt} + mu_{r} * {yt}"
         else:
-            steps.append(_clause(
-                f"step {r}: M{ptxt}(A|B{r + 1}..) >= l_{r} * M{ptxt}(A,B{r})",
-                tail, _scale_bounds(pair, ell)))
-            second = _sum_bounds(_scale_bounds(pair, mu), tail)
-            if family.direction == MONOGAMY:
-                steps.append(_clause(
-                    f"step {r}: M{ptxt}(A|B{r}..) >= mu_{r} * M{ptxt}(A,B{r}) + M{ptxt}(A|B{r + 1}..)",
-                    parent, second))
-            else:
-                steps.append(_clause(
-                    f"step {r}: M(A|B{r}..) <= mu_{r} * M(A,B{r}) + M(A|B{r + 1}..)",
-                    parent, second, direction="<="))
+            x, y, xt, yt = links[r], pairs[r - 1], tail_txt, pair_txt
+            sum_txt = f"mu_{r} * {yt} + {xt}"
+        steps.append(_clause(f"step {r}: {xt} >= l_{r} * {yt}", x, y and ell * y))
+        steps.append(_clause(f"step {r}: M{ptxt}(A|B{r}..) {op} {sum_txt}",
+                             links[r - 1], x and y and x + mu * y, op))
     return ConditionReport(tuple(steps))
 
 
-def resolve_params(state: PureState, params: BoundParams, budget: int = 200,
-                   seed=0) -> BoundParams:
-    """Fill in auto (mu, ell) with the extracted maximal feasible values.
+def resolve_params(chain: Chain, params: BoundParams) -> BoundParams:
+    """Fill in auto (mu, ell) with the maximal feasible values of the chain.
 
-    Exact for three-qubit pure states.  For assisted families the chain
+    Exact for three-qubit pure states.  For assisted families the pair
     values are heuristic estimates and the extracted parameters inherit
     that status (clamped into the theorem ranges).  Unconstrained steps
     (zero denominators) fall back to (1, 1); their terms vanish anyway.
     """
-    if params.mu is not None and params.ell is not None:
+    require_exact_chain(chain.n_qubits, params)
+    if params.mu is not None:
         return params
-    _require_exact_chain(state)
-    pair_vals, _ = _pair_values(state, params.family, budget=budget, seed=seed)
-    lhs = _plain_kind(params.family.measure).pure_value(state, [0])
-    return _extracted_params(params, lhs, pair_vals)
-
-
-def _require_exact_chain(state: PureState):
-    if state.n_qubits != 3:
-        raise CapabilityError(
-            "automatic (mu, l) extraction needs the exact three-qubit chain; "
-            f"supply mu and ell explicitly for {state.n_qubits}-qubit states")
-
-
-def _extracted_params(params: BoundParams, lhs: float, pair_vals) -> BoundParams:
-    """params with (mu, ell) extracted from a three-qubit chain.
-
-    lhs is M(A|B_1B_2) and pair_vals are M(A,B_1), M(A,B_2).
-    """
     family = params.family
-    chain = [lhs, pair_vals[-1]]
-    mus, ells = extract_mu_l(chain, pair_vals[:-1], family, split=params.split)
+    mus, ells = extract_mu_l([chain.full, chain.pairs[-1]], chain.pairs[:-1], family,
+                             split=params.split)
     mus = [1.0 if m is None else m for m in mus]
     ells = [1.0 if l is None else l for l in ells]
     if family.direction == POLYGAMY:
         mus = [min(max(m, 1e-9), 1.0) for m in mus]
         ells = [max(l, 1.0) for l in ells]
     return BoundParams(family, params.alpha, tuple(mus), tuple(ells), params.split)
+
+
+def require_exact_chain(n_qubits: int, params: BoundParams):
+    """CapabilityError when auto params need the chain of a non-three-qubit state.
+
+    Run it before measure_chain, so no measurement is made only to be
+    rejected.
+    """
+    if params.mu is None and n_qubits != 3:
+        raise CapabilityError(
+            "automatic (mu, l) extraction needs the exact three-qubit chain; "
+            f"supply mu and ell explicitly for {n_qubits}-qubit states")
 
 
 def verify(state: PureState, params: BoundParams, comparator_k: float = 0.5,
@@ -638,30 +632,25 @@ def verify(state: PureState, params: BoundParams, comparator_k: float = 0.5,
             f"{family.label} beyond 3 qubits lacks certified chain values "
             f"M(A|B_r..B_{state.n_qubits - 1}); rerun with comparator_only=True")
 
-    auto = params.mu is None or params.ell is None
-    if auto:
-        _require_exact_chain(state)
-    # computed once: for assisted families each value is a full restart search
-    pair_vals, value_status = _pair_values(state, family, budget=budget, seed=seed)
-    lhs_measure = _plain_kind(family.measure).pure_value(state, [0])
-    if auto:
-        params = _extracted_params(params, lhs_measure, pair_vals)
+    require_exact_chain(state.n_qubits, params)
+    chain = measure_chain(state, family, budget=budget, seed=seed)
+    params = resolve_params(chain, params)
 
-    breakdown = rhs_assemble(pair_vals, params)
+    breakdown = rhs_assemble(chain.pairs, params)
     priors = {
-        name: prior_rhs(pair_vals, params.alpha, family, name,
+        name: prior_rhs(chain.pairs, params.alpha, family, name,
                         k=comparator_k if name == "kf" else None,
                         split=params.split)
         for name in PRIOR_KINDS
     }
-    lhs = lhs_measure ** params.alpha
+    lhs = chain.full ** params.alpha
     margin = lhs - breakdown.rhs if family.direction == MONOGAMY else breakdown.rhs - lhs
-    conditions = check_conditions(state, params)
+    conditions = check_conditions(chain, params)
     return BoundReport(
         family=family.label,
         direction=family.direction,
         alpha=params.alpha,
-        lhs_measure=lhs_measure,
+        lhs_measure=chain.full,
         lhs=lhs,
         rhs=breakdown.rhs,
         coefficients=breakdown.coefficients,
@@ -672,5 +661,5 @@ def verify(state: PureState, params: BoundParams, comparator_k: float = 0.5,
         margin=margin,
         conditions=conditions,
         priors=priors,
-        value_status=value_status,
+        value_status=chain.status,
     )

@@ -14,12 +14,12 @@ import math
 import sys
 
 from . import corpus as corpus_mod
-from .bounds import (PRIOR_KINDS, BoundParams, bound_family, prior_rhs,
-                     resolve_params, rhs_assemble, verify)
+from .bounds import (PRIOR_KINDS, BoundParams, bound_family, measure_chain,
+                     prior_rhs, require_exact_chain, resolve_params,
+                     rhs_assemble, verify)
 from .errors import (CapabilityError, ContractError, DimensionError,
                      DomainError, ParameterError)
-from .measures import (MeasureKind, MeasureValue, concurrence_interval,
-                       concurrence_pure, negativity)
+from .measures import MeasureKind, negativity
 from .states import bell, example1_params, ghz, load_state, schmidt3, w_state
 
 MEASURE_KINDS = ("concurrence", "cren", "negativity", "eof", "tsallis", "renyi")
@@ -140,25 +140,10 @@ def cmd_measure(args) -> int:
     kind = measure_kind(args)
 
     if len(keep) == state.n_qubits:
-        if args.kind == "negativity":
-            mv = negativity(state, side=left)
-        elif args.kind == "concurrence":
-            mv = concurrence_pure(state, left)
-        else:
-            mv = MeasureValue.exact(kind.pure_value(state, left))
+        target, side = state, left
     else:
-        reduced = state.reduce(keep)
-        pos_left = [keep.index(i) for i in left]
-        if args.kind == "negativity":
-            mv = negativity(reduced, side=pos_left)
-        elif len(keep) == 2:
-            mv = MeasureValue.exact(kind.two_qubit_value(reduced))
-        elif args.kind == "concurrence" and len(pos_left) == 1:
-            mv = concurrence_interval(reduced, side=pos_left[0])
-        else:
-            raise CapabilityError(
-                f"{args.kind} on a mixed {len(keep)}-qubit reduction is not "
-                f"supported; only concurrence intervals and negativity are")
+        target, side = state.reduce(keep), [keep.index(i) for i in left]
+    mv = negativity(target, side) if kind is None else kind.evaluate(target, side)
 
     record = {
         "command": "measure",
@@ -251,23 +236,21 @@ def cmd_sweep(args) -> int:
 
     base = BoundParams(family, family.alpha_min, parse_floats(args.mu),
                        parse_floats(args.ell), args.m_split)
-    base = resolve_params(state, base, budget=args.budget, seed=args.seed)
-    kind = family.measure
-    pair_vals = [kind.two_qubit_value(state.reduce([0, i]))
-                 for i in range(1, state.n_qubits)]
-    lhs_measure = kind.pure_value(state, [0])
+    require_exact_chain(state.n_qubits, base)
+    chain = measure_chain(state, family)
+    base = resolve_params(chain, base)
 
     header = ["alpha", "lhs"] + [b for b in ("ours", "kf", "jf", "ckw") if b in selected]
     lines = [",".join(header)]
     for i in range(args.steps):
         alpha = args.alpha_min + (args.alpha_max - args.alpha_min) * i / (args.steps - 1)
         params = BoundParams(family, alpha, base.mu, base.ell, base.split)
-        row = {"alpha": alpha, "lhs": lhs_measure ** alpha}
+        row = {"alpha": alpha, "lhs": chain.full ** alpha}
         if "ours" in selected:
-            row["ours"] = rhs_assemble(pair_vals, params).rhs
+            row["ours"] = rhs_assemble(chain.pairs, params).rhs
         for name in PRIOR_KINDS:
             if name in selected:
-                row[name] = prior_rhs(pair_vals, alpha, family, name,
+                row[name] = prior_rhs(chain.pairs, alpha, family, name,
                                       k=args.k if name == "kf" else None,
                                       split=base.split)
         lines.append(",".join(format(row[h], ".12g") for h in header))
@@ -328,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", help="comma-separated mu_r (default: extracted)")
     p.add_argument("--ell", help="comma-separated l_r (default: extracted)")
     p.add_argument("--m-split", type=int, dest="m_split")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=200)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="evaluate one bound instance, JSON report")

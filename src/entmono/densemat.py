@@ -1,5 +1,5 @@
-"""Dense complex matrix kernel: tensor products, partial trace/transpose,
-Hermitian eigenvalues and trace norm.
+"""Dense complex matrix kernel: partial trace/transpose, Hermitian
+eigenvalues and trace norm.
 
 Conventions: matrices are square complex ndarrays in row-major order;
 subsystem 0 is the leftmost tensor factor.
@@ -36,23 +36,6 @@ def _check_dims(m: np.ndarray, dims) -> tuple:
             f"(product {total})"
         )
     return dims
-
-
-def kron(a, b) -> np.ndarray:
-    """Tensor (Kronecker) product of two matrices.
-
-    Entry (i*p + k, j*q + l) of the result is a[i, j] * b[k, l] for b of
-    shape (p, q).  Raises DimensionError if the output would exceed the
-    dense-storage cap of 2**12 rows or columns.
-    """
-    a = _as_matrix(a)
-    b = _as_matrix(b)
-    if a.shape[0] * b.shape[0] > DIM_CAP or a.shape[1] * b.shape[1] > DIM_CAP:
-        raise DimensionError(
-            f"kron output {a.shape[0] * b.shape[0]}x{a.shape[1] * b.shape[1]} "
-            f"exceeds the dense-storage cap {DIM_CAP}"
-        )
-    return np.kron(a, b)
 
 
 def partial_trace(rho, dims, keep) -> np.ndarray:

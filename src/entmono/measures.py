@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import partial_transpose, psd_eigvals, trace_norm
+from .densemat import partial_transpose, trace_norm
 from .errors import CapabilityError, DimensionError, DomainError, ParameterError
 from .states import DensityMatrix, PureState, seed_path
 
@@ -176,6 +176,32 @@ class MeasureKind:
             )
         return self.from_concurrence(c)
 
+    def evaluate(self, state, side=None) -> MeasureValue:
+        """This measure for the split side | rest of a state.
+
+        The one route per input: a proper bipartition of a PureState gives
+        the exact pure_value; a 2x2-qubit DensityMatrix the exact
+        two_qubit_value (side is then ignored); the concurrence of one
+        qubit against a mixed group the certified concurrence_interval.
+        Any other mixed input raises CapabilityError: no certified route
+        exists there.
+        """
+        keep = [] if side is None else sorted(set(int(i) for i in side))
+        if isinstance(state, PureState):
+            if not keep or len(keep) >= state.n_qubits:
+                raise ParameterError(
+                    f"side {keep} is not a proper bipartition of {state.n_qubits} subsystems")
+            return MeasureValue.exact(self.pure_value(state, keep))
+        if not isinstance(state, DensityMatrix):
+            raise ParameterError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
+        if tuple(state.dims) == (2, 2):
+            return MeasureValue.exact(self.two_qubit_value(state))
+        if self.name == "concurrence" and len(keep) == 1:
+            return concurrence_interval(state, side=keep[0])
+        raise CapabilityError(
+            f"{self.name} on a mixed {len(state.dims)}-subsystem state is not supported; "
+            f"only 2x2-qubit states and one-qubit concurrence intervals are")
+
 
 _CONCURRENCE = MeasureKind("concurrence")
 
@@ -222,13 +248,7 @@ def concurrence_pure(state: PureState, keep) -> MeasureValue:
     keep must be a proper nonempty subset of the subsystems; the result
     lies in [0, sqrt(2(d-1)/d)] for d the smaller side dimension.
     """
-    keep = sorted(set(int(i) for i in keep))
-    if not keep or len(keep) >= state.n_qubits:
-        raise ParameterError(
-            f"keep must be a proper nonempty subsystem subset, got {keep} "
-            f"of {state.n_qubits}"
-        )
-    return MeasureValue.exact(_CONCURRENCE.pure_value(state, keep))
+    return _CONCURRENCE.evaluate(state, keep)
 
 
 # eigenvalues of a unit-trace state below this are treated as rank noise
@@ -324,17 +344,6 @@ def negativity(rho, side=0) -> MeasureValue:
     return MeasureValue.exact(max(0.0, trace_norm(pt) - 1.0))
 
 
-def cren_two_qubit(rho: DensityMatrix) -> MeasureValue:
-    """Convex-roof extended negativity of a two-qubit state.
-
-    Every two-qubit pure state has Schmidt rank <= 2, where negativity and
-    concurrence coincide, so the convex roofs coincide as well; this
-    delegates to the Wootters form.
-    """
-    _require_two_qubits(rho, "cren_two_qubit")
-    return concurrence_two_qubit(rho)
-
-
 # The closed forms below are the entropies of the marginal spectrum
 # ((1+s)/2, (1-s)/2), s = sqrt(1 - C²), of a 2 x m pure state with
 # concurrence C.  Each takes a scalar (returns a float) or an array
@@ -387,9 +396,9 @@ def eof(state, partition=None) -> MeasureValue:
 
     Pure states: von Neumann entropy of the marginal on ``partition``.
     Two-qubit mixed states: f_eof(C²).  Mixed states beyond 2x2 are
-    unsupported (no certified route exists here).
+    unsupported (no certified route exists here); see MeasureKind.evaluate.
     """
-    return _entropic_dispatch(MeasureKind("eof"), state, partition)
+    return MeasureKind("eof").evaluate(state, partition)
 
 
 def tsallis(state, partition=None, q: float = 2.0) -> MeasureValue:
@@ -399,31 +408,12 @@ def tsallis(state, partition=None, q: float = 2.0) -> MeasureValue:
     mixed two-qubit route additionally requires q within the closed-form
     validity window [(5-sqrt(13))/2, (5+sqrt(13))/2].
     """
-    return _entropic_dispatch(MeasureKind("tsallis", q=float(q)), state, partition)
+    return MeasureKind("tsallis", q=float(q)).evaluate(state, partition)
 
 
 def renyi(state, partition=None, order: float = 2.0) -> MeasureValue:
     """Renyi entanglement of order ``order``; regimes as in :func:`eof`."""
-    return _entropic_dispatch(MeasureKind("renyi", order=float(order)), state, partition)
-
-
-def _entropic_dispatch(kind: MeasureKind, state, partition) -> MeasureValue:
-    if isinstance(state, PureState):
-        if partition is None:
-            raise ParameterError(f"{kind.name} on a pure state needs a partition (keep set)")
-        keep = sorted(set(int(i) for i in partition))
-        if not keep or len(keep) >= state.n_qubits:
-            raise ParameterError(f"partition {keep} is not a proper bipartition")
-        return MeasureValue.exact(kind.pure_value(state, keep))
-    if isinstance(state, DensityMatrix):
-        if tuple(state.dims) != (2, 2):
-            raise CapabilityError(
-                f"{kind.name} on mixed states is only supported for 2x2-qubit "
-                f"dims, got {state.dims}; use concurrence_interval or the "
-                f"heuristic assisted estimator instead"
-            )
-        return MeasureValue.exact(kind.two_qubit_value(state))
-    raise ParameterError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
+    return MeasureKind("renyi", order=float(order)).evaluate(state, partition)
 
 
 def _pure_two_qubit_concurrence(vecs: np.ndarray) -> np.ndarray:

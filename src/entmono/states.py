@@ -297,11 +297,6 @@ def gram(m: np.ndarray) -> np.ndarray:
     return m @ np.swapaxes(m.conj(), -1, -2)
 
 
-def reduce_state(state: PureState, keep) -> DensityMatrix:
-    """Functional form of :meth:`PureState.reduce`."""
-    return state.reduce(keep)
-
-
 def seed_path(seed, *indices) -> tuple:
     """Flatten a seed plus derivation indices into an int tuple.
 
@@ -357,17 +352,22 @@ def save_state(state: PureState, path):
 def load_state(path) -> PureState:
     """Read a pure qubit state written by :func:`save_state`.
 
-    The squared norm must be within 1e-9 of 1; the vector is renormalized
-    to machine precision after the check.
+    n_qubits must be a JSON integer >= 1.  The squared norm must be within
+    1e-9 of 1; the vector is renormalized to machine precision after the
+    check.  A file that is not UTF-8 JSON of this shape raises
+    ParameterError; one that cannot be opened raises OSError.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        rec = json.load(fh)
     try:
-        n = int(rec["n_qubits"])
+        with open(path, "r", encoding="utf-8") as fh:
+            rec = json.load(fh)
+        n = rec["n_qubits"]
         pairs = rec["amplitudes"]
         amps = np.array([complex(re, im) for re, im in pairs], dtype=complex)
     except (KeyError, TypeError, ValueError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError
         raise ParameterError(f"malformed state file: {exc}") from exc
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ParameterError(f"state file n_qubits must be an integer >= 1, got {n!r}")
     _check_qubits(n)
     if amps.size != 2 ** n:
         raise DimensionError(

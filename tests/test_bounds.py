@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from entmono import (BoundParams, CapabilityError, ParameterError,
                      bound_family, check_conditions, coefficient_K, eof,
-                     example1_params, extract_mu_l, ghz, prior_rhs,
-                     random_pure, resolve_params, rhs_assemble, schmidt3,
-                     seed_path, verify)
+                     example1_params, extract_mu_l, ghz, measure_chain,
+                     prior_rhs, random_pure, resolve_params, rhs_assemble,
+                     schmidt3, seed_path, verify)
 from entmono.corpus import run_suite
 
 EX1 = schmidt3(example1_params())
@@ -238,7 +238,8 @@ class TestExtract:
 
 class TestCheckConditions:
     def test_example1_saturating_parameters(self):
-        report = check_conditions(EX1, BoundParams(CONC, 2.0, (2.0,), (2.0,)))
+        report = check_conditions(measure_chain(EX1, CONC),
+                                  BoundParams(CONC, 2.0, (2.0,), (2.0,)))
         assert report.all_hold
         clauses = [s for s in report.steps if "M^2" in s.description]
         assert len(clauses) == 2
@@ -246,18 +247,21 @@ class TestCheckConditions:
             assert step.slack == pytest.approx(0.0, abs=1e-12)
 
     def test_example1_overtight_mu_fails(self):
-        report = check_conditions(EX1, BoundParams(CONC, 2.0, (2.1,), (2.0,)))
+        report = check_conditions(measure_chain(EX1, CONC),
+                                  BoundParams(CONC, 2.0, (2.1,), (2.0,)))
         failing = [s for s in report.steps if s.status == "fails"]
         assert len(failing) == 1
         assert failing[0].slack == pytest.approx(-0.1 * 0.16, abs=1e-12)
 
     def test_ghz4_undecidable(self):
-        report = check_conditions(ghz(4), BoundParams(CONC, 2.0, (1.0, 1.0), (1.0, 1.0)))
+        report = check_conditions(measure_chain(ghz(4), CONC),
+                                  BoundParams(CONC, 2.0, (1.0, 1.0), (1.0, 1.0)))
         assert report.any_undecidable
         assert report.summary == "undecidable"
 
     def test_out_of_range_parameters_fail_not_raise(self):
-        report = check_conditions(EX1, BoundParams(CONC, 2.0, (0.5,), (0.5,)))
+        report = check_conditions(measure_chain(EX1, CONC),
+                                  BoundParams(CONC, 2.0, (0.5,), (0.5,)))
         assert report.any_fail
 
 
@@ -370,10 +374,11 @@ class TestCorpusSuites:
 class TestResolveParams:
     def test_passthrough_when_explicit(self):
         params = BoundParams(CONC, 2.0, (1.5,), (1.2,))
-        assert resolve_params(EX1, params) is params
+        assert resolve_params(measure_chain(EX1, CONC), params) is params
 
     def test_polygamy_clamped_into_range(self):
         fam = bound_family("eof", "polygamy")
-        resolved = resolve_params(EX1, BoundParams(fam, 0.5), budget=20, seed=3)
+        resolved = resolve_params(measure_chain(EX1, fam, budget=20, seed=3),
+                                  BoundParams(fam, 0.5))
         assert 0.0 < resolved.mu[0] <= 1.0
         assert resolved.ell[0] >= 1.0

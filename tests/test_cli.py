@@ -321,6 +321,14 @@ MALFORMED = [
      "--mu", "1,x", "--ell", "1,1"],
     ["measure", "--preset", "ghz:x", "--kind", "eof", "--partition", "A|B"],
     ["measure", "--preset", "w:", "--kind", "eof", "--partition", "A|B"],
+    # a lone mu or ell was dropped in favour of extracted values
+    ["verify", "--preset", "example1", "--theorem", "concurrence", "--alpha", "3",
+     "--mu", "5"],
+    ["verify", "--preset", "example1", "--theorem", "eof", "--alpha", "2", "--ell", "2"],
+    ["sweep", "--preset", "example1", "--kind", "concurrence", "--alpha-min", "2",
+     "--alpha-max", "3", "--steps", "3", "--mu", "5"],
+    ["sweep", "--preset", "example1", "--kind", "concurrence", "--alpha-min", "2",
+     "--alpha-max", "3", "--steps", "3", "--ell", "2"],
 ]
 
 
@@ -330,6 +338,66 @@ def test_malformed_arguments_exit_two(args, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("entmono: ") and "Traceback" not in err
+
+
+def test_auto_clears_a_lone_mu(capsys):
+    args = ["verify", "--preset", "example1", "--theorem", "concurrence", "--alpha", "3"]
+    code, auto, _ = run_cli(args, capsys)
+    assert code == 0
+    assert run_cli(args + ["--mu", "5", "--auto"], capsys)[:2] == (0, auto)
+
+
+BAD_STATE_FILES = {
+    "not-json": b'{"n_qubits": 2, "amplitudes": [[1, 0]',
+    "not-utf8": b'{"n_qubits": 1, "amplitudes": [[1, 0], [0, 0]]} \xff\xfe',
+    "fractional-n": json.dumps({"n_qubits": 2.7, "amplitudes": [[1, 0]] + [[0, 0]] * 3}).encode(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_STATE_FILES))
+def test_malformed_state_file_exits_two(name, tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_bytes(BAD_STATE_FILES[name])
+    code, out, err = run_cli(["measure", "--state", str(path), "--kind", "concurrence",
+                              "--partition", "A|B"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("entmono: ") and "Traceback" not in err
+
+
+ONE_CHAIN = [
+    # 3-qubit monogamy verify: 2 pair reductions + the full marginal
+    (["verify", "--preset", "example1", "--theorem", "concurrence", "--alpha", "2"], 3, 2),
+    # ghz:6 with explicit parameters: 5 pairs, the full marginal, 3 group purities
+    (["verify", "--preset", "ghz:6", "--theorem", "concurrence", "--alpha", "2",
+      "--mu", "1,1,1,1", "--ell", "1,1,1,1"], 9, 5),
+    # auto sweep: one chain feeds the extraction and all 61 rows
+    (["sweep", "--preset", "example1", "--kind", "concurrence", "--alpha-min", "2",
+      "--alpha-max", "5", "--steps", "61"], 3, 2),
+]
+
+
+@pytest.mark.parametrize("args,reductions,wootters", ONE_CHAIN,
+                         ids=lambda a: " ".join(a) if isinstance(a, list) else str(a))
+def test_each_command_measures_the_chain_once(args, reductions, wootters, capsys,
+                                              monkeypatch):
+    import entmono.measures as measures
+    from entmono import PureState
+    calls = {"reduce": 0, "wootters": 0}
+    reduce, kernel = PureState.reduce, measures.wootters_concurrence
+
+    def counted_reduce(self, keep):
+        calls["reduce"] += 1
+        return reduce(self, keep)
+
+    def counted_kernel(rhos):
+        calls["wootters"] += 1
+        return kernel(rhos)
+
+    monkeypatch.setattr(PureState, "reduce", counted_reduce)
+    monkeypatch.setattr(measures, "wootters_concurrence", counted_kernel)
+    assert run_cli(args, capsys)[0] in (0, 3)
+    assert calls == {"reduce": reductions, "wootters": wootters}
 
 
 @pytest.mark.parametrize("kind", ["concurrence", "eof", "cren"])

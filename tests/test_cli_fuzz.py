@@ -55,7 +55,6 @@ def argvs(draw):
         argv += draw(option("--q", NUMBERS)) + draw(option("--aacute", NUMBERS))
         argv += draw(option("--k", NUMBERS)) + draw(option("--m-split", NUMBERS))
         argv += draw(option("--mu", NUMBERS)) + draw(option("--ell", NUMBERS))
-        argv += draw(option("--seed", SEEDS))
     else:
         argv += ["--theorem", draw(THEOREMS), "--alpha=" + draw(NUMBERS),
                  "--budget", draw(st.integers(-1, 4).map(str))]

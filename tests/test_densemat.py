@@ -4,7 +4,7 @@ eigenvalues and trace norm, each checked against an independent oracle."""
 import numpy as np
 import pytest
 
-from entmono import (ContractError, DimensionError, herm_eigvals, kron,
+from entmono import (ContractError, DimensionError, herm_eigvals,
                      partial_trace, partial_transpose, trace_norm)
 
 RNG = np.random.default_rng(2024)
@@ -59,35 +59,6 @@ def ptrace_by_summation(rho, dims, keep):
                 acc += rho[mixed_radix_index(full_a, dims), mixed_radix_index(full_b, dims)]
             out[a, b] = acc
     return out
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_projector_placement(self):
-        out = kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        assert np.array_equal(out, np.diag([0.0, 1.0, 0.0, 0.0]))
-
-    def test_index_formula(self):
-        a = random_complex((2, 2))
-        b = random_complex((2, 2))
-        out = kron(a, b)
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    for l in range(2):
-                        assert abs(out[i * 2 + k, j * 2 + l] - a[i, j] * b[k, l]) < 1e-14
-
-    def test_size_cap(self):
-        big = np.eye(2 ** 11)
-        with pytest.raises(DimensionError):
-            kron(big, np.eye(4))
-
-    def test_rejects_nonfinite(self):
-        bad = np.array([[1.0, np.nan], [0.0, 1.0]])
-        with pytest.raises(ContractError):
-            kron(bad, np.eye(2))
 
 
 class TestPartialTrace:

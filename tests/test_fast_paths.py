@@ -11,10 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entmono import (DensityMatrix, MeasureKind, PureState, bound_family,
-                     concurrence_interval, ghz, negativity, partial_trace,
-                     partial_transpose, random_pure, seed_path, trace_norm,
-                     w_state)
-from entmono.bounds import _chain_bounds
+                     concurrence_interval, ghz, measure_chain, negativity,
+                     partial_trace, partial_transpose, random_pure, seed_path,
+                     trace_norm, w_state)
 from entmono.densemat import psd_eigvals
 
 FAST = settings(max_examples=30, deadline=None)
@@ -82,10 +81,8 @@ def slow_chain_bounds(state: PureState):
 
 
 def fast_chain_bounds(state: PureState):
-    family = bound_family("concurrence")
-    pairs = [family.measure.two_qubit_value(state.reduce([0, j]))
-             for j in range(1, state.n_qubits)]
-    return _chain_bounds(state, family, pairs)
+    chain = measure_chain(state, bound_family("concurrence"))
+    return [(link.lo, link.hi) for link in chain.links]
 
 
 def proper_subsets(n: int):

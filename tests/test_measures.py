@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from entmono import (CapabilityError, DensityMatrix, DomainError,
                      MeasureKind, ParameterError, assisted_estimate, bell,
                      concurrence_interval, concurrence_pure,
-                     concurrence_two_qubit, cren_two_qubit, eof, eof as _eof,
+                     concurrence_two_qubit, eof, eof as _eof,
                      example1_params, f_eof, f_renyi, g_tsallis, ghz,
                      negativity, random_pure, renyi, schmidt3, seed_path,
                      tsallis, w_state)
@@ -112,13 +112,15 @@ class TestNegativity:
 
 class TestCren:
     def test_example1_pairs(self):
-        assert abs(float(cren_two_qubit(EX1.reduce([0, 1]))) - C_AB) < 1e-12
-        assert abs(float(cren_two_qubit(EX1.reduce([0, 2]))) - C_AC) < 1e-12
+        cren = MeasureKind("cren")
+        assert abs(float(cren.evaluate(EX1.reduce([0, 1]))) - C_AB) < 1e-12
+        assert abs(float(cren.evaluate(EX1.reduce([0, 2]))) - C_AC) < 1e-12
 
     def test_delegates_to_concurrence(self):
+        cren = MeasureKind("cren")
         for i in range(20):
             rho = random_pure(3, seed_path(13, i)).reduce([0, 1])
-            assert float(cren_two_qubit(rho)) == float(concurrence_two_qubit(rho))
+            assert float(cren.evaluate(rho)) == float(concurrence_two_qubit(rho))
 
     def test_pure_group_matches_concurrence(self):
         kind = MeasureKind("cren")

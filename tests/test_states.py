@@ -10,7 +10,7 @@ from entmono import (AMP_CAP, DensityMatrix, DimensionError, ParameterError,
                      PureState, SchmidtParams, bell, concurrence_pure,
                      concurrence_two_qubit,
                      example1_params, ghz, load_state, random_pure,
-                     reduce_state, save_state, schmidt3, seed_path, w_state)
+                     save_state, schmidt3, seed_path, w_state)
 from entmono.densemat import partial_trace
 
 
@@ -135,11 +135,6 @@ class TestReduce:
         assert not rho.matrix.flags.writeable
         assert rho.dims == (2, 2)
 
-    def test_reduce_state_alias(self):
-        state = random_pure(2, 4)
-        assert np.allclose(reduce_state(state, [0]).matrix,
-                           state.reduce([0]).matrix)
-
 
 class TestDensityMatrixValidation:
     def test_rejects_bad_trace(self):
@@ -206,6 +201,13 @@ class TestStateFiles:
         path = tmp_path / "junk.json"
         path.write_text(json.dumps({"n_qubits": 1}))
         with pytest.raises(ParameterError):
+            load_state(path)
+
+    @pytest.mark.parametrize("n", [0, -1, True, "1", 1.0])
+    def test_n_qubits_must_be_a_positive_integer(self, n, tmp_path):
+        path = tmp_path / "n.json"
+        path.write_text(json.dumps({"n_qubits": n, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}))
+        with pytest.raises(ParameterError, match="n_qubits"):
             load_state(path)
 
 
