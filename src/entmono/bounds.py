@@ -14,10 +14,11 @@ the assisted duals from above (<=).
 
 Every bound is built from one measured object, the Chain of a (state,
 family) pair, which measure_chain computes once per command: the full
-value M(A|B_1...B_{N-1}), the pair values M(A,B_i) with their provenance
-(exact closed forms, or heuristic assisted estimates), and a certified
-Interval for each residual link M(A|B_r...B_{N-1}), or None where no
-certified value exists.  Parameter extraction (resolve_params), the
+value M(A|B_1...B_{N-1}) and the pair values M(A,B_i) with their
+provenance (exact closed forms, or heuristic assisted estimates).  Its
+links, a certified Interval for each residual link M(A|B_r...B_{N-1}) or
+None where no certified value exists, are built when read, which only
+the hypothesis checks do.  Parameter extraction (resolve_params), the
 right-hand sides, the prior bounds and the hypothesis checks
 (check_conditions) all read that record; none measures again.
 
@@ -31,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapabilityError, ParameterError
-from .measures import MeasureKind, assisted_estimate
+from .measures import MeasureKind, assisted_estimate, pair_concurrences
 from .states import PureState, seed_path
 
 SQRT2 = math.sqrt(2.0)
@@ -443,14 +444,51 @@ class Interval:
 class Chain:
     """The measured chain of one (state, family); see measure_chain."""
 
+    state: PureState
+    family: BoundFamily
     full: float        # M(A|B_1...B_{N-1}), exact
     pairs: tuple       # M(A,B_1)..M(A,B_{N-1})
-    status: str        # exact | heuristic: provenance of the pair values
-    links: tuple       # Interval of M(A|B_r...B_{N-1}), r = 1..N-1, or None
 
     @property
-    def n_qubits(self) -> int:
-        return len(self.pairs) + 1
+    def status(self) -> str:
+        """exact | heuristic: provenance of the pair values."""
+        return "heuristic" if self.family.direction == POLYGAMY else "exact"
+
+    @property
+    def links(self) -> tuple:
+        """Interval of M(A|B_r...B_{N-1}), r = 1..N-1, or None; built on each read.
+
+        No intermediate group state is formed: the first link and, for
+        monogamy families, the last (the pair A,B_{N-1}) are exact, and for
+        the concurrence family an intermediate group A,B_r..B_{N-1} gets
+
+        - lo = sqrt(sum_{j>=r} C²(A,B_j)), the Osborne-Verstraete N-qubit
+          inequality (PRL 96, 220503, 2006), over the pair values;
+        - hi = C(A|B_1...B_{N-1}): the group's rho_A is the global rho_A,
+          and sqrt(2[1 - Tr rho_A²]) bounds the convex roof from above (see
+          concurrence_interval);
+        - the point hi when the group is pure (see _group_is_pure), where
+          the upper leg is the exact value.
+
+        Every other link is uncertified (None): intermediate groups of the
+        entropic families and the convex-roof negativity, and every link
+        beyond the first of the assisted families.
+        """
+        n, full, pairs = self.state.n_qubits, self.full, self.pairs
+        links = [Interval.point(full)]
+        for r in range(2, n):
+            if self.family.direction == POLYGAMY:
+                links.append(None)
+            elif r == n - 1:
+                links.append(Interval.point(pairs[-1]))
+            elif self.family.measure.name != "concurrence":
+                links.append(None)
+            elif _group_is_pure(self.state, r):
+                links.append(Interval.point(full))
+            else:
+                lo = math.sqrt(sum(v * v for v in pairs[r - 1:]))
+                links.append(Interval(lo, max(lo, full)))
+        return tuple(links)
 
 
 def _group_is_pure(state: PureState, r: int) -> bool:
@@ -468,51 +506,22 @@ def measure_chain(state: PureState, family: BoundFamily, budget: int = 200,
                   seed=0) -> Chain:
     """Measure the chain of one (state, family) once; see Chain.
 
-    Pair values are the exact two-qubit closed forms for monogamy families
-    and heuristic assisted estimates (budget restarts, pair i drawing from
-    seed_path(seed, i)) for polygamy families.  The full value is the
-    exact pure-state measure (an assisted value of a pure state equals the
-    plain value).  No intermediate group state is formed: the first link
-    and, for monogamy families, the last (the pair A,B_{N-1}) are exact,
-    and for the concurrence family an intermediate group A,B_r..B_{N-1}
-    gets
-
-    - lo = sqrt(sum_{j>=r} C²(A,B_j)), the Osborne-Verstraete N-qubit
-      inequality (PRL 96, 220503, 2006), over the pair values;
-    - hi = C(A|B_1...B_{N-1}): the group's rho_A is the global rho_A, and
-      sqrt(2[1 - Tr rho_A²]) bounds the convex roof from above (see
-      concurrence_interval);
-    - the point hi when the group is pure (see _group_is_pure), where the
-      upper leg is the exact value.
-
-    Every other link is uncertified (None): intermediate groups of the
-    entropic families and the convex-roof negativity, and every link
-    beyond the first of the assisted families.
+    Monogamy pair values are the exact closed forms of the pair
+    concurrences, all from one pair_concurrences call (bound_family keeps
+    a monogamy Tsallis q within the window of the mixed-state closed
+    form).  Polygamy pair values are heuristic assisted estimates (budget
+    restarts, pair i drawing from seed_path(seed, i - 1)).  The full value
+    is the exact pure-state measure (an assisted value of a pure state
+    equals the plain value).
     """
     kind = family.measure
-    rhos = [state.reduce([0, i]) for i in range(1, state.n_qubits)]
     if family.direction == POLYGAMY:
-        pairs = [assisted_estimate(rho, kind, budget=budget, seed=seed_path(seed, i)).value
-                 for i, rho in enumerate(rhos)]
+        pairs = [assisted_estimate(state.reduce([0, i]), kind, budget=budget,
+                                   seed=seed_path(seed, i - 1)).value
+                 for i in range(1, state.n_qubits)]
     else:
-        pairs = [kind.two_qubit_value(rho) for rho in rhos]
-    full = kind.pure_value(state, [0])
-    n = state.n_qubits
-    links = [Interval.point(full)]
-    for r in range(2, n):
-        if family.direction == POLYGAMY:
-            links.append(None)
-        elif r == n - 1:
-            links.append(Interval.point(pairs[-1]))
-        elif kind.name != "concurrence":
-            links.append(None)
-        elif _group_is_pure(state, r):
-            links.append(Interval.point(full))
-        else:
-            lo = math.sqrt(sum(v * v for v in pairs[r - 1:]))
-            links.append(Interval(lo, max(lo, full)))
-    status = "heuristic" if family.direction == POLYGAMY else "exact"
-    return Chain(full, tuple(pairs), status, tuple(links))
+        pairs = kind.from_concurrence(pair_concurrences(state.amplitudes, state.dims))
+    return Chain(state, family, kind.pure_value(state, [0]), tuple(float(v) for v in pairs))
 
 
 def _clause(desc, lhs: Interval, rhs: Interval, op=">=") -> ConditionStep:
@@ -549,7 +558,7 @@ def check_conditions(chain: Chain, params: BoundParams) -> ConditionReport:
     ptxt = "" if p == 1.0 else f"^{p:g}"
 
     steps = []
-    for r in range(1, chain.n_qubits - 1):
+    for r in range(1, chain.state.n_qubits - 1):
         mu, ell = params.mu[r - 1], params.ell[r - 1]
         steps.append(ConditionStep(
             f"step {r}: mu_{r} >= 1" if mono else f"step {r}: 0 < mu_{r} <= 1",
@@ -582,7 +591,7 @@ def resolve_params(chain: Chain, params: BoundParams) -> BoundParams:
     that status (clamped into the theorem ranges).  Unconstrained steps
     (zero denominators) fall back to (1, 1); their terms vanish anyway.
     """
-    require_exact_chain(chain.n_qubits, params)
+    require_exact_chain(chain.state.n_qubits, params)
     if params.mu is not None:
         return params
     family = params.family

@@ -14,9 +14,9 @@ import math
 import sys
 
 from . import corpus as corpus_mod
-from .bounds import (PRIOR_KINDS, BoundParams, bound_family, measure_chain,
-                     prior_rhs, require_exact_chain, resolve_params,
-                     rhs_assemble, verify)
+from .bounds import (POLYGAMY, PRIOR_KINDS, BoundParams, bound_family,
+                     measure_chain, prior_rhs, require_exact_chain,
+                     resolve_params, rhs_assemble, verify)
 from .errors import (CapabilityError, ContractError, DimensionError,
                      DomainError, ParameterError)
 from .measures import MeasureKind, negativity
@@ -64,8 +64,9 @@ def to_json(obj, indent: int = 0) -> str:
     return fmt(obj)
 
 
-def emit(obj, out_path):
-    text = to_json(obj) + "\n"
+def emit(text: str, out_path):
+    """Write text and a final newline to out_path, or to stdout for None or '-'."""
+    text += "\n"
     if out_path in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -118,26 +119,29 @@ def parse_partition(text: str, n_qubits: int) -> tuple:
     return left, right
 
 
-def measure_kind(args) -> MeasureKind:
-    name = args.kind
-    if name == "tsallis":
-        if args.q is None:
-            raise ParameterError("tsallis requires --q")
-        return MeasureKind("tsallis", q=args.q)
-    if name == "renyi":
-        if args.aacute is None:
-            raise ParameterError("renyi requires --aacute")
-        return MeasureKind("renyi", order=args.aacute)
-    if args.q is not None or args.aacute is not None:
-        raise ParameterError(f"--q/--aacute are not meaningful for kind {name!r}")
-    return MeasureKind(name) if name != "negativity" else None
+def measure_kind(name: str, args, assisted: bool = False) -> MeasureKind:
+    """The MeasureKind of name with its --q/--aacute; None for negativity.
+
+    tsallis takes --q and renyi --aacute; a missing one, or one given to
+    any other kind, is a ParameterError.
+    """
+    needed = {"tsallis": "q", "renyi": "aacute"}.get(name)
+    for opt in ("q", "aacute"):
+        given = getattr(args, opt) is not None
+        if opt == needed and not given:
+            raise ParameterError(f"{name} requires --{opt}")
+        if opt != needed and given:
+            raise ParameterError(f"--{opt} is not meaningful for kind {name!r}")
+    if name == "negativity":
+        return None
+    return MeasureKind(name, q=args.q, order=args.aacute, assisted=assisted)
 
 
 def cmd_measure(args) -> int:
     state, source = load_input(args)
     left, right = parse_partition(args.partition, state.n_qubits)
     keep = sorted(left + right)
-    kind = measure_kind(args)
+    kind = measure_kind(args.kind, args)
 
     if len(keep) == state.n_qubits:
         target, side = state, left
@@ -159,27 +163,19 @@ def cmd_measure(args) -> int:
         record["aacute"] = args.aacute
     if mv.status == "interval":
         record["lo"], record["hi"] = mv.lo, mv.hi
-    emit(record, args.out)
+    emit(to_json(record), args.out)
     return 0
 
 
 def family_from_args(args, key: str):
+    """The bound family of the selector key in THEOREM_FAMILIES, with its --q/--aacute."""
     try:
         name, direction = THEOREM_FAMILIES[key]
     except KeyError:
         raise ParameterError(
-            f"unknown theorem selector {args.theorem!r}; expected a family in "
+            f"unknown theorem selector {key!r}; expected a family in "
             f"{sorted(THEOREM_FAMILIES)} optionally prefixed like thm1-") from None
-    q = order = None
-    if name == "tsallis":
-        if args.q is None:
-            raise ParameterError("this family requires --q")
-        q = args.q
-    if name == "renyi":
-        if args.aacute is None:
-            raise ParameterError("this family requires --aacute")
-        order = args.aacute
-    return bound_family(name, direction, q=q, order=order)
+    return bound_family(measure_kind(name, args, direction == POLYGAMY), direction)
 
 
 def parse_floats(text):
@@ -206,7 +202,7 @@ def cmd_verify(args) -> int:
                     budget=args.budget, seed=args.seed)
     record = {"command": "verify", "input": source, "theorem": args.theorem}
     record.update(report.to_dict())
-    emit(record, args.out)
+    emit(to_json(record), args.out)
     if not report.conditions.all_hold or math.isnan(report.margin):
         return 3
     return 0 if report.margin >= -MARGIN_TOL else 4
@@ -214,9 +210,7 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     state, _ = load_input(args)
-    q = args.q if args.kind == "tsallis" else None
-    order = args.aacute if args.kind == "renyi" else None
-    family = bound_family(args.kind, "monogamy", q=q, order=order)
+    family = family_from_args(args, args.kind)
     if not (math.isfinite(args.alpha_min) and math.isfinite(args.alpha_max)):
         raise ParameterError(
             f"--alpha-min and --alpha-max must be finite, got "
@@ -254,12 +248,7 @@ def cmd_sweep(args) -> int:
                                       k=args.k if name == "kf" else None,
                                       split=base.split)
         lines.append(",".join(format(row[h], ".12g") for h in header))
-    text = "\n".join(lines) + "\n"
-    if args.out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    emit("\n".join(lines), args.out)
     return 0
 
 
@@ -272,7 +261,7 @@ def cmd_corpus(args) -> int:
         "suites": [r.to_dict() for r in results],
         "passed": all(r.passed for r in results),
     }
-    emit(record, args.out)
+    emit(to_json(record), args.out)
     return 0 if record["passed"] else 4
 
 

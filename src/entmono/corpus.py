@@ -12,10 +12,10 @@ The state-based suites (ckw, consistency, lemma2) evaluate their samples
 in blocks of at most BLOCK states, so peak memory does not grow with the
 sample count.  A block is an (S, 2**n) amplitude array drawn stream by
 stream (:func:`states.haar_block`, with the PureState checks applied to
-the whole block); every reduction is M·M† of the (S, d_keep, d_rest)
-amplitude matrices, pure-state values come from the stacked marginal
-spectra, and pair concurrences from one batched Wootters evaluation on
-the (S, 4, 4) stack.  Slack arrays are recorded with
+the whole block).  The suites have no reductions of their own: they read
+the shared pure-state kernels of :mod:`measures`, marginal_spectra and
+pair_concurrences, on the whole block, the same kernels measure_chain
+calls on one state.  Slack arrays are recorded with
 :meth:`SuiteResult.record_all`, which keeps the first five offenders in
 sample order.  lemma2 keeps a per-sample loop for the (mu, l) extraction
 and the weights; lemma1 and hierarchy draw their scalars in one block.
@@ -29,8 +29,8 @@ import numpy as np
 from .bounds import bound_family, coefficient_K, extract_mu_l
 from .errors import ParameterError
 from .measures import (MeasureKind, f_eof, f_renyi, g_tsallis,
-                       wootters_concurrence)
-from .states import gram, haar_block, seed_path, split_amplitudes
+                       marginal_spectra, pair_concurrences)
+from .states import haar_block, seed_path
 
 # samples per evaluated block of the state-based suites
 BLOCK = 1024
@@ -105,13 +105,8 @@ def suite_lemma1(samples: int, seed: int) -> SuiteResult:
     up = ((1.0 + x) ** t - x ** t) - ((1.0 + y) ** t - y ** t)
     down = ((1.0 + y) ** s - y ** s) - ((1.0 + x) ** s - x ** s)
     for arr, tag in ((up, "t>=1"), (down, "0<=s<=1")):
-        i = int(np.argmin(arr))
-        res.worst_slack = min(res.worst_slack, float(arr[i]))
-        bad = int(np.sum(arr < -res.tolerance))
-        res.violations += bad
-        if bad and len(res.offenders) < 5:
-            res.offenders.append({"direction": tag, "x": float(x[i]), "y": float(y[i]),
-                                  "t": float(t[i]), "s": float(s[i])})
+        res.record_all(arr, lambda i: {"sample": i, "direction": tag, "x": float(x[i]),
+                                       "y": float(y[i]), "t": float(t[i]), "s": float(s[i])})
     return res
 
 
@@ -121,29 +116,12 @@ def _blocks(n: int, samples: int, seed: int):
         yield start, haar_block(n, seed, start, min(samples, start + BLOCK))
 
 
-def _marginal_spectra(amps: np.ndarray, dims: tuple, keep) -> np.ndarray:
-    """Spectra of the reduced states on keep, one row per state (PSD by construction)."""
-    rho = gram(split_amplitudes(amps, dims, keep))
-    return np.maximum(np.linalg.eigvalsh(rho), 0.0)
-
-
-_CONCURRENCE = MeasureKind("concurrence")
-
-
-def _three_qubit_concurrences(amps: np.ndarray):
-    """C(A|BC), C(AB) and C(AC) of each row of an (S, 8) amplitude block."""
-    dims = (2, 2, 2)
-    c_abc = _CONCURRENCE.from_spectrum(_marginal_spectra(amps, dims, [0]))
-    c_ab = wootters_concurrence(gram(split_amplitudes(amps, dims, [0, 1])))
-    c_ac = wootters_concurrence(gram(split_amplitudes(amps, dims, [0, 2])))
-    return c_abc, c_ab, c_ac
-
-
 def suite_ckw(samples: int, seed: int) -> SuiteResult:
     """C²(A|BC) >= C²(AB) + C²(AC) on Haar-random 3-qubit pure states."""
     res = SuiteResult("ckw", samples, seed, tolerance=1e-9)
     for start, amps in _blocks(3, samples, seed):
-        c_abc, c_ab, c_ac = _three_qubit_concurrences(amps)
+        c_abc = MeasureKind("concurrence").from_spectrum(marginal_spectra(amps, (2, 2, 2), [0]))
+        c_ab, c_ac = pair_concurrences(amps, (2, 2, 2)).T
         res.record_all(c_abc ** 2 - c_ab ** 2 - c_ac ** 2,
                        lambda i: {"sample": start + i, "c_abc": float(c_abc[i]),
                                   "c_ab": float(c_ab[i]), "c_ac": float(c_ac[i])})
@@ -159,8 +137,8 @@ def suite_consistency(samples: int, seed: int) -> SuiteResult:
     closed-form functions of the concurrence."""
     res = SuiteResult("consistency", samples, seed, tolerance=1e-9)
     for start, amps in _blocks(2, samples, seed):
-        evs = _marginal_spectra(amps, (2, 2), [0])
-        c = _CONCURRENCE.from_spectrum(evs)
+        evs = marginal_spectra(amps, (2, 2), [0])
+        c = MeasureKind("concurrence").from_spectrum(evs)
         devs = [np.abs(MeasureKind("eof").from_spectrum(evs) - f_eof(c * c))]
         for q in CONSISTENCY_QS:
             devs.append(np.abs(MeasureKind("tsallis", q=q).from_spectrum(evs)
@@ -209,8 +187,9 @@ def suite_lemma2(samples: int, seed: int) -> SuiteResult:
     res = SuiteResult("lemma2", samples, seed, tolerance=1e-9)
     fam = bound_family("concurrence")
     for start, amps in _blocks(3, samples, seed):
-        for i, vals in enumerate(zip(*_three_qubit_concurrences(amps)), start):
-            c_abc, c_ab, c_ac = (float(v) for v in vals)
+        c_full = MeasureKind("concurrence").from_spectrum(marginal_spectra(amps, (2, 2, 2), [0]))
+        rows = zip(c_full.tolist(), pair_concurrences(amps, (2, 2, 2)).tolist())
+        for i, (c_abc, (c_ab, c_ac)) in enumerate(rows, start):
             (mu,), (ell,) = extract_mu_l([c_abc, c_ac], [c_ab], fam)
             if mu is None:
                 continue  # A carries no entanglement with C: bound is trivial

@@ -3,6 +3,9 @@ intervals), negativity and its convex-roof extension, entanglement of
 formation, Tsallis-q and Renyi-entropy measures, and a heuristic
 estimator for their assisted (decomposition-maximizing) duals.
 
+Pure-state values come only from two stacked kernels, marginal_spectra
+and pair_concurrences, which take one state or a block of them.
+
 All logarithms are base 2 and 0·log 0 := 0.  On two-qubit mixed states the
 entropic measures reduce to closed-form functions of the Wootters
 concurrence; beyond 2x2 only the concurrence supports certified interval
@@ -17,7 +20,8 @@ import numpy as np
 
 from .densemat import partial_transpose, trace_norm
 from .errors import CapabilityError, DimensionError, DomainError, ParameterError
-from .states import DensityMatrix, PureState, seed_path
+from .states import (DensityMatrix, PureState, gram, keep_indices, seed_path,
+                     split_amplitudes)
 
 # Validity window of the concurrence closed form for the mixed-state
 # Tsallis route: (5 - sqrt(13))/2 <= q <= (5 + sqrt(13))/2.
@@ -155,16 +159,8 @@ class MeasureKind:
         return _scalar_or_array(out)
 
     def pure_value(self, state: PureState, keep) -> float:
-        """Exact value on a pure state for the bipartition keep | rest.
-
-        The marginal is taken on the smaller side: both marginals of a pure
-        state share their nonzero spectrum, and the smaller one stays
-        within the dense cap on wide registers.
-        """
-        keep = sorted(set(int(i) for i in keep))
-        rest = [i for i in range(state.n_qubits) if i not in keep]
-        side = rest if rest and len(rest) < len(keep) else keep
-        return self.from_spectrum(state.reduce(side).eigvals())
+        """Exact value on a pure state for the bipartition keep | rest."""
+        return self.from_spectrum(marginal_spectra(state.amplitudes, state.dims, keep))
 
     def two_qubit_value(self, rho: DensityMatrix) -> float:
         """Exact value on a two-qubit mixed state via the Wootters form."""
@@ -204,6 +200,34 @@ class MeasureKind:
 
 
 _CONCURRENCE = MeasureKind("concurrence")
+
+
+def marginal_spectra(amps: np.ndarray, dims: tuple, keep) -> np.ndarray:
+    """Descending marginal spectra of pure states for the cut keep | rest.
+
+    amps holds unit-norm amplitude vectors along its last axis; leading
+    axes are a stack of states.  keep is checked by keep_indices.  The
+    spectrum is that of M·M† on the side with fewer subsystems: both
+    marginals of a pure state share their nonzero spectrum, and the smaller
+    one stays small on wide registers.  M·M† is PSD by construction, so it
+    is not re-validated; negative roundoff is clamped to 0.
+    """
+    keep = keep_indices(keep, len(dims))
+    rest = [i for i in range(len(dims)) if i not in keep]
+    side = rest if len(rest) < len(keep) else keep
+    evs = np.linalg.eigvalsh(gram(split_amplitudes(amps, dims, side)))
+    return np.maximum(evs[..., ::-1], 0.0)
+
+
+def pair_concurrences(amps: np.ndarray, dims: tuple) -> np.ndarray:
+    """C(A,B_i), i = 1..N-1, of pure N-qubit states, along a new last axis.
+
+    amps is as in :func:`marginal_spectra`.  Each pair state rho_{A,B_i}
+    is M·M† for the split {0, i} | rest, and the pairs of every state go
+    through one :func:`wootters_concurrence` call.
+    """
+    rhos = [gram(split_amplitudes(amps, dims, [0, i])) for i in range(1, len(dims))]
+    return wootters_concurrence(np.stack(rhos, axis=-3))
 
 
 def _require_two_qubits(rho: DensityMatrix, what: str):
@@ -256,7 +280,7 @@ _RANK_TOL = 1e-12
 
 
 def wootters_concurrence(rhos: np.ndarray) -> np.ndarray:
-    """Wootters concurrence of each two-qubit state in an (S, 4, 4) stack.
+    """Wootters concurrence of each two-qubit state in an (..., 4, 4) stack.
 
     C = max{0, l1 - l2 - l3 - l4} where the l_i are the descending square
     roots of the eigenvalues of rho (sy x sy) rho* (sy x sy).  They are
@@ -336,7 +360,7 @@ def negativity(rho, side=0) -> MeasureValue:
     if len(sides) == len(rho.dims):
         raise DimensionError("side must leave at least one factor untransposed")
     if isinstance(rho, PureState):
-        s = np.linalg.svd(rho.amplitude_matrix(sides), compute_uv=False)
+        s = np.linalg.svd(split_amplitudes(rho.amplitudes, rho.dims, sides), compute_uv=False)
         return MeasureValue.exact(max(0.0, float(np.sum(s)) ** 2 - 1.0))
     pt = rho.matrix
     for idx in sides:

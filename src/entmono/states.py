@@ -56,36 +56,19 @@ class PureState:
         return DensityMatrix._from_gram(
             np.outer(self.amplitudes, self.amplitudes.conj()), self.dims)
 
-    def amplitude_matrix(self, keep) -> np.ndarray:
-        """The amplitudes as a (d_keep, d_rest) matrix M for the split keep | rest.
-
-        Rows run over the kept subsystems in ascending order, columns over
-        the rest, so psi = vec(M) up to that axis permutation.  M·M† is the
-        reduced state on keep, and the singular values of M are the
-        Schmidt coefficients of the split.  An empty keep raises
-        ParameterError and an out-of-range index DimensionError.
-        """
-        keep = sorted(set(int(i) for i in keep))
-        if not keep:
-            raise ParameterError("keep set must be nonempty")
-        n = self.n_qubits
-        if keep[0] < 0 or keep[-1] >= n:
-            raise DimensionError(f"keep indices {keep} out of range for {n} subsystems")
-        return split_amplitudes(self.amplitudes, self.dims, keep)
-
     def reduce(self, keep) -> "DensityMatrix":
         """Reduced density matrix on the kept subsystems (ascending order).
 
-        Computed as M·M† from :meth:`amplitude_matrix`, at O(2^n · d_keep)
-        cost and without forming the full projector.  The product of a
-        unit-norm amplitude matrix with its adjoint is Hermitian, PSD and
-        unit-trace by construction, so the result skips the eigenvalue
-        re-check of the public constructor.  Errors are those of
-        :meth:`amplitude_matrix`, plus DimensionError when the kept side
+        Computed as M·M† of the amplitude matrix (:func:`split_amplitudes`),
+        at O(2^n · d_keep) cost and without forming the full projector.  The
+        product of a unit-norm amplitude matrix with its adjoint is
+        Hermitian, PSD and unit-trace by construction, so the result skips
+        the eigenvalue re-check of the public constructor.  Errors are those
+        of :func:`keep_indices`, plus DimensionError when the kept side
         exceeds the dense cap of 12 qubits.
         """
-        keep = sorted(set(int(i) for i in keep))
-        m = self.amplitude_matrix(keep)
+        keep = keep_indices(keep, self.n_qubits)
+        m = split_amplitudes(self.amplitudes, self.dims, keep)
         _check_dense(m.shape[0], "reduced state")
         return DensityMatrix._from_gram(gram(m), tuple(self.dims[i] for i in keep))
 
@@ -281,7 +264,8 @@ def split_amplitudes(amps: np.ndarray, dims: tuple, keep) -> np.ndarray:
 
     keep is a sorted list of valid subsystem indices; rows run over the
     kept subsystems in ascending order and columns over the rest, so M·M†
-    (:func:`gram`) is the reduced state on keep for every leading index.
+    (:func:`gram`) is the reduced state on keep for every leading index,
+    and the singular values of M are the Schmidt coefficients of the split.
     """
     lead = amps.shape[:-1]
     k = len(lead)
@@ -290,6 +274,19 @@ def split_amplitudes(amps: np.ndarray, dims: tuple, keep) -> np.ndarray:
     psi = amps.reshape(lead + tuple(dims))
     psi = np.transpose(psi, list(range(k)) + [k + i for i in keep + rest])
     return psi.reshape(lead + (d_keep, -1))
+
+
+def keep_indices(keep, n: int) -> list:
+    """keep as a sorted list of distinct indices of n subsystems.
+
+    An empty keep raises ParameterError, an index outside [0, n) DimensionError.
+    """
+    keep = sorted(set(int(i) for i in keep))
+    if not keep:
+        raise ParameterError("keep set must be nonempty")
+    if keep[0] < 0 or keep[-1] >= n:
+        raise DimensionError(f"keep indices {keep} out of range for {n} subsystems")
+    return keep
 
 
 def gram(m: np.ndarray) -> np.ndarray:

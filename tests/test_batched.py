@@ -1,8 +1,8 @@
 """Property tests of the batched kernels against per-sample references:
 the stacked Wootters concurrence against the Hill-Wootters eigenvalue form
-and 2|ad - bc|, the blocked corpus suites against the one-state-at-a-time
-loops they replaced, the vectorized closed forms against scalar ``math``
-versions, and the stacked assisted estimator against its per-member loop."""
+and 2|ad - bc|, the blocked corpus suites against one-sample-at-a-time
+loops, the vectorized closed forms against scalar ``math`` versions, and
+the stacked assisted estimator against its per-member loop."""
 
 import math
 from unittest import mock
@@ -64,6 +64,25 @@ def f_renyi_ref(x, order):
     x = min(max(x, 0.0), 1.0)
     s = math.sqrt(max(0.0, 1.0 - x * x))
     return math.log2(((1.0 - s) / 2.0) ** order + ((1.0 + s) / 2.0) ** order) / (1.0 - order)
+
+
+def lemma1_reference(samples, seed):
+    # The suite's own arithmetic: numpy's vector power differs from math.pow
+    # in the last ulp on some builds, and the terms reach 1e40.  The loop
+    # records each sample in order, direction by direction.
+    res = corpus.SuiteResult("lemma1", samples, seed, tolerance=1e-12)
+    rng = np.random.default_rng(seed_path(seed))
+    x = rng.uniform(0.0, 50.0, samples)
+    y = rng.uniform(0.0, 1.0, samples) * x
+    t = 1.0 + rng.exponential(2.0, samples)
+    s = rng.uniform(0.0, 1.0, samples)
+    up = ((1.0 + x) ** t - x ** t) - ((1.0 + y) ** t - y ** t)
+    down = ((1.0 + y) ** s - y ** s) - ((1.0 + x) ** s - x ** s)
+    for arr, tag in ((up, "t>=1"), (down, "0<=s<=1")):
+        for i in range(samples):
+            res.record(float(arr[i]), {"sample": i, "direction": tag, "x": float(x[i]),
+                                       "y": float(y[i]), "t": float(t[i]), "s": float(s[i])})
+    return res
 
 
 def ckw_reference(samples, seed):
@@ -230,7 +249,8 @@ def assert_same_result(fast, slow):
 @given(seeds, st.integers(1, 40), st.integers(1, 16))
 def test_batched_suites_match_per_sample_loops(seed, samples, block):
     with mock.patch.object(corpus, "BLOCK", block):
-        for name, reference in (("ckw", ckw_reference),
+        for name, reference in (("lemma1", lemma1_reference),
+                                ("ckw", ckw_reference),
                                 ("consistency", consistency_reference),
                                 ("lemma2", lemma2_reference)):
             assert_same_result(corpus.run_suite(name, samples, seed),

@@ -329,6 +329,15 @@ MALFORMED = [
      "--alpha-max", "3", "--steps", "3", "--mu", "5"],
     ["sweep", "--preset", "example1", "--kind", "concurrence", "--alpha-min", "2",
      "--alpha-max", "3", "--steps", "3", "--ell", "2"],
+    # a stray --q/--aacute was dropped by verify and sweep, as measure never did
+    ["verify", "--preset", "example1", "--theorem", "concurrence", "--alpha", "3",
+     "--q", "2"],
+    ["verify", "--preset", "example1", "--theorem", "eoa", "--alpha", "0.5",
+     "--aacute", "1.2"],
+    ["sweep", "--preset", "example1", "--kind", "eof", "--alpha-min", "2",
+     "--alpha-max", "3", "--steps", "3", "--aacute", "7"],
+    ["sweep", "--preset", "example1", "--kind", "renyi", "--aacute", "2",
+     "--alpha-min", "2", "--alpha-max", "3", "--steps", "3", "--q", "2"],
 ]
 
 
@@ -366,14 +375,17 @@ def test_malformed_state_file_exits_two(name, tmp_path, capsys):
 
 
 ONE_CHAIN = [
-    # 3-qubit monogamy verify: 2 pair reductions + the full marginal
-    (["verify", "--preset", "example1", "--theorem", "concurrence", "--alpha", "2"], 3, 2),
-    # ghz:6 with explicit parameters: 5 pairs, the full marginal, 3 group purities
+    # 3-qubit monogamy verify: the pairs from one Wootters call, no reduction
+    (["verify", "--preset", "example1", "--theorem", "concurrence", "--alpha", "2"], 0, 1),
+    # ghz:6 with explicit parameters: the links read 3 group purities
     (["verify", "--preset", "ghz:6", "--theorem", "concurrence", "--alpha", "2",
-      "--mu", "1,1,1,1", "--ell", "1,1,1,1"], 9, 5),
+      "--mu", "1,1,1,1", "--ell", "1,1,1,1"], 3, 1),
     # auto sweep: one chain feeds the extraction and all 61 rows
     (["sweep", "--preset", "example1", "--kind", "concurrence", "--alpha-min", "2",
-      "--alpha-max", "5", "--steps", "61"], 3, 2),
+      "--alpha-max", "5", "--steps", "61"], 0, 1),
+    # a sweep reads no link, so it forms no group purity
+    (["sweep", "--preset", "ghz:6", "--kind", "concurrence", "--alpha-min", "2",
+      "--alpha-max", "5", "--steps", "61", "--mu", "1,1,1,1", "--ell", "1,1,1,1"], 0, 1),
 ]
 
 

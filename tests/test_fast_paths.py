@@ -1,8 +1,10 @@
 """Property tests of the pure-state fast paths against the slow reference
 paths: amplitude-matrix reductions against the partial trace of the full
-projector, Schmidt-coefficient negativity against the partial-transpose
-trace norm, and the concurrence chain bounds against certified intervals
-of the explicitly formed group states."""
+projector, the stacked marginal-spectrum and pair-concurrence kernels
+against the spectra of those reductions and Wootters' pre-concurrence
+form on the pair ensembles, Schmidt-coefficient negativity against the partial-transpose trace norm,
+and the concurrence chain bounds against certified intervals of the
+explicitly formed group states."""
 
 import functools
 
@@ -15,6 +17,7 @@ from entmono import (DensityMatrix, MeasureKind, PureState, bound_family,
                      partial_trace, partial_transpose, random_pure, seed_path,
                      trace_norm, w_state)
 from entmono.densemat import psd_eigvals
+from entmono.measures import marginal_spectra, pair_concurrences
 
 FAST = settings(max_examples=30, deadline=None)
 
@@ -55,6 +58,26 @@ def slow_reduce(state: PureState, keep) -> DensityMatrix:
     rho = np.outer(state.amplitudes, state.amplitudes.conj())
     return DensityMatrix(partial_trace(rho, state.dims, keep),
                          tuple(state.dims[i] for i in keep))
+
+
+def pair_ensemble(state: PureState, i: int) -> np.ndarray:
+    """(4, d_rest) columns phi_k = <k|_rest psi with sum_k phi_k phi_k† = rho_{A,B_i}."""
+    psi = state.amplitudes.reshape(state.dims)
+    return np.moveaxis(psi, [0, i], [0, 1]).reshape(4, -1)
+
+
+def ensemble_concurrence(phi: np.ndarray) -> float:
+    """Wootters' C = max(0, l1 - l2 - l3 - l4) of rho = phi phi†.
+
+    The l_i are the singular values of phi^T (sy x sy) phi, the
+    pre-concurrences of the ensemble.  Unlike the eigenvalue form
+    sqrt(eig(rho rho~)), which is off by up to ~sqrt(eps) on the
+    rank-deficient pair states of small or structured registers, this
+    takes no square root of a vanishing eigenvalue.
+    """
+    sy_sy = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+    lam = np.pad(np.linalg.svd(phi.T @ sy_sy @ phi, compute_uv=False), (0, 4))
+    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
 
 
 def slow_negativity(state: PureState, sides) -> float:
@@ -98,6 +121,40 @@ def test_reduce_matches_partial_trace(state):
         assert fast.dims == ref.dims
         assert np.max(np.abs(fast.matrix - ref.matrix)) <= 1e-13
         psd_eigvals(fast.matrix)  # the trusted result meets the public contract
+
+
+@st.composite
+def state_stacks(draw):
+    """1-4 states of one register size, 2-7 qubits."""
+    n = draw(st.integers(2, 7))
+    return draw(st.lists(pure_states(min_qubits=n, max_qubits=n), min_size=1, max_size=4))
+
+
+@FAST
+@given(state_stacks())
+def test_marginal_spectra_match_reduced_spectra(states):
+    amps, dims = np.array([s.amplitudes for s in states]), states[0].dims
+    for keep in proper_subsets(len(dims)):
+        spectra = marginal_spectra(amps, dims, keep)
+        assert spectra.shape[0] == len(states)
+        for state, fast in zip(states, spectra):
+            ref = psd_eigvals(slow_reduce(state, keep).matrix)
+            assert np.all(fast[:-1] >= fast[1:]) and np.all(fast >= 0.0)
+            fast = np.pad(fast, (0, ref.size - fast.size))  # the shorter side, zero-padded
+            assert np.max(np.abs(fast - ref)) <= 1e-13
+
+
+@FAST
+@given(state_stacks())
+def test_pair_concurrences_match_the_ensemble_form(states):
+    amps, n = np.array([s.amplitudes for s in states]), states[0].n_qubits
+    pairs = pair_concurrences(amps, states[0].dims)
+    assert pairs.shape == (len(states), n - 1)
+    for state, row in zip(states, pairs):
+        for i in range(1, n):
+            phi = pair_ensemble(state, i)
+            assert np.max(np.abs(phi @ phi.conj().T - slow_reduce(state, [0, i]).matrix)) <= 1e-13
+            assert abs(row[i - 1] - ensemble_concurrence(phi)) <= 1e-12
 
 
 @FAST

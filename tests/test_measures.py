@@ -51,6 +51,15 @@ class TestConcurrencePure:
         with pytest.raises(ParameterError):
             concurrence_pure(EX1, [0, 1, 2])
 
+    def test_pure_value_checks_keep_before_taking_the_smaller_side(self):
+        from entmono.errors import DimensionError
+        kind = MeasureKind("concurrence")
+        with pytest.raises(ParameterError):
+            kind.pure_value(EX1, [])
+        for keep in ([-1], [0, 1, 5]):  # [0, 1, 5] once measured the cut {2} | rest
+            with pytest.raises(DimensionError):
+                kind.pure_value(EX1, keep)
+
 
 class TestConcurrenceTwoQubit:
     def test_example1_pairs(self):
