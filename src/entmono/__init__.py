@@ -2,12 +2,10 @@
 tightened one-to-group monogamy/polygamy bounds against prior bounds."""
 
 from .bounds import (BoundFamily, BoundParams, BoundReport, Chain,
-                     ConditionReport, Interval, bound_family,
-                     check_conditions, coefficient_K, extract_mu_l,
-                     measure_chain, prior_rhs, resolve_params, rhs_assemble,
-                     verify)
-from .densemat import (DIM_CAP, herm_eigvals, partial_trace,
-                       partial_transpose, trace_norm)
+                     ConditionReport, bound_family, check_conditions,
+                     coefficient_K, extract_mu_l, measure_chain, prior_rhs,
+                     resolve_params, rhs_assemble, verify)
+from .densemat import DIM_CAP, herm_eigvals, partial_transpose, trace_norm
 from .errors import (CapabilityError, ContractError, DimensionError,
                      DomainError, ParameterError)
 from .measures import (MeasureKind, MeasureValue, assisted_estimate,

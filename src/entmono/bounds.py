@@ -16,11 +16,14 @@ Every bound is built from one measured object, the Chain of a (state,
 family) pair, which measure_chain computes once per command: the full
 value M(A|B_1...B_{N-1}) and the pair values M(A,B_i) with their
 provenance (exact closed forms, or heuristic assisted estimates).  Its
-links, a certified Interval for each residual link M(A|B_r...B_{N-1}) or
-None where no certified value exists, are built when read, which only
-the hypothesis checks do.  Parameter extraction (resolve_params), the
-right-hand sides, the prior bounds and the hypothesis checks
-(check_conditions) all read that record; none measures again.
+links, a certified MeasureValue (exact or interval) for each residual
+link M(A|B_r...B_{N-1}) or None where no certified value exists, are
+built when read, which only the hypothesis checks do; the concurrence
+links come from measures.group_concurrence, the rule behind
+`measure --kind concurrence` on a partial partition too.  Parameter
+extraction (resolve_params), the right-hand sides, the prior bounds and
+the hypothesis checks (check_conditions) all read that record; none
+measures again.
 
 Hypothesis parameters outside their theorem ranges (mu >= 1 and l >= 1
 for monogamy; 0 < mu <= 1, l >= 1 for polygamy) are reported as failed
@@ -29,10 +32,11 @@ always be evaluated.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import CapabilityError, ParameterError
-from .measures import MeasureKind, assisted_estimate, pair_concurrences
+from .measures import (MeasureKind, MeasureValue, assisted_estimate,
+                       group_concurrence, pair_concurrences)
 from .states import PureState, seed_path
 
 SQRT2 = math.sqrt(2.0)
@@ -213,13 +217,7 @@ class ConditionReport:
         return "fails"
 
     def to_dict(self) -> dict:
-        return {
-            "summary": self.summary,
-            "steps": [
-                {"description": s.description, "status": s.status, "slack": s.slack}
-                for s in self.steps
-            ],
-        }
+        return {"summary": self.summary, "steps": [asdict(s) for s in self.steps]}
 
 
 @dataclass(frozen=True)
@@ -243,27 +241,8 @@ class BoundReport:
     value_status: str      # exact | heuristic (pairwise value provenance)
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "direction": self.direction,
-            "alpha": self.alpha,
-            "lhs_measure": self.lhs_measure,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "coefficients": list(self.coefficients),
-            "terms": [
-                {"pair": t.pair, "coefficient": t.coefficient,
-                 "value": t.value, "contribution": t.contribution}
-                for t in self.terms
-            ],
-            "mu": list(self.mu),
-            "ell": list(self.ell),
-            "split": self.split,
-            "margin": self.margin,
-            "conditions": self.conditions.to_dict(),
-            "priors": dict(self.priors),
-            "value_status": self.value_status,
-        }
+        """The fields in order, with the conditions' summary added."""
+        return {**asdict(self), "conditions": self.conditions.to_dict()}
 
 
 def coefficient_K(mu: float, ell: float, alpha: float, family: BoundFamily) -> float:
@@ -416,31 +395,6 @@ def extract_mu_l(chain, pairs, family: BoundFamily, split: int = None):
 
 
 @dataclass(frozen=True)
-class Interval:
-    """Certified range lo <= x <= hi of a nonnegative measured value.
-
-    Powers (p > 0), nonnegative scalings and sums map certified ranges to
-    certified ranges endpoint by endpoint.
-    """
-
-    lo: float
-    hi: float
-
-    @classmethod
-    def point(cls, v: float) -> "Interval":
-        return cls(v, v)
-
-    def __pow__(self, p: float) -> "Interval":
-        return Interval(self.lo ** p, self.hi ** p)
-
-    def __rmul__(self, c: float) -> "Interval":
-        return Interval(c * self.lo, c * self.hi)
-
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-
-@dataclass(frozen=True)
 class Chain:
     """The measured chain of one (state, family); see measure_chain."""
 
@@ -456,50 +410,32 @@ class Chain:
 
     @property
     def links(self) -> tuple:
-        """Interval of M(A|B_r...B_{N-1}), r = 1..N-1, or None; built on each read.
+        """MeasureValue of M(A|B_r...B_{N-1}), r = 1..N-1, or None; built on each read.
 
-        No intermediate group state is formed: the first link and, for
-        monogamy families, the last (the pair A,B_{N-1}) are exact, and for
-        the concurrence family an intermediate group A,B_r..B_{N-1} gets
-
-        - lo = sqrt(sum_{j>=r} C²(A,B_j)), the Osborne-Verstraete N-qubit
-          inequality (PRL 96, 220503, 2006), over the pair values;
-        - hi = C(A|B_1...B_{N-1}): the group's rho_A is the global rho_A,
-          and sqrt(2[1 - Tr rho_A²]) bounds the convex roof from above (see
-          concurrence_interval);
-        - the point hi when the group is pure (see _group_is_pure), where
-          the upper leg is the exact value.
+        The first link and, for monogamy families, the last (the pair
+        A,B_{N-1}) are exact.  For the concurrence family an intermediate
+        group A,B_r..B_{N-1} gets measures.group_concurrence of the values
+        the chain holds: the lower leg over the pair values C(A,B_j),
+        j >= r, the upper leg C(A|B_1...B_{N-1}) = full (the group's rho_A
+        is the global one), and full exactly when the group is pure.
 
         Every other link is uncertified (None): intermediate groups of the
         entropic families and the convex-roof negativity, and every link
         beyond the first of the assisted families.
         """
         n, full, pairs = self.state.n_qubits, self.full, self.pairs
-        links = [Interval.point(full)]
+        links = [MeasureValue.exact(full)]
         for r in range(2, n):
             if self.family.direction == POLYGAMY:
                 links.append(None)
             elif r == n - 1:
-                links.append(Interval.point(pairs[-1]))
+                links.append(MeasureValue.exact(pairs[-1]))
             elif self.family.measure.name != "concurrence":
                 links.append(None)
-            elif _group_is_pure(self.state, r):
-                links.append(Interval.point(full))
             else:
-                lo = math.sqrt(sum(v * v for v in pairs[r - 1:]))
-                links.append(Interval(lo, max(lo, full)))
+                links.append(group_concurrence(self.state, [0, *range(r, n)],
+                                               pairs[r - 1:], full))
         return tuple(links)
-
-
-def _group_is_pure(state: PureState, r: int) -> bool:
-    """Tr rho² >= 1 - 1e-10 for the group A,B_r..B_{N-1} of a pure state.
-
-    Both sides of the cut (A,B_r..) | (B_1..B_{r-1}) have the same purity,
-    so it is read from the reduced state of the smaller side.
-    """
-    group = [0] + list(range(r, state.n_qubits))
-    complement = list(range(1, r))
-    return state.reduce(min(complement, group, key=len)).is_pure()
 
 
 def measure_chain(state: PureState, family: BoundFamily, budget: int = 200,
@@ -524,16 +460,17 @@ def measure_chain(state: PureState, family: BoundFamily, budget: int = 200,
     return Chain(state, family, kind.pure_value(state, [0]), tuple(float(v) for v in pairs))
 
 
-def _clause(desc, lhs: Interval, rhs: Interval, op=">=") -> ConditionStep:
+def _clause(desc, lhs: MeasureValue, rhs: MeasureValue, op=">=") -> ConditionStep:
     """Certified verdict for lhs >= rhs (or <=); None is an uncertified side."""
     if lhs is None or rhs is None:
         return ConditionStep(desc, "undecidable")
     if op == "<=":
         lhs, rhs = rhs, lhs
-    if lhs.lo >= rhs.hi - CERT_TOL:
-        return ConditionStep(desc, "holds", lhs.lo - rhs.hi)
-    if lhs.hi < rhs.lo - CERT_TOL:
-        return ConditionStep(desc, "fails", lhs.hi - rhs.lo)
+    (lhs_lo, lhs_hi), (rhs_lo, rhs_hi) = lhs.bounds, rhs.bounds
+    if lhs_lo >= rhs_hi - CERT_TOL:
+        return ConditionStep(desc, "holds", lhs_lo - rhs_hi)
+    if lhs_hi < rhs_lo - CERT_TOL:
+        return ConditionStep(desc, "fails", lhs_hi - rhs_lo)
     return ConditionStep(desc, "undecidable")
 
 
@@ -551,7 +488,7 @@ def check_conditions(chain: Chain, params: BoundParams) -> ConditionReport:
     p = family.hypothesis_power
     # None (uncertified) stays None through every expression below
     links = [link and link ** p for link in chain.links]
-    pairs = [Interval.point(v ** p) if chain.status == "exact" else None
+    pairs = [MeasureValue.exact(v ** p) if chain.status == "exact" else None
              for v in chain.pairs]
     mono = family.direction == MONOGAMY
     op = ">=" if mono else "<="

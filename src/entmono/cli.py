@@ -140,14 +140,15 @@ def measure_kind(name: str, args, assisted: bool = False) -> MeasureKind:
 def cmd_measure(args) -> int:
     state, source = load_input(args)
     left, right = parse_partition(args.partition, state.n_qubits)
-    keep = sorted(left + right)
+    group = sorted(left + right)
     kind = measure_kind(args.kind, args)
 
-    if len(keep) == state.n_qubits:
-        target, side = state, left
-    else:
-        target, side = state.reduce(keep), [keep.index(i) for i in left]
-    mv = negativity(target, side) if kind is None else kind.evaluate(target, side)
+    if kind is not None:
+        mv = kind.evaluate(state, left, group)
+    elif len(group) == state.n_qubits:
+        mv = negativity(state, left)
+    else:  # the negativity of a mixed group takes its dense partial transpose
+        mv = negativity(state.reduce(group), [group.index(i) for i in left])
 
     record = {
         "command": "measure",
@@ -280,7 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="compute one measure on one bipartition")
     add_input(p)
     p.add_argument("--kind", required=True, choices=MEASURE_KINDS)
-    p.add_argument("--partition", required=True, help="e.g. A|BC or A|B")
+    p.add_argument("--partition", required=True,
+                   help="e.g. A|BC or A|B.  Qubits left out are traced out: a "
+                        "2-qubit group gives an exact value, and the concurrence "
+                        "of one qubit against a larger group a certified interval")
     p.add_argument("--q", type=float, help="Tsallis entropy parameter")
     p.add_argument("--aacute", type=float, help="Renyi entropy order")
     p.set_defaults(func=cmd_measure)

@@ -1,5 +1,9 @@
-"""Dense complex matrix kernel: partial trace/transpose, Hermitian
-eigenvalues and trace norm.
+"""Dense complex matrix kernel: partial transpose, Hermitian eigenvalues
+and trace norm.
+
+There is no partial trace: reductions of pure states are M·M† of their
+amplitude matrix (states.split_amplitudes).  What stays dense is the
+validation of a public DensityMatrix and the negativity of a mixed state.
 
 Conventions: matrices are square complex ndarrays in row-major order;
 subsystem 0 is the leftmost tensor factor.
@@ -36,43 +40,6 @@ def _check_dims(m: np.ndarray, dims) -> tuple:
             f"(product {total})"
         )
     return dims
-
-
-def partial_trace(rho, dims, keep) -> np.ndarray:
-    """Trace out all subsystems not in ``keep``.
-
-    Parameters
-    ----------
-    rho : array_like
-        Square matrix on the full tensor-product space.
-    dims : sequence of int
-        Per-subsystem local dimensions; their product must equal the
-        matrix dimension.
-    keep : iterable of int
-        Indices of the subsystems to keep (nonempty).  Kept factors
-        retain their original relative order.
-
-    Returns
-    -------
-    ndarray
-        Reduced matrix on the kept subsystems.  Trace is preserved.
-    """
-    rho = _as_matrix(rho)
-    dims = _check_dims(rho, dims)
-    keep = sorted(set(int(i) for i in keep))
-    if not keep:
-        raise DimensionError("keep set must be nonempty")
-    if keep[0] < 0 or keep[-1] >= len(dims):
-        raise DimensionError(f"keep indices {keep} out of range for {len(dims)} subsystems")
-
-    drop = [i for i in range(len(dims)) if i not in keep]
-    work = rho.reshape(dims + dims)
-    rem = list(dims)
-    for idx in sorted(drop, reverse=True):
-        work = np.trace(work, axis1=idx, axis2=idx + len(rem))
-        del rem[idx]
-    d = int(np.prod(rem))
-    return work.reshape(d, d)
 
 
 def partial_transpose(rho, dims, side) -> np.ndarray:

@@ -4,16 +4,20 @@ formation, Tsallis-q and Renyi-entropy measures, and a heuristic
 estimator for their assisted (decomposition-maximizing) duals.
 
 Pure-state values come only from two stacked kernels, marginal_spectra
-and pair_concurrences, which take one state or a block of them.
+and pair_concurrences, which take one state or a block of them.  The
+certified concurrence interval of one qubit against a group of a pure
+state comes from the same kernels on the state's amplitudes
+(concurrence_interval, group_concurrence); no group state is formed.
 
 All logarithms are base 2 and 0·log 0 := 0.  On two-qubit mixed states the
 entropic measures reduce to closed-form functions of the Wootters
-concurrence; beyond 2x2 only the concurrence supports certified interval
-evaluation, and the entropic measures are deliberately unsupported rather
-than silently approximated.
+concurrence; on larger groups only the concurrence supports certified
+interval evaluation, and the entropic measures are deliberately
+unsupported rather than silently approximated.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +82,33 @@ class MeasureValue:
     @classmethod
     def heuristic(cls, v):
         return cls(float(v), "heuristic")
+
+    # Powers (p > 0) of nonnegative values, nonnegative multiples and sums
+    # map certified ranges to certified ranges endpoint by endpoint.
+    def __pow__(self, p: float) -> "MeasureValue":
+        return _endpointwise(lambda x: x ** p, self)
+
+    def __rmul__(self, c: float) -> "MeasureValue":
+        if not c >= 0:
+            raise ParameterError(f"only a nonnegative multiple keeps a certified range, got {c}")
+        return _endpointwise(lambda x: c * x, self)
+
+    def __add__(self, other: "MeasureValue") -> "MeasureValue":
+        return _endpointwise(operator.add, self, other)
+
+
+def _endpointwise(f, *values) -> MeasureValue:
+    """f, nondecreasing in each argument, on the lower and on the upper ends.
+
+    Exact when every operand is exact; a heuristic operand has no certified
+    range and raises CapabilityError.
+    """
+    if any(v.status == "heuristic" for v in values):
+        raise CapabilityError("a heuristic value has no certified range to compute with")
+    lo = f(*(v.bounds[0] for v in values))
+    if all(v.status == "exact" for v in values):
+        return MeasureValue.exact(lo)
+    return MeasureValue.interval(lo, f(*(v.bounds[1] for v in values)))
 
 
 @dataclass(frozen=True)
@@ -172,31 +203,56 @@ class MeasureKind:
             )
         return self.from_concurrence(c)
 
-    def evaluate(self, state, side=None) -> MeasureValue:
-        """This measure for the split side | rest of a state.
+    def evaluate(self, state, side=None, group=None) -> MeasureValue:
+        """This measure for the split side | group∖side of a state.
 
-        The one route per input: a proper bipartition of a PureState gives
-        the exact pure_value; a 2x2-qubit DensityMatrix the exact
-        two_qubit_value (side is then ignored); the concurrence of one
-        qubit against a mixed group the certified concurrence_interval.
-        Any other mixed input raises CapabilityError: no certified route
-        exists there.
+        The one measure route.  On a PureState, side and group (default:
+        the whole register) are register indices, each one index or an
+        iterable of them, with side a proper subset of group:
+
+        - the whole register gives the exact pure_value;
+        - a 2-qubit group the exact two_qubit_value of its reduction;
+        - the concurrence of one qubit against a larger group the
+          certified concurrence_interval.
+
+        A 2x2-qubit DensityMatrix gives the exact two_qubit_value (side and
+        group are then ignored).  Every other input raises CapabilityError:
+        no certified route exists there.  An empty side or one that is not
+        a proper subset of group raises ParameterError, an index outside the
+        register DimensionError.
         """
-        keep = [] if side is None else sorted(set(int(i) for i in side))
-        if isinstance(state, PureState):
-            if not keep or len(keep) >= state.n_qubits:
-                raise ParameterError(
-                    f"side {keep} is not a proper bipartition of {state.n_qubits} subsystems")
-            return MeasureValue.exact(self.pure_value(state, keep))
-        if not isinstance(state, DensityMatrix):
-            raise ParameterError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
-        if tuple(state.dims) == (2, 2):
+        if isinstance(state, DensityMatrix):
+            if tuple(state.dims) != (2, 2):
+                raise CapabilityError(
+                    f"{self.name} on a {len(state.dims)}-subsystem DensityMatrix is not "
+                    f"supported; only 2x2-qubit ones are (a concurrence interval takes "
+                    f"the pure state and the group)")
             return MeasureValue.exact(self.two_qubit_value(state))
-        if self.name == "concurrence" and len(keep) == 1:
-            return concurrence_interval(state, side=keep[0])
+        if not isinstance(state, PureState):
+            raise ParameterError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
+        side, group = _split(state.n_qubits, side, group)
+        if len(group) == state.n_qubits:
+            return MeasureValue.exact(self.pure_value(state, side))
+        if len(group) == 2:
+            return MeasureValue.exact(self.two_qubit_value(state.reduce(group)))
+        if self.name == "concurrence" and len(side) == 1:
+            return concurrence_interval(state, side, group)
         raise CapabilityError(
-            f"{self.name} on a mixed {len(state.dims)}-subsystem state is not supported; "
+            f"{self.name} on a mixed {len(group)}-subsystem state is not supported; "
             f"only 2x2-qubit states and one-qubit concurrence intervals are")
+
+
+def _split(n: int, side, group=None) -> tuple:
+    """side and group (default: all n subsystems) as sorted index lists.
+
+    Both are read by keep_indices; side must be a proper subset of group
+    (ParameterError otherwise).
+    """
+    side = keep_indices(() if side is None else side, n)
+    group = list(range(n)) if group is None else keep_indices(group, n)
+    if not set(side) < set(group):
+        raise ParameterError(f"side {side} is not a proper subset of the group {group}")
+    return side, group
 
 
 _CONCURRENCE = MeasureKind("concurrence")
@@ -219,14 +275,18 @@ def marginal_spectra(amps: np.ndarray, dims: tuple, keep) -> np.ndarray:
     return np.maximum(evs[..., ::-1], 0.0)
 
 
-def pair_concurrences(amps: np.ndarray, dims: tuple) -> np.ndarray:
-    """C(A,B_i), i = 1..N-1, of pure N-qubit states, along a new last axis.
+def pair_concurrences(amps: np.ndarray, dims: tuple, side: int = 0,
+                      others=None) -> np.ndarray:
+    """C(side, j) of pure qubit states, j in others, along a new last axis.
 
-    amps is as in :func:`marginal_spectra`.  Each pair state rho_{A,B_i}
-    is M·M† for the split {0, i} | rest, and the pairs of every state go
-    through one :func:`wootters_concurrence` call.
+    amps is as in :func:`marginal_spectra`; others defaults to every qubit
+    but side, ascending, so the default gives C(A,B_i), i = 1..N-1.  Each
+    pair state is M·M† for the split {side, j} | rest, and the pairs of
+    every state go through one :func:`wootters_concurrence` call.
     """
-    rhos = [gram(split_amplitudes(amps, dims, [0, i])) for i in range(1, len(dims))]
+    if others is None:
+        others = [j for j in range(len(dims)) if j != side]
+    rhos = [gram(split_amplitudes(amps, dims, sorted((side, j)))) for j in others]
     return wootters_concurrence(np.stack(rhos, axis=-3))
 
 
@@ -303,62 +363,70 @@ def concurrence_two_qubit(rho: DensityMatrix) -> MeasureValue:
     return MeasureValue.exact(float(wootters_concurrence(rho.matrix[None])[0]))
 
 
-def concurrence_interval(rho: DensityMatrix, side: int = 0) -> MeasureValue:
-    """Certified concurrence interval for a mixed qubit | qubit-group split.
+def concurrence_interval(state: PureState, side, group) -> MeasureValue:
+    """Certified concurrence of one qubit against a group of a pure state.
 
-    The lower leg is sqrt(sum_j C²(rho_{A,Bj})) over the group qubits (the
-    squared pairwise concurrences bound the squared group concurrence from
-    below).  The upper leg is sqrt(2[1 - Tr rho_A²]): the map
-    rho_A -> sqrt(2[1 - Tr rho_A²]) is concave (Tr rho² is convex, and the
-    square root of a nonnegative concave function is concave), and the
-    marginal of a mixture is the mixture of marginals, so for any ensemble
-    sum_i p_i C(phi_i) = sum_i p_i g(rho_A,i) <= g(rho_A); minimizing over
-    ensembles keeps the inequality.  Rank-1 inputs collapse to the exact
-    pure-state value.
+    side is one qubit (an index or a one-index iterable) of group, a set
+    of at least 3 qubits of the register; both are read as in
+    MeasureKind.evaluate.  The legs of group_concurrence come from the
+    amplitudes: C(side, j) for j in group∖side from one pair_concurrences
+    call, and C(side|rest) from marginal_spectra.
     """
-    if not isinstance(rho, DensityMatrix):
-        raise ParameterError("concurrence_interval expects a DensityMatrix")
-    if any(d != 2 for d in rho.dims) or len(rho.dims) < 3:
-        raise DimensionError(
-            f"concurrence_interval requires >= 3 qubit subsystems, got dims {rho.dims}"
-        )
-    side = int(side)
-    if not 0 <= side < len(rho.dims):
-        raise DimensionError(f"side {side} out of range")
+    if not isinstance(state, PureState):
+        raise ParameterError(
+            f"concurrence_interval expects a PureState, got {type(state).__name__}")
+    if any(d != 2 for d in state.dims):
+        raise DimensionError(f"concurrence_interval requires qubits, got dims {state.dims}")
+    side, group = _split(state.n_qubits, side, group)
+    if len(side) != 1:
+        raise ParameterError(f"concurrence_interval takes one side qubit, got {side}")
+    if len(group) < 3:
+        raise DimensionError(f"concurrence_interval requires a group of >= 3 qubits, got {group}")
+    others = [j for j in group if j != side[0]]
+    pairs = pair_concurrences(state.amplitudes, state.dims, side[0], others)
+    return group_concurrence(state, group, pairs, _CONCURRENCE.pure_value(state, side))
 
-    if rho.is_pure():
-        evs, vecs = np.linalg.eigh(rho.matrix)
-        vec = vecs[:, int(np.argmax(evs))]
-        state = PureState(vec / np.linalg.norm(vec), rho.dims)
-        return MeasureValue.exact(float(concurrence_pure(state, {side})))
 
-    lo_sq = 0.0
-    for j in range(len(rho.dims)):
-        if j == side:
-            continue
-        pair = rho.partial_trace([side, j])
-        lo_sq += float(concurrence_two_qubit(pair)) ** 2
-    lo = math.sqrt(lo_sq)
-    hi = float(_conc_from_purity(rho.partial_trace([side]).eigvals()))
-    return MeasureValue.interval(lo, max(lo, hi))
+def group_concurrence(state: PureState, group, pairs, upper: float) -> MeasureValue:
+    """Certified C(A|G∖A) of one qubit A of a qubit group G of a pure state.
+
+    pairs are C(A, j) for j in G∖A and upper is C(A|rest of the register).
+
+    - lo = sqrt(sum_j C²(A, j)): the Osborne-Verstraete inequality (PRL 96,
+      220503, 2006) bounds each member phi_i of an optimal decomposition
+      of rho_G, C(phi_i) >= ||(C_j(phi_i))_j||; averaging with the triangle
+      inequality of the 2-norm and the convexity of each pair concurrence
+      gives C(rho_G) >= ||(C(rho_{A,j}))_j||.
+    - hi = upper = sqrt(2[1 - Tr rho_A²]): rho_A -> sqrt(2[1 - Tr rho_A²])
+      is concave (Tr rho² is convex, and the square root of a nonnegative
+      concave function is concave), and the marginal of a mixture is the
+      mixture of marginals, so every ensemble of rho_G averages at most
+      this value; the convex-roof minimum does too.
+    - A pure group (Tr rho_G² >= 1 - 1e-10) gives the exact value upper.
+      Its purity is that of the smaller side of G | rest, read as the
+      squared Frobenius norm of M·M†.
+    """
+    rest = [i for i in range(state.n_qubits) if i not in group]
+    m = gram(split_amplitudes(state.amplitudes, state.dims, min(rest, group, key=len)))
+    if float(np.vdot(m, m).real) >= 1.0 - 1e-10:
+        return MeasureValue.exact(upper)
+    lo = math.sqrt(sum(c * c for c in pairs))
+    return MeasureValue.interval(lo, max(lo, upper))
 
 
 def negativity(rho, side=0) -> MeasureValue:
     """Negativity ||rho^{T_side}|| - 1 for the split side | rest.
 
-    Accepts a DensityMatrix or a PureState; side may be one subsystem
-    index or a group of them (the transpose is applied to each factor in
-    the group).  A pure state never forms its projector: with s_i the
-    singular values of its amplitude matrix reshaped as side | rest (the
-    Schmidt coefficients), ||rho^{T_side}|| = (sum_i s_i)² exactly.  A
-    density matrix takes the partial transpose and its trace norm.  The
-    result is clamped at 0 from below (roundoff tolerance 1e-12).
+    Accepts a DensityMatrix or a PureState; side is read as in
+    MeasureKind.evaluate, one subsystem index or a group of them (the
+    transpose is applied to each factor in the group).  A pure state never
+    forms its projector: with s_i the singular values of its amplitude
+    matrix reshaped as side | rest (the Schmidt coefficients),
+    ||rho^{T_side}|| = (sum_i s_i)² exactly.  A density matrix takes the
+    partial transpose and its trace norm.  The result is clamped at 0 from
+    below (roundoff tolerance 1e-12).
     """
-    sides = sorted({int(side)} if np.isscalar(side) else {int(i) for i in side})
-    if not sides or sides[0] < 0 or sides[-1] >= len(rho.dims):
-        raise DimensionError(f"side {side!r} out of range for dims {rho.dims}")
-    if len(sides) == len(rho.dims):
-        raise DimensionError("side must leave at least one factor untransposed")
+    sides, _ = _split(len(rho.dims), side)
     if isinstance(rho, PureState):
         s = np.linalg.svd(split_amplitudes(rho.amplitudes, rho.dims, sides), compute_uv=False)
         return MeasureValue.exact(max(0.0, float(np.sum(s)) ** 2 - 1.0))

@@ -10,11 +10,12 @@ DIM_CAP of the dense kernel.
 """
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import DIM_CAP, partial_trace, psd_eigvals
+from .densemat import DIM_CAP, psd_eigvals
 from .errors import ContractError, DimensionError, ParameterError
 
 # Amplitude-vector cap: 20 qubits.  Dense matrices stay under DIM_CAP.
@@ -82,6 +83,12 @@ class DensityMatrix:
     only exception is the private :meth:`_from_gram`, which pure-state
     reductions use for M·M† of a unit-norm amplitude matrix: that product
     satisfies the invariants by construction.
+
+    Its one public method is :meth:`purity`.  Reductions and marginal
+    spectra come from the amplitudes of a PureState, not from here; a
+    DensityMatrix is only the input of the dense kernels that stay (the
+    two-qubit closed forms, the assisted estimator and mixed-state
+    negativity).
     """
 
     matrix: np.ndarray
@@ -114,25 +121,9 @@ class DensityMatrix:
         object.__setattr__(rho, "dims", tuple(dims))
         return rho
 
-    @property
-    def n_subsystems(self) -> int:
-        return len(self.dims)
-
     def purity(self) -> float:
         """Tr rho² as the squared Frobenius norm (rho is Hermitian)."""
         return float(np.vdot(self.matrix, self.matrix).real)
-
-    def is_pure(self, tol=1e-10) -> bool:
-        return self.purity() >= 1.0 - tol
-
-    def eigvals(self) -> np.ndarray:
-        """Descending eigenvalues with negative roundoff clamped to zero."""
-        return psd_eigvals(self.matrix)
-
-    def partial_trace(self, keep) -> "DensityMatrix":
-        keep = sorted(set(int(i) for i in keep))
-        sub = partial_trace(self.matrix, self.dims, keep)
-        return DensityMatrix(sub, tuple(self.dims[i] for i in keep))
 
 
 @dataclass(frozen=True)
@@ -277,10 +268,13 @@ def split_amplitudes(amps: np.ndarray, dims: tuple, keep) -> np.ndarray:
 
 
 def keep_indices(keep, n: int) -> list:
-    """keep as a sorted list of distinct indices of n subsystems.
+    """keep, one index or an iterable of them, as a sorted list of distinct
+    indices of n subsystems.
 
     An empty keep raises ParameterError, an index outside [0, n) DimensionError.
     """
+    if isinstance(keep, numbers.Integral):
+        keep = [keep]
     keep = sorted(set(int(i) for i in keep))
     if not keep:
         raise ParameterError("keep set must be nonempty")

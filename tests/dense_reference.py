@@ -1,0 +1,70 @@
+"""Slow dense references for the property tests.
+
+The package computes reductions and the qubit-to-group concurrence
+interval from pure-state amplitudes.  These references do the same on
+dense matrices: the partial trace of the full projector, and the interval
+read off an explicitly formed group state through its partial traces.
+They are kept here, outside the package, as the independent slow path.
+"""
+
+import math
+
+import numpy as np
+
+from entmono import (DensityMatrix, MeasureValue, PureState, concurrence_pure,
+                     concurrence_two_qubit)
+from entmono.densemat import _as_matrix, _check_dims, psd_eigvals
+from entmono.errors import DimensionError
+
+
+def partial_trace(rho, dims, keep) -> np.ndarray:
+    """Trace out all subsystems not in keep (nonempty; kept factors in order)."""
+    rho = _as_matrix(rho)
+    dims = _check_dims(rho, dims)
+    keep = sorted(set(int(i) for i in keep))
+    if not keep:
+        raise DimensionError("keep set must be nonempty")
+    if keep[0] < 0 or keep[-1] >= len(dims):
+        raise DimensionError(f"keep indices {keep} out of range for {len(dims)} subsystems")
+
+    drop = [i for i in range(len(dims)) if i not in keep]
+    work = rho.reshape(dims + dims)
+    rem = list(dims)
+    for idx in sorted(drop, reverse=True):
+        work = np.trace(work, axis1=idx, axis2=idx + len(rem))
+        del rem[idx]
+    d = int(np.prod(rem))
+    return work.reshape(d, d)
+
+
+def dense_reduce(rho: DensityMatrix, keep) -> DensityMatrix:
+    """The validated reduced state of a dense state on keep."""
+    keep = sorted(keep)
+    return DensityMatrix(partial_trace(rho.matrix, rho.dims, keep),
+                         tuple(rho.dims[i] for i in keep))
+
+
+def slow_reduce(state: PureState, keep) -> DensityMatrix:
+    """Partial trace of the full projector, fully validated."""
+    keep = sorted(keep)
+    rho = np.outer(state.amplitudes, state.amplitudes.conj())
+    return DensityMatrix(partial_trace(rho, state.dims, keep),
+                         tuple(state.dims[i] for i in keep))
+
+
+def dense_concurrence_interval(rho: DensityMatrix, side: int = 0) -> MeasureValue:
+    """Certified concurrence interval of one qubit against a dense group state.
+
+    lo = sqrt(sum_j C²(rho_{side,j})) from the Wootters form of each pair,
+    hi = sqrt(2[1 - Tr rho_side²]); a group of purity >= 1 - 1e-10 gives
+    the exact pure-state value of its leading eigenvector.
+    """
+    if rho.purity() >= 1.0 - 1e-10:
+        evs, vecs = np.linalg.eigh(rho.matrix)
+        vec = vecs[:, int(np.argmax(evs))]
+        return concurrence_pure(PureState(vec / np.linalg.norm(vec), rho.dims), {side})
+    lo = math.sqrt(sum(float(concurrence_two_qubit(dense_reduce(rho, [side, j]))) ** 2
+                       for j in range(len(rho.dims)) if j != side))
+    p = psd_eigvals(dense_reduce(rho, [side]).matrix)
+    hi = math.sqrt(max(0.0, 2.0 * (1.0 - float(np.sum(p ** 2)))))
+    return MeasureValue.interval(lo, max(lo, hi))

@@ -377,9 +377,11 @@ def test_malformed_state_file_exits_two(name, tmp_path, capsys):
 ONE_CHAIN = [
     # 3-qubit monogamy verify: the pairs from one Wootters call, no reduction
     (["verify", "--preset", "example1", "--theorem", "concurrence", "--alpha", "2"], 0, 1),
-    # ghz:6 with explicit parameters: the links read 3 group purities
+    # ghz:6 with explicit parameters: the links read 3 group purities off the amplitudes
     (["verify", "--preset", "ghz:6", "--theorem", "concurrence", "--alpha", "2",
-      "--mu", "1,1,1,1", "--ell", "1,1,1,1"], 3, 1),
+      "--mu", "1,1,1,1", "--ell", "1,1,1,1"], 0, 1),
+    # one qubit against a mixed group: the same amplitude interval as a link
+    (["measure", "--preset", "ghz:6", "--kind", "concurrence", "--partition", "A|CDEF"], 0, 1),
     # auto sweep: one chain feeds the extraction and all 61 rows
     (["sweep", "--preset", "example1", "--kind", "concurrence", "--alpha-min", "2",
       "--alpha-max", "5", "--steps", "61"], 0, 1),
@@ -420,6 +422,17 @@ def test_pure_value_reads_the_smaller_side(kind, capsys):
          "--partition", "ABCDEFGHIJKLM|N"], capsys)
     assert code == 0
     assert rec["value"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_concurrence_interval_past_the_dense_cap(capsys):
+    # the group of 13 qubits would be a 8192 x 8192 dense state
+    code, rec, _ = run_json(
+        ["measure", "--preset", "ghz:14", "--kind", "concurrence",
+         "--partition", "A|BCDEFGHIJKLM"], capsys)
+    assert code == 0
+    assert rec["status"] == "interval"
+    assert rec["lo"] == pytest.approx(0.0, abs=1e-12)
+    assert rec["hi"] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("partition", ["A|B", "A|BC"])

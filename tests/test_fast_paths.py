@@ -1,10 +1,12 @@
 """Property tests of the pure-state fast paths against the slow reference
-paths: amplitude-matrix reductions against the partial trace of the full
-projector, the stacked marginal-spectrum and pair-concurrence kernels
-against the spectra of those reductions and Wootters' pre-concurrence
-form on the pair ensembles, Schmidt-coefficient negativity against the partial-transpose trace norm,
-and the concurrence chain bounds against certified intervals of the
-explicitly formed group states."""
+paths of dense_reference: amplitude-matrix reductions against the partial
+trace of the full projector, the stacked marginal-spectrum and
+pair-concurrence kernels against the spectra of those reductions and
+Wootters' pre-concurrence form on the pair ensembles,
+Schmidt-coefficient negativity against the partial-transpose trace norm,
+and the amplitude concurrence intervals of the chain links and of
+concurrence_interval against the dense intervals of the explicitly formed
+group states."""
 
 import functools
 
@@ -12,12 +14,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entmono import (DensityMatrix, MeasureKind, PureState, bound_family,
+from entmono import (MeasureKind, PureState, bound_family,
                      concurrence_interval, ghz, measure_chain, negativity,
-                     partial_trace, partial_transpose, random_pure, seed_path,
-                     trace_norm, w_state)
+                     partial_transpose, random_pure, seed_path, trace_norm,
+                     w_state)
 from entmono.densemat import psd_eigvals
 from entmono.measures import marginal_spectra, pair_concurrences
+
+from dense_reference import dense_concurrence_interval, slow_reduce
 
 FAST = settings(max_examples=30, deadline=None)
 
@@ -50,14 +54,6 @@ def pure_states(draw, min_qubits=2, max_qubits=7):
         amps = product_amplitudes(n, seed)
         return PureState(amps / np.linalg.norm(amps), (2,) * n)
     return random_pure(n, seed)
-
-
-def slow_reduce(state: PureState, keep) -> DensityMatrix:
-    """Reference: partial trace of the full projector, fully validated."""
-    keep = sorted(keep)
-    rho = np.outer(state.amplitudes, state.amplitudes.conj())
-    return DensityMatrix(partial_trace(rho, state.dims, keep),
-                         tuple(state.dims[i] for i in keep))
 
 
 def pair_ensemble(state: PureState, i: int) -> np.ndarray:
@@ -99,13 +95,13 @@ def slow_chain_bounds(state: PureState):
             v = kind.two_qubit_value(group)
             out.append((v, v))
         else:
-            out.append(concurrence_interval(group, side=0).bounds)
+            out.append(dense_concurrence_interval(group, side=0).bounds)
     return out
 
 
 def fast_chain_bounds(state: PureState):
     chain = measure_chain(state, bound_family("concurrence"))
-    return [(link.lo, link.hi) for link in chain.links]
+    return [link.bounds for link in chain.links]
 
 
 def proper_subsets(n: int):
@@ -209,3 +205,20 @@ def test_pure_groups_collapse_to_the_upper_leg(n, data):
     chain = fast_chain_bounds(PureState(amps / np.linalg.norm(amps), (2,) * n))
     assert all(lo == hi for lo, hi in chain)
     assert max(hi for _, hi in chain) <= 1e-7
+
+
+@FAST
+@given(pure_states(min_qubits=4), st.data())
+def test_concurrence_interval_matches_the_dense_group_interval(state, data):
+    n = state.n_qubits
+    group = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=3, max_size=n)))
+    side = data.draw(st.sampled_from(group))
+    fast = concurrence_interval(state, side, group)
+    slow = dense_concurrence_interval(slow_reduce(state, group), side=group.index(side))
+    assert fast.status == slow.status
+    # squared and, away from 0, plain, as in the chain test above: a side
+    # qubit in a product state has C = sqrt(2[1 - Tr rho²]) ~ 1e-8 of
+    # roundoff on either path
+    fast, slow = np.array(fast.bounds), np.array(slow.bounds)
+    assert np.max(np.abs(fast ** 2 - slow ** 2)) <= 1e-13
+    assert np.max(np.abs(fast - slow)[slow > 1e-6], initial=0.0) <= 1e-12

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entmono import (CapabilityError, DensityMatrix, DomainError,
-                     MeasureKind, ParameterError, assisted_estimate, bell,
-                     concurrence_interval, concurrence_pure,
-                     concurrence_two_qubit, eof, eof as _eof,
-                     example1_params, f_eof, f_renyi, g_tsallis, ghz,
-                     negativity, random_pure, renyi, schmidt3, seed_path,
-                     tsallis, w_state)
+from entmono import (CapabilityError, DensityMatrix, DimensionError,
+                     DomainError, MeasureKind, MeasureValue, ParameterError,
+                     assisted_estimate, bell, concurrence_interval,
+                     concurrence_pure, concurrence_two_qubit, eof,
+                     eof as _eof, example1_params, f_eof, f_renyi, g_tsallis,
+                     ghz, negativity, random_pure, renyi, schmidt3,
+                     seed_path, tsallis, w_state)
 
 EX1 = schmidt3(example1_params())
 SQ2 = math.sqrt(2.0)
@@ -87,24 +87,79 @@ class TestConcurrenceTwoQubit:
 
 class TestConcurrenceInterval:
     def test_pure_input_collapses(self):
-        rho = EX1.density_matrix()
-        mv = concurrence_interval(rho, side=0)
+        mv = concurrence_interval(EX1, 0, [0, 1, 2])
         assert mv.status == "exact"
         assert abs(mv.value - C_ABC) < 1e-10
 
     def test_ghz4_reduction(self):
-        rho = ghz(4).reduce([0, 1, 2])
-        mv = concurrence_interval(rho, side=0)
+        mv = concurrence_interval(ghz(4), 0, [0, 1, 2])
         assert mv.status == "interval"
         assert mv.lo == pytest.approx(0.0, abs=1e-12)  # pairwise concurrences vanish
         assert mv.hi == pytest.approx(1.0, abs=1e-10)  # sqrt(2 (1 - 1/2))
 
     def test_ordered_on_random_reductions(self):
         for i in range(500):
-            rho = random_pure(4, seed_path(77, i)).reduce([0, 1, 2])
-            mv = concurrence_interval(rho, side=0)
+            mv = concurrence_interval(random_pure(4, seed_path(77, i)), 0, [0, 1, 2])
             lo, hi = mv.bounds
             assert lo <= hi + 1e-12
+
+    def test_rejects_what_has_no_interval(self):
+        with pytest.raises(ParameterError):
+            concurrence_interval(EX1.reduce([0, 1, 2]), 0, [0, 1, 2])  # not a PureState
+        with pytest.raises(ParameterError):
+            concurrence_interval(ghz(4), [0, 1], [0, 1, 2])  # two side qubits
+        with pytest.raises(ParameterError):
+            concurrence_interval(ghz(4), 3, [0, 1, 2])  # side outside the group
+        with pytest.raises(DimensionError):
+            concurrence_interval(ghz(4), 0, [0, 1])  # a pair has its closed form
+
+
+class TestMeasureValueArithmetic:
+    def test_exact_stays_exact(self):
+        v = 2.0 * MeasureValue.exact(3.0) ** 2 + MeasureValue.exact(1.0)
+        assert (v.status, v.value) == ("exact", 19.0)
+
+    def test_interval_endpoints(self):
+        v = 2.0 * MeasureValue.interval(1.0, 2.0) ** 2 + MeasureValue.exact(1.0)
+        assert (v.status, v.bounds) == ("interval", (3.0, 9.0))
+
+    def test_heuristic_and_negative_multiples_raise(self):
+        with pytest.raises(CapabilityError):
+            MeasureValue.heuristic(0.5) ** 2
+        with pytest.raises(CapabilityError):
+            MeasureValue.exact(0.5) + MeasureValue.heuristic(0.5)
+        with pytest.raises(ParameterError):
+            -1.0 * MeasureValue.exact(0.5)
+
+
+GHZ3 = ghz(3)
+SIDE_ROUTES = {
+    "eof": lambda side: eof(GHZ3, side),
+    "tsallis": lambda side: tsallis(GHZ3, side, q=2.0),
+    "renyi": lambda side: renyi(GHZ3, side, order=2.0),
+    "concurrence_pure": lambda side: concurrence_pure(GHZ3, side),
+    "evaluate": lambda side: MeasureKind("cren").evaluate(GHZ3, side),
+    "negativity": lambda side: negativity(GHZ3, side),
+    "concurrence_interval": lambda side: concurrence_interval(GHZ3, side, [0, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("route", sorted(SIDE_ROUTES))
+class TestSideParsing:
+    def test_an_int_side_is_one_qubit(self, route):
+        assert SIDE_ROUTES[route](0) == SIDE_ROUTES[route]([0])
+
+    def test_empty_side(self, route):
+        with pytest.raises(ParameterError):
+            SIDE_ROUTES[route]([])
+
+    def test_out_of_range_side(self, route):
+        with pytest.raises(DimensionError):
+            SIDE_ROUTES[route](3)
+
+    def test_whole_register(self, route):
+        with pytest.raises(ParameterError):
+            SIDE_ROUTES[route]([0, 1, 2])
 
 
 class TestNegativity:

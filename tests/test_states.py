@@ -11,7 +11,8 @@ from entmono import (AMP_CAP, DensityMatrix, DimensionError, ParameterError,
                      concurrence_two_qubit,
                      example1_params, ghz, load_state, random_pure,
                      save_state, schmidt3, seed_path, w_state)
-from entmono.densemat import partial_trace
+
+from dense_reference import partial_trace
 
 
 def random_schmidt(rng) -> SchmidtParams:
