@@ -446,7 +446,8 @@ def measure_chain(state: PureState, family: BoundFamily, budget: int = 200,
     concurrences, all from one pair_concurrences call (bound_family keeps
     a monogamy Tsallis q within the window of the mixed-state closed
     form).  Polygamy pair values are heuristic assisted estimates (budget
-    restarts, pair i drawing from seed_path(seed, i - 1)).  The full value
+    restarts; pair i seeds seed_path(seed, i - 1), whose sub-streams 0
+    and 1 give the ensemble sizes and the draws).  The full value
     is the exact pure-state measure (an assisted value of a pure state
     equals the plain value).
     """

@@ -212,8 +212,8 @@ class MeasureKind:
 
         - the whole register gives the exact pure_value;
         - a 2-qubit group the exact two_qubit_value of its reduction;
-        - the concurrence of one qubit against a larger group the
-          certified concurrence_interval.
+        - the concurrence of one qubit (on either side: C is symmetric)
+          against a larger group the certified concurrence_interval.
 
         A 2x2-qubit DensityMatrix gives the exact two_qubit_value (side and
         group are then ignored).  Every other input raises CapabilityError:
@@ -235,8 +235,9 @@ class MeasureKind:
             return MeasureValue.exact(self.pure_value(state, side))
         if len(group) == 2:
             return MeasureValue.exact(self.two_qubit_value(state.reduce(group)))
-        if self.name == "concurrence" and len(side) == 1:
-            return concurrence_interval(state, side, group)
+        other = [j for j in group if j not in side]
+        if self.name == "concurrence" and 1 in (len(side), len(other)):
+            return concurrence_interval(state, min(side, other, key=len), group)
         raise CapabilityError(
             f"{self.name} on a mixed {len(group)}-subsystem state is not supported; "
             f"only 2x2-qubit states and one-qubit concurrence intervals are")
@@ -523,9 +524,14 @@ def assisted_estimate(rho: DensityMatrix, kind: MeasureKind, budget: int = 200,
     returned.  It is flagged heuristic and never feeds certified verdicts.
     The estimate is at least the non-assisted measure (every decomposition
     average dominates the convex-roof minimum) and is nondecreasing in
-    ``budget`` for a fixed seed.  Restart i draws from its own (seed, i)
-    stream; up to RESTART_BLOCK restarts are evaluated as one stack, so
-    memory stays bounded for any budget.
+    ``budget`` for a fixed seed.  It draws from two streams: restart i
+    takes its ensemble size m_i in [rank, rank²] from seed_path(seed, 0)
+    and a rank² x rank complex Gaussian block from seed_path(seed, 1),
+    restart-major, so no draw depends on ``budget`` or on the split into
+    RESTART_BLOCK stacks (which bound memory).  Rows m_i onward are zeroed
+    and each stack takes one batched QR: Householder steps keep zero rows
+    of A zero in Q, so each Q is the QR of the first m_i rows padded with
+    zero rows, whose members the p <= 1e-14 skip drops.
     """
     if not kind.assisted:
         raise ParameterError("assisted_estimate requires a kind with assisted=True")
@@ -535,50 +541,38 @@ def assisted_estimate(rho: DensityMatrix, kind: MeasureKind, budget: int = 200,
         raise ParameterError(f"budget must be nonnegative, got {budget}")
 
     evs, vecs = np.linalg.eigh(rho.matrix)
-    order = np.argsort(evs)[::-1]
-    evs, vecs = np.clip(evs[order], 0.0, None), vecs[:, order]
-    mask = evs > 1e-12
-    evs, vecs = evs[mask], vecs[:, mask]
-    rank = max(1, int(mask.sum()))
-    members = np.sqrt(evs)[:, None] * vecs.T  # rows: the unnormalized eigen-ensemble
+    keep = evs > 1e-12  # a unit-trace state keeps at least one
+    # rows: the unnormalized eigen-ensemble, largest weight first
+    members = (np.sqrt(evs[keep]) * vecs[:, keep]).T[::-1]
+    rank = len(members)
 
-    best = float(_ensemble_averages([np.eye(rank)], members, kind)[0])
+    sizes, draws = (np.random.default_rng(seed_path(seed, s)) for s in (0, 1))
+    rows = np.arange(rank * rank)[:, None]
+    best = float(_ensemble_averages(np.eye(rank)[None], members, kind)[0])
     for start in range(0, budget, RESTART_BLOCK):
-        draws = []
-        for i in range(start, min(budget, start + RESTART_BLOCK)):
-            rng = np.random.default_rng(seed_path(seed, i))
-            m = int(rng.integers(rank, rank * rank + 1)) if rank > 1 else 1
-            draws.append(rng.normal(size=(m, rank)) + 1j * rng.normal(size=(m, rank)))
-        mixes = _q_factors(draws)
-        best = max(best, float(np.max(_ensemble_averages(mixes, members, kind))))
+        k = min(budget - start, RESTART_BLOCK)
+        m = sizes.integers(rank, rank * rank + 1, size=k)
+        z = draws.normal(size=(k, 2, rank * rank, rank))
+        z = np.where(rows < m[:, None, None], z[:, 0] + 1j * z[:, 1], 0.0)
+        best = max(best, float(np.max(_ensemble_averages(np.linalg.qr(z)[0], members, kind))))
     return MeasureValue.heuristic(best)
 
 
-def _q_factors(draws) -> list:
-    """Q of the reduced QR decomposition of each matrix, one LAPACK stack per shape."""
-    out = [None] * len(draws)
-    for shape in {z.shape for z in draws}:
-        idx = [k for k, z in enumerate(draws) if z.shape == shape]
-        for k, q in zip(idx, np.linalg.qr(np.stack([draws[k] for k in idx]))[0]):
-            out[k] = q
-    return out
-
-
-def _ensemble_averages(mixes, members: np.ndarray, kind: MeasureKind) -> np.ndarray:
-    """Ensemble average of kind for each isometry u in mixes.
+def _ensemble_averages(mixes: np.ndarray, members: np.ndarray, kind: MeasureKind) -> np.ndarray:
+    """Ensemble average of kind for each isometry u in a (k, m, rank) stack.
 
     The rows of u @ members are the unnormalized pure members of one
     decomposition, with weights p = |row|²; members with p <= 1e-14 are
     skipped.  All ensembles are evaluated in one stack.
     """
-    tilde = np.concatenate(mixes) @ members
-    probs = np.sum(np.abs(tilde) ** 2, axis=1)
+    tilde = mixes @ members
+    probs = np.sum(np.abs(tilde) ** 2, axis=-1)
     live = probs > 1e-14
     p = probs[live]
-    terms = np.zeros(probs.size)
+    terms = np.zeros(probs.shape)
     terms[live] = p * kind.from_concurrence(
         _pure_two_qubit_concurrence(tilde[live] / np.sqrt(p)[:, None]))
-    return np.add.reduceat(terms, np.cumsum([0] + [len(u) for u in mixes[:-1]]))
+    return terms.sum(axis=1)
 
 
 def _unit_interval(x, what: str) -> np.ndarray:

@@ -17,7 +17,7 @@ from entmono import (DensityMatrix, DomainError, MeasureKind,
                      concurrence_pure, concurrence_two_qubit, eof,
                      extract_mu_l, f_eof, f_renyi, g_tsallis, random_pure,
                      renyi, seed_path, tsallis)
-from entmono import corpus
+from entmono import corpus, measures
 from entmono.measures import wootters_concurrence
 from entmono.states import haar_block
 
@@ -134,7 +134,12 @@ def lemma2_reference(samples, seed):
 
 
 def assisted_reference(rho: DensityMatrix, kind: MeasureKind, budget: int, seed) -> float:
-    """The per-member, per-restart loop with the same restart streams."""
+    """The per-member, per-restart loop on the same two streams.
+
+    Restart i takes its size m from the sizes stream and a full rank² x rank
+    Gaussian block from the draws stream, then the QR of the block's first
+    m rows alone.
+    """
     evs, vecs = np.linalg.eigh(rho.matrix)
     order = np.argsort(evs)[::-1]
     evs, vecs = np.clip(evs[order], 0.0, None), vecs[:, order]
@@ -152,12 +157,13 @@ def assisted_reference(rho: DensityMatrix, kind: MeasureKind, budget: int, seed)
                 total += p * float(kind.from_concurrence(c))
         return total
 
+    sizes = np.random.default_rng(seed_path(seed, 0))
+    draws = np.random.default_rng(seed_path(seed, 1))
     best = average(np.eye(rank))
-    for i in range(budget):
-        rng = np.random.default_rng(seed_path(seed, i))
-        m = int(rng.integers(rank, rank * rank + 1)) if rank > 1 else 1
-        z = rng.normal(size=(m, rank)) + 1j * rng.normal(size=(m, rank))
-        best = max(best, average(np.linalg.qr(z)[0]))
+    for _ in range(budget):
+        m = int(sizes.integers(rank, rank * rank + 1))
+        g = draws.normal(size=(2, rank * rank, rank))
+        best = max(best, average(np.linalg.qr((g[0] + 1j * g[1])[:m])[0]))
     return best
 
 
@@ -314,8 +320,11 @@ ASSISTED = [MeasureKind("eof", assisted=True), MeasureKind("tsallis", q=2.0, ass
 
 
 @FAST
-@given(seeds, st.integers(3, 4), st.integers(0, 12), st.sampled_from(ASSISTED))
-def test_assisted_estimate_matches_member_loop(seed, n, budget, kind):
+@given(seeds, st.integers(3, 4), st.integers(0, 12), st.sampled_from(ASSISTED),
+       st.integers(1, 5))
+def test_assisted_estimate_matches_member_loop(seed, n, budget, kind, block):
+    # small RESTART_BLOCK values split the restarts into several QR stacks
     rho = random_pure(n, seed_path(seed, 0)).reduce([0, 1])
-    fast = assisted_estimate(rho, kind, budget=budget, seed=seed_path(seed, 1)).value
+    with mock.patch.object(measures, "RESTART_BLOCK", block):
+        fast = assisted_estimate(rho, kind, budget=budget, seed=seed_path(seed, 1)).value
     assert abs(fast - assisted_reference(rho, kind, budget, seed_path(seed, 1))) < 1e-12

@@ -435,6 +435,19 @@ def test_concurrence_interval_past_the_dense_cap(capsys):
     assert rec["hi"] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("preset,partition,mirror", [
+    ("ghz:4", "AB|C", "C|AB"), ("w:4", "AB|C", "C|AB"), ("w:5", "ACD|B", "B|ACD")])
+def test_concurrence_interval_takes_the_one_qubit_side(preset, partition, mirror, capsys):
+    # C is symmetric in the cut, so a one-qubit right side gives the same interval
+    code, rec, _ = run_json(["measure", "--preset", preset, "--kind", "concurrence",
+                             "--partition", partition], capsys)
+    _, ref, _ = run_json(["measure", "--preset", preset, "--kind", "concurrence",
+                          "--partition", mirror], capsys)
+    assert code == 0
+    assert (rec["value"], rec.get("lo"), rec.get("hi")) == \
+        (ref["value"], ref.get("lo"), ref.get("hi"))
+
+
 @pytest.mark.parametrize("partition", ["A|B", "A|BC"])
 def test_huge_renyi_order_stays_finite(partition, capsys):
     # the order-a powers of the spectrum underflow; the value tends to -log2 p_max

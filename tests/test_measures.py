@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from entmono import (CapabilityError, DensityMatrix, DimensionError,
                      DomainError, MeasureKind, MeasureValue, ParameterError,
-                     assisted_estimate, bell, concurrence_interval,
+                     PureState, assisted_estimate, bell, concurrence_interval,
                      concurrence_pure, concurrence_two_qubit, eof,
                      eof as _eof, example1_params, f_eof, f_renyi, g_tsallis,
                      ghz, negativity, random_pure, renyi, schmidt3,
@@ -347,6 +347,10 @@ class TestAdditivityGrids:
                 g_tsallis(x * x, q) + g_tsallis(y * y, q) + 1e-12
 
 
+ASSISTED = [MeasureKind("eof", assisted=True), MeasureKind("tsallis", q=2.0, assisted=True),
+            MeasureKind("renyi", order=1.2, assisted=True)]
+
+
 class TestAssistedEstimate:
     def test_rank_one_equals_plain(self):
         state = random_pure(2, 5)
@@ -369,6 +373,33 @@ class TestAssistedEstimate:
             vals = [assisted_estimate(rho, kind, budget=b, seed=seed).value
                     for b in (0, 5, 20, 60)]
             assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_monotone_across_restart_blocks(self, rank):
+        # a 4-qubit Haar state with its CD part cut to `rank` basis states:
+        # rho_AB has rank `rank`, so ensembles reach rank² = 16 members
+        for i in range(2):
+            amps = random_pure(4, seed_path(141, rank, i)).amplitudes.reshape(4, 4).copy()
+            amps[:, rank:] = 0.0
+            rho = PureState(amps.ravel() / np.linalg.norm(amps), (2,) * 4).reduce([0, 1])
+            for kind in ASSISTED:
+                vals = [assisted_estimate(rho, kind, budget=b, seed=i).value
+                        for b in (0, 255, 256, 257, 513)]
+                assert all(a <= b for a, b in zip(vals, vals[1:]))
+                assert assisted_estimate(rho, kind, budget=513, seed=i).value == vals[-1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 4), st.integers(0, 40),
+           st.sampled_from([MeasureKind("eof", assisted=True)] +
+                           [MeasureKind("tsallis", q=q, assisted=True) for q in (1.5, 2.0, 3.5)]))
+    def test_between_the_convex_roof_and_the_marginal_entropy(self, seed, n, budget, kind):
+        # every decomposition average is at least the convex roof, and by
+        # concavity of the entropy at most the entropy of the A marginal
+        state = random_pure(n, seed_path(seed, 0))
+        j = 1 + seed % (n - 1)
+        rho = state.reduce([0, j])
+        est = assisted_estimate(rho, kind, budget=budget, seed=seed_path(seed, 1)).value
+        assert kind.two_qubit_value(rho) - 1e-12 <= est <= kind.pure_value(state, [0]) + 1e-12
 
     def test_dominates_plain_measure(self):
         for i in range(10):
