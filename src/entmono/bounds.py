@@ -34,6 +34,8 @@ always be evaluated.
 import math
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from .errors import CapabilityError, ParameterError
 from .measures import (MeasureKind, MeasureValue, assisted_estimate,
                        group_concurrence, pair_concurrences)
@@ -245,21 +247,38 @@ class BoundReport:
         return {**asdict(self), "conditions": self.conditions.to_dict()}
 
 
-def coefficient_K(mu: float, ell: float, alpha: float, family: BoundFamily) -> float:
+def coefficient_K(mu, ell, alpha, family: BoundFamily):
     """Tightening weight (mu + l)^s - l^s with s = alpha / scale_div.
 
-    Requires alpha in the family domain, mu > 0 and l >= 0 (so the powers
-    are real); theorem-range checks on mu and l are left to the condition
-    reports.  For monogamy parameters mu, l >= 1 the weight is at least
-    2^s - 1.
+    Requires alpha in the family domain, mu > 0 and l >= 0, all finite (so
+    the powers are real); theorem-range checks on mu and l are left to the
+    condition reports.  For monogamy parameters mu, l >= 1 the weight is at
+    least 2^s - 1.
+
+    Scalars give a float.  If any argument is an ndarray the three
+    broadcast and the weights come back as an array; every entry is
+    checked once per call, and a bad one raises the ParameterError of a
+    scalar call.
     """
-    mu, ell, alpha = float(mu), float(ell), float(alpha)
-    if not family.alpha_ok(alpha):
-        raise ParameterError(
-            f"alpha={alpha} outside [{family.alpha_min}, {family.alpha_max}] "
-            f"for {family.label}")
-    if mu <= 0 or ell < 0 or not (math.isfinite(mu) and math.isfinite(ell)):
-        raise ParameterError(f"require mu > 0 and l >= 0, got mu={mu}, l={ell}")
+    # plain floats, the hot scalar case, skip the ndarray tests
+    floats = type(mu) is float and type(ell) is float and type(alpha) is float
+    if not floats and (isinstance(mu, np.ndarray) or isinstance(ell, np.ndarray)
+                       or isinstance(alpha, np.ndarray)):
+        mu, ell, alpha = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                               for v in (mu, ell, alpha)))
+        if mu.size:
+            # every check is a range, so checking the smallest and largest
+            # entries checks them all; NaN propagates through min and max
+            for extreme in (np.min, np.max):
+                coefficient_K(extreme(mu), extreme(ell), extreme(alpha), family)
+    else:
+        mu, ell, alpha = float(mu), float(ell), float(alpha)
+        if not family.alpha_ok(alpha):
+            raise ParameterError(
+                f"alpha={alpha} outside [{family.alpha_min}, {family.alpha_max}] "
+                f"for {family.label}")
+        if not (0.0 < mu < math.inf and 0.0 <= ell < math.inf):
+            raise ParameterError(f"require mu > 0 and l >= 0, got mu={mu}, l={ell}")
     s = family.scale(alpha)
     return (mu + ell) ** s - ell ** s
 
@@ -333,6 +352,22 @@ def rhs_assemble(values, params: BoundParams) -> RhsBreakdown:
 PRIOR_KINDS = ("ckw", "jf", "kf")
 
 
+def prior_weight(kind: str, s, k=None):
+    """Per-step weight of a prior bound at coefficient exponent s.
+
+    1 for "ckw", 2^s - 1 for "jf" and ((1+k)^s - 1)/k^s for "kf";
+    elementwise for arrays s and k.  An unknown kind raises
+    ParameterError; k is not checked here (prior_rhs checks it).
+    """
+    if kind == "ckw":
+        return 1.0
+    if kind == "jf":
+        return 2.0 ** s - 1.0
+    if kind == "kf":
+        return ((1.0 + k) ** s - 1.0) / k ** s
+    raise ParameterError(f"unknown prior kind {kind!r}; expected one of {PRIOR_KINDS}")
+
+
 def prior_rhs(values, alpha: float, family: BoundFamily, kind: str,
               k: float = None, split: int = None) -> float:
     """Right-hand side of one of the three prior bounds.
@@ -345,19 +380,11 @@ def prior_rhs(values, alpha: float, family: BoundFamily, kind: str,
         raise ParameterError(f"need at least 2 pairwise values, got {len(values)}")
     if not family.alpha_ok(alpha):
         raise ParameterError(f"alpha={alpha} outside the domain of {family.label}")
-    s = family.scale(alpha)
-    if kind == "ckw":
-        c = 1.0
-    elif kind == "jf":
-        c = 2.0 ** s - 1.0
-    elif kind == "kf":
-        if k is None or not 0.0 < k <= 1.0:
-            raise ParameterError(f"kf comparator requires 0 < k <= 1, got {k}")
-        c = ((1.0 + k) ** s - 1.0) / k ** s
-    else:
-        raise ParameterError(f"unknown prior kind {kind!r}; expected one of {PRIOR_KINDS}")
+    if kind == "kf" and (k is None or not 0.0 < k <= 1.0):
+        raise ParameterError(f"kf comparator requires 0 < k <= 1, got {k}")
+    c = prior_weight(kind, family.scale(alpha), k)
     coeffs = _coefficient_layout([c] * (len(values) - 1), split, len(values))
-    return sum(cf * v ** alpha for cf, v in zip(coeffs, values))
+    return sum([cf * v ** alpha for cf, v in zip(coeffs, values)])
 
 
 def extract_mu_l(chain, pairs, family: BoundFamily, split: int = None):

@@ -17,8 +17,11 @@ the shared pure-state kernels of :mod:`measures`, marginal_spectra and
 pair_concurrences, on the whole block, the same kernels measure_chain
 calls on one state.  Slack arrays are recorded with
 :meth:`SuiteResult.record_all`, which keeps the first five offenders in
-sample order.  lemma2 keeps a per-sample loop for the (mu, l) extraction
-and the weights; lemma1 and hierarchy draw their scalars in one block.
+sample order.  lemma1 and hierarchy draw their scalars in one block and
+evaluate them as arrays; hierarchy's weights come from the broadcasting
+bounds.coefficient_K and bounds.prior_weight.  lemma2 extracts (mu, l)
+sample by sample through bounds.extract_mu_l, then evaluates every
+(sample, alpha, variant) slack of a block as one array.
 """
 
 import math
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import bound_family, coefficient_K, extract_mu_l
+from .bounds import bound_family, coefficient_K, extract_mu_l, prior_weight
 from .errors import ParameterError
 from .measures import (MeasureKind, f_eof, f_renyi, g_tsallis,
                        marginal_spectra, pair_concurrences)
@@ -161,20 +164,20 @@ def suite_hierarchy(samples: int, seed: int) -> SuiteResult:
     mus = rng.uniform(1.0, 5.0, samples)
     ks = rng.uniform(1e-3, 1.0, samples)
     alphas = rng.uniform(2.0, 6.0, samples)
-    for i in range(samples):
-        mu, k, alpha = float(mus[i]), float(ks[i]), float(alphas[i])
-        s = alpha / 2.0
-        ours = coefficient_K(mu, 1.0 / k, alpha, fam)
-        kf = ((1.0 + k) ** s - 1.0) / k ** s
-        jf = 2.0 ** s - 1.0
-        # normalize: kf grows like 2^s/k^s, so compare relative slack
-        scale = max(1.0, kf)
-        res.record(min((ours - kf) / scale, (kf - jf) / scale),
-                   {"sample": i, "mu": mu, "k": k, "alpha": alpha})
+    s = fam.scale(alphas)
+    ours = coefficient_K(mus, 1.0 / ks, alphas, fam)
+    kf = prior_weight("kf", s, ks)
+    jf = prior_weight("jf", s)
+    # normalize: kf grows like 2^s/k^s, so compare relative slack
+    scale = np.maximum(1.0, kf)
+    res.record_all(np.minimum((ours - kf) / scale, (kf - jf) / scale),
+                   lambda i: {"sample": i, "mu": float(mus[i]), "k": float(ks[i]),
+                              "alpha": float(alphas[i])})
     return res
 
 
 LEMMA2_ALPHAS = (2.0, 2.5, 3.0, 4.0)
+LEMMA2_VARIANTS = ("extracted", "l=1")
 
 
 def suite_lemma2(samples: int, seed: int) -> SuiteResult:
@@ -186,23 +189,33 @@ def suite_lemma2(samples: int, seed: int) -> SuiteResult:
     """
     res = SuiteResult("lemma2", samples, seed, tolerance=1e-9)
     fam = bound_family("concurrence")
+    alphas = np.array(LEMMA2_ALPHAS)[:, None]   # the (alpha, variant) axes
     for start, amps in _blocks(3, samples, seed):
-        c_full = MeasureKind("concurrence").from_spectrum(marginal_spectra(amps, (2, 2, 2), [0]))
-        rows = zip(c_full.tolist(), pair_concurrences(amps, (2, 2, 2)).tolist())
-        for i, (c_abc, (c_ab, c_ac)) in enumerate(rows, start):
-            (mu,), (ell,) = extract_mu_l([c_abc, c_ac], [c_ab], fam)
-            if mu is None:
-                continue  # A carries no entanglement with C: bound is trivial
-            for alpha in LEMMA2_ALPHAS:
-                rhs = c_ab ** alpha + coefficient_K(mu, ell, alpha, fam) * c_ac ** alpha
-                res.record(c_abc ** alpha - rhs,
-                           {"sample": i, "alpha": alpha, "mu": mu, "ell": ell,
-                            "variant": "extracted"})
-                if ell >= 1.0:
-                    rhs1 = c_ab ** alpha + coefficient_K(mu, 1.0, alpha, fam) * c_ac ** alpha
-                    res.record(c_abc ** alpha - rhs1,
-                               {"sample": i, "alpha": alpha, "mu": mu, "ell": 1.0,
-                                "variant": "l=1"})
+        c_abc = MeasureKind("concurrence").from_spectrum(marginal_spectra(amps, (2, 2, 2), [0]))
+        c_ab, c_ac = pair_concurrences(amps, (2, 2, 2)).T
+        rows = []
+        for i, (full, ab, ac) in enumerate(zip(c_abc.tolist(), c_ab.tolist(), c_ac.tolist())):
+            (mu,), (ell,) = extract_mu_l([full, ac], [ab], fam)
+            if mu is not None:  # else A carries no entanglement with C: bound is trivial
+                rows.append((i, mu, ell))
+        if not rows:
+            continue
+        idx, mu, ell = (np.array(col) for col in zip(*rows))
+        # slacks on a (sample, alpha, variant) grid, which flattens in the
+        # order of a per-sample loop; the variants are the extracted l and l = 1
+        ells = np.stack([ell, np.ones_like(ell)], axis=-1)[:, None, :]
+        k = coefficient_K(mu[:, None, None], ells, alphas, fam)
+        full, ab, ac = (x[idx, None, None] for x in (c_abc, c_ab, c_ac))
+        slack = full ** alphas - (ab ** alphas + k * ac ** alphas)
+        # the l = 1 instance applies only where the extracted l >= 1
+        slack[..., 1] = np.where(ell[:, None] >= 1.0, slack[..., 1], np.inf)
+
+        def detail(j):
+            r, ia, v = np.unravel_index(j, slack.shape)
+            return {"sample": start + int(idx[r]), "alpha": LEMMA2_ALPHAS[ia],
+                    "mu": float(mu[r]), "ell": float(ells[r, 0, v]),
+                    "variant": LEMMA2_VARIANTS[v]}
+        res.record_all(slack, detail)
     return res
 
 

@@ -224,29 +224,40 @@ def random_pure(n: int, seed) -> PureState:
         raise ParameterError(f"random_pure requires n >= 1 qubits, got {n}")
     _check_qubits(n)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return PureState(_haar_vector(rng, 2 ** n), (2,) * n)
+    return PureState(_haar_rows(rng.normal(size=(1, 2 ** (n + 1))))[0], (2,) * n)
 
 
 def haar_block(n: int, seed, start: int, stop: int) -> np.ndarray:
     """Amplitudes of random_pure(n, seed_path(seed, i)) for start <= i < stop.
 
-    One row per sample, each drawn from its own (seed, i) stream in the
-    same order as :func:`random_pure`, so a block holds exactly the states
-    of the one-state-at-a-time path.  The rows pass the PureState checks
-    (finite, norm² within NORM_TOL of 1) as one block.
+    One row per sample, each drawn from its own (seed, i) stream by the one
+    draw of :func:`random_pure`, so a block holds exactly the states of the
+    one-state-at-a-time path.  The base path seed_path(seed) is built once
+    per block, and the draws become unit vectors together
+    (:func:`_haar_rows`).  The rows pass the PureState checks (finite,
+    norm² within NORM_TOL of 1) as one block.
     """
     d = 2 ** n
-    out = np.empty((stop - start, d), dtype=complex)
+    base = seed_path(seed)
+    g = np.empty((stop - start, 2 * d))
     for row, i in enumerate(range(start, stop)):
-        out[row] = _haar_vector(np.random.default_rng(seed_path(seed, i)), d)
+        g[row] = np.random.default_rng(base + (i,)).normal(size=2 * d)
+    out = _haar_rows(g)
     _check_unit(out)
     return out
 
 
-def _haar_vector(rng, d: int) -> np.ndarray:
-    # real parts first, then imaginary parts: the draw order fixes the sample set
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    v /= np.linalg.norm(v)
+def _haar_rows(g: np.ndarray) -> np.ndarray:
+    """Unit complex vectors from rows of 2d iid normals.
+
+    Each row is one draw, real parts first, then imaginary parts (the same
+    stream as two draws of d); the draw order fixes the sample set.  Each
+    row is divided by its own np.linalg.norm: a norm over the whole block
+    sums in another order and moves amplitudes in the last bits.
+    """
+    d = g.shape[1] // 2
+    v = g[:, :d] + 1j * g[:, d:]
+    v /= np.array([np.linalg.norm(row) for row in v])[:, None]
     return v
 
 

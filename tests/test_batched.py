@@ -1,8 +1,9 @@
 """Property tests of the batched kernels against per-sample references:
 the stacked Wootters concurrence against the Hill-Wootters eigenvalue form
 and 2|ad - bc|, the blocked corpus suites against one-sample-at-a-time
-loops, the vectorized closed forms against scalar ``math`` versions, and
-the stacked assisted estimator against its per-member loop."""
+loops, the vectorized closed forms and the broadcasting coefficient_K
+against scalar calls, the Haar samples against two plain normal draws,
+and the stacked assisted estimator against its per-member loop."""
 
 import math
 from unittest import mock
@@ -13,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entmono import (DensityMatrix, DomainError, MeasureKind,
-                     assisted_estimate, bound_family, coefficient_K,
-                     concurrence_pure, concurrence_two_qubit, eof,
-                     extract_mu_l, f_eof, f_renyi, g_tsallis, random_pure,
-                     renyi, seed_path, tsallis)
+                     ParameterError, assisted_estimate, bound_family,
+                     coefficient_K, concurrence_pure, concurrence_two_qubit,
+                     eof, extract_mu_l, f_eof, f_renyi, g_tsallis,
+                     random_pure, renyi, seed_path, tsallis)
 from entmono import corpus, measures
 from entmono.measures import wootters_concurrence
 from entmono.states import haar_block
@@ -108,6 +109,25 @@ def consistency_reference(samples, seed):
         for order in corpus.CONSISTENCY_ORDERS:
             devs.append(abs(float(renyi(state, [0], order=order)) - f_renyi_ref(c, order)))
         res.record(-max(devs), {"sample": i, "concurrence": c, "max_dev": max(devs)})
+    return res
+
+
+def hierarchy_reference(samples, seed):
+    res = corpus.SuiteResult("hierarchy", samples, seed, tolerance=1e-12)
+    fam = bound_family("concurrence")
+    rng = np.random.default_rng(seed_path(seed))
+    mus = rng.uniform(1.0, 5.0, samples)
+    ks = rng.uniform(1e-3, 1.0, samples)
+    alphas = rng.uniform(2.0, 6.0, samples)
+    for i in range(samples):
+        mu, k, alpha = float(mus[i]), float(ks[i]), float(alphas[i])
+        s = alpha / 2.0
+        ours = coefficient_K(mu, 1.0 / k, alpha, fam)
+        kf = ((1.0 + k) ** s - 1.0) / k ** s
+        jf = 2.0 ** s - 1.0
+        scale = max(1.0, kf)
+        res.record(min((ours - kf) / scale, (kf - jf) / scale),
+                   {"sample": i, "mu": mu, "k": k, "alpha": alpha})
     return res
 
 
@@ -244,6 +264,20 @@ def test_haar_block_rows_are_the_per_sample_states(seed, count, n):
         assert np.array_equal(row, random_pure(n, seed_path(seed, i)).amplitudes)
 
 
+@FAST
+@given(seeds, st.integers(0, 50), st.integers(1, 6))
+def test_haar_samples_are_two_plain_normal_draws(seed, index, n):
+    # pins the sample set independently of states: a stream's d real parts,
+    # then its d imaginary parts, divided by np.linalg.norm
+    path = seed_path(seed, index)
+    rng = np.random.default_rng(path)
+    d = 2 ** n
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    v /= np.linalg.norm(v)
+    assert random_pure(n, path).amplitudes.tobytes() == v.tobytes()
+    assert haar_block(n, seed, index, index + 1)[0].tobytes() == v.tobytes()
+
+
 def assert_same_result(fast, slow):
     assert fast.violations == slow.violations
     assert fast.passed == slow.passed
@@ -258,9 +292,33 @@ def test_batched_suites_match_per_sample_loops(seed, samples, block):
         for name, reference in (("lemma1", lemma1_reference),
                                 ("ckw", ckw_reference),
                                 ("consistency", consistency_reference),
+                                ("hierarchy", hierarchy_reference),
                                 ("lemma2", lemma2_reference)):
             assert_same_result(corpus.run_suite(name, samples, seed),
                                reference(samples, seed))
+
+
+@FAST
+@given(seeds, st.integers(1, 40), st.integers(1, 16))
+def test_offenders_match_per_sample_loops(seed, samples, block):
+    # a tolerance of -inf makes every finite slack offend, so the first five
+    # offenders of each suite are compared key by key, value by value and
+    # in order
+    suite_result = corpus.SuiteResult
+
+    def every_sample_offends(suite, samples, seed, tolerance):
+        return suite_result(suite, samples, seed, tolerance=-math.inf)
+
+    with mock.patch.object(corpus, "BLOCK", block), \
+            mock.patch.object(corpus, "SuiteResult", every_sample_offends):
+        for name, reference in (("lemma1", lemma1_reference),
+                                ("hierarchy", hierarchy_reference),
+                                ("lemma2", lemma2_reference)):
+            fast, slow = corpus.run_suite(name, samples, seed), reference(samples, seed)
+            assert fast.violations == slow.violations > 0
+            assert fast.offenders == slow.offenders
+            assert [list(o) for o in fast.offenders] == [list(o) for o in slow.offenders]
+            assert abs(fast.worst_slack - slow.worst_slack) <= 1e-12
 
 
 @FAST
@@ -311,6 +369,64 @@ def test_closed_forms_reject_any_out_of_range_element(bad):
             fn(bad)
         with pytest.raises(DomainError):
             fn(np.array([0.2, bad, 0.7]))
+
+
+FAMILIES = [bound_family("concurrence"), bound_family("eof"),
+            bound_family("tsallis", q=2.5), bound_family("eof", "polygamy")]
+
+
+@st.composite
+def coefficient_args(draw):
+    """A family and equal-length lists of valid mu, l and alpha."""
+    fam = draw(st.sampled_from(FAMILIES))
+    size = draw(st.integers(1, 12))
+    vals = lambda lo, hi: draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size))
+    return (fam, vals(1e-3, 10.0), vals(0.0, 10.0),
+            vals(fam.alpha_min, min(fam.alpha_max, fam.alpha_min + 6.0)))
+
+
+@FAST
+@given(coefficient_args())
+def test_coefficient_K_broadcasts_the_scalar_weight(args):
+    fam, mus, ells, alphas = args
+    scalar = [coefficient_K(m, l, a, fam) for m, l, a in zip(mus, ells, alphas)]
+    assert all(type(v) is float for v in scalar)
+    batch = coefficient_K(np.array(mus), np.array(ells), np.array(alphas), fam)
+    assert isinstance(batch, np.ndarray) and batch.shape == (len(mus),)
+    for v, b in zip(scalar, batch):
+        assert abs(b - v) <= 1e-12 * max(1.0, abs(v))
+    # (mu, 1) against (1, alpha) broadcasts to the full table; scalars mix in
+    table = coefficient_K(np.array(mus)[:, None], ells[0], np.array(alphas)[None, :], fam)
+    assert table.shape == (len(mus), len(alphas))
+    for i, m in enumerate(mus):
+        for j, a in enumerate(alphas):
+            v = coefficient_K(m, ells[0], a, fam)
+            assert abs(table[i, j] - v) <= 1e-12 * max(1.0, abs(v))
+
+
+def test_coefficient_K_scalars_give_floats():
+    fam = bound_family("concurrence")
+    for args in ((2.0, 1.5, 3.0), (2, 1, 3), (np.float64(2.0), np.float64(1.5), 3.0)):
+        assert type(coefficient_K(*args, fam)) is float
+
+
+@FAST
+@given(coefficient_args(), st.sampled_from(["alpha_low", "mu_zero", "mu_negative",
+                                            "ell_negative", "nan_mu", "nan_ell",
+                                            "nan_alpha"]),
+       st.integers(0, 11))
+def test_coefficient_K_rejects_any_bad_entry(args, case, where):
+    fam, mus, ells, alphas = (args[0], *(np.array(v) for v in args[1:]))
+    at = where % mus.size
+    target, bad = {"alpha_low": (alphas, fam.alpha_min - 0.5), "mu_zero": (mus, 0.0),
+                   "mu_negative": (mus, -1.0), "ell_negative": (ells, -0.5),
+                   "nan_mu": (mus, math.nan), "nan_ell": (ells, math.nan),
+                   "nan_alpha": (alphas, math.nan)}[case]
+    target[at] = bad
+    with pytest.raises(ParameterError):
+        coefficient_K(mus, ells, alphas, fam)
+    with pytest.raises(ParameterError):
+        coefficient_K(float(mus[at]), float(ells[at]), float(alphas[at]), fam)
 
 
 # -- assisted estimator ------------------------------------------------------

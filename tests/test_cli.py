@@ -504,6 +504,25 @@ class TestCorpus:
         assert [s["suite"] for s in rec["suites"]] == \
             ["lemma1", "ckw", "consistency", "hierarchy", "lemma2"]
 
+    # corpus --suite all --seed 7 at the default sizes as the per-sample
+    # loops printed it: (samples, violations, worst_slack) per suite, and no
+    # offenders; an array evaluation may move a worst_slack by roundoff only
+    SEED7 = {"lemma1": (100000, 0, 8.78318702213e-08),
+             "ckw": (1000, 0, 0.0069345480117),
+             "consistency": (1000, 0, -5.72458747072e-15),
+             "hierarchy": (10000, 0, 1.28252817941e-05),
+             "lemma2": (200, 0, -3.33066907388e-16)}
+
+    def test_default_sizes_keep_the_sample_set(self, capsys):
+        code, rec, _ = run_json(["corpus", "--suite", "all", "--seed", "7"], capsys)
+        assert code == 0 and rec["passed"] is True
+        assert [s["suite"] for s in rec["suites"]] == list(self.SEED7)
+        for suite in rec["suites"]:
+            samples, violations, worst = self.SEED7[suite["suite"]]
+            assert (suite["samples"], suite["violations"], suite["passed"],
+                    suite["offenders"]) == (samples, violations, True, [])
+            assert abs(suite["worst_slack"] - worst) <= 1e-12
+
 
 def test_entry_point_subprocess():
     out = subprocess.run(
