@@ -32,7 +32,7 @@ always be evaluated.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -71,10 +71,18 @@ class BoundFamily:
     alpha_min: float
     alpha_max: float
 
-    def scale(self, alpha: float) -> float:
+    def scale(self, alpha):
         return alpha / self.scale_div
 
-    def alpha_ok(self, alpha: float) -> bool:
+    def alpha_ok(self, alpha) -> bool:
+        """alpha is finite and inside [alpha_min, alpha_max] (1e-12 slack).
+
+        alpha may be a 1-D array: it is inside when its smallest and
+        largest entries are, since the check is a range (NaN propagates
+        through min and max).
+        """
+        if isinstance(alpha, np.ndarray):
+            return self.alpha_ok(float(alpha.min())) and self.alpha_ok(float(alpha.max()))
         return math.isfinite(alpha) and self.alpha_min - 1e-12 <= alpha <= self.alpha_max + 1e-12
 
     def mu_ok(self, mu: float) -> bool:
@@ -144,7 +152,8 @@ class BoundParams:
     feasible parameters (exact only for three-qubit pure states); giving
     only one of them is a ParameterError.  split of None is
     the all-steps chain; split m in [1, N-2] groups steps m+1..N-2 with
-    the swapped-role hypotheses.
+    the swapped-role hypotheses.  alpha is a float, or a 1-D array of
+    exponents (a sweep's grid) checked by BoundFamily.alpha_ok.
     """
 
     family: BoundFamily
@@ -155,8 +164,10 @@ class BoundParams:
 
     def __post_init__(self):
         if not self.family.alpha_ok(self.alpha):
+            shown = (self.alpha if np.ndim(self.alpha) == 0
+                     else f"{np.min(self.alpha)}..{np.max(self.alpha)}")
             raise ParameterError(
-                f"alpha={self.alpha} is not finite or outside [{self.family.alpha_min}, "
+                f"alpha={shown} is not finite or outside [{self.family.alpha_min}, "
                 f"{self.family.alpha_max}] for {self.family.label}")
         for name in ("mu", "ell"):
             vals = getattr(self, name)
@@ -219,7 +230,7 @@ class ConditionReport:
         return "fails"
 
     def to_dict(self) -> dict:
-        return {"summary": self.summary, "steps": [asdict(s) for s in self.steps]}
+        return {"summary": self.summary, "steps": [_fields(s) for s in self.steps]}
 
 
 @dataclass(frozen=True)
@@ -243,8 +254,22 @@ class BoundReport:
     value_status: str      # exact | heuristic (pairwise value provenance)
 
     def to_dict(self) -> dict:
-        """The fields in order, with the conditions' summary added."""
-        return {**asdict(self), "conditions": self.conditions.to_dict()}
+        """The fields in order, with the conditions' summary added.
+
+        Built from the fields directly: the terms become a tuple of dicts
+        and the priors a new dict, as dataclasses.asdict gives them, but
+        no value is deep-copied.
+        """
+        out = _fields(self)
+        out["terms"] = tuple(_fields(t) for t in self.terms)
+        out["conditions"] = self.conditions.to_dict()
+        out["priors"] = dict(self.priors)
+        return out
+
+
+def _fields(record) -> dict:
+    """A dataclass record's fields as a new dict, in field order, values shared."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
 def coefficient_K(mu, ell, alpha, family: BoundFamily):
@@ -258,7 +283,8 @@ def coefficient_K(mu, ell, alpha, family: BoundFamily):
     Scalars give a float.  If any argument is an ndarray the three
     broadcast and the weights come back as an array; every entry is
     checked once per call, and a bad one raises the ParameterError of a
-    scalar call.
+    scalar call.  A weight beyond the float range raises OverflowError,
+    as the float power does.
     """
     # plain floats, the hot scalar case, skip the ndarray tests
     floats = type(mu) is float and type(ell) is float and type(alpha) is float
@@ -266,21 +292,35 @@ def coefficient_K(mu, ell, alpha, family: BoundFamily):
                        or isinstance(alpha, np.ndarray)):
         mu, ell, alpha = np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                                for v in (mu, ell, alpha)))
-        if mu.size:
-            # every check is a range, so checking the smallest and largest
-            # entries checks them all; NaN propagates through min and max
-            for extreme in (np.min, np.max):
-                coefficient_K(extreme(mu), extreme(ell), extreme(alpha), family)
+        # every check is a range, so the smallest and largest entries stand
+        # for all of them; NaN propagates through min and max
+        checked = [(float(mu.min()), float(ell.min()), float(alpha.min())),
+                   (float(mu.max()), float(ell.max()), float(alpha.max()))] if mu.size else []
     else:
         mu, ell, alpha = float(mu), float(ell), float(alpha)
-        if not family.alpha_ok(alpha):
+        checked = [(mu, ell, alpha)]
+    for m, l, a in checked:
+        if not family.alpha_ok(a):
             raise ParameterError(
-                f"alpha={alpha} outside [{family.alpha_min}, {family.alpha_max}] "
+                f"alpha={a} outside [{family.alpha_min}, {family.alpha_max}] "
                 f"for {family.label}")
-        if not (0.0 < mu < math.inf and 0.0 <= ell < math.inf):
-            raise ParameterError(f"require mu > 0 and l >= 0, got mu={mu}, l={ell}")
+        if not (0.0 < m < math.inf and 0.0 <= l < math.inf):
+            raise ParameterError(f"require mu > 0 and l >= 0, got mu={m}, l={l}")
     s = family.scale(alpha)
-    return (mu + ell) ** s - ell ** s
+    with np.errstate(all="ignore"):
+        return _in_range((mu + ell) ** s - ell ** s)
+
+
+def _in_range(x):
+    """x, or OverflowError if the array x holds an inf or NaN.
+
+    A float power beyond the float range raises OverflowError; numpy's
+    power returns inf instead (its warning silenced by the caller), so an
+    array result is checked once, and fails as the float one does.
+    """
+    if isinstance(x, np.ndarray) and not np.isfinite(x).all():
+        raise OverflowError("a power in the bound exceeds the float range")
+    return x
 
 
 def _coefficient_layout(per_step, split, n_pairs):
@@ -289,7 +329,9 @@ def _coefficient_layout(per_step, split, n_pairs):
     per_step[r-1] is the weight of step r (r = 1..n_pairs-1).  With no
     split, pair i carries the product of the first i-1 step weights.  With
     split m, pairs m+1..n_pairs-1 each carry (prod of first m) * own step
-    weight, and the final pair carries the product of the first m.
+    weight, and the final pair carries the product of the first m.  The
+    weights may be arrays; each product is a new one, so no coefficient
+    aliases another.
     """
     n_steps = n_pairs - 1
     coeffs = []
@@ -298,7 +340,7 @@ def _coefficient_layout(per_step, split, n_pairs):
         for i in range(n_pairs):
             coeffs.append(acc)
             if i < n_steps:
-                acc *= per_step[i]
+                acc = acc * per_step[i]
         return coeffs
     m = int(split)
     if not 1 <= m <= n_steps:
@@ -306,7 +348,7 @@ def _coefficient_layout(per_step, split, n_pairs):
     acc = 1.0
     for i in range(1, m + 1):       # pairs 1..m: prefix products
         coeffs.append(acc)
-        acc *= per_step[i - 1]
+        acc = acc * per_step[i - 1]
     head = acc                      # product of steps 1..m
     for i in range(m + 1, n_pairs):  # pairs m+1..n_pairs-1: head * own weight
         coeffs.append(head * per_step[i - 1])
@@ -325,7 +367,11 @@ def rhs_assemble(values, params: BoundParams) -> RhsBreakdown:
     """Assemble the tightened right-hand side from pairwise measure values.
 
     values are the N-1 pairwise measures M(A,B_1)..M(A,B_{N-1}); the
-    params must carry explicit mu and ell (N-2 each).
+    params must carry explicit mu and ell (N-2 each).  params.alpha may be
+    a 1-D array of exponents: the right side, the step weights and each
+    term's coefficient and contribution are then arrays over it, from the
+    same formulas (numpy's power may differ from the float one by an
+    ulp).  A power beyond the float range raises OverflowError either way.
     """
     values = [float(v) for v in values]
     if len(values) < 2:
@@ -339,14 +385,16 @@ def rhs_assemble(values, params: BoundParams) -> RhsBreakdown:
         raise ParameterError(
             f"{len(values)} values need {n_steps} (mu, ell) steps, "
             f"got {len(params.mu)} and {len(params.ell)}")
-    ks = [coefficient_K(m, l, params.alpha, params.family)
-          for m, l in zip(params.mu, params.ell)]
-    coeffs = _coefficient_layout(ks, params.split, len(values))
-    terms = tuple(
-        PairTerm(i + 1, c, v, c * v ** params.alpha)
-        for i, (c, v) in enumerate(zip(coeffs, values))
-    )
-    return RhsBreakdown(sum(t.contribution for t in terms), tuple(ks), terms)
+    with np.errstate(all="ignore"):
+        ks = [coefficient_K(m, l, params.alpha, params.family)
+              for m, l in zip(params.mu, params.ell)]
+        coeffs = _coefficient_layout(ks, params.split, len(values))
+        terms = tuple(
+            PairTerm(i + 1, c, v, c * v ** params.alpha)
+            for i, (c, v) in enumerate(zip(coeffs, values))
+        )
+        rhs = _in_range(sum(t.contribution for t in terms))
+    return RhsBreakdown(rhs, tuple(ks), terms)
 
 
 PRIOR_KINDS = ("ckw", "jf", "kf")
@@ -368,12 +416,15 @@ def prior_weight(kind: str, s, k=None):
     raise ParameterError(f"unknown prior kind {kind!r}; expected one of {PRIOR_KINDS}")
 
 
-def prior_rhs(values, alpha: float, family: BoundFamily, kind: str,
-              k: float = None, split: int = None) -> float:
+def prior_rhs(values, alpha, family: BoundFamily, kind: str,
+              k: float = None, split: int = None):
     """Right-hand side of one of the three prior bounds.
 
     kind "ckw" is the plain alpha-power sum; "jf" uses the constant weight
-    2^s - 1 per step; "kf" uses ((1+k)^s - 1)/k^s with 0 < k <= 1.
+    2^s - 1 per step; "kf" uses ((1+k)^s - 1)/k^s with 0 < k <= 1.  alpha
+    is a float, or a 1-D array of exponents for which an array comes back,
+    as in rhs_assemble; there a weight or power beyond the float range,
+    or a k^s that underflows to 0, raises OverflowError.
     """
     values = [float(v) for v in values]
     if len(values) < 2:
@@ -382,9 +433,10 @@ def prior_rhs(values, alpha: float, family: BoundFamily, kind: str,
         raise ParameterError(f"alpha={alpha} outside the domain of {family.label}")
     if kind == "kf" and (k is None or not 0.0 < k <= 1.0):
         raise ParameterError(f"kf comparator requires 0 < k <= 1, got {k}")
-    c = prior_weight(kind, family.scale(alpha), k)
-    coeffs = _coefficient_layout([c] * (len(values) - 1), split, len(values))
-    return sum([cf * v ** alpha for cf, v in zip(coeffs, values)])
+    with np.errstate(all="ignore"):
+        c = prior_weight(kind, family.scale(alpha), k)
+        coeffs = _coefficient_layout([c] * (len(values) - 1), split, len(values))
+        return _in_range(sum([cf * v ** alpha for cf, v in zip(coeffs, values)]))
 
 
 def extract_mu_l(chain, pairs, family: BoundFamily, split: int = None):

@@ -12,9 +12,12 @@ import argparse
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from . import corpus as corpus_mod
-from .bounds import (POLYGAMY, PRIOR_KINDS, BoundParams, bound_family,
+from .bounds import (POLYGAMY, BoundParams, bound_family,
                      measure_chain, prior_rhs, require_exact_chain,
                      resolve_params, rhs_assemble, verify)
 from .errors import (CapabilityError, ContractError, DimensionError,
@@ -39,11 +42,14 @@ MARGIN_TOL = 1e-9
 
 
 def fmt(x) -> str:
-    """Floats with 12 significant digits; everything else via repr rules."""
+    """Floats with 12 significant digits (null if not finite); strings
+    quoted as json.dumps quotes them; everything else via json.dumps."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
     if isinstance(x, bool) or not isinstance(x, float):
         return json.dumps(x)
     if x != x or x in (float("inf"), float("-inf")):
-        return json.dumps(None)
+        return "null"
     return format(x, ".12g")
 
 
@@ -53,7 +59,7 @@ def to_json(obj, indent: int = 0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f'{pad}  {json.dumps(str(k))}: {to_json(v, indent + 1)}'
+        items = [f'{pad}  {encode_basestring_ascii(str(k))}: {to_json(v, indent + 1)}'
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
@@ -210,6 +216,26 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """Write the sweep_columns as CSV, one row per alpha, 12 significant digits."""
+    columns = sweep_columns(args)
+    row = ",".join(["{:.12g}"] * len(columns))
+    lines = [",".join(columns)]
+    lines += [row.format(*values) for values in zip(*(c.tolist() for c in columns.values()))]
+    emit("\n".join(lines), args.out)
+    return 0
+
+
+def sweep_columns(args) -> dict:
+    """The sweep's CSV columns, header name -> array over the alpha grid.
+
+    The grid alpha_i = alpha_min + (alpha_max - alpha_min) * i / (steps - 1)
+    is evaluated elementwise (the float values a per-step loop gives).  The
+    columns are alpha, lhs = M(A|B_1...B_{N-1})^alpha and the selected
+    bounds in the order ours, kf, jf, ckw; each bound is one rhs_assemble
+    or prior_rhs call on the whole grid, the formulas verify evaluates at
+    one alpha.  Extracted (mu, l) come from the one measured chain.  A
+    power beyond the float range raises OverflowError.
+    """
     state, _ = load_input(args)
     family = family_from_args(args, args.kind)
     if not (math.isfinite(args.alpha_min) and math.isfinite(args.alpha_max)):
@@ -229,28 +255,24 @@ def cmd_sweep(args) -> int:
         if b not in ("ours", "kf", "jf", "ckw"):
             raise ParameterError(f"unknown bound column {b!r}")
 
-    base = BoundParams(family, family.alpha_min, parse_floats(args.mu),
-                       parse_floats(args.ell), args.m_split)
-    require_exact_chain(state.n_qubits, base)
+    with np.errstate(over="ignore"):  # an overflowing step is rejected as alpha=inf
+        alphas = (args.alpha_min
+                  + (args.alpha_max - args.alpha_min) * np.arange(args.steps) / (args.steps - 1))
+    params = BoundParams(family, alphas, parse_floats(args.mu), parse_floats(args.ell),
+                         args.m_split)
+    require_exact_chain(state.n_qubits, params)
     chain = measure_chain(state, family)
-    base = resolve_params(chain, base)
+    params = resolve_params(chain, params)
 
-    header = ["alpha", "lhs"] + [b for b in ("ours", "kf", "jf", "ckw") if b in selected]
-    lines = [",".join(header)]
-    for i in range(args.steps):
-        alpha = args.alpha_min + (args.alpha_max - args.alpha_min) * i / (args.steps - 1)
-        params = BoundParams(family, alpha, base.mu, base.ell, base.split)
-        row = {"alpha": alpha, "lhs": chain.full ** alpha}
-        if "ours" in selected:
-            row["ours"] = rhs_assemble(chain.pairs, params).rhs
-        for name in PRIOR_KINDS:
-            if name in selected:
-                row[name] = prior_rhs(chain.pairs, alpha, family, name,
+    columns = {"alpha": alphas, "lhs": chain.full ** alphas}
+    if "ours" in selected:
+        columns["ours"] = rhs_assemble(chain.pairs, params).rhs
+    for name in ("kf", "jf", "ckw"):
+        if name in selected:
+            columns[name] = prior_rhs(chain.pairs, alphas, family, name,
                                       k=args.k if name == "kf" else None,
-                                      split=base.split)
-        lines.append(",".join(format(row[h], ".12g") for h in header))
-    emit("\n".join(lines), args.out)
-    return 0
+                                      split=params.split)
+    return columns
 
 
 def cmd_corpus(args) -> int:

@@ -176,7 +176,7 @@ class MeasureKind:
         """
         p = np.asarray(evs, dtype=float)
         if self.name == "concurrence":
-            out = _conc_from_purity(p)
+            out = _conc_from_spectrum(p)
         elif self.name == "cren":
             # (Tr sqrt(rho_keep))^2 - 1; equals the concurrence whenever one
             # side is a single qubit (Schmidt rank <= 2).
@@ -264,16 +264,19 @@ def marginal_spectra(amps: np.ndarray, dims: tuple, keep) -> np.ndarray:
 
     amps holds unit-norm amplitude vectors along its last axis; leading
     axes are a stack of states.  keep is checked by keep_indices.  The
-    spectrum is that of M·M† on the side with fewer subsystems: both
-    marginals of a pure state share their nonzero spectrum, and the smaller
-    one stays small on wide registers.  M·M† is PSD by construction, so it
-    is not re-validated; negative roundoff is clamped to 0.
+    spectrum is the squared singular values (the Schmidt coefficients) of
+    the amplitude matrix M of the side with fewer subsystems: both
+    marginals of a pure state share their nonzero spectrum, the smaller one
+    stays small on wide registers, and each value carries a relative, not
+    an absolute, roundoff.  eigvalsh of M·M† would read a product state's
+    zero Schmidt coefficient as noise of order 1e-16, whose square root
+    surfaces near 1e-8 in the concurrence.
     """
     keep = keep_indices(keep, len(dims))
     rest = [i for i in range(len(dims)) if i not in keep]
     side = rest if len(rest) < len(keep) else keep
-    evs = np.linalg.eigvalsh(gram(split_amplitudes(amps, dims, side)))
-    return np.maximum(evs[..., ::-1], 0.0)
+    s = np.linalg.svd(split_amplitudes(amps, dims, side), compute_uv=False)
+    return s * s
 
 
 def pair_concurrences(amps: np.ndarray, dims: tuple, side: int = 0,
@@ -301,8 +304,12 @@ def _require_two_qubits(rho: DensityMatrix, what: str):
 # Entropic functions of spectra held along the last axis of p (nonnegative,
 # unit sum); leading axes are a stack of states.  0·log 0 := 0.
 
-def _conc_from_purity(p):
-    return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - (p ** 2).sum(axis=-1))))
+def _conc_from_spectrum(p):
+    # sqrt(2[1 - sum p²]) = sqrt(4 sum_{i<j} p_i p_j) for a unit-sum p; the
+    # pair sum has only nonnegative terms, so a small value never comes
+    # out of a cancellation next to purity 1
+    pairs = (p[..., 1:] * np.cumsum(p[..., :-1], axis=-1)).sum(axis=-1)
+    return np.sqrt(4.0 * pairs)
 
 
 def _entropy_vn(p):

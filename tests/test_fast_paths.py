@@ -141,6 +141,25 @@ def test_marginal_spectra_match_reduced_spectra(states):
 
 
 @FAST
+@given(st.integers(2, 7), st.data(), st.integers(0, 2 ** 31 - 1))
+def test_product_qubits_read_zero_concurrence(n, data, seed):
+    """k product qubits times a Haar state on the rest: a cut that splits
+    off product qubits only reads concurrence and cren 0 to 1e-14, since the
+    Schmidt coefficients carry no absolute eigenvalue noise."""
+    k = data.draw(st.integers(1, n - 1))
+    amps = np.kron(product_amplitudes(k, seed_path(seed, 1)),
+                   random_pure(n - k, seed_path(seed, 0)).amplitudes)
+    state = PureState(amps / np.linalg.norm(amps), (2,) * n)
+    for keep in proper_subsets(k):
+        for kind in ("concurrence", "cren"):
+            assert MeasureKind(kind).pure_value(state, keep) <= 1e-14
+    for keep in proper_subsets(n)[:-1]:
+        fast = marginal_spectra(state.amplitudes, state.dims, keep)
+        ref = psd_eigvals(slow_reduce(state, keep).matrix)
+        assert np.max(np.abs(np.pad(fast, (0, ref.size - fast.size)) - ref)) <= 1e-12
+
+
+@FAST
 @given(state_stacks())
 def test_pair_concurrences_match_the_ensemble_form(states):
     amps, n = np.array([s.amplitudes for s in states]), states[0].n_qubits

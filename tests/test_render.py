@@ -1,0 +1,142 @@
+"""Report rendering against its former deep-copying form.
+
+BoundReport.to_dict and ConditionReport.to_dict build their dicts from the
+fields, and cli.to_json quotes strings with encode_basestring_ascii.  The
+references below are the former forms: dataclasses.asdict, and an encoder
+that quotes every string, key and non-float through json.dumps.  Verify
+reports of every family at 3 and 6 qubits must give equal dicts, types
+included, and identical JSON bytes, also for a non-ASCII state path and
+for non-finite fields.
+"""
+
+import dataclasses
+import json
+import math
+
+import pytest
+
+import entmono.cli as cli
+from entmono import (BoundParams, bound_family, example1_params, load_state,
+                     random_pure, save_state, schmidt3, verify, w_state)
+
+
+def reference_to_dict(report) -> dict:
+    steps = [dataclasses.asdict(s) for s in report.conditions.steps]
+    return {**dataclasses.asdict(report),
+            "conditions": {"summary": report.conditions.summary, "steps": steps}}
+
+
+def reference_fmt(x) -> str:
+    if isinstance(x, bool) or not isinstance(x, float):
+        return json.dumps(x)
+    if x != x or x in (float("inf"), float("-inf")):
+        return json.dumps(None)
+    return format(x, ".12g")
+
+
+def reference_to_json(obj, indent: int = 0) -> str:
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f'{pad}  {json.dumps(str(k))}: {reference_to_json(v, indent + 1)}'
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f"{pad}  {reference_to_json(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    return reference_fmt(obj)
+
+
+def assert_same(got, want, path="report"):
+    """Equal values of identical types all the way down (NaN equals NaN)."""
+    assert type(got) is type(want), (path, type(got), type(want))
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            assert_same(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same(g, w, f"{path}[{i}]")
+    elif isinstance(want, float) and math.isnan(want):
+        assert math.isnan(got), path
+    else:
+        assert got == want, path
+
+
+# theorem -> (measure, direction, q or order, alpha); beyond three qubits only
+# the concurrence family checks its chain, the others are comparator-only
+FAMILIES = {
+    "concurrence": ("concurrence", "monogamy", {}, 3.0),
+    "cren": ("cren", "monogamy", {}, 3.0),
+    "eof": ("eof", "monogamy", {}, 2.0),
+    "tsallis": ("tsallis", "monogamy", {"q": 2.5}, 2.0),
+    "renyi": ("renyi", "monogamy", {"order": 2.5}, 2.0),
+    "eoa": ("eof", "polygamy", {}, 0.5),
+    "teoa": ("tsallis", "polygamy", {"q": 2.0}, 0.5),
+    "reoa": ("renyi", "polygamy", {"order": 1.2}, 0.5),
+}
+STATES = {
+    "example1": schmidt3(example1_params()),
+    "w:6": w_state(6),
+    "haar6": random_pure(6, (57, 6)),
+}
+
+
+def reports():
+    for theorem, (measure, direction, orders, alpha) in FAMILIES.items():
+        family = bound_family(measure, direction, **orders)
+        for name, state in STATES.items():
+            steps = state.n_qubits - 2
+            for mu, ell in ((None, None), ((1.5,) * steps, (1.25,) * steps)):
+                if mu is None and state.n_qubits != 3:
+                    continue
+                params = BoundParams(family, alpha, mu, ell, 1 if steps > 1 else None)
+                only = state.n_qubits > 3 and measure != "concurrence"
+                yield f"{theorem}-{name}-{'auto' if mu is None else 'explicit'}", verify(
+                    state, params, comparator_only=only, budget=20)
+
+
+REPORTS = dict(reports())
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_report_dicts_and_bytes_match_the_asdict_form(name):
+    report = REPORTS[name]
+    got, want = report.to_dict(), reference_to_dict(report)
+    assert_same(got, want)
+    record = {"command": "verify", "input": name, "theorem": name.split("-")[0]}
+    assert cli.to_json({**record, **got}) == reference_to_json({**record, **want})
+
+
+def test_non_finite_fields_render_as_before():
+    report = dataclasses.replace(REPORTS["concurrence-example1-auto"], margin=math.nan,
+                                 rhs=math.inf, lhs=-math.inf, alpha=float("nan"))
+    got, want = report.to_dict(), reference_to_dict(report)
+    assert_same(got, want)
+    assert cli.to_json(got) == reference_to_json(want)
+    assert '"margin": null' in cli.to_json(got)
+
+
+@pytest.mark.parametrize("text", ["", "plain", 'quote " and \\ backslash', "tab\tnew\nline",
+                                  "\x00\x1f\x7f", "zustand-äß✓", "emoji \U0001f600",
+                                  "lone \ud800 surrogate"])
+def test_strings_quote_as_json_dumps(text):
+    assert cli.fmt(text) == json.dumps(text)
+    assert cli.to_json({text: text}) == reference_to_json({text: text})
+
+
+def test_non_ascii_state_path_renders_as_before(tmp_path, capsys):
+    path = tmp_path / "zustand-äß✓ \"q\".json"
+    save_state(random_pure(3, (57, 3)), path)
+    argv = ["verify", "--state", str(path), "--theorem", "concurrence", "--alpha", "3"]
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    report = verify(load_state(path), BoundParams(bound_family("concurrence"), 3.0))
+    record = {"command": "verify", "input": str(path), "theorem": "concurrence"}
+    assert code in (0, 3, 4)
+    assert out == reference_to_json({**record, **reference_to_dict(report)}) + "\n"
+    assert "\\u00e4" in out
