@@ -406,13 +406,21 @@ def prior_weight(kind: str, s, k=None):
     1 for "ckw", 2^s - 1 for "jf" and ((1+k)^s - 1)/k^s for "kf";
     elementwise for arrays s and k.  An unknown kind raises
     ParameterError; k is not checked here (prior_rhs checks it).
+
+    kf is evaluated as ((1+k)/k)^s · (1 - (1+k)^-s), each factor from
+    log1p and expm1: 1 + k is never rounded to 1 (a tiny k keeps the
+    weight 1 at s = 1) and no underflowed k^s is divided by.  As with the
+    float power of jf, a scalar weight beyond the float range raises
+    OverflowError (math.exp does), and an array one reads inf.
     """
     if kind == "ckw":
         return 1.0
     if kind == "jf":
         return 2.0 ** s - 1.0
     if kind == "kf":
-        return ((1.0 + k) ** s - 1.0) / k ** s
+        f = np if isinstance(s, np.ndarray) or isinstance(k, np.ndarray) else math
+        lp = f.log1p(k)
+        return f.exp(s * (lp - f.log(k))) * -f.expm1(-s * lp)
     raise ParameterError(f"unknown prior kind {kind!r}; expected one of {PRIOR_KINDS}")
 
 
@@ -423,8 +431,8 @@ def prior_rhs(values, alpha, family: BoundFamily, kind: str,
     kind "ckw" is the plain alpha-power sum; "jf" uses the constant weight
     2^s - 1 per step; "kf" uses ((1+k)^s - 1)/k^s with 0 < k <= 1.  alpha
     is a float, or a 1-D array of exponents for which an array comes back,
-    as in rhs_assemble; there a weight or power beyond the float range,
-    or a k^s that underflows to 0, raises OverflowError.
+    as in rhs_assemble; a weight or power beyond the float range raises
+    OverflowError either way.
     """
     values = [float(v) for v in values]
     if len(values) < 2:

@@ -15,7 +15,11 @@ stream (:func:`states.haar_block`, with the PureState checks applied to
 the whole block).  The suites have no reductions of their own: they read
 the shared pure-state kernels of :mod:`measures`, marginal_spectra and
 pair_concurrences, on the whole block, the same kernels measure_chain
-calls on one state.  Slack arrays are recorded with
+calls on one state.  Neither forms a reduced state: the marginal
+spectra are squared singular values of the amplitude matrices, and each
+pair concurrence of a 3-qubit sample is read off its (4, 2) amplitude
+matrix, a factor of the pair state, through one batched svd of the
+2 x 2 matrices M^T (sy x sy) M.  Slack arrays are recorded with
 :meth:`SuiteResult.record_all`, which keeps the first five offenders in
 sample order.  lemma1 and hierarchy draw their scalars in one block and
 evaluate them as arrays; hierarchy's weights come from the broadcasting

@@ -9,6 +9,14 @@ certified concurrence interval of one qubit against a group of a pure
 state comes from the same kernels on the state's amplitudes
 (concurrence_interval, group_concurrence); no group state is formed.
 
+The Wootters concurrence of a two-qubit state rho depends only on the
+singular values of L^T (sy x sy) L for any factor rho = L·L†, since the
+columns of L are a pure-state decomposition of rho (Wootters, PRL 80,
+2245, 1998).  A pair of a pure state of at most 4 qubits is therefore
+measured from its amplitude matrix alone (wootters_factor_concurrence);
+a density matrix, or a pair of a wider register, from the rank-retained
+eigen-factor of its matrix (wootters_concurrence).
+
 All logarithms are base 2 and 0·log 0 := 0.  On two-qubit mixed states the
 entropic measures reduce to closed-form functions of the Wootters
 concurrence; on larger groups only the concurrence supports certified
@@ -35,8 +43,9 @@ TSALLIS_Q_HI = (5.0 + math.sqrt(13.0)) / 2.0
 # assisted_estimate restarts evaluated in one stack; bounds its memory for any budget
 RESTART_BLOCK = 256
 
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_YY = np.kron(_SY, _SY)
+# sy x sy = antidiag(-1, 1, 1, -1): L^T (sy x sy) is L^T with its columns
+# reversed and signed, exactly as the matrix product gives it
+_YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -195,7 +204,14 @@ class MeasureKind:
 
     def two_qubit_value(self, rho: DensityMatrix) -> float:
         """Exact value on a two-qubit mixed state via the Wootters form."""
-        c = float(concurrence_two_qubit(rho))
+        return self._from_mixed_concurrence(float(concurrence_two_qubit(rho)))
+
+    def _from_mixed_concurrence(self, c: float) -> float:
+        """from_concurrence of a two-qubit mixed state's Wootters concurrence c.
+
+        Tsallis takes this route only with q inside its closed-form window
+        (CapabilityError otherwise).
+        """
         if self.name == "tsallis" and not TSALLIS_Q_LO <= self.q <= TSALLIS_Q_HI:
             raise CapabilityError(
                 f"mixed-state tsallis route requires q within "
@@ -211,7 +227,9 @@ class MeasureKind:
         iterable of them, with side a proper subset of group:
 
         - the whole register gives the exact pure_value;
-        - a 2-qubit group the exact two_qubit_value of its reduction;
+        - a 2-qubit group the exact Wootters value of its pair, from
+          pair_concurrences on the amplitudes (no reduction), with the
+          window of two_qubit_value;
         - the concurrence of one qubit (on either side: C is symmetric)
           against a larger group the certified concurrence_interval.
 
@@ -233,9 +251,13 @@ class MeasureKind:
         side, group = _split(state.n_qubits, side, group)
         if len(group) == state.n_qubits:
             return MeasureValue.exact(self.pure_value(state, side))
-        if len(group) == 2:
-            return MeasureValue.exact(self.two_qubit_value(state.reduce(group)))
         other = [j for j in group if j not in side]
+        if len(group) == 2:
+            dims = tuple(state.dims[i] for i in group)
+            if dims != (2, 2):
+                raise DimensionError(f"a pair concurrence requires two qubits, got dims {dims}")
+            c = pair_concurrences(state.amplitudes, state.dims, side[0], other)
+            return MeasureValue.exact(self._from_mixed_concurrence(float(c[0])))
         if self.name == "concurrence" and 1 in (len(side), len(other)):
             return concurrence_interval(state, min(side, other, key=len), group)
         raise CapabilityError(
@@ -284,14 +306,22 @@ def pair_concurrences(amps: np.ndarray, dims: tuple, side: int = 0,
     """C(side, j) of pure qubit states, j in others, along a new last axis.
 
     amps is as in :func:`marginal_spectra`; others defaults to every qubit
-    but side, ascending, so the default gives C(A,B_i), i = 1..N-1.  Each
-    pair state is M·M† for the split {side, j} | rest, and the pairs of
-    every state go through one :func:`wootters_concurrence` call.
+    but side, ascending, so the default gives C(A,B_i), i = 1..N-1.  The
+    amplitude matrix M of the split {side, j} | rest is a factor of the
+    pair state, M·M† = rho, so its columns are a pure-state decomposition
+    of rho and the pairs of every state go through one
+    :func:`wootters_factor_concurrence` call on the stacked M, with no Gram
+    matrix and no eigh.  That holds while M has at most 4 columns (a
+    complement of at most two qubits); a wider M would make the svd larger
+    than the 4 x 4 pair state, so each pair state is then formed as M·M†,
+    pair by pair, and goes through :func:`wootters_concurrence`.
     """
     if others is None:
         others = [j for j in range(len(dims)) if j != side]
-    rhos = [gram(split_amplitudes(amps, dims, sorted((side, j)))) for j in others]
-    return wootters_concurrence(np.stack(rhos, axis=-3))
+    ms = [split_amplitudes(amps, dims, sorted((side, j))) for j in others]
+    if ms[0].shape[-1] <= 4:
+        return wootters_factor_concurrence(np.stack(ms, axis=-3))
+    return wootters_concurrence(np.stack([gram(m) for m in ms], axis=-3))
 
 
 def _require_two_qubits(rho: DensityMatrix, what: str):
@@ -347,22 +377,39 @@ def concurrence_pure(state: PureState, keep) -> MeasureValue:
 _RANK_TOL = 1e-12
 
 
+def wootters_factor_concurrence(factors: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of the two-qubit states L·L† of an (..., 4, r) stack.
+
+    C = max{0, l1 - l2 - ...} where the l_i are the descending singular
+    values of L^T (sy x sy) L.  They do not depend on the factor: for any
+    L with rho = L·L† they are the square roots of the eigenvalues of
+    rho (sy x sy) rho* (sy x sy), since the columns of L are a pure-state
+    decomposition of rho (Wootters, PRL 80, 2245, 1998).  Callers pass
+    r <= 4, so the r x r matrix is no larger than rho; a factor with fewer
+    than 4 columns gives fewer singular values, the missing ones being
+    zero.  No Gram matrix, eigendecomposition or square root is taken.
+    """
+    lt_yy = np.swapaxes(factors, -1, -2)[..., ::-1] * _YY_SIGNS
+    lam = np.linalg.svd(lt_yy @ factors, compute_uv=False)
+    c = lam[..., 0]
+    for i in range(1, lam.shape[-1]):
+        c = c - lam[..., i]
+    return np.maximum(0.0, c)
+
+
 def wootters_concurrence(rhos: np.ndarray) -> np.ndarray:
     """Wootters concurrence of each two-qubit state in an (..., 4, 4) stack.
 
-    C = max{0, l1 - l2 - l3 - l4} where the l_i are the descending square
-    roots of the eigenvalues of rho (sy x sy) rho* (sy x sy).  They are
-    computed as the singular values of Psi^T (sy x sy) Psi with Psi built
-    from the rank-retained eigenpairs of rho: the same spectrum, but the
-    square root never touches near-zero eigenvalues, whose noise would
-    otherwise surface at the sqrt(eps) level on low-rank states.  Dropped
-    eigenpairs become zero columns of Psi, which only add zero singular
-    values.  The inputs are trusted to be density matrices.
+    The factor given to :func:`wootters_factor_concurrence` is built from
+    the rank-retained eigenpairs of rho, L = V·sqrt(D): the square root
+    never touches near-zero eigenvalues, whose noise would otherwise
+    surface at the sqrt(eps) level on low-rank states.  Dropped eigenpairs
+    become zero columns of L, which only add zero singular values.  The
+    inputs are trusted to be density matrices.
     """
     evs, vecs = np.linalg.eigh(rhos)
     psi = vecs * np.sqrt(np.where(evs > _RANK_TOL, evs, 0.0))[..., None, :]
-    lam = np.linalg.svd(np.swapaxes(psi, -1, -2) @ _YY @ psi, compute_uv=False)
-    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    return wootters_factor_concurrence(psi)
 
 
 def concurrence_two_qubit(rho: DensityMatrix) -> MeasureValue:

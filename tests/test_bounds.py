@@ -14,6 +14,7 @@ from entmono import (BoundParams, CapabilityError, ParameterError,
                      example1_params, extract_mu_l, ghz, measure_chain,
                      prior_rhs, random_pure, resolve_params, rhs_assemble,
                      schmidt3, seed_path, verify)
+from entmono.bounds import prior_weight
 from entmono.corpus import run_suite
 
 EX1 = schmidt3(example1_params())
@@ -204,6 +205,34 @@ class TestPriorRhs:
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             prior_rhs(C_TRIPLE[1:], 2.0, CONC, "best")
+
+
+class TestPriorWeight:
+    @pytest.mark.parametrize("k", [1e-300, 1e-20, 1e-8, 1e-3, 0.5, 1.0])
+    def test_kf_is_one_at_s_one(self, k):
+        # ((1+k) - 1)/k: a tiny k no longer rounds 1 + k to 1
+        assert prior_weight("kf", 1.0, k) == pytest.approx(1.0, rel=1e-14)
+        w = prior_weight("kf", np.array([1.0, 1.0]), k)
+        assert w == pytest.approx([1.0, 1.0], rel=1e-14)
+
+    @pytest.mark.parametrize("s", [0.25, 1.0, 1.5, 2.0, 7.0, 60.0])
+    def test_kf_at_k_one_is_the_jf_weight(self, s):
+        assert prior_weight("kf", s, 1.0) == pytest.approx(2.0 ** s - 1.0, rel=1e-13)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-3, 1.0), st.floats(1.0, 60.0))
+    def test_kf_matches_the_naive_quotient_where_it_is_accurate(self, k, s):
+        naive = ((1.0 + k) ** s - 1.0) / k ** s
+        assert prior_weight("kf", s, k) == pytest.approx(naive, rel=2e-13)
+        assert prior_weight("kf", np.array([s]), np.array([k]))[0] == pytest.approx(
+            naive, rel=2e-13)
+
+    def test_kf_beyond_the_float_range(self):
+        # s = 200, k = 0.01: ((1+k)/k)^s is about 1e402
+        with pytest.raises(OverflowError):
+            prior_weight("kf", 200.0, 0.01)
+        with np.errstate(over="ignore"):
+            assert prior_weight("kf", np.array([200.0]), 0.01)[0] == math.inf
 
 
 class TestExtract:

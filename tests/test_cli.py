@@ -13,6 +13,8 @@ import pytest
 import entmono.cli as cli
 from entmono import random_pure, save_state
 
+from dense_reference import slow_reduce
+
 
 def run_cli(args, capsys):
     code = cli.main(args)
@@ -310,6 +312,27 @@ def test_non_finite_parameters_exit_two(args, capsys):
     assert err.startswith("entmono: ") and "Traceback" not in err
 
 
+def test_kf_weight_beyond_the_float_range_exits_two(capsys):
+    # ((1+k)/k)^s at s = 200, k = 0.01 is about 1e402
+    code, out, err = run_cli(["verify", "--preset", "example1", "--theorem", "concurrence",
+                              "--alpha", "400", "--k", "0.01"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("entmono: result out of floating-point range")
+    assert "Traceback" not in err
+
+
+def test_kf_with_a_tiny_k_equals_ckw_at_s_one(capsys):
+    # at alpha = 2 (s = 1) the kf weight is exactly 1 for every k
+    code, out, _ = run_cli(["sweep", "--preset", "example1", "--kind", "concurrence",
+                            "--alpha-min", "2", "--alpha-max", "3", "--steps", "2",
+                            "--bounds", "kf,jf,ckw", "--k", "1e-20"], capsys)
+    assert code == 0
+    header, first = out.splitlines()[:2]
+    row = dict(zip(header.split(","), first.split(",")))
+    assert row["alpha"] == "2"
+    assert row["kf"] == row["ckw"] == "0.48"
+
+
 MALFORMED = [
     ["corpus", "--suite", "all", "--seed", "-1"],
     ["corpus", "--suite", "ckw", "--samples", "10", "--seed", "-1"],
@@ -388,6 +411,8 @@ ONE_CHAIN = [
     # a sweep reads no link, so it forms no group purity
     (["sweep", "--preset", "ghz:6", "--kind", "concurrence", "--alpha-min", "2",
       "--alpha-max", "5", "--steps", "61", "--mu", "1,1,1,1", "--ell", "1,1,1,1"], 0, 1),
+    # a 2-qubit group of a pure state: its pair value from the amplitudes
+    (["measure", "--preset", "example1", "--kind", "eof", "--partition", "A|B"], 0, 1),
 ]
 
 
@@ -398,20 +423,62 @@ def test_each_command_measures_the_chain_once(args, reductions, wootters, capsys
     import entmono.measures as measures
     from entmono import PureState
     calls = {"reduce": 0, "wootters": 0}
-    reduce, kernel = PureState.reduce, measures.wootters_concurrence
+    reduce, kernel = PureState.reduce, measures.wootters_factor_concurrence
 
     def counted_reduce(self, keep):
         calls["reduce"] += 1
         return reduce(self, keep)
 
-    def counted_kernel(rhos):
+    def counted_kernel(factors):
         calls["wootters"] += 1
-        return kernel(rhos)
+        return kernel(factors)
 
     monkeypatch.setattr(PureState, "reduce", counted_reduce)
-    monkeypatch.setattr(measures, "wootters_concurrence", counted_kernel)
+    monkeypatch.setattr(measures, "wootters_factor_concurrence", counted_kernel)
     assert run_cli(args, capsys)[0] in (0, 3)
     assert calls == {"reduce": reductions, "wootters": wootters}
+
+
+PAIR_NO_EIGH = [
+    ["corpus", "--suite", "ckw", "--samples", "50", "--seed", "3"],
+    ["verify", "--preset", "example1", "--theorem", "concurrence", "--alpha", "2"],
+    ["measure", "--preset", "w:4", "--kind", "eof", "--partition", "B|D"],
+]
+
+
+@pytest.mark.parametrize("args", PAIR_NO_EIGH, ids=" ".join)
+def test_pure_pair_values_take_no_eigh(args, capsys, monkeypatch):
+    # a pair of at most 4 qubits is measured from its amplitude matrix alone
+    import entmono.measures as measures
+    calls = []
+    eigh = measures.np.linalg.eigh
+
+    def counted_eigh(a, *rest, **kw):
+        calls.append(np.shape(a))
+        return eigh(a, *rest, **kw)
+
+    monkeypatch.setattr(measures.np.linalg, "eigh", counted_eigh)
+    assert run_cli(args, capsys)[0] == 0
+    assert calls == []
+
+
+PAIR_KINDS = [["--kind", "concurrence"], ["--kind", "cren"], ["--kind", "eof"],
+              ["--kind", "tsallis", "--q", "1.5"], ["--kind", "renyi", "--aacute", "2"]]
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS, ids=" ".join)
+@pytest.mark.parametrize("preset,partition,pair", [("example1", "A|B", [0, 1]),
+                                                   ("example1", "C|A", [0, 2]),
+                                                   ("w:5", "B|E", [1, 4])])
+def test_pair_measure_matches_the_density_matrix_route(kind, preset, partition, pair,
+                                                       capsys):
+    argv = ["measure", "--preset", preset, "--partition", partition] + kind
+    code, rec, _ = run_json(argv, capsys)
+    assert code == 0 and rec["status"] == "exact"
+    args = cli.build_parser().parse_args(argv)
+    state, _ = cli.load_input(args)
+    dense = cli.measure_kind(args.kind, args).evaluate(slow_reduce(state, pair))
+    assert abs(rec["value"] - float(dense)) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["concurrence", "eof", "cren"])

@@ -2,7 +2,8 @@
 paths of dense_reference: amplitude-matrix reductions against the partial
 trace of the full projector, the stacked marginal-spectrum and
 pair-concurrence kernels against the spectra of those reductions and
-Wootters' pre-concurrence form on the pair ensembles,
+Wootters' pre-concurrence form on the pair ensembles and against the
+Wootters form of the partial trace,
 Schmidt-coefficient negativity against the partial-transpose trace norm,
 and the amplitude concurrence intervals of the chain links and of
 concurrence_interval against the dense intervals of the explicitly formed
@@ -19,7 +20,8 @@ from entmono import (MeasureKind, PureState, bound_family,
                      partial_transpose, random_pure, seed_path, trace_norm,
                      w_state)
 from entmono.densemat import psd_eigvals
-from entmono.measures import marginal_spectra, pair_concurrences
+from entmono.measures import (marginal_spectra, pair_concurrences,
+                              wootters_concurrence)
 
 from dense_reference import dense_concurrence_interval, slow_reduce
 
@@ -170,6 +172,55 @@ def test_pair_concurrences_match_the_ensemble_form(states):
             phi = pair_ensemble(state, i)
             assert np.max(np.abs(phi @ phi.conj().T - slow_reduce(state, [0, i]).matrix)) <= 1e-13
             assert abs(row[i - 1] - ensemble_concurrence(phi)) <= 1e-12
+
+
+@st.composite
+def pair_cases(draw):
+    """A 2-6 qubit state and the set of its qubits in a product with the rest.
+
+    Haar, GHZ and W states; a product state on B_1..B_k times a Haar state
+    on the others; and a Haar state on the first m qubits times a
+    computational basis state on the rest, whose pairs inside the first m
+    have rank 1 (m = 2) or 2 (m = 3).
+    """
+    n = draw(st.integers(2, 6))
+    family = draw(st.sampled_from(["haar", "ghz", "w", "product", "basis"]))
+    seed = draw(st.integers(0, 2 ** 31 - 1))
+    if family == "product":
+        k = draw(st.integers(1, n - 1))
+        # with k = n - 1 the Haar factor is A alone, so A is a product qubit too
+        product = set(range(1, k + 1)) | ({0} if k == n - 1 else set())
+        return partly_product(n, k, seed), product
+    if family == "basis":
+        m = draw(st.integers(2, min(3, n)))
+        rest = np.zeros(2 ** (n - m))
+        rest[draw(st.integers(0, rest.size - 1))] = 1.0
+        amps = np.kron(random_pure(m, seed).amplitudes, rest)
+        return PureState(amps, (2,) * n), set(range(m, n))
+    if family == "ghz":
+        return ghz(n), set()
+    if family == "w":
+        return w_state(n), set()
+    return random_pure(n, seed), set()
+
+
+@FAST
+@given(pair_cases())
+def test_pair_concurrences_match_the_dense_wootters_route(case):
+    state, product = case
+    n = state.n_qubits
+    # a product pair reads the roundoff of its route: the amplitude factor
+    # of n <= 4 qubits gives ~2e-16, the eigen-factor of the Gram matrix
+    # on wider registers ~2e-15
+    zero = 1e-15 if n <= 4 else 1e-14
+    for side in range(n):
+        others = [j for j in range(n) if j != side]
+        fast = pair_concurrences(state.amplitudes, state.dims, side, others)
+        for j, c in zip(others, fast):
+            dense = wootters_concurrence(slow_reduce(state, [side, j]).matrix)
+            assert abs(c - dense) <= 1e-12
+            if {side, j} & product:
+                assert c <= zero
 
 
 @FAST
