@@ -288,7 +288,15 @@ def cmd_corpus(args) -> int:
     return 0 if record["passed"] else 4
 
 
+# subcommand -> handler, looked up by main on every call, so a wrapper rebound
+# in this table (as bench/tracer.py does) takes effect behind the one PARSER
+COMMANDS = {"measure": cmd_measure, "sweep": cmd_sweep, "verify": cmd_verify,
+            "corpus": cmd_corpus}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the four subcommands; its namespaces name the
+    subcommand in ``command``.  A caller may add options to its own copy."""
     parser = argparse.ArgumentParser(
         prog="entmono",
         description="Entanglement measures and tightened one-to-group "
@@ -309,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "of one qubit against a larger group a certified interval")
     p.add_argument("--q", type=float, help="Tsallis entropy parameter")
     p.add_argument("--aacute", type=float, help="Renyi entropy order")
-    p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("sweep", help="emit bound curves over alpha as CSV")
     add_input(p)
@@ -326,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", help="comma-separated mu_r (default: extracted)")
     p.add_argument("--ell", help="comma-separated l_r (default: extracted)")
     p.add_argument("--m-split", type=int, dest="m_split")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="evaluate one bound instance, JSON report")
     add_input(p)
@@ -345,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-split", type=int, dest="m_split")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=200)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("corpus", help="run randomized property suites")
     p.add_argument("--suite", required=True,
@@ -353,14 +358,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, help="suite-specific default if omitted")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=cmd_corpus)
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line (sys.argv[1:] for None) and return its exit code.
+
+    Every call parses with the module's one parser, PARSER, so main may be
+    called repeatedly in one process.  A usage error or --help raises
+    SystemExit (2 or 0), as argparse does; every other outcome returns the
+    exit code documented at the top of this module.
+    """
+    args = PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command](args)
     except (ParameterError, DomainError, DimensionError, ContractError,
             CapabilityError) as exc:
         print(f"entmono: {exc}", file=sys.stderr)

@@ -12,6 +12,7 @@ DIM_CAP of the dense kernel.
 import json
 import numbers
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -354,10 +355,13 @@ def save_state(state: PureState, path):
 def load_state(path) -> PureState:
     """Read a pure qubit state written by :func:`save_state`.
 
-    n_qubits must be a JSON integer >= 1.  The squared norm must be within
-    1e-9 of 1; the vector is renormalized to machine precision after the
-    check.  A file that is not UTF-8 JSON of this shape raises
-    ParameterError; one that cannot be opened raises OSError.
+    n_qubits must be a JSON integer >= 1.  Each amplitude is a [re, im]
+    pair of JSON numbers: a boolean entry, or one beyond the float range,
+    makes the file malformed, and a NaN or infinite amplitude is rejected
+    before the norm check.  The squared norm must be within 1e-9 of 1; the
+    vector is renormalized to machine precision after the check.  A file
+    that is not UTF-8 JSON of this shape raises ParameterError; one that
+    cannot be opened raises OSError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -365,9 +369,12 @@ def load_state(path) -> PureState:
         n = rec["n_qubits"]
         pairs = rec["amplitudes"]
         amps = np.array([complex(re, im) for re, im in pairs], dtype=complex)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         # ValueError covers JSONDecodeError and UnicodeDecodeError
         raise ParameterError(f"malformed state file: {exc}") from exc
+    if not set(map(type, chain.from_iterable(pairs))) <= {int, float}:
+        raise ParameterError("malformed state file: amplitude entries must be real "
+                             "numbers, not booleans")
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ParameterError(f"state file n_qubits must be an integer >= 1, got {n!r}")
     _check_qubits(n)
@@ -375,6 +382,8 @@ def load_state(path) -> PureState:
         raise DimensionError(
             f"state file lists {amps.size} amplitudes for {n} qubits (expected {2 ** n})"
         )
+    if not np.isfinite(amps).all():
+        raise ParameterError("state file amplitudes must be finite")
     norm = float(np.linalg.norm(amps))
     if abs(norm * norm - 1.0) > FILE_NORM_TOL:
         raise ParameterError(f"state file norm² = {norm * norm!r} deviates from 1 beyond {FILE_NORM_TOL}")

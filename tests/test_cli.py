@@ -383,6 +383,10 @@ BAD_STATE_FILES = {
     "not-json": b'{"n_qubits": 2, "amplitudes": [[1, 0]',
     "not-utf8": b'{"n_qubits": 1, "amplitudes": [[1, 0], [0, 0]]} \xff\xfe',
     "fractional-n": json.dumps({"n_qubits": 2.7, "amplitudes": [[1, 0]] + [[0, 0]] * 3}).encode(),
+    "boolean-amplitude": json.dumps(
+        {"n_qubits": 2, "amplitudes": [[True, False]] + [[False, False]] * 3}).encode(),
+    "nan-amplitude": json.dumps(
+        {"n_qubits": 1, "amplitudes": [[float("nan"), 0], [0, 0]]}).encode(),
 }
 
 
@@ -394,7 +398,7 @@ def test_malformed_state_file_exits_two(name, tmp_path, capsys):
                               "--partition", "A|B"], capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith("entmono: ") and "Traceback" not in err
+    assert err.startswith("entmono: ") and "Traceback" not in err and "Warning" not in err
 
 
 ONE_CHAIN = [

@@ -1,10 +1,12 @@
 """Fuzz of the CLI boundary: drawn argv over all four commands, with
 negative seeds, non-finite and malformed numbers, out-of-range sizes and
 bad selectors.  Every invocation must end with a documented exit code
-(0, 2, 3 or 4) and never with a traceback."""
+(0, 2, 3 or 4) and never with a traceback, and the parser that main
+shares across calls answers each one as a fresh parser would."""
 
 import contextlib
 import io
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 import entmono.cli as cli
 
 FUZZ = settings(max_examples=150, deadline=None)
+SEQUENCES = settings(max_examples=40, deadline=None)
 
 NUMBERS = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e300", "-1e300", "1e-320",
@@ -77,3 +80,30 @@ def test_every_invocation_ends_with_a_documented_exit_code(argv):
             code = exc.code
     assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+# usage errors argparse rejects before any command runs, and help requests
+USAGE = st.sampled_from([[], ["--help"], ["-h"], ["bogus"], ["--version"], ["measure"],
+                         ["measure", "--help"], ["sweep", "--help"], ["verify", "--help"],
+                         ["corpus", "-h"], ["corpus", "--suite"], ["verify", "--nope", "1"],
+                         ["sweep", "--preset", "bell", "--steps", "x"]])
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of main(argv), SystemExit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+@SEQUENCES
+@given(st.lists(st.one_of(argvs(), USAGE), min_size=1, max_size=6))
+def test_the_shared_parser_answers_like_a_fresh_one(sequence):
+    shared = [run(argv) for argv in sequence]
+    for argv, got in zip(sequence, shared):
+        with mock.patch.object(cli, "PARSER", cli.build_parser()):
+            assert got == run(argv), argv

@@ -204,6 +204,25 @@ class TestStateFiles:
         with pytest.raises(ParameterError):
             load_state(path)
 
+    @pytest.mark.parametrize("entry", [True, False, None, "0.5", [0.5], 10 ** 400])
+    def test_amplitude_entries_must_be_real_numbers(self, entry, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"n_qubits": 1, "amplitudes": [[1, 0], [0, entry]]}))
+        with pytest.raises(ParameterError, match="malformed state file"):
+            load_state(path)
+
+    def test_integer_amplitudes_load(self, tmp_path):
+        path = tmp_path / "int.json"
+        path.write_text(json.dumps({"n_qubits": 1, "amplitudes": [[0, 0], [0, 1]]}))
+        assert np.array_equal(load_state(path).amplitudes, [0, 1j])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_amplitudes(self, bad, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"n_qubits": 1, "amplitudes": [[bad, 0], [0, 0]]}))
+        with pytest.raises(ParameterError, match="finite"):
+            load_state(path)
+
     @pytest.mark.parametrize("n", [0, -1, True, "1", 1.0])
     def test_n_qubits_must_be_a_positive_integer(self, n, tmp_path):
         path = tmp_path / "n.json"
