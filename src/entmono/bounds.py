@@ -5,12 +5,15 @@ compared here all have the shape
 
     M^alpha(A|B_1...B_{N-1})  vs  sum_i  c_i * M^alpha(A,B_i)
 
-and differ in the per-step weights: the tightened weight is
-K_r = (mu_r + l_r)^s - l_r^s with s = alpha/2, alpha/sqrt(2) or alpha
-depending on the measure family, against the prior constants 2^s - 1,
-((1+k)^s - 1)/k^s and 1.  Monogamy families bound from below (>=) under
-hypotheses on the chain of residual-group values; polygamy families bound
-the assisted duals from above (<=).
+with c_i a product of per-step weights.  The four right-hand sides are
+one chained sum (_chained_sum) and differ only in that weight: the
+tightened K_r = (mu_r + l_r)^s - l_r^s with s = alpha/2, alpha/sqrt(2) or
+alpha depending on the measure family, against the prior constants 1
+(CKW), 2^s - 1 (JF) and ((1+k)^s - 1)/k^s (KF).  A split m in [1, N-2]
+swaps the roles of pair and tail in steps m+1..N-2; no split is split
+N-2.  Monogamy families bound from below (>=) under hypotheses on the
+chain of residual-group values; polygamy families bound the assisted
+duals from above (<=).
 
 Every bound is built from one measured object, the Chain of a (state,
 family) pair, which measure_chain computes once per command: the full
@@ -150,9 +153,9 @@ class BoundParams:
 
     mu and ell both None request automatic extraction of the maximal
     feasible parameters (exact only for three-qubit pure states); giving
-    only one of them is a ParameterError.  split of None is
-    the all-steps chain; split m in [1, N-2] groups steps m+1..N-2 with
-    the swapped-role hypotheses.  alpha is a float, or a 1-D array of
+    only one of them is a ParameterError.  split m in [1, N-2] groups
+    steps m+1..N-2 with the swapped-role hypotheses; None, the all-steps
+    chain, is split N-2.  alpha is a float, or a 1-D array of
     exponents (a sweep's grid) checked by BoundFamily.alpha_ok.
     """
 
@@ -323,39 +326,6 @@ def _in_range(x):
     return x
 
 
-def _coefficient_layout(per_step, split, n_pairs):
-    """Per-pair multipliers for the chained bound.
-
-    per_step[r-1] is the weight of step r (r = 1..n_pairs-1).  With no
-    split, pair i carries the product of the first i-1 step weights.  With
-    split m, pairs m+1..n_pairs-1 each carry (prod of first m) * own step
-    weight, and the final pair carries the product of the first m.  The
-    weights may be arrays; each product is a new one, so no coefficient
-    aliases another.
-    """
-    n_steps = n_pairs - 1
-    coeffs = []
-    if split is None:
-        acc = 1.0
-        for i in range(n_pairs):
-            coeffs.append(acc)
-            if i < n_steps:
-                acc = acc * per_step[i]
-        return coeffs
-    m = int(split)
-    if not 1 <= m <= n_steps:
-        raise ParameterError(f"split {m} outside [1, {n_steps}] for {n_pairs} pairs")
-    acc = 1.0
-    for i in range(1, m + 1):       # pairs 1..m: prefix products
-        coeffs.append(acc)
-        acc = acc * per_step[i - 1]
-    head = acc                      # product of steps 1..m
-    for i in range(m + 1, n_pairs):  # pairs m+1..n_pairs-1: head * own weight
-        coeffs.append(head * per_step[i - 1])
-    coeffs.append(head)             # final pair
-    return coeffs
-
-
 @dataclass(frozen=True)
 class RhsBreakdown:
     rhs: float
@@ -363,15 +333,17 @@ class RhsBreakdown:
     terms: tuple
 
 
-def rhs_assemble(values, params: BoundParams) -> RhsBreakdown:
-    """Assemble the tightened right-hand side from pairwise measure values.
+def _chained_sum(values, step_weights, alpha, split) -> RhsBreakdown:
+    """The chained sum of c_i * values[i]**alpha behind every right-hand side.
 
-    values are the N-1 pairwise measures M(A,B_1)..M(A,B_{N-1}); the
-    params must carry explicit mu and ell (N-2 each).  params.alpha may be
-    a 1-D array of exponents: the right side, the step weights and each
-    term's coefficient and contribution are then arrays over it, from the
-    same formulas (numpy's power may differ from the float one by an
-    ulp).  A power beyond the float range raises OverflowError either way.
+    step_weights[r-1] is the weight of step r (r = 1..N-2 for the N-1 pair
+    values).  With split m, pairs 1..m carry the products of the weights
+    before them, pairs m+1..N-2 the product of the first m times their own
+    weight, and the final pair the product of the first m.  split None is
+    m = N-2, the unsplit chain, where pair i carries the product of the
+    first i-1 weights.  The weights may be arrays (then alpha is the
+    matching grid); each product is a new array, so no coefficient aliases
+    another.  A power beyond the float range raises OverflowError.
     """
     values = [float(v) for v in values]
     if len(values) < 2:
@@ -379,22 +351,41 @@ def rhs_assemble(values, params: BoundParams) -> RhsBreakdown:
     if any(v < 0 for v in values):
         raise ParameterError(f"measure values must be nonnegative, got {values}")
     n_steps = len(values) - 1
+    if len(step_weights) != n_steps:
+        raise ParameterError(
+            f"{len(values)} values need {n_steps} (mu, ell) steps, got {len(step_weights)}")
+    m = n_steps if split is None else int(split)
+    if not 1 <= m <= n_steps:
+        raise ParameterError(f"split {m} outside [1, {n_steps}] for {len(values)} pairs")
+    with np.errstate(all="ignore"):
+        coeffs, head = [], 1.0
+        for w in step_weights[:m]:
+            coeffs.append(head)
+            head = head * w
+        coeffs += [head * w for w in step_weights[m:]] + [head]
+        terms = tuple(PairTerm(i + 1, c, v, c * v ** alpha)
+                      for i, (c, v) in enumerate(zip(coeffs, values)))
+        rhs = _in_range(sum(t.contribution for t in terms))
+    return RhsBreakdown(rhs, tuple(step_weights), terms)
+
+
+def rhs_assemble(values, params: BoundParams) -> RhsBreakdown:
+    """The tightened right-hand side: the chained sum with weights K_r.
+
+    values are the N-1 pairwise measures M(A,B_1)..M(A,B_{N-1}); the
+    params must carry explicit mu and ell (N-2 each), which give the step
+    weights K_r of coefficient_K.  A split of None is split N-2.
+    params.alpha may be a 1-D array of exponents: the right side, the step
+    weights and each term's coefficient and contribution are then arrays
+    over it, from the same formulas (numpy's power may differ from the
+    float one by an ulp).  A power beyond the float range raises
+    OverflowError either way.
+    """
     if params.mu is None:
         raise ParameterError("rhs_assemble needs explicit mu and ell (resolve auto first)")
-    if len(params.mu) != n_steps or len(params.ell) != n_steps:
-        raise ParameterError(
-            f"{len(values)} values need {n_steps} (mu, ell) steps, "
-            f"got {len(params.mu)} and {len(params.ell)}")
-    with np.errstate(all="ignore"):
-        ks = [coefficient_K(m, l, params.alpha, params.family)
-              for m, l in zip(params.mu, params.ell)]
-        coeffs = _coefficient_layout(ks, params.split, len(values))
-        terms = tuple(
-            PairTerm(i + 1, c, v, c * v ** params.alpha)
-            for i, (c, v) in enumerate(zip(coeffs, values))
-        )
-        rhs = _in_range(sum(t.contribution for t in terms))
-    return RhsBreakdown(rhs, tuple(ks), terms)
+    ks = [coefficient_K(m, l, params.alpha, params.family)
+          for m, l in zip(params.mu, params.ell)]
+    return _chained_sum(values, ks, params.alpha, params.split)
 
 
 PRIOR_KINDS = ("ckw", "jf", "kf")
@@ -428,23 +419,20 @@ def prior_rhs(values, alpha, family: BoundFamily, kind: str,
               k: float = None, split: int = None):
     """Right-hand side of one of the three prior bounds.
 
-    kind "ckw" is the plain alpha-power sum; "jf" uses the constant weight
-    2^s - 1 per step; "kf" uses ((1+k)^s - 1)/k^s with 0 < k <= 1.  alpha
-    is a float, or a 1-D array of exponents for which an array comes back,
-    as in rhs_assemble; a weight or power beyond the float range raises
-    OverflowError either way.
+    The chained sum of rhs_assemble with the constant step weight of
+    prior_weight: 1 for "ckw" (the plain alpha-power sum), 2^s - 1 for
+    "jf" and ((1+k)^s - 1)/k^s with 0 < k <= 1 for "kf"; k is ignored by
+    the other two.  A split of None is split N-2.  alpha is a float, or a
+    1-D array of exponents for which an array comes back; a weight or
+    power beyond the float range raises OverflowError either way.
     """
-    values = [float(v) for v in values]
-    if len(values) < 2:
-        raise ParameterError(f"need at least 2 pairwise values, got {len(values)}")
     if not family.alpha_ok(alpha):
         raise ParameterError(f"alpha={alpha} outside the domain of {family.label}")
     if kind == "kf" and (k is None or not 0.0 < k <= 1.0):
         raise ParameterError(f"kf comparator requires 0 < k <= 1, got {k}")
     with np.errstate(all="ignore"):
-        c = prior_weight(kind, family.scale(alpha), k)
-        coeffs = _coefficient_layout([c] * (len(values) - 1), split, len(values))
-        return _in_range(sum([cf * v ** alpha for cf, v in zip(coeffs, values)]))
+        weight = prior_weight(kind, family.scale(alpha), k)
+    return _chained_sum(values, [weight] * (len(values) - 1), alpha, split).rhs
 
 
 def extract_mu_l(chain, pairs, family: BoundFamily, split: int = None):
@@ -671,12 +659,9 @@ def verify(state: PureState, params: BoundParams, comparator_k: float = 0.5,
     params = resolve_params(chain, params)
 
     breakdown = rhs_assemble(chain.pairs, params)
-    priors = {
-        name: prior_rhs(chain.pairs, params.alpha, family, name,
-                        k=comparator_k if name == "kf" else None,
-                        split=params.split)
-        for name in PRIOR_KINDS
-    }
+    priors = {name: prior_rhs(chain.pairs, params.alpha, family, name, k=comparator_k,
+                              split=params.split)
+              for name in PRIOR_KINDS}
     lhs = chain.full ** params.alpha
     margin = lhs - breakdown.rhs if family.direction == MONOGAMY else breakdown.rhs - lhs
     conditions = check_conditions(chain, params)

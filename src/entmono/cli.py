@@ -44,13 +44,11 @@ MARGIN_TOL = 1e-9
 def fmt(x) -> str:
     """Floats with 12 significant digits (null if not finite); strings
     quoted as json.dumps quotes them; everything else via json.dumps."""
+    if isinstance(x, float):
+        return format(x, ".12g") if math.isfinite(x) else "null"
     if isinstance(x, str):
         return encode_basestring_ascii(x)
-    if isinstance(x, bool) or not isinstance(x, float):
-        return json.dumps(x)
-    if x != x or x in (float("inf"), float("-inf")):
-        return "null"
-    return format(x, ".12g")
+    return json.dumps(x)
 
 
 def to_json(obj, indent: int = 0) -> str:
@@ -218,9 +216,9 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     """Write the sweep_columns as CSV, one row per alpha, 12 significant digits."""
     columns = sweep_columns(args)
-    row = ",".join(["{:.12g}"] * len(columns))
     lines = [",".join(columns)]
-    lines += [row.format(*values) for values in zip(*(c.tolist() for c in columns.values()))]
+    rows = zip(*(c.tolist() for c in columns.values()))
+    lines += [",".join(map(fmt, values)) for values in rows]
     emit("\n".join(lines), args.out)
     return 0
 
@@ -269,8 +267,7 @@ def sweep_columns(args) -> dict:
         columns["ours"] = rhs_assemble(chain.pairs, params).rhs
     for name in ("kf", "jf", "ckw"):
         if name in selected:
-            columns[name] = prior_rhs(chain.pairs, alphas, family, name,
-                                      k=args.k if name == "kf" else None,
+            columns[name] = prior_rhs(chain.pairs, alphas, family, name, k=args.k,
                                       split=params.split)
     return columns
 

@@ -164,17 +164,14 @@ class MeasureKind:
         """Value of this measure on any state of known concurrence c.
 
         Valid on 2 x m pure states and two-qubit mixed states, where each
-        family is a fixed monotone function of the concurrence.  c may be
-        a scalar (a float is returned) or an array (elementwise).
+        family is a fixed monotone function of the concurrence: from_spectrum
+        of ((1+s)/2, (1-s)/2), s = sqrt(1 - c²).  c is clamped into [0, 1]
+        and may be a scalar (a float is returned) or an array (elementwise).
         """
         c = np.minimum(np.maximum(np.asarray(c, dtype=float), 0.0), 1.0)
         if self.name in ("concurrence", "cren"):
             return _scalar_or_array(c)
-        if self.name == "eof":
-            return f_eof(c * c)
-        if self.name == "tsallis":
-            return g_tsallis(c * c, self.q)
-        return f_renyi(c, self.order)
+        return self.from_spectrum(_two_level(c * c))
 
     def from_spectrum(self, evs):
         """Value on a pure state whose marginal on either side has spectrum evs.

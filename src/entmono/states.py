@@ -52,17 +52,12 @@ class PureState:
     def n_qubits(self) -> int:
         return len(self.dims)
 
-    def density_matrix(self) -> "DensityMatrix":
-        """The rank-1 projector |psi><psi| (at most DIM_CAP rows)."""
-        _check_dense(self.amplitudes.size, "density matrix")
-        return DensityMatrix._from_gram(
-            np.outer(self.amplitudes, self.amplitudes.conj()), self.dims)
-
     def reduce(self, keep) -> "DensityMatrix":
         """Reduced density matrix on the kept subsystems (ascending order).
 
         Computed as M·M† of the amplitude matrix (:func:`split_amplitudes`),
-        at O(2^n · d_keep) cost and without forming the full projector.  The
+        at O(2^n · d_keep) cost and without forming the full projector;
+        keeping every subsystem gives the projector |psi><psi| itself.  The
         product of a unit-norm amplitude matrix with its adjoint is
         Hermitian, PSD and unit-trace by construction, so the result skips
         the eigenvalue re-check of the public constructor.  Errors are those

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import entmono.cli as cli
 from entmono import (BoundParams, measure_chain, prior_rhs, random_pure,
                      resolve_params, rhs_assemble, save_state)
-from entmono.bounds import PRIOR_KINDS, _coefficient_layout
+from entmono.bounds import PRIOR_KINDS, _chained_sum
 
 FAST = settings(max_examples=60, deadline=None)
 
@@ -124,10 +124,15 @@ def test_array_columns_match_the_row_loop(haar_files, data):
 def test_coefficient_layout_on_array_weights_is_unaliased():
     weights = [np.array([2.0, 3.0]), np.array([5.0, 7.0]), np.array([11.0, 13.0])]
     before = [w.copy() for w in weights]
+    values = [0.5, 0.25, 0.75, 1.0]
+
+    def coefficients(step_weights, split):
+        return [t.coefficient for t in _chained_sum(values, step_weights, 2.0, split).terms]
+
     for split in (None, 1, 2, 3):
-        coeffs = _coefficient_layout(weights, split, 4)
+        coeffs = coefficients(weights, split)
         for j in range(2):
-            scalar = _coefficient_layout([float(w[j]) for w in weights], split, 4)
+            scalar = coefficients([float(w[j]) for w in weights], split)
             got = [float(c[j]) if isinstance(c, np.ndarray) else c for c in coeffs]
             assert got == scalar, (split, j)
         arrays = [c for c in coeffs if isinstance(c, np.ndarray)]

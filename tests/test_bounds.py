@@ -14,7 +14,7 @@ from entmono import (BoundParams, CapabilityError, ParameterError,
                      example1_params, extract_mu_l, ghz, measure_chain,
                      prior_rhs, random_pure, resolve_params, rhs_assemble,
                      schmidt3, seed_path, verify)
-from entmono.bounds import prior_weight
+from entmono.bounds import PRIOR_KINDS, prior_weight
 from entmono.corpus import run_suite
 
 EX1 = schmidt3(example1_params())
@@ -118,10 +118,12 @@ class TestCoefficientK:
         assert (1.0 + x) ** s - x ** s <= (1.0 + y) ** s - y ** s + 1e-12
 
 
-def direct_sum_oracle(values, mus, ells, alpha, family, split):
-    """Independent right-hand-side accumulation with explicit products."""
-    s = alpha / family.scale_div
-    ks = [(m + l) ** s - l ** s for m, l in zip(mus, ells)]
+def direct_sum_oracle(values, ks, alpha, split):
+    """Independent right-hand-side accumulation with explicit products.
+
+    ks[r-1] is the weight of step r: K_r for the tightened bound, or a
+    prior's constant weight.
+    """
     total = 0.0
     n = len(values)
     for i in range(1, n + 1):  # 1-based pair index
@@ -140,6 +142,14 @@ def direct_sum_oracle(values, mus, ells, alpha, family, split):
                 coeff *= ks[r - 1]
         total += coeff * values[i - 1] ** alpha
     return total
+
+
+def oracle_weights(kind, n_steps, mus, ells, s, k):
+    """Step weights at coefficient exponent s, from the textbook formulas."""
+    if kind == "ours":
+        return [(m + l) ** s - l ** s for m, l in zip(mus, ells)]
+    weight = {"ckw": 1.0, "jf": 2.0 ** s - 1.0, "kf": ((1.0 + k) ** s - 1.0) / k ** s}[kind]
+    return [weight] * n_steps
 
 
 class TestRhsAssemble:
@@ -171,17 +181,27 @@ class TestRhsAssemble:
             assert rhs_assemble(values, params).rhs == pytest.approx(plain, abs=1e-12)
 
     def test_matches_direct_summation_oracle(self):
+        # the tightened sum and the three priors, at one alpha and on a grid
         rng = np.random.default_rng(5)
         for _ in range(50):
             n_pairs = int(rng.integers(2, 6))
             values = rng.uniform(0.05, 1.0, n_pairs)
             mus = rng.uniform(1.0, 3.0, n_pairs - 1)
             ells = rng.uniform(1.0, 3.0, n_pairs - 1)
-            alpha = float(rng.uniform(2.0, 5.0))
+            k = float(rng.uniform(0.05, 1.0))
             split = None if rng.random() < 0.5 else int(rng.integers(1, n_pairs))
-            params = BoundParams(CONC, alpha, tuple(mus), tuple(ells), split)
-            expect = direct_sum_oracle(values, mus, ells, alpha, CONC, split)
-            assert rhs_assemble(values, params).rhs == pytest.approx(expect, rel=1e-12)
+            for alpha in (float(rng.uniform(2.0, 5.0)), rng.uniform(2.0, 5.0, 3)):
+                got = {"ours": rhs_assemble(values, BoundParams(
+                    CONC, alpha, tuple(mus), tuple(ells), split)).rhs}
+                for kind in PRIOR_KINDS:
+                    got[kind] = prior_rhs(values, alpha, CONC, kind, k=k, split=split)
+                for kind, rhs in got.items():
+                    assert np.shape(rhs) == np.shape(alpha)
+                    for a, r in zip(np.atleast_1d(alpha), np.atleast_1d(rhs)):
+                        ks = oracle_weights(kind, n_pairs - 1, mus, ells,
+                                            float(a) / CONC.scale_div, k)
+                        expect = direct_sum_oracle(values, ks, float(a), split)
+                        assert r == pytest.approx(expect, rel=1e-12), (kind, split)
 
     def test_length_mismatch(self):
         with pytest.raises(ParameterError):
@@ -205,6 +225,13 @@ class TestPriorRhs:
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             prior_rhs(C_TRIPLE[1:], 2.0, CONC, "best")
+
+    @pytest.mark.parametrize("alpha", [2.5, np.array([2.0, 2.5, 3.0])])
+    def test_rejects_negative_pair_values(self, alpha):
+        # as rhs_assemble does: no complex sum, no OverflowError from a NaN power
+        for kind in PRIOR_KINDS:
+            with pytest.raises(ParameterError, match="nonnegative"):
+                prior_rhs([-0.5, 0.3], alpha, CONC, kind, k=0.5)
 
 
 class TestPriorWeight:

@@ -549,6 +549,25 @@ def test_verify_estimates_each_assisted_pair_once(theorem, capsys, monkeypatch):
     assert len(calls) == 2 and len(set(calls)) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["--preset", "w:5", "--theorem", "concurrence", "--mu", "1,1,1", "--ell", "1,1,1"],
+    ["--preset", "ghz:6", "--theorem", "concurrence", "--mu", "1.5,1,2,1",
+     "--ell", "1,1.25,1,3"],
+    ["--preset", "w:5", "--theorem", "eof", "--comparator-only", "--mu", "2,1,1.5",
+     "--ell", "1,2,1"],
+    ["--preset", "example1", "--theorem", "concurrence"],
+])
+def test_split_at_the_last_step_is_no_split(args, capsys):
+    # split N-2 leaves no step to swap roles in: the chain, the right-hand
+    # sides and the conditions are those of the unsplit bound
+    n_steps = 1 if "example1" in args else int(args[1].split(":")[1]) - 2
+    argv = ["verify", "--alpha", "2.5"] + args
+    code, plain, _ = run_json(argv, capsys)
+    split_code, split, _ = run_json(argv + ["--m-split", str(n_steps)], capsys)
+    assert (plain.pop("split"), split.pop("split")) == (None, n_steps)
+    assert (split_code, split) == (code, plain)
+
+
 class TestCorpus:
     def test_small_run_passes(self, capsys):
         code, rec, _ = run_json(

@@ -224,15 +224,6 @@ def test_pair_concurrences_match_the_dense_wootters_route(case):
 
 
 @FAST
-@given(pure_states(max_qubits=6))
-def test_density_matrix_is_the_projector(state):
-    rho = state.density_matrix()
-    ref = np.outer(state.amplitudes, state.amplitudes.conj())
-    assert np.array_equal(rho.matrix, ref)
-    psd_eigvals(rho.matrix)
-
-
-@FAST
 @given(pure_states(), st.data())
 def test_pure_negativity_matches_trace_norm(state, data):
     n = state.n_qubits

@@ -159,10 +159,6 @@ class TestCaps:
             with pytest.raises(DimensionError):
                 make(21)
 
-    def test_dense_cap_on_projector(self):
-        with pytest.raises(DimensionError):
-            ghz(13).density_matrix()
-
     def test_dense_cap_on_reduction(self):
         state = ghz(14)
         with pytest.raises(DimensionError):
