@@ -28,6 +28,9 @@ extraction (resolve_params), the right-hand sides, the prior bounds and
 the hypothesis checks (check_conditions) all read that record; none
 measures again.
 
+evaluate_bounds is the one pipeline behind verify and the CLI sweep, and
+BoundFamily.check_alpha the one domain rule for every exponent alpha.
+
 Hypothesis parameters outside their theorem ranges (mu >= 1 and l >= 1
 for monogamy; 0 < mu <= 1, l >= 1 for polygamy) are reported as failed
 conditions rather than rejected, so that extracted maximal parameters can
@@ -77,16 +80,25 @@ class BoundFamily:
     def scale(self, alpha):
         return alpha / self.scale_div
 
-    def alpha_ok(self, alpha) -> bool:
-        """alpha is finite and inside [alpha_min, alpha_max] (1e-12 slack).
+    def check_alpha(self, alpha):
+        """ParameterError unless alpha is finite and inside [alpha_min, alpha_max].
 
-        alpha may be a 1-D array: it is inside when its smallest and
-        largest entries are, since the check is a range (NaN propagates
-        through min and max).
+        The one alpha-domain rule of every bound (1e-12 slack).  alpha may
+        be an array (a sweep's grid, a corpus block): it is inside when its
+        smallest and largest entries are, since the check is a range (NaN
+        propagates through min and max), and the error shows them as
+        min..max.
         """
+        lo = hi = shown = alpha
         if isinstance(alpha, np.ndarray):
-            return self.alpha_ok(float(alpha.min())) and self.alpha_ok(float(alpha.max()))
-        return math.isfinite(alpha) and self.alpha_min - 1e-12 <= alpha <= self.alpha_max + 1e-12
+            lo, hi = float(alpha.min()), float(alpha.max())
+            shown = f"{lo}..{hi}"
+        # a NaN or -inf lo fails the first comparison
+        if not (self.alpha_min - 1e-12 <= lo and hi <= self.alpha_max + 1e-12
+                and math.isfinite(hi)):
+            raise ParameterError(
+                f"alpha={shown} is not finite or outside [{self.alpha_min}, "
+                f"{self.alpha_max}] for {self.label}")
 
     def mu_ok(self, mu: float) -> bool:
         if self.direction == MONOGAMY:
@@ -101,28 +113,21 @@ class BoundFamily:
         return f"{self.direction}:{self.measure.label}"
 
 
-def bound_family(measure, direction: str = MONOGAMY, q: float = None,
+def bound_family(measure: str, direction: str = MONOGAMY, q: float = None,
                  order: float = None) -> BoundFamily:
     """Build the family record for a measure name and bound direction.
 
     The (measure, direction) pair fixes the hypothesis power, exponent
-    scale and alpha domain; entropy orders are validated against the
-    windows in which the corresponding theorem is stated.
+    scale and alpha domain; the measure is assisted exactly for polygamy.
+    Entropy orders are validated against the windows in which the
+    corresponding theorem is stated.
     """
-    if isinstance(measure, MeasureKind):
-        kind = measure
-        if q is not None or order is not None:
-            raise ParameterError("pass q/order inside the MeasureKind, not alongside it")
-    else:
-        kind = MeasureKind(str(measure), q=q, order=order,
-                           assisted=(direction == POLYGAMY))
+    kind = MeasureKind(str(measure), q=q, order=order, assisted=(direction == POLYGAMY))
     if direction not in (MONOGAMY, POLYGAMY):
         raise ParameterError(f"direction must be monogamy or polygamy, got {direction!r}")
     if direction == POLYGAMY:
         if kind.name in ("concurrence", "cren"):
             raise ParameterError(f"no polygamy family exists for {kind.name}")
-        if not kind.assisted:
-            raise ParameterError("polygamy families apply to assisted measures")
         if kind.name == "tsallis" and not (1.0 <= kind.q <= 2.0 or 3.0 <= kind.q <= 4.0):
             raise ParameterError(
                 f"assisted tsallis bound requires q in [1,2] or [3,4], got {kind.q}")
@@ -132,8 +137,6 @@ def bound_family(measure, direction: str = MONOGAMY, q: float = None,
                 f"[{RENYI_POLY_LO:.6f}, {RENYI_POLY_HI:.6f}], got {kind.order}")
         return BoundFamily(kind, POLYGAMY, 1.0, 1.0, 0.0, 1.0)
 
-    if kind.assisted:
-        raise ParameterError("monogamy families apply to non-assisted measures")
     if kind.name in ("concurrence", "cren"):
         return BoundFamily(kind, MONOGAMY, 2.0, 2.0, 2.0, math.inf)
     if kind.name == "eof":
@@ -156,7 +159,7 @@ class BoundParams:
     only one of them is a ParameterError.  split m in [1, N-2] groups
     steps m+1..N-2 with the swapped-role hypotheses; None, the all-steps
     chain, is split N-2.  alpha is a float, or a 1-D array of
-    exponents (a sweep's grid) checked by BoundFamily.alpha_ok.
+    exponents (a sweep's grid) checked by BoundFamily.check_alpha.
     """
 
     family: BoundFamily
@@ -166,12 +169,7 @@ class BoundParams:
     split: int = None
 
     def __post_init__(self):
-        if not self.family.alpha_ok(self.alpha):
-            shown = (self.alpha if np.ndim(self.alpha) == 0
-                     else f"{np.min(self.alpha)}..{np.max(self.alpha)}")
-            raise ParameterError(
-                f"alpha={shown} is not finite or outside [{self.family.alpha_min}, "
-                f"{self.family.alpha_max}] for {self.family.label}")
+        self.family.check_alpha(self.alpha)
         for name in ("mu", "ell"):
             vals = getattr(self, name)
             if vals is None:
@@ -289,6 +287,7 @@ def coefficient_K(mu, ell, alpha, family: BoundFamily):
     scalar call.  A weight beyond the float range raises OverflowError,
     as the float power does.
     """
+    family.check_alpha(alpha)
     # plain floats, the hot scalar case, skip the ndarray tests
     floats = type(mu) is float and type(ell) is float and type(alpha) is float
     if not floats and (isinstance(mu, np.ndarray) or isinstance(ell, np.ndarray)
@@ -297,16 +296,12 @@ def coefficient_K(mu, ell, alpha, family: BoundFamily):
                                                for v in (mu, ell, alpha)))
         # every check is a range, so the smallest and largest entries stand
         # for all of them; NaN propagates through min and max
-        checked = [(float(mu.min()), float(ell.min()), float(alpha.min())),
-                   (float(mu.max()), float(ell.max()), float(alpha.max()))] if mu.size else []
+        checked = [(float(mu.min()), float(ell.min())),
+                   (float(mu.max()), float(ell.max()))] if mu.size else []
     else:
         mu, ell, alpha = float(mu), float(ell), float(alpha)
-        checked = [(mu, ell, alpha)]
-    for m, l, a in checked:
-        if not family.alpha_ok(a):
-            raise ParameterError(
-                f"alpha={a} outside [{family.alpha_min}, {family.alpha_max}] "
-                f"for {family.label}")
+        checked = [(mu, ell)]
+    for m, l in checked:
         if not (0.0 < m < math.inf and 0.0 <= l < math.inf):
             raise ParameterError(f"require mu > 0 and l >= 0, got mu={m}, l={l}")
     s = family.scale(alpha)
@@ -426,8 +421,7 @@ def prior_rhs(values, alpha, family: BoundFamily, kind: str,
     1-D array of exponents for which an array comes back; a weight or
     power beyond the float range raises OverflowError either way.
     """
-    if not family.alpha_ok(alpha):
-        raise ParameterError(f"alpha={alpha} outside the domain of {family.label}")
+    family.check_alpha(alpha)
     if kind == "kf" and (k is None or not 0.0 < k <= 1.0):
         raise ParameterError(f"kf comparator requires 0 < k <= 1, got {k}")
     with np.errstate(all="ignore"):
@@ -435,14 +429,15 @@ def prior_rhs(values, alpha, family: BoundFamily, kind: str,
     return _chained_sum(values, [weight] * (len(values) - 1), alpha, split).rhs
 
 
-def extract_mu_l(chain, pairs, family: BoundFamily, split: int = None):
+def extract_mu_l(chain, pairs, family: BoundFamily):
     """Maximal feasible (mu_r, l_r) from measured chain and pair values.
 
     chain[r-1] is M(A | B_r...B_{N-1}) for r = 1..N-1 and pairs[r-1] is
     M(A, B_r) for r = 1..N-2, all at measure level (the hypothesis power
-    is applied here).  Steps r <= split use the pair-dominates-tail
-    branch; steps beyond use the swapped-role branch.  A zero denominator
-    makes the step unconstrained: (None, None) is returned for it.
+    is applied here).  Every step takes the pair-dominates-tail branch,
+    the one a split leaves to the steps up to it: extraction runs only on
+    three-qubit chains, whose single step precedes every split.  A zero
+    tail makes the step unconstrained: (None, None) is returned for it.
     """
     chain = [float(v) for v in chain]
     pairs = [float(v) for v in pairs]
@@ -454,18 +449,12 @@ def extract_mu_l(chain, pairs, family: BoundFamily, split: int = None):
     mus, ells = [], []
     for r in range(1, len(pairs) + 1):
         parent, tail, pair = chain[r - 1] ** p, chain[r] ** p, pairs[r - 1] ** p
-        i_branch = split is None or r <= int(split)
-        denom = tail if i_branch else pair
-        if denom == 0.0:
+        if tail == 0.0:
             mus.append(None)
             ells.append(None)
-            continue
-        if i_branch:
-            mus.append((parent - pair) / denom)
-            ells.append(pair / denom)
         else:
-            mus.append((parent - tail) / denom)
-            ells.append(tail / denom)
+            mus.append((parent - pair) / tail)
+            ells.append(pair / tail)
     return tuple(mus), tuple(ells)
 
 
@@ -599,17 +588,17 @@ def check_conditions(chain: Chain, params: BoundParams) -> ConditionReport:
 def resolve_params(chain: Chain, params: BoundParams) -> BoundParams:
     """Fill in auto (mu, ell) with the maximal feasible values of the chain.
 
-    Exact for three-qubit pure states.  For assisted families the pair
-    values are heuristic estimates and the extracted parameters inherit
-    that status (clamped into the theorem ranges).  Unconstrained steps
-    (zero denominators) fall back to (1, 1); their terms vanish anyway.
+    Exact for three-qubit pure states, the only chains evaluate_bounds
+    extracts from (extract_mu_l rejects the length of any other).  For
+    assisted families the pair values are heuristic estimates and the
+    extracted parameters inherit that status (clamped into the theorem
+    ranges).  Unconstrained steps (zero denominators) fall back to (1, 1);
+    their terms vanish anyway.
     """
-    require_exact_chain(chain.state.n_qubits, params)
     if params.mu is not None:
         return params
     family = params.family
-    mus, ells = extract_mu_l([chain.full, chain.pairs[-1]], chain.pairs[:-1], family,
-                             split=params.split)
+    mus, ells = extract_mu_l([chain.full, chain.pairs[-1]], chain.pairs[:-1], family)
     mus = [1.0 if m is None else m for m in mus]
     ells = [1.0 if l is None else l for l in ells]
     if family.direction == POLYGAMY:
@@ -618,16 +607,36 @@ def resolve_params(chain: Chain, params: BoundParams) -> BoundParams:
     return BoundParams(family, params.alpha, tuple(mus), tuple(ells), params.split)
 
 
-def require_exact_chain(n_qubits: int, params: BoundParams):
-    """CapabilityError when auto params need the chain of a non-three-qubit state.
+def evaluate_bounds(state: PureState, params: BoundParams, names, comparator_k: float = 0.5,
+                    budget: int = 200, seed=0) -> tuple:
+    """(chain, params, ours, priors) of the bounds named in names, one instance.
 
-    Run it before measure_chain, so no measurement is made only to be
-    rejected.
+    The one rule behind verify and the sweep: check the input (a pure
+    state of at least 3 qubits, and exactly 3 for automatic (mu, l), so
+    that no chain is measured only to be rejected), measure the chain once
+    and resolve (mu, l) into the returned params.  Then only the
+    selected right sides are evaluated: ours, rhs_assemble's breakdown if
+    "ours" is in names (None otherwise), and priors, the prior_rhs of each
+    selected kind in PRIOR_KINDS order (kf with k = comparator_k).
+    params.alpha may be a sweep's grid, for which the values are arrays
+    over it.  A power beyond the float range raises OverflowError.
     """
-    if params.mu is None and n_qubits != 3:
+    if not isinstance(state, PureState):
+        raise ParameterError(f"a bound needs a PureState, got {type(state).__name__}")
+    if state.n_qubits < 3:
+        raise ParameterError(
+            f"a bound needs at least 3 qubits (2 pair terms), got {state.n_qubits}")
+    if params.mu is None and state.n_qubits != 3:
         raise CapabilityError(
             "automatic (mu, l) extraction needs the exact three-qubit chain; "
-            f"supply mu and ell explicitly for {n_qubits}-qubit states")
+            f"supply mu and ell explicitly for {state.n_qubits}-qubit states")
+    chain = measure_chain(state, params.family, budget=budget, seed=seed)
+    params = resolve_params(chain, params)
+    ours = rhs_assemble(chain.pairs, params) if "ours" in names else None
+    priors = {name: prior_rhs(chain.pairs, params.alpha, params.family, name,
+                              k=comparator_k, split=params.split)
+              for name in PRIOR_KINDS if name in names}
+    return chain, params, ours, priors
 
 
 def verify(state: PureState, params: BoundParams, comparator_k: float = 0.5,
@@ -636,35 +645,25 @@ def verify(state: PureState, params: BoundParams, comparator_k: float = 0.5,
 
     The left side is the exact pure-state measure of A | B_1...B_{N-1};
     pairwise values are exact two-qubit closed forms (heuristic estimates
-    for assisted families).  The report carries the tightened right-hand
-    side, the three prior right-hand sides at the same exponent, the
-    hypothesis-condition verdicts and the direction-signed margin.  For
-    entropic, convex-roof-negativity and assisted families beyond three
-    qubits the hypothesis chain is not certifiable: pass comparator_only
-    to skip straight to the bound comparison (conditions then report
-    undecidable).
+    for assisted families).  The report carries evaluate_bounds' tightened
+    right-hand side and the three prior right-hand sides at the same
+    exponent, the hypothesis-condition verdicts and the direction-signed
+    margin.  For entropic, convex-roof-negativity and assisted families
+    beyond three qubits the hypothesis chain is not certifiable: pass
+    comparator_only to skip straight to the bound comparison (conditions
+    then report undecidable).
     """
-    if not isinstance(state, PureState):
-        raise ParameterError(f"verify expects a PureState, got {type(state).__name__}")
-    if state.n_qubits < 3:
-        raise ParameterError("verify needs at least 3 qubits (2 pair terms)")
     family = params.family
-    if state.n_qubits > 3 and family.measure.name != "concurrence" and not comparator_only:
+    if (isinstance(state, PureState) and state.n_qubits > 3
+            and family.measure.name != "concurrence" and not comparator_only):
         raise CapabilityError(
             f"{family.label} beyond 3 qubits lacks certified chain values "
             f"M(A|B_r..B_{state.n_qubits - 1}); rerun with comparator_only=True")
 
-    require_exact_chain(state.n_qubits, params)
-    chain = measure_chain(state, family, budget=budget, seed=seed)
-    params = resolve_params(chain, params)
-
-    breakdown = rhs_assemble(chain.pairs, params)
-    priors = {name: prior_rhs(chain.pairs, params.alpha, family, name, k=comparator_k,
-                              split=params.split)
-              for name in PRIOR_KINDS}
+    chain, params, breakdown, priors = evaluate_bounds(
+        state, params, ("ours",) + PRIOR_KINDS, comparator_k, budget, seed)
     lhs = chain.full ** params.alpha
     margin = lhs - breakdown.rhs if family.direction == MONOGAMY else breakdown.rhs - lhs
-    conditions = check_conditions(chain, params)
     return BoundReport(
         family=family.label,
         direction=family.direction,
@@ -678,7 +677,7 @@ def verify(state: PureState, params: BoundParams, comparator_k: float = 0.5,
         ell=params.ell,
         split=params.split,
         margin=margin,
-        conditions=conditions,
+        conditions=check_conditions(chain, params),
         priors=priors,
         value_status=chain.status,
     )

@@ -2,7 +2,8 @@
 verify bound instances, and run the randomized property corpus.
 
 Exit codes: 0 success / bound certified; 1 I/O or internal failure;
-2 invalid parameters or an uncertifiable regime (capability error);
+2 invalid parameters (a size too large to allocate among them) or an
+uncertifiable regime (capability error);
 3 hypothesis conditions not certified (undecidable or failed), or a NaN
 margin;
 4 certified violation (defect signal).
@@ -17,9 +18,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import corpus as corpus_mod
-from .bounds import (POLYGAMY, BoundParams, bound_family,
-                     measure_chain, prior_rhs, require_exact_chain,
-                     resolve_params, rhs_assemble, verify)
+from .bounds import BoundParams, bound_family, evaluate_bounds, verify
 from .errors import (CapabilityError, ContractError, DimensionError,
                      DomainError, ParameterError)
 from .measures import MeasureKind, negativity
@@ -123,7 +122,7 @@ def parse_partition(text: str, n_qubits: int) -> tuple:
     return left, right
 
 
-def measure_kind(name: str, args, assisted: bool = False) -> MeasureKind:
+def measure_kind(name: str, args) -> MeasureKind:
     """The MeasureKind of name with its --q/--aacute; None for negativity.
 
     tsallis takes --q and renyi --aacute; a missing one, or one given to
@@ -138,7 +137,7 @@ def measure_kind(name: str, args, assisted: bool = False) -> MeasureKind:
             raise ParameterError(f"--{opt} is not meaningful for kind {name!r}")
     if name == "negativity":
         return None
-    return MeasureKind(name, q=args.q, order=args.aacute, assisted=assisted)
+    return MeasureKind(name, q=args.q, order=args.aacute)
 
 
 def cmd_measure(args) -> int:
@@ -180,7 +179,8 @@ def family_from_args(args, key: str):
         raise ParameterError(
             f"unknown theorem selector {key!r}; expected a family in "
             f"{sorted(THEOREM_FAMILIES)} optionally prefixed like thm1-") from None
-    return bound_family(measure_kind(name, args, direction == POLYGAMY), direction)
+    kind = measure_kind(name, args)
+    return bound_family(name, direction, q=kind.q, order=kind.order)
 
 
 def parse_floats(text):
@@ -229,21 +229,14 @@ def sweep_columns(args) -> dict:
     The grid alpha_i = alpha_min + (alpha_max - alpha_min) * i / (steps - 1)
     is evaluated elementwise (the float values a per-step loop gives).  The
     columns are alpha, lhs = M(A|B_1...B_{N-1})^alpha and the selected
-    bounds in the order ours, kf, jf, ckw; each bound is one rhs_assemble
-    or prior_rhs call on the whole grid, the formulas verify evaluates at
-    one alpha.  Extracted (mu, l) come from the one measured chain.  A
-    power beyond the float range raises OverflowError.
+    bounds in the order ours, kf, jf, ckw, from one bounds.evaluate_bounds
+    call on the whole grid, the rule verify evaluates at one alpha; bounds
+    not selected are never evaluated.  The grid passes the family's alpha
+    rule there, so a non-finite or out-of-domain grid is a ParameterError.
+    A power beyond the float range raises OverflowError.
     """
     state, _ = load_input(args)
     family = family_from_args(args, args.kind)
-    if not (math.isfinite(args.alpha_min) and math.isfinite(args.alpha_max)):
-        raise ParameterError(
-            f"--alpha-min and --alpha-max must be finite, got "
-            f"{args.alpha_min} and {args.alpha_max}")
-    if args.alpha_min < family.alpha_min - 1e-12:
-        raise ParameterError(
-            f"--alpha-min {args.alpha_min} is below the family domain "
-            f"minimum {family.alpha_min}")
     if args.steps < 2:
         raise ParameterError(f"--steps must be >= 2, got {args.steps}")
     if args.alpha_max <= args.alpha_min:
@@ -253,22 +246,18 @@ def sweep_columns(args) -> dict:
         if b not in ("ours", "kf", "jf", "ckw"):
             raise ParameterError(f"unknown bound column {b!r}")
 
-    with np.errstate(over="ignore"):  # an overflowing step is rejected as alpha=inf
+    with np.errstate(over="ignore", invalid="ignore"):  # BoundParams rejects inf and NaN
         alphas = (args.alpha_min
                   + (args.alpha_max - args.alpha_min) * np.arange(args.steps) / (args.steps - 1))
     params = BoundParams(family, alphas, parse_floats(args.mu), parse_floats(args.ell),
                          args.m_split)
-    require_exact_chain(state.n_qubits, params)
-    chain = measure_chain(state, family)
-    params = resolve_params(chain, params)
-
+    chain, _, ours, priors = evaluate_bounds(state, params, selected, comparator_k=args.k)
     columns = {"alpha": alphas, "lhs": chain.full ** alphas}
-    if "ours" in selected:
-        columns["ours"] = rhs_assemble(chain.pairs, params).rhs
+    if ours is not None:
+        columns["ours"] = ours.rhs
     for name in ("kf", "jf", "ckw"):
-        if name in selected:
-            columns[name] = prior_rhs(chain.pairs, alphas, family, name, k=args.k,
-                                      split=params.split)
+        if name in priors:
+            columns[name] = priors[name]
     return columns
 
 
@@ -379,6 +368,10 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         # a finite but huge exponent overflows a power of a value above 1
         print(f"entmono: result out of floating-point range: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # a size such as --steps or --samples too large to allocate
+        print(f"entmono: too large to allocate: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"entmono: {exc}", file=sys.stderr)

@@ -276,6 +276,7 @@ def _split(n: int, side, group=None) -> tuple:
 
 
 _CONCURRENCE = MeasureKind("concurrence")
+_CREN = MeasureKind("cren")
 
 
 def marginal_spectra(amps: np.ndarray, dims: tuple, keep) -> np.ndarray:
@@ -472,16 +473,15 @@ def negativity(rho, side=0) -> MeasureValue:
     Accepts a DensityMatrix or a PureState; side is read as in
     MeasureKind.evaluate, one subsystem index or a group of them (the
     transpose is applied to each factor in the group).  A pure state never
-    forms its projector: with s_i the singular values of its amplitude
-    matrix reshaped as side | rest (the Schmidt coefficients),
-    ||rho^{T_side}|| = (sum_i s_i)² exactly.  A density matrix takes the
-    partial transpose and its trace norm.  The result is clamped at 0 from
-    below (roundoff tolerance 1e-12).
+    forms its projector: with s_i its Schmidt coefficients for side | rest,
+    ||rho^{T_side}|| = (sum_i s_i)² exactly, so its negativity is the cren
+    pure_value of the same split (from_spectrum, clamped at 0).  A density
+    matrix takes the partial transpose and its trace norm, clamped at 0
+    from below (roundoff tolerance 1e-12).
     """
     sides, _ = _split(len(rho.dims), side)
     if isinstance(rho, PureState):
-        s = np.linalg.svd(split_amplitudes(rho.amplitudes, rho.dims, sides), compute_uv=False)
-        return MeasureValue.exact(max(0.0, float(np.sum(s)) ** 2 - 1.0))
+        return MeasureValue.exact(_CREN.pure_value(rho, sides))
     pt = rho.matrix
     for idx in sides:
         pt = partial_transpose(pt, rho.dims, idx)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import entmono.cli as cli
-from entmono import random_pure, save_state
+from entmono import (BoundParams, ParameterError, bound_family, coefficient_K,
+                     prior_rhs, random_pure, save_state)
 
 from dense_reference import slow_reduce
 
@@ -331,6 +332,67 @@ def test_kf_with_a_tiny_k_equals_ckw_at_s_one(capsys):
     row = dict(zip(header.split(","), first.split(",")))
     assert row["alpha"] == "2"
     assert row["kf"] == row["ckw"] == "0.48"
+
+
+SELECTED_ONLY = [
+    # ours would overflow at alpha = 3000 (the extracted mu = l = 2), ckw does not
+    ["--bounds", "ckw", "--alpha-min", "2", "--alpha-max", "3000", "--steps", "3"],
+    # k = 5 is outside the kf window, and kf is not selected
+    ["--bounds", "ours", "--k", "5", "--alpha-min", "2", "--alpha-max", "3", "--steps", "3"],
+]
+
+
+@pytest.mark.parametrize("extra", SELECTED_ONLY, ids=" ".join)
+def test_sweep_evaluates_only_the_selected_bounds(extra, capsys):
+    code, out, err = run_cli(["sweep", "--preset", "example1", "--kind", "concurrence"]
+                             + extra, capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "alpha,lhs," + extra[1]
+
+
+def test_one_alpha_rule_and_message(capsys):
+    conc = bound_family("concurrence")
+    # the grid of sweep --alpha-min 1 --alpha-max 3 --steps 5, and one alpha of it
+    for alpha, shown in ((np.linspace(1.0, 3.0, 5), "1.0..3.0"), (1.0, "1.0")):
+        want = f"alpha={shown} is not finite or outside [2.0, inf] for monogamy:concurrence"
+        for call in (lambda: BoundParams(conc, alpha),
+                     lambda: coefficient_K(1.0, 1.0, alpha, conc),
+                     lambda: prior_rhs([0.5, 0.4], alpha, conc, "ckw")):
+            with pytest.raises(ParameterError) as info:
+                call()
+            assert str(info.value) == want
+    code, out, err = run_cli(["sweep", "--preset", "example1", "--kind", "concurrence",
+                              "--alpha-min", "1", "--alpha-max", "3", "--steps", "5"], capsys)
+    assert (code, out, err) == (2, "", "entmono: alpha=1.0..3.0 is not finite or outside "
+                                       "[2.0, inf] for monogamy:concurrence\n")
+
+
+def test_two_qubit_state_gives_one_message(capsys):
+    grid = ["--alpha-min", "2", "--alpha-max", "3", "--steps", "3"]
+    results = {run_cli(argv, capsys) for argv in (
+        ["verify", "--preset", "bell", "--theorem", "concurrence", "--alpha", "2"],
+        ["sweep", "--preset", "bell", "--kind", "concurrence"] + grid,
+        ["sweep", "--preset", "bell", "--kind", "concurrence", "--mu", "1", "--ell", "1"]
+        + grid,
+    )}
+    assert results == {(2, "", "entmono: a bound needs at least 3 qubits (2 pair terms), "
+                               "got 2\n")}
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--preset", "example1", "--kind", "concurrence", "--alpha-min", "2",
+     "--alpha-max", "3", "--steps", "1000000000000"],
+    ["corpus", "--suite", "lemma1", "--samples", "1000000000000"],
+], ids=lambda a: a[0])
+def test_a_size_too_large_to_allocate_exits_two(argv, capsys, monkeypatch):
+    # the handler stands in for numpy failing to allocate; nothing is allocated
+    def handler(args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setitem(cli.COMMANDS, argv[0], handler)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "entmono: too large to allocate: Unable to allocate 7.28 TiB for an array\n"
 
 
 MALFORMED = [
