@@ -19,14 +19,12 @@ Every bound is built from one measured object, the Chain of a (state,
 family) pair, which measure_chain computes once per command: the full
 value M(A|B_1...B_{N-1}) and the pair values M(A,B_i) with their
 provenance (exact closed forms, or heuristic assisted estimates).  Its
-links, a certified MeasureValue (exact or interval) for each residual
-link M(A|B_r...B_{N-1}) or None where no certified value exists, are
-built when read, which only the hypothesis checks do; the concurrence
-links come from measures.group_concurrence, the rule behind
-`measure --kind concurrence` on a partial partition too.  Parameter
-extraction (resolve_params), the right-hand sides, the prior bounds and
-the hypothesis checks (check_conditions) all read that record; none
-measures again.
+links M(A|B_r...B_{N-1}), each a certified MeasureValue or None, are
+built when read, which only the hypothesis checks do, by
+measures.group_link, the one rule behind `measure` on a group too.
+Parameter extraction (resolve_params), the right-hand sides, the prior
+bounds and the hypothesis checks (check_conditions) all read that
+record; none measures again.
 
 evaluate_bounds is the one pipeline behind verify and the CLI sweep, and
 BoundFamily.check_alpha the one domain rule for every exponent alpha.
@@ -43,8 +41,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import CapabilityError, ParameterError
-from .measures import (MeasureKind, MeasureValue, assisted_estimate,
-                       group_concurrence, pair_concurrences)
+from .measures import (CERT_TOL, MeasureKind, MeasureValue, assisted_estimate,
+                       group_link, pair_concurrences)
 from .states import PureState, seed_path
 
 SQRT2 = math.sqrt(2.0)
@@ -55,10 +53,6 @@ RENYI_POLY_HI = (math.sqrt(13.0) - 1.0) / 2.0
 
 MONOGAMY = "monogamy"
 POLYGAMY = "polygamy"
-
-# roundoff allowance for certified hypothesis verdicts (saturating states
-# sit exactly on the clause boundary)
-CERT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -474,32 +468,15 @@ class Chain:
 
     @property
     def links(self) -> tuple:
-        """MeasureValue of M(A|B_r...B_{N-1}), r = 1..N-1, or None; built on each read.
+        """measures.group_link of M(A|B_r...B_{N-1}), r = 1..N-1; built on each read.
 
-        The first link and, for monogamy families, the last (the pair
-        A,B_{N-1}) are exact.  For the concurrence family an intermediate
-        group A,B_r..B_{N-1} gets measures.group_concurrence of the values
-        the chain holds: the lower leg over the pair values C(A,B_j),
-        j >= r, the upper leg C(A|B_1...B_{N-1}) = full (the group's rho_A
-        is the global one), and full exactly when the group is pure.
-
-        Every other link is uncertified (None): intermediate groups of the
-        entropic families and the convex-roof negativity, and every link
-        beyond the first of the assisted families.
+        The group A,B_r..B_{N-1} takes the chain's pair values M(A,B_j),
+        j >= r, and full (the group's rho_A is the global one).
         """
-        n, full, pairs = self.state.n_qubits, self.full, self.pairs
-        links = [MeasureValue.exact(full)]
-        for r in range(2, n):
-            if self.family.direction == POLYGAMY:
-                links.append(None)
-            elif r == n - 1:
-                links.append(MeasureValue.exact(pairs[-1]))
-            elif self.family.measure.name != "concurrence":
-                links.append(None)
-            else:
-                links.append(group_concurrence(self.state, [0, *range(r, n)],
-                                               pairs[r - 1:], full))
-        return tuple(links)
+        n, kind = self.state.n_qubits, self.family.measure
+        return tuple(group_link(kind, self.state, [0, *range(r, n)], self.pairs[r - 1:],
+                                self.full)
+                     for r in range(1, n))
 
 
 def measure_chain(state: PureState, family: BoundFamily, budget: int = 200,
@@ -543,9 +520,9 @@ def check_conditions(chain: Chain, params: BoundParams) -> ConditionReport:
     """Hypothesis check for every chain step, interval-certified.
 
     Three-qubit pure states yield exact verdicts.  For larger registers
-    the concurrence family certifies what its links allow and reports
-    "undecidable" otherwise; heuristic pair values and uncertified links
-    never certify a clause.
+    the concurrence and CREN families certify what their links allow and
+    report "undecidable" otherwise; heuristic pair values and uncertified
+    links never certify a clause.
     """
     family = params.family
     if params.mu is None:
@@ -648,14 +625,15 @@ def verify(state: PureState, params: BoundParams, comparator_k: float = 0.5,
     for assisted families).  The report carries evaluate_bounds' tightened
     right-hand side and the three prior right-hand sides at the same
     exponent, the hypothesis-condition verdicts and the direction-signed
-    margin.  For entropic, convex-roof-negativity and assisted families
-    beyond three qubits the hypothesis chain is not certifiable: pass
+    margin.  Beyond three qubits the hypothesis chain is certifiable only
+    for a measure whose certifies_groups holds (the concurrence and CREN
+    families, see measures.group_link); for every other family pass
     comparator_only to skip straight to the bound comparison (conditions
     then report undecidable).
     """
     family = params.family
     if (isinstance(state, PureState) and state.n_qubits > 3
-            and family.measure.name != "concurrence" and not comparator_only):
+            and not family.measure.certifies_groups and not comparator_only):
         raise CapabilityError(
             f"{family.label} beyond 3 qubits lacks certified chain values "
             f"M(A|B_r..B_{state.n_qubits - 1}); rerun with comparator_only=True")

@@ -21,7 +21,7 @@ from . import corpus as corpus_mod
 from .bounds import BoundParams, bound_family, evaluate_bounds, verify
 from .errors import (CapabilityError, ContractError, DimensionError,
                      DomainError, ParameterError)
-from .measures import MeasureKind, negativity
+from .measures import CERT_TOL, MeasureKind, negativity
 from .states import bell, example1_params, ghz, load_state, schmidt3, w_state
 
 MEASURE_KINDS = ("concurrence", "cren", "negativity", "eof", "tsallis", "renyi")
@@ -36,8 +36,6 @@ THEOREM_FAMILIES = {
     "teoa": ("tsallis", "polygamy"),
     "reoa": ("renyi", "polygamy"),
 }
-
-MARGIN_TOL = 1e-9
 
 
 def fmt(x) -> str:
@@ -210,7 +208,7 @@ def cmd_verify(args) -> int:
     emit(to_json(record), args.out)
     if not report.conditions.all_hold or math.isnan(report.margin):
         return 3
-    return 0 if report.margin >= -MARGIN_TOL else 4
+    return 0 if report.margin >= -CERT_TOL else 4
 
 
 def cmd_sweep(args) -> int:
@@ -300,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", required=True,
                    help="e.g. A|BC or A|B.  Qubits left out are traced out: a "
                         "2-qubit group gives an exact value, and the concurrence "
-                        "of one qubit against a larger group a certified interval")
+                        "or cren of one qubit against a larger group a certified "
+                        "interval")
     p.add_argument("--q", type=float, help="Tsallis entropy parameter")
     p.add_argument("--aacute", type=float, help="Renyi entropy order")
 

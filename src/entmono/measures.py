@@ -5,9 +5,9 @@ estimator for their assisted (decomposition-maximizing) duals.
 
 Pure-state values come only from two stacked kernels, marginal_spectra
 and pair_concurrences, which take one state or a block of them.  The
-certified concurrence interval of one qubit against a group of a pure
-state comes from the same kernels on the state's amplitudes
-(concurrence_interval, group_concurrence); no group state is formed.
+certified value of one qubit against a group of a pure state comes from
+the same kernels on the state's amplitudes, through the one rule
+group_link (for the concurrence and the CREN); no group state is formed.
 
 The Wootters concurrence of a two-qubit state rho depends only on the
 singular values of L^T (sy x sy) L for any factor rho = L·L†, since the
@@ -19,9 +19,9 @@ eigen-factor of its matrix (wootters_concurrence).
 
 All logarithms are base 2 and 0·log 0 := 0.  On two-qubit mixed states the
 entropic measures reduce to closed-form functions of the Wootters
-concurrence; on larger groups only the concurrence supports certified
-interval evaluation, and the entropic measures are deliberately
-unsupported rather than silently approximated.
+concurrence; on larger groups only the concurrence and the CREN support
+certified interval evaluation, and the entropic measures are
+deliberately unsupported rather than silently approximated.
 """
 
 import math
@@ -39,6 +39,11 @@ from .states import (DensityMatrix, PureState, gram, keep_indices, seed_path,
 # Tsallis route: (5 - sqrt(13))/2 <= q <= (5 + sqrt(13))/2.
 TSALLIS_Q_LO = (5.0 - math.sqrt(13.0)) / 2.0
 TSALLIS_Q_HI = (5.0 + math.sqrt(13.0)) / 2.0
+
+# roundoff allowance of every certified comparison: the verdicts of
+# bounds.check_conditions, whose saturating states sit exactly on a clause
+# boundary, verify's margin, and group_link's exactness test
+CERT_TOL = 1e-9
 
 # assisted_estimate restarts evaluated in one stack; bounds its memory for any budget
 RESTART_BLOCK = 256
@@ -160,6 +165,11 @@ class MeasureKind:
             base = self.name
         return f"assisted-{base}" if self.assisted else base
 
+    @property
+    def certifies_groups(self) -> bool:
+        """Whether group_link certifies one qubit against any group (see there)."""
+        return self.name in ("concurrence", "cren") and not self.assisted
+
     def from_concurrence(self, c):
         """Value of this measure on any state of known concurrence c.
 
@@ -200,7 +210,14 @@ class MeasureKind:
         return self.from_spectrum(marginal_spectra(state.amplitudes, state.dims, keep))
 
     def two_qubit_value(self, rho: DensityMatrix) -> float:
-        """Exact value on a two-qubit mixed state via the Wootters form."""
+        """Exact value on a two-qubit mixed state via the Wootters form.
+
+        An assisted kind raises CapabilityError: its mixed-state value is
+        a maximum over decompositions, which only assisted_estimate bounds.
+        """
+        if self.assisted:
+            raise CapabilityError(f"{self.label} of a mixed state has no exact value; "
+                                  f"assisted_estimate gives a heuristic one")
         return self._from_mixed_concurrence(float(concurrence_two_qubit(rho)))
 
     def _from_mixed_concurrence(self, c: float) -> float:
@@ -224,11 +241,10 @@ class MeasureKind:
         iterable of them, with side a proper subset of group:
 
         - the whole register gives the exact pure_value;
-        - a 2-qubit group the exact Wootters value of its pair, from
-          pair_concurrences on the amplitudes (no reduction), with the
-          window of two_qubit_value;
-        - the concurrence of one qubit (on either side: C is symmetric)
-          against a larger group the certified concurrence_interval.
+        - one qubit A (on either side) against the rest of a smaller qubit
+          group gives group_link of A's pure_value and of its pair values
+          from pair_concurrences on the amplitudes (no reduction), with
+          the window of two_qubit_value.
 
         A 2x2-qubit DensityMatrix gives the exact two_qubit_value (side and
         group are then ignored).  Every other input raises CapabilityError:
@@ -239,27 +255,26 @@ class MeasureKind:
         if isinstance(state, DensityMatrix):
             if tuple(state.dims) != (2, 2):
                 raise CapabilityError(
-                    f"{self.name} on a {len(state.dims)}-subsystem DensityMatrix is not "
-                    f"supported; only 2x2-qubit ones are (a concurrence interval takes "
-                    f"the pure state and the group)")
+                    f"{self.label} on a {len(state.dims)}-subsystem DensityMatrix is not "
+                    f"supported; only 2x2-qubit ones are (pass the pure state and the group)")
             return MeasureValue.exact(self.two_qubit_value(state))
         if not isinstance(state, PureState):
             raise ParameterError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
         side, group = _split(state.n_qubits, side, group)
         if len(group) == state.n_qubits:
             return MeasureValue.exact(self.pure_value(state, side))
-        other = [j for j in group if j not in side]
-        if len(group) == 2:
-            dims = tuple(state.dims[i] for i in group)
-            if dims != (2, 2):
-                raise DimensionError(f"a pair concurrence requires two qubits, got dims {dims}")
-            c = pair_concurrences(state.amplitudes, state.dims, side[0], other)
-            return MeasureValue.exact(self._from_mixed_concurrence(float(c[0])))
-        if self.name == "concurrence" and 1 in (len(side), len(other)):
-            return concurrence_interval(state, min(side, other, key=len), group)
-        raise CapabilityError(
-            f"{self.name} on a mixed {len(group)}-subsystem state is not supported; "
-            f"only 2x2-qubit states and one-qubit concurrence intervals are")
+        a, others = sorted((side, [j for j in group if j not in side]), key=len)
+        link = None
+        if len(a) == 1 and all(state.dims[i] == 2 for i in group):
+            pairs = pair_concurrences(state.amplitudes, state.dims, a[0], others)
+            # a pair's link is its one pair value: A's full value is not read
+            full = self.pure_value(state, a) if len(group) > 2 else None
+            link = group_link(self, state, a + others, self._from_mixed_concurrence(pairs), full)
+        if link is None:
+            raise CapabilityError(
+                f"{self.label} on a mixed {len(group)}-subsystem group is not supported; only "
+                f"2-qubit groups and the concurrence and CREN of one qubit against qubits are")
+        return link
 
 
 def _split(n: int, side, group=None) -> tuple:
@@ -421,50 +436,68 @@ def concurrence_interval(state: PureState, side, group) -> MeasureValue:
 
     side is one qubit (an index or a one-index iterable) of group, a set
     of at least 3 qubits of the register; both are read as in
-    MeasureKind.evaluate.  The legs of group_concurrence come from the
-    amplitudes: C(side, j) for j in group∖side from one pair_concurrences
-    call, and C(side|rest) from marginal_spectra.
+    MeasureKind.evaluate, which gives the value from group_link.
     """
     if not isinstance(state, PureState):
         raise ParameterError(
             f"concurrence_interval expects a PureState, got {type(state).__name__}")
-    if any(d != 2 for d in state.dims):
-        raise DimensionError(f"concurrence_interval requires qubits, got dims {state.dims}")
     side, group = _split(state.n_qubits, side, group)
     if len(side) != 1:
         raise ParameterError(f"concurrence_interval takes one side qubit, got {side}")
     if len(group) < 3:
         raise DimensionError(f"concurrence_interval requires a group of >= 3 qubits, got {group}")
-    others = [j for j in group if j != side[0]]
-    pairs = pair_concurrences(state.amplitudes, state.dims, side[0], others)
-    return group_concurrence(state, group, pairs, _CONCURRENCE.pure_value(state, side))
+    return _CONCURRENCE.evaluate(state, side, group)
 
 
-def group_concurrence(state: PureState, group, pairs, upper: float) -> MeasureValue:
-    """Certified C(A|G∖A) of one qubit A of a qubit group G of a pure state.
+def group_link(kind: MeasureKind, state: PureState, group, pairs, full: float):
+    """Certified M(A|G∖A) of one qubit A of a qubit group G of a pure state, or None.
 
-    pairs are C(A, j) for j in G∖A and upper is C(A|rest of the register).
+    The one rule for which value of kind is certified.  group lists G with
+    A first; pairs are M(A, j), j in group[1:], and full M(A|rest of the
+    register) (an assisted kind's pairs are heuristic).  The whole
+    register gives full exactly and a 2-qubit group pairs[0] (None if
+    assisted).  A larger group gives the interval of C(A|G∖A) below if
+    kind.certifies_groups holds; if not, None, before any group state is
+    read:
 
     - lo = sqrt(sum_j C²(A, j)): the Osborne-Verstraete inequality (PRL 96,
       220503, 2006) bounds each member phi_i of an optimal decomposition
       of rho_G, C(phi_i) >= ||(C_j(phi_i))_j||; averaging with the triangle
       inequality of the 2-norm and the convexity of each pair concurrence
       gives C(rho_G) >= ||(C(rho_{A,j}))_j||.
-    - hi = upper = sqrt(2[1 - Tr rho_A²]): rho_A -> sqrt(2[1 - Tr rho_A²])
+    - hi = full = sqrt(2[1 - Tr rho_A²]): rho_A -> sqrt(2[1 - Tr rho_A²])
       is concave (Tr rho² is convex, and the square root of a nonnegative
       concave function is concave), and the marginal of a mixture is the
       mixture of marginals, so every ensemble of rho_G averages at most
       this value; the convex-roof minimum does too.
-    - A pure group (Tr rho_G² >= 1 - 1e-10) gives the exact value upper.
-      Its purity is that of the smaller side of G | rest, read as the
-      squared Frobenius norm of M·M†.
+    - A pure group, 1 - Tr rho_G² <= CERT_TOL, gives full exactly if the
+      Mintert-Buchleitner leg sqrt(max(0, full² - 2[1 - Tr rho_G²])), from
+      C(rho)² >= 2[Tr rho² - Tr rho_A²] (PRL 98, 140505, 2007), is within
+      CERT_TOL of full; a nearly pure group with a small full keeps the
+      interval.  The leg decides exactness only.  Tr rho_G² is the purity
+      of the smaller side of G | rest, the squared Frobenius norm of M·M†.
+
+    It holds for the CREN as it stands: a pure member of a decomposition
+    of rho_G has Schmidt rank <= 2 across A | G∖A (A is a qubit), and with
+    Schmidt coefficients l1, l2 its CREN (sqrt(l1) + sqrt(l2))² - 1 and
+    its concurrence sqrt(2[1 - l1² - l2²]) both equal 2 sqrt(l1 l2).  The
+    two convex roofs minimize one function over the same decompositions,
+    so they are equal, as are the pair values and full the legs read.
     """
+    if len(group) == state.n_qubits:
+        return MeasureValue.exact(full)
+    if len(group) == 2:
+        return None if kind.assisted else MeasureValue.exact(pairs[0])
+    if not kind.certifies_groups:
+        return None
     rest = [i for i in range(state.n_qubits) if i not in group]
-    m = gram(split_amplitudes(state.amplitudes, state.dims, min(rest, group, key=len)))
-    if float(np.vdot(m, m).real) >= 1.0 - 1e-10:
-        return MeasureValue.exact(upper)
+    m = gram(split_amplitudes(state.amplitudes, state.dims, min(rest, sorted(group), key=len)))
+    mixedness = 1.0 - float(np.vdot(m, m).real)
+    if (mixedness <= CERT_TOL
+            and full - math.sqrt(max(0.0, full * full - 2.0 * mixedness)) <= CERT_TOL):
+        return MeasureValue.exact(full)
     lo = math.sqrt(sum(c * c for c in pairs))
-    return MeasureValue.interval(lo, max(lo, upper))
+    return MeasureValue.interval(lo, max(lo, full))
 
 
 def negativity(rho, side=0) -> MeasureValue:
@@ -592,7 +625,7 @@ def assisted_estimate(rho: DensityMatrix, kind: MeasureKind, budget: int = 200,
         raise ParameterError(f"budget must be nonnegative, got {budget}")
 
     evs, vecs = np.linalg.eigh(rho.matrix)
-    keep = evs > 1e-12  # a unit-trace state keeps at least one
+    keep = evs > _RANK_TOL  # a unit-trace state keeps at least one
     # rows: the unnormalized eigen-ensemble, largest weight first
     members = (np.sqrt(evs[keep]) * vecs[:, keep]).T[::-1]
     rank = len(members)

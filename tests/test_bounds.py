@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entmono import (BoundParams, CapabilityError, ParameterError,
-                     bound_family, check_conditions, coefficient_K, eof,
-                     example1_params, extract_mu_l, ghz, measure_chain,
-                     prior_rhs, random_pure, resolve_params, rhs_assemble,
-                     schmidt3, seed_path, verify)
-from entmono.bounds import PRIOR_KINDS, prior_weight
+from entmono import (BoundParams, CapabilityError, MeasureValue,
+                     ParameterError, bound_family, check_conditions,
+                     coefficient_K, eof, example1_params, extract_mu_l, ghz,
+                     measure_chain, prior_rhs, random_pure, resolve_params,
+                     rhs_assemble, schmidt3, seed_path, verify, w_state)
+from entmono.bounds import PRIOR_KINDS, _clause, prior_weight
 from entmono.corpus import run_suite
 
 EX1 = schmidt3(example1_params())
@@ -321,6 +321,47 @@ class TestCheckConditions:
         assert report.any_fail
 
 
+class TestClause:
+    """_clause with op "<=", the direction of the polygamy group clauses."""
+
+    @pytest.mark.parametrize("lhs,rhs,status,slack", [
+        (MeasureValue.exact(0.2), MeasureValue.exact(0.5), "holds", 0.3),
+        (MeasureValue.interval(0.1, 0.2), MeasureValue.interval(0.4, 0.5), "holds", 0.2),
+        (MeasureValue.exact(0.5 + 5e-10), MeasureValue.exact(0.5), "holds", -5e-10),
+        (MeasureValue.exact(0.5), MeasureValue.exact(0.2), "fails", -0.3),
+        (MeasureValue.interval(0.4, 0.6), MeasureValue.interval(0.1, 0.3), "fails", -0.1),
+        (MeasureValue.interval(0.1, 0.4), MeasureValue.exact(0.3), "undecidable", None),
+        (None, MeasureValue.exact(0.3), "undecidable", None),
+    ])
+    def test_at_most(self, lhs, rhs, status, slack):
+        step = _clause("lhs <= rhs", lhs, rhs, "<=")
+        assert (step.description, step.status) == ("lhs <= rhs", status)
+        assert step.slack == (None if slack is None else pytest.approx(slack, abs=1e-15))
+        # lhs <= rhs is rhs >= lhs
+        assert step == _clause("lhs <= rhs", rhs, lhs)
+
+
+class TestChainLinks:
+    @pytest.mark.parametrize("family,certified", [
+        (CONC, [True, True, True]), (CREN, [True, True, True]),
+        (EOF, [True, False, True]), (TSQ2, [True, False, True]),
+        (REN2, [True, False, True]),
+        (bound_family("eof", "polygamy"), [True, False, False])])
+    def test_which_links_are_certified(self, family, certified):
+        # one rule, measures.group_link: the whole register and (unless
+        # assisted) the last pair are exact; a mixed group of more than two
+        # qubits is certified for the concurrence and CREN only
+        links = measure_chain(w_state(4), family, budget=4).links
+        assert [link is not None for link in links] == certified
+        assert links[0].status == "exact"
+
+
+REGISTERS_4_TO_6 = {f"{name}:{n}": build(n) for name, build in (("ghz", ghz), ("w", w_state))
+                    for n in (4, 5, 6)}
+REGISTERS_4_TO_6.update({f"haar:{4 + i % 3}:{i}": random_pure(4 + i % 3, seed_path(2024, i))
+                         for i in range(20)})
+
+
 class TestVerify:
     def test_saturation_margin(self):
         rep = verify(EX1, BoundParams(CONC, 2.0, (2.0,), (2.0,)))
@@ -353,6 +394,17 @@ class TestVerify:
                      comparator_only=True)
         assert rep.conditions.any_undecidable
 
+    @pytest.mark.parametrize("name", REGISTERS_4_TO_6)
+    def test_cren_beyond_three_qubits_is_the_concurrence_report(self, name):
+        state = REGISTERS_4_TO_6[name]
+        # one qubit against any group: the CREN is the concurrence, so the
+        # cren verify certifies what the concurrence one does
+        ones = (1.0,) * (state.n_qubits - 2)
+        rc = verify(state, BoundParams(CONC, 2.5, ones, ones)).to_dict()
+        rn = verify(state, BoundParams(CREN, 2.5, ones, ones)).to_dict()
+        assert (rc.pop("family"), rn.pop("family")) == ("monogamy:concurrence", "monogamy:cren")
+        assert_same_report(rn, rc)
+
     def test_auto_beyond_three_qubits_gated(self):
         with pytest.raises(CapabilityError):
             verify(ghz(4), BoundParams(CONC, 2.0))
@@ -381,6 +433,22 @@ class TestVerify:
         rep = verify(EX1, BoundParams(REN2, 1.0))
         assert rep.mu[0] == pytest.approx(2.53424101976, abs=1e-9)
         assert abs(rep.margin) <= 1e-12
+
+
+def assert_same_report(got, want):
+    """Equal structure and strings; every number within 1e-12."""
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            assert_same_report(got[key], want[key])
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_report(g, w)
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, abs=1e-12)
+    else:
+        assert got == want
 
 
 class TestLemma2OnRandomStates:

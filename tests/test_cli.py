@@ -581,6 +581,50 @@ def test_concurrence_interval_takes_the_one_qubit_side(preset, partition, mirror
         (ref["value"], ref.get("lo"), ref.get("hi"))
 
 
+def numpy_negativity(rho: np.ndarray, n: int, side) -> float:
+    """||rho^{T_side}||_1 - 1 of an n-qubit matrix, by index swaps and eigvalsh."""
+    t = rho.reshape((2,) * (2 * n))
+    for i in side:
+        t = np.swapaxes(t, i, n + i)
+    return max(0.0, float(np.abs(np.linalg.eigvalsh(t.reshape(2 ** n, 2 ** n))).sum()) - 1.0)
+
+
+@pytest.mark.parametrize("preset,partition,group,side", [
+    ("example1", "A|B", [0, 1], [0]), ("w:4", "A|CD", [0, 2, 3], [0]),
+    ("w:4", "CD|A", [0, 2, 3], [1, 2])])
+def test_negativity_of_a_mixed_group(preset, partition, group, side, capsys):
+    code, rec, _ = run_json(["measure", "--preset", preset, "--kind", "negativity",
+                             "--partition", partition], capsys)
+    assert code == 0 and rec["status"] == "exact"
+    state, _ = cli.load_input(cli.PARSER.parse_args(["measure", "--preset", preset,
+                                                     "--kind", "negativity",
+                                                     "--partition", partition]))
+    want = numpy_negativity(slow_reduce(state, group).matrix, len(group), side)
+    assert want > 0.1
+    assert abs(rec["value"] - want) <= 1e-12
+
+
+@pytest.mark.parametrize("preset,partition", [("w:4", "A|CD"), ("ghz:5", "A|CDE"),
+                                              ("w:5", "ACD|B")])
+def test_cren_of_one_qubit_against_a_group_is_the_concurrence_interval(preset, partition,
+                                                                      capsys):
+    code, rec, _ = run_json(["measure", "--preset", preset, "--kind", "cren",
+                             "--partition", partition], capsys)
+    _, ref, _ = run_json(["measure", "--preset", preset, "--kind", "concurrence",
+                          "--partition", partition], capsys)
+    assert code == 0 and rec["status"] == ref["status"] == "interval"
+    for key in ("value", "lo", "hi"):
+        assert rec[key] == pytest.approx(ref[key], abs=1e-12)
+
+
+def test_cren_verify_beyond_three_qubits_exits_as_the_concurrence_one(capsys):
+    args = ["--preset", "w:5", "--alpha", "2.5", "--mu", "1,1,1", "--ell", "1,1,1"]
+    code, rec, _ = run_json(["verify", "--theorem", "cren"] + args, capsys)
+    ref_code, ref, _ = run_json(["verify", "--theorem", "concurrence"] + args, capsys)
+    assert code == ref_code == 3
+    assert rec["conditions"] == ref["conditions"]
+
+
 @pytest.mark.parametrize("partition", ["A|B", "A|BC"])
 def test_huge_renyi_order_stays_finite(partition, capsys):
     # the order-a powers of the spectrum underflow; the value tends to -log2 p_max

@@ -251,6 +251,17 @@ def test_chain_bounds_match_group_state_intervals(state):
 
 
 @FAST
+@given(pure_states(min_qubits=3))
+def test_cren_links_are_the_concurrence_links(state):
+    # group_link proves the CREN of one qubit against a group is its concurrence
+    conc = measure_chain(state, bound_family("concurrence")).links
+    cren = measure_chain(state, bound_family("cren")).links
+    for c, r in zip(conc, cren):
+        assert c.status == r.status
+        assert np.max(np.abs(np.subtract(c.bounds, r.bounds))) <= 1e-12
+
+
+@FAST
 @given(st.integers(4, 7), st.data())
 def test_pure_groups_collapse_to_the_upper_leg(n, data):
     seed = data.draw(st.integers(0, 2 ** 31 - 1))

@@ -2,6 +2,7 @@
 functions, consistency identities, additivity grids and the heuristic
 assisted estimator."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,8 @@ from entmono import (CapabilityError, DensityMatrix, DimensionError,
                      eof as _eof, example1_params, f_eof, f_renyi, g_tsallis,
                      ghz, negativity, random_pure, renyi, schmidt3,
                      seed_path, tsallis, w_state)
+
+from dense_reference import slow_reduce
 
 EX1 = schmidt3(example1_params())
 SQ2 = math.sqrt(2.0)
@@ -59,6 +62,94 @@ class TestConcurrencePure:
         for keep in ([-1], [0, 1, 5]):  # [0, 1, 5] once measured the cut {2} | rest
             with pytest.raises(DimensionError):
                 kind.pure_value(EX1, keep)
+
+
+def nearly_pure_group_state(eps: float) -> PureState:
+    """sqrt(1-eps)|0000> + sqrt(eps/2)(|0100> + |1111>): rho_ACD is nearly pure."""
+    amps = np.zeros(16, complex)
+    amps[0b0000] = math.sqrt(1.0 - eps)
+    amps[0b0100] = amps[0b1111] = math.sqrt(eps / 2.0)
+    return PureState(amps, (2,) * 4)
+
+
+class TestNearlyPureGroup:
+    def test_an_inexact_upper_leg_is_an_interval(self):
+        # rho_ACD lives on A (x) span{|00>, |11>}; there it is a two-qubit
+        # state whose Wootters concurrence, 4e-11, is C(A|CD).  The purity
+        # 1 - 4e-11 of the group does not make C(A|rest) = 8.9e-6 exact.
+        state = nearly_pure_group_state(4e-11)
+        sub = slow_reduce(state, [0, 2, 3]).matrix[np.ix_([0, 3, 4, 7], [0, 3, 4, 7])]
+        true = float(concurrence_two_qubit(DensityMatrix(sub, (2, 2))))
+        assert true == pytest.approx(4e-11, rel=1e-6)
+        for mv in (concurrence_interval(state, 0, [0, 2, 3]),
+                   MeasureKind("cren").evaluate(state, [0], [0, 2, 3])):
+            assert mv.status == "interval"
+            assert mv.lo <= true <= mv.hi
+            assert mv.hi == pytest.approx(math.sqrt(2.0 * 4e-11), rel=1e-6)
+
+    def test_a_pure_group_stays_exact(self):
+        # eps = 0: the group is pure and A is in a product state
+        mv = concurrence_interval(nearly_pure_group_state(0.0), 0, [0, 2, 3])
+        assert (mv.status, mv.value) == ("exact", 0.0)
+
+
+def mintert_buchleitner_leg(rho: DensityMatrix) -> float:
+    """sqrt(max(0, 2[Tr rho² - Tr rho_A²])) of a state whose first factor is A."""
+    m = rho.matrix.reshape(2, rho.matrix.shape[0] // 2, 2, -1)
+    rho_a = np.einsum("ajbj->ab", m)
+    purity = float(np.vdot(rho.matrix, rho.matrix).real)
+    return math.sqrt(max(0.0, 2.0 * (purity - float(np.vdot(rho_a, rho_a).real))))
+
+
+class TestMintertBuchleitnerLeg:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 5))
+    def test_below_the_wootters_concurrence(self, seed, n):
+        # C(rho)² >= 2[Tr rho² - Tr rho_A²] on two-qubit states of every rank
+        rho = slow_reduce(random_pure(n, seed_path(seed, 0)), [0, 1])
+        assert mintert_buchleitner_leg(rho) <= float(concurrence_two_qubit(rho)) + 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(4, 5))
+    def test_below_every_decomposition_average(self, seed, n):
+        # on a qubit against two qubits each decomposition's average
+        # concurrence is at least the convex roof, so at least the leg
+        state = random_pure(n, seed_path(seed, 0))
+        rho = slow_reduce(state, [0, 1, 2])
+        evs, vecs = np.linalg.eigh(rho.matrix)
+        members = (np.sqrt(np.clip(evs, 0.0, None)) * vecs).T
+        rng = np.random.default_rng(seed_path(seed, 1))
+        leg = mintert_buchleitner_leg(rho)
+        for _ in range(20):
+            z = rng.normal(size=(16, 8)) + 1j * rng.normal(size=(16, 8))
+            tilde = np.linalg.qr(z)[0] @ members
+            p = np.sum(np.abs(tilde) ** 2, axis=1)
+            live = p > 1e-14
+            avg = sum(pk * float(concurrence_pure(PureState(t / math.sqrt(pk), (2, 2, 2)), [0]))
+                      for pk, t in zip(p[live], tilde[live]))
+            assert leg <= avg + 1e-12
+
+
+class TestAssistedKinds:
+    KIND = MeasureKind("eof", assisted=True)
+
+    def test_no_exact_value_off_the_whole_register(self):
+        # the plain EoF of rho_AB, 0.4287, is below the assisted value (an
+        # estimate already reaches 0.612), so it is no value of this kind
+        assert assisted_estimate(EX1.reduce([0, 1]), self.KIND, seed=0).value > 0.6
+        with pytest.raises(CapabilityError):
+            self.KIND.evaluate(EX1, [0], [0, 1])
+        with pytest.raises(CapabilityError):
+            self.KIND.evaluate(EX1.reduce([0, 1]))
+        with pytest.raises(CapabilityError):
+            self.KIND.two_qubit_value(EX1.reduce([0, 1]))
+        with pytest.raises(CapabilityError):
+            MeasureKind("tsallis", q=2.0, assisted=True).evaluate(ghz(4), [0], [0, 1, 2])
+
+    def test_whole_register_is_the_plain_value(self):
+        # a pure state has one decomposition, so max and min coincide
+        got = self.KIND.evaluate(EX1, [0])
+        assert (got.status, got.value) == ("exact", float(eof(EX1, [0])))
 
 
 class TestConcurrenceTwoQubit:
@@ -399,7 +490,8 @@ class TestAssistedEstimate:
         j = 1 + seed % (n - 1)
         rho = state.reduce([0, j])
         est = assisted_estimate(rho, kind, budget=budget, seed=seed_path(seed, 1)).value
-        assert kind.two_qubit_value(rho) - 1e-12 <= est <= kind.pure_value(state, [0]) + 1e-12
+        plain = dataclasses.replace(kind, assisted=False).two_qubit_value(rho)
+        assert plain - 1e-12 <= est <= kind.pure_value(state, [0]) + 1e-12
 
     def test_dominates_plain_measure(self):
         for i in range(10):
@@ -407,7 +499,7 @@ class TestAssistedEstimate:
             for kind in (MeasureKind("eof", assisted=True),
                          MeasureKind("tsallis", q=2.0, assisted=True),
                          MeasureKind("renyi", order=2.0, assisted=True)):
-                plain = kind.two_qubit_value(rho)
+                plain = dataclasses.replace(kind, assisted=False).two_qubit_value(rho)
                 est = assisted_estimate(rho, kind, budget=25, seed=i)
                 assert est.value >= plain - 1e-9
 
