@@ -41,9 +41,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import CapabilityError, ParameterError
-from .measures import (CERT_TOL, MeasureKind, MeasureValue, assisted_estimate,
+from .measures import (CERT_TOL, MeasureKind, MeasureValue, assisted_estimates,
                        group_link, pair_concurrences)
-from .states import PureState, seed_path
+from .states import PureState, gram, seed_path, split_amplitudes
 
 SQRT2 = math.sqrt(2.0)
 
@@ -486,17 +486,23 @@ def measure_chain(state: PureState, family: BoundFamily, budget: int = 200,
     Monogamy pair values are the exact closed forms of the pair
     concurrences, all from one pair_concurrences call (bound_family keeps
     a monogamy Tsallis q within the window of the mixed-state closed
-    form).  Polygamy pair values are heuristic assisted estimates (budget
+    form).  Polygamy pair values are heuristic assisted estimates, all
+    from one assisted_estimates call: the N-1 pair states rho_{A,B_i} are
+    M·M† of the stacked amplitude matrices of the splits {A, B_i} | rest
+    (one batched gram, no PureState.reduce), and the kernel takes one
+    batched eigh and one QR per block for the whole chain (budget
     restarts; pair i seeds seed_path(seed, i - 1), whose sub-streams 0
-    and 1 give the ensemble sizes and the draws).  The full value
-    is the exact pure-state measure (an assisted value of a pure state
-    equals the plain value).
+    and 1 give the ensemble sizes and the draws, so each value equals
+    assisted_estimate of that pair alone).  The full value is the exact
+    pure-state measure (an assisted value of a pure state equals the
+    plain value).
     """
     kind = family.measure
     if family.direction == POLYGAMY:
-        pairs = [assisted_estimate(state.reduce([0, i]), kind, budget=budget,
-                                   seed=seed_path(seed, i - 1)).value
-                 for i in range(1, state.n_qubits)]
+        others = range(1, state.n_qubits)
+        factors = np.stack([split_amplitudes(state.amplitudes, state.dims, [0, i]) for i in others])
+        pairs = assisted_estimates(gram(factors), kind, budget,
+                                   [seed_path(seed, i - 1) for i in others])
     else:
         pairs = kind.from_concurrence(pair_concurrences(state.amplitudes, state.dims))
     return Chain(state, family, kind.pure_value(state, [0]), tuple(float(v) for v in pairs))
@@ -589,8 +595,9 @@ def evaluate_bounds(state: PureState, params: BoundParams, names, comparator_k: 
     """(chain, params, ours, priors) of the bounds named in names, one instance.
 
     The one rule behind verify and the sweep: check the input (a pure
-    state of at least 3 qubits, and exactly 3 for automatic (mu, l), so
-    that no chain is measured only to be rejected), measure the chain once
+    state of at least 3 qubits, exactly 3 for automatic (mu, l), and a
+    nonnegative seed and budget, for every family, so that no chain is
+    measured only to be rejected), measure the chain once
     and resolve (mu, l) into the returned params.  Then only the
     selected right sides are evaluated: ours, rhs_assemble's breakdown if
     "ours" is in names (None otherwise), and priors, the prior_rhs of each
@@ -607,6 +614,9 @@ def evaluate_bounds(state: PureState, params: BoundParams, names, comparator_k: 
         raise CapabilityError(
             "automatic (mu, l) extraction needs the exact three-qubit chain; "
             f"supply mu and ell explicitly for {state.n_qubits}-qubit states")
+    seed_path(seed)  # raises ParameterError for a negative seed
+    if int(budget) < 0:
+        raise ParameterError(f"budget must be nonnegative, got {budget}")
     chain = measure_chain(state, params.family, budget=budget, seed=seed)
     params = resolve_params(chain, params)
     ours = rhs_assemble(chain.pairs, params) if "ours" in names else None

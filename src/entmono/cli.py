@@ -334,8 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--comparator-only", action="store_true", dest="comparator_only")
     p.add_argument("--k", type=float, default=0.5)
     p.add_argument("--m-split", type=int, dest="m_split")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=200)
+    p.add_argument("--seed", type=int, default=0,
+                   help="nonnegative seed of the assisted (polygamy) estimator's "
+                        "streams; pair i draws from its own sub-streams")
+    p.add_argument("--budget", type=int, default=200,
+                   help="nonnegative number of random restarts of the assisted "
+                        "(polygamy) estimator per pair")
 
     p = sub.add_parser("corpus", help="run randomized property suites")
     p.add_argument("--suite", required=True,

@@ -45,7 +45,8 @@ TSALLIS_Q_HI = (5.0 + math.sqrt(13.0)) / 2.0
 # boundary, verify's margin, and group_link's exactness test
 CERT_TOL = 1e-9
 
-# assisted_estimate restarts evaluated in one stack; bounds its memory for any budget
+# assisted restarts per block: a block stacks at most pairs x (RESTART_BLOCK + 1)
+# isometries, one QR and one ensemble evaluation, which bounds memory for any budget
 RESTART_BLOCK = 256
 
 # sy x sy = antidiag(-1, 1, 1, -1): L^T (sy x sy) is L^T with its columns
@@ -608,46 +609,105 @@ def assisted_estimate(rho: DensityMatrix, kind: MeasureKind, budget: int = 200,
     returned.  It is flagged heuristic and never feeds certified verdicts.
     The estimate is at least the non-assisted measure (every decomposition
     average dominates the convex-roof minimum) and is nondecreasing in
-    ``budget`` for a fixed seed.  It draws from two streams: restart i
-    takes its ensemble size m_i in [rank, rank²] from seed_path(seed, 0)
-    and a rank² x rank complex Gaussian block from seed_path(seed, 1),
-    restart-major, so no draw depends on ``budget`` or on the split into
-    RESTART_BLOCK stacks (which bound memory).  Rows m_i onward are zeroed
-    and each stack takes one batched QR: Householder steps keep zero rows
-    of A zero in Q, so each Q is the QR of the first m_i rows padded with
-    zero rows, whose members the p <= 1e-14 skip drops.
+    ``budget`` for a fixed seed.  It is :func:`assisted_estimates` on a
+    stack of one state; see there for the streams and the blocks.
+    """
+    _require_two_qubits(rho, "assisted_estimate")
+    return MeasureValue.heuristic(assisted_estimates(rho.matrix[None], kind, budget, [seed])[0])
+
+
+def assisted_estimates(rhos: np.ndarray, kind: MeasureKind, budget: int, seeds) -> np.ndarray:
+    """assisted_estimate of each two-qubit state of a (P, 4, 4) stack, in one pass.
+
+    rhos are trusted density matrices and seeds holds one seed per state.
+    State i draws from two streams of its own: restart j takes its ensemble
+    size m_j in [r_i, r_i²] from seed_path(seeds[i], 0) and an r_i² x r_i
+    complex Gaussian block from seed_path(seeds[i], 1), restart-major, with
+    r_i the state's rank; rows m_j onward are zeroed.  So no draw depends
+    on ``budget``, on the split into RESTART_BLOCK blocks or on the other
+    states of the stack, and each value equals the one of a stack of one.
+
+    One batched eigh gives every eigen-ensemble.  Each block then stacks,
+    for all P states, its restarts (the first block also the eigen-ensemble
+    first) as (R², R) matrices, R the largest rank, and takes one batched
+    QR and one :func:`_member_terms` evaluation; a block holds at most
+    P x (RESTART_BLOCK + 1) isometries, which bounds memory for any budget.
+    State i's block A sits in the top-left r_i² x r_i corner, zeros
+    elsewhere, and its members (rows of the eigen-ensemble, largest weight
+    first) get R - r_i zero rows.  The padding changes no value:
+
+    - Householder QR keeps zero rows of A zero in Q and leaves Q's first
+      r_i columns those of the QR of A alone: column j < r_i holds the same
+      entries plus trailing zeros, so its reflector v_j is the same vector
+      padded with zeros (the norm of the column below the diagonal only
+      gains zero squares); H_j = I - t_j v_j v_j† is the identity on every
+      padded row and maps the zero columns to zero; and a zero column
+      j >= r_i has t_j = 0, so H_j = I.  Q's first r_i columns are thus
+      A's QR factor with zero rows below it, and its other R - r_i columns
+      meet only the zero member rows, adding exact zero terms to
+      Q·members.  Rows m_j onward of A are zero too, so their members have
+      p = 0 and the p <= 1e-14 skip drops them.  The property tests check
+      the stacked values against a stack of one bit for bit.
+    - The eigen-ensemble enters as [I; 0] (R² x R): every column is a unit
+      vector whose entries below the diagonal are zero, so LAPACK takes
+      t_j = 0 for each (xnorm = 0 and a real diagonal) and Q = [I; 0]
+      exactly; Q·members is then the member rows themselves.
+    - numpy's pairwise summation groups a longer row differently, so each
+      average sums the member terms over the rows of the unpadded matrix
+      alone: r_i² per restart and r_i for the eigen-ensemble.
+
+    The best average of each state is returned, its eigen-ensemble's when
+    budget is 0.  budget must be a nonnegative integer and seeds as long as
+    rhos (ParameterError otherwise).
     """
     if not kind.assisted:
         raise ParameterError("assisted_estimate requires a kind with assisted=True")
-    _require_two_qubits(rho, "assisted_estimate")
     budget = int(budget)
     if budget < 0:
         raise ParameterError(f"budget must be nonnegative, got {budget}")
+    if len(seeds) != len(rhos):
+        raise ParameterError(f"{len(rhos)} states need as many seeds, got {len(seeds)}")
 
-    evs, vecs = np.linalg.eigh(rho.matrix)
+    evs, vecs = np.linalg.eigh(rhos)
     keep = evs > _RANK_TOL  # a unit-trace state keeps at least one
-    # rows: the unnormalized eigen-ensemble, largest weight first
-    members = (np.sqrt(evs[keep]) * vecs[:, keep]).T[::-1]
-    rank = len(members)
+    ranks = keep.sum(axis=-1).tolist()
+    top = max(ranks)
+    # rows: the unnormalized eigen-ensembles, largest weight first (eigh is
+    # ascending), each padded with zero rows for its dropped eigenpairs
+    members = np.swapaxes(vecs * np.sqrt(np.where(keep, evs, 0.0))[..., None, :], -1, -2)
+    members = members[:, ::-1][:, :top]
+    streams = [[np.random.default_rng(seed_path(seed, s)) for s in (0, 1)] for seed in seeds]
+    rows = np.arange(top * top)
 
-    sizes, draws = (np.random.default_rng(seed_path(seed, s)) for s in (0, 1))
-    rows = np.arange(rank * rank)[:, None]
-    best = float(_ensemble_averages(np.eye(rank)[None], members, kind)[0])
-    for start in range(0, budget, RESTART_BLOCK):
+    best = [None] * len(rhos)
+    # budget 0 still evaluates the first block's eigen-ensemble
+    for start in range(0, max(budget, 1), RESTART_BLOCK):
         k = min(budget - start, RESTART_BLOCK)
-        m = sizes.integers(rank, rank * rank + 1, size=k)
-        z = draws.normal(size=(k, 2, rank * rank, rank))
-        z = np.where(rows < m[:, None, None], z[:, 0] + 1j * z[:, 1], 0.0)
-        best = max(best, float(np.max(_ensemble_averages(np.linalg.qr(z)[0], members, kind))))
-    return MeasureValue.heuristic(best)
+        lead = int(start == 0)  # the first block leads with the eigen-ensemble [I; 0]
+        z = np.zeros((len(rhos), lead + k, top * top, top), dtype=complex)
+        z[:, :lead] = np.eye(top * top, top)
+        for block, r, (sizes, draws) in zip(z[:, lead:], ranks, streams):
+            m = sizes.integers(r, r * r + 1, size=k)
+            g = draws.normal(size=(k, 2, r * r, r))
+            block.real[:, :r * r, :r] = g[:, 0]
+            block.imag[:, :r * r, :r] = g[:, 1]
+            block[rows >= m[:, None]] = 0.0
+        terms = _member_terms(np.linalg.qr(z)[0], members[:, None], kind)
+        for i, r in enumerate(ranks):
+            if lead:
+                best[i] = float(terms[i, 0, :r].sum())
+            if k:
+                best[i] = max(best[i], float(np.max(terms[i, lead:, :r * r].sum(axis=-1))))
+    return np.array(best)
 
 
-def _ensemble_averages(mixes: np.ndarray, members: np.ndarray, kind: MeasureKind) -> np.ndarray:
-    """Ensemble average of kind for each isometry u in a (k, m, rank) stack.
+def _member_terms(mixes: np.ndarray, members: np.ndarray, kind: MeasureKind) -> np.ndarray:
+    """Member terms p·F(C) of the ensemble of each isometry u in a (..., m, rank) stack.
 
     The rows of u @ members are the unnormalized pure members of one
     decomposition, with weights p = |row|²; members with p <= 1e-14 are
-    skipped.  All ensembles are evaluated in one stack.
+    skipped (their term is 0).  All ensembles are evaluated in one stack;
+    the sum of an ensemble's terms (the last axis) is its average.
     """
     tilde = mixes @ members
     probs = np.sum(np.abs(tilde) ** 2, axis=-1)
@@ -656,7 +716,7 @@ def _ensemble_averages(mixes: np.ndarray, members: np.ndarray, kind: MeasureKind
     terms = np.zeros(probs.shape)
     terms[live] = p * kind.from_concurrence(
         _pure_two_qubit_concurrence(tilde[live] / np.sqrt(p)[:, None]))
-    return terms.sum(axis=1)
+    return terms
 
 
 def _unit_interval(x, what: str) -> np.ndarray:

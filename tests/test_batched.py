@@ -3,7 +3,8 @@ the stacked Wootters concurrence against the Hill-Wootters eigenvalue form
 and 2|ad - bc|, the blocked corpus suites against one-sample-at-a-time
 loops, the vectorized closed forms and the broadcasting coefficient_K
 against scalar calls, the Haar samples against two plain normal draws,
-and the stacked assisted estimator against its per-member loop."""
+and the stacked assisted estimator against its per-member loop and, on
+a whole polygamy chain of mixed pair ranks, against each pair alone."""
 
 import math
 from unittest import mock
@@ -14,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entmono import (DensityMatrix, DomainError, MeasureKind,
-                     ParameterError, assisted_estimate, bound_family,
+                     ParameterError, PureState, assisted_estimate, bound_family,
                      coefficient_K, concurrence_pure, concurrence_two_qubit,
                      eof, extract_mu_l, f_eof, f_renyi, g_tsallis,
                      random_pure, renyi, seed_path, tsallis)
 from entmono import corpus, measures
+from entmono.bounds import POLYGAMY, measure_chain
 from entmono.measures import pair_concurrences, wootters_concurrence
 from entmono.states import haar_block
 
@@ -446,3 +448,89 @@ def test_assisted_estimate_matches_member_loop(seed, n, budget, kind, block):
     with mock.patch.object(measures, "RESTART_BLOCK", block):
         fast = assisted_estimate(rho, kind, budget=budget, seed=seed_path(seed, 1)).value
     assert abs(fast - assisted_reference(rho, kind, budget, seed_path(seed, 1))) < 1e-12
+
+
+ZERO = np.array([1.0, 0.0])
+
+
+def haar_columns(rng, d: int, k: int) -> np.ndarray:
+    return np.linalg.qr(rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k)))[0]
+
+
+def schmidt_pair_state(rng, n: int, terms: int) -> np.ndarray:
+    """An n-qubit state with `terms` Schmidt terms across AB_1 | rest.
+
+    Its pair (A, B_1) is entangled of rank `terms`; the other pairs
+    generically have rank 4.
+    """
+    u = haar_columns(rng, 4, terms)
+    v = haar_columns(rng, 2 ** (n - 2), terms)
+    weights = rng.random(terms) + 0.05
+    amps = sum(math.sqrt(w) * np.kron(u[:, k], v[:, k]) for k, w in enumerate(weights))
+    return amps / np.linalg.norm(amps)
+
+
+@st.composite
+def mixed_rank_chains(draw):
+    """Pure states whose pairs (A, B_i) differ in rank.
+
+    product ⊗ Haar (every pair of rank <= 2), bell ⊗ |0> (ranks 1 and 2),
+    a Haar state of 3-4 qubits with |0> inserted as some B_i (a separable
+    rank-2 pair, next to rank-4 pairs for 4 Haar qubits), 4-5 qubit states
+    with an entangled rank-2 or rank-3 pair next to rank-4 ones, and Haar
+    states of 4-5 qubits (every pair of rank 4).
+    """
+    rng = np.random.default_rng(draw(seeds))
+    shape = draw(st.sampled_from(["product", "bell0", "haar0", "schmidt", "haar"]))
+    if shape == "product":
+        amps = np.kron(haar(rng, 2), haar(rng, 2 ** draw(st.integers(2, 3))))
+    elif shape == "bell0":
+        amps = np.kron(BELL[0], ZERO)
+    elif shape == "haar0":
+        n = draw(st.integers(3, 4))
+        at = draw(st.integers(1, n))
+        amps = np.moveaxis(np.multiply.outer(haar(rng, 2 ** n).reshape((2,) * n), ZERO),
+                           n, at).reshape(-1)
+    elif shape == "schmidt":
+        amps = schmidt_pair_state(rng, draw(st.integers(4, 5)), draw(st.integers(2, 3)))
+    else:
+        amps = haar(rng, 2 ** draw(st.integers(4, 5)))
+    amps = amps / np.linalg.norm(amps)
+    return PureState(amps, (2,) * (len(amps).bit_length() - 1))
+
+
+@FAST
+@given(mixed_rank_chains(), seeds, st.sampled_from(ASSISTED), st.integers(1, 5),
+       st.sampled_from(["0", "1", "block-1", "block", "block+1"]))
+def test_stacked_chain_matches_each_pair_alone(state, seed, kind, block, budget):
+    # one kernel pass over the chain pads every pair to the largest rank; each
+    # value must still be the pair's own estimate, bit for bit
+    budget = {"0": 0, "1": 1, "block-1": block - 1, "block": block,
+              "block+1": block + 1}[budget]
+    family = bound_family(kind.name, POLYGAMY, q=kind.q, order=kind.order)
+    with mock.patch.object(measures, "RESTART_BLOCK", block):
+        chain = measure_chain(state, family, budget=budget, seed=seed)
+        alone = [assisted_estimate(state.reduce([0, i]), kind, budget=budget,
+                                   seed=seed_path(seed, i - 1)).value
+                 for i in range(1, state.n_qubits)]
+    assert list(chain.pairs) == alone
+    for i, value in enumerate(chain.pairs, start=1):
+        ref = assisted_reference(state.reduce([0, i]), kind, budget, seed_path(seed, i - 1))
+        assert abs(value - ref) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ASSISTED, ids=lambda k: k.label)
+def test_padded_pairs_keep_their_own_values(kind):
+    # an entangled rank-2 or rank-3 pair next to rank-4 ones: its restarts sit
+    # in 16-row blocks, and a sum over the padded rows would group four or
+    # more member terms differently.  With one restart the value is that
+    # restart's average whenever it beats the eigen-ensemble, so many seeds
+    # expose the restarts one at a time.
+    family = bound_family(kind.name, POLYGAMY, q=kind.q, order=kind.order)
+    for i in range(150):
+        rng = np.random.default_rng(seed_path(31, i))
+        state = PureState(schmidt_pair_state(rng, 5, 2 + i % 2), (2,) * 5)
+        chain = measure_chain(state, family, budget=1, seed=i)
+        alone = [assisted_estimate(state.reduce([0, j]), kind, budget=1,
+                                   seed=seed_path(i, j - 1)).value for j in range(1, 5)]
+        assert list(chain.pairs) == alone, i

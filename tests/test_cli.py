@@ -639,20 +639,48 @@ def test_huge_renyi_order_stays_finite(partition, capsys):
 @pytest.mark.parametrize("theorem", [["eoa"], ["teoa", "--q", "2"],
                                      ["reoa", "--aacute", "1.2"]])
 def test_verify_estimates_each_assisted_pair_once(theorem, capsys, monkeypatch):
+    # one stacked kernel call per chain, carrying the N-1 distinct pair
+    # seeds; no per-pair estimate or reduction runs, and the report is unchanged
     import entmono.bounds as bounds
-    calls = []
-    original = bounds.assisted_estimate
+    import entmono.measures as measures
+    from entmono.states import PureState
+    original = bounds.assisted_estimates
+    sources = {2: ["--preset", "example1"],
+               4: ["--preset", "w:5", "--comparator-only", "--mu", "1,1,1", "--ell", "1,1,1"]}
+    for n_pairs, source in sources.items():
+        calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("seed"))
-        return original(*args, **kwargs)
+        def counted(rhos, kind, budget, seeds):
+            calls.append((len(rhos), list(seeds)))
+            return original(rhos, kind, budget, seeds)
 
-    args = ["verify", "--preset", "example1", "--theorem", theorem[0], "--alpha", "0.5",
-            "--budget", "20"] + theorem[1:]
-    code, before, _ = run_cli(args, capsys)
-    monkeypatch.setattr(bounds, "assisted_estimate", counted)
-    assert run_cli(args, capsys)[:2] == (code, before)
-    assert len(calls) == 2 and len(set(calls)) == 2
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a polygamy chain ran a per-pair estimate or reduction")
+
+        args = ["verify"] + source + ["--theorem", theorem[0], "--alpha", "0.5",
+                                      "--budget", "20"] + theorem[1:]
+        code, before, _ = run_cli(args, capsys)
+        with monkeypatch.context() as patch:
+            patch.setattr(bounds, "assisted_estimates", counted)
+            patch.setattr(measures, "assisted_estimate", forbidden)
+            patch.setattr(PureState, "reduce", forbidden)
+            assert run_cli(args, capsys)[:2] == (code, before)
+        assert len(calls) == 1
+        assert calls[0][0] == n_pairs
+        assert len(set(map(tuple, calls[0][1]))) == len(calls[0][1]) == n_pairs
+
+
+@pytest.mark.parametrize("theorem", [["concurrence", "--alpha", "2"],
+                                     ["cren", "--alpha", "2"],
+                                     ["eof", "--alpha", "2"],
+                                     ["eoa", "--alpha", "0.5"]])
+@pytest.mark.parametrize("bad", [["--budget", "-5"], ["--seed", "-3"], ["--budget", "-1"]])
+def test_negative_budget_or_seed_exits_two_for_every_theorem(theorem, bad, capsys):
+    # checked before anything is measured, also where the chain is exact
+    code, out, err = run_cli(["verify", "--preset", "example1", "--theorem"] + theorem + bad,
+                             capsys)
+    assert (code, out) == (2, "")
+    assert "nonnegative" in err
 
 
 @pytest.mark.parametrize("args", [

@@ -18,6 +18,8 @@ from entmono import (CapabilityError, DensityMatrix, DimensionError,
                      ghz, negativity, random_pure, renyi, schmidt3,
                      seed_path, tsallis, w_state)
 
+from entmono.measures import assisted_estimates
+
 from dense_reference import slow_reduce
 
 EX1 = schmidt3(example1_params())
@@ -514,6 +516,14 @@ class TestAssistedEstimate:
         rho = DensityMatrix(np.eye(4) / 4, (2, 2))
         with pytest.raises(ParameterError):
             assisted_estimate(rho, MeasureKind("eof"), budget=5, seed=0)
+
+    def test_stack_needs_one_seed_per_state(self):
+        # a short seed list would leave the last states without draws
+        rhos = np.stack([np.eye(4) / 4] * 3)
+        kind = MeasureKind("eof", assisted=True)
+        with pytest.raises(ParameterError):
+            assisted_estimates(rhos, kind, 5, [0, 1])
+        assert assisted_estimates(rhos, kind, 5, [0, 1, 2]).shape == (3,)
 
 
 class TestMeasureKindValidation:
