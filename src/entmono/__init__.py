@@ -5,7 +5,7 @@ from .bounds import (BoundFamily, BoundParams, BoundReport, Chain,
                      ConditionReport, bound_family, check_conditions,
                      coefficient_K, extract_mu_l, measure_chain, prior_rhs,
                      resolve_params, rhs_assemble, verify)
-from .densemat import DIM_CAP, herm_eigvals, partial_transpose, trace_norm
+from .densemat import DIM_CAP, herm_eigvals
 from .errors import (CapabilityError, ContractError, DimensionError,
                      DomainError, ParameterError)
 from .measures import (MeasureKind, MeasureValue, assisted_estimate,

@@ -143,13 +143,8 @@ def cmd_measure(args) -> int:
     left, right = parse_partition(args.partition, state.n_qubits)
     group = sorted(left + right)
     kind = measure_kind(args.kind, args)
-
-    if kind is not None:
-        mv = kind.evaluate(state, left, group)
-    elif len(group) == state.n_qubits:
-        mv = negativity(state, left)
-    else:  # the negativity of a mixed group takes its dense partial transpose
-        mv = negativity(state.reduce(group), [group.index(i) for i in left])
+    # every kind reads the split left | right of the group from the amplitudes
+    mv = (negativity if kind is None else kind.evaluate)(state, left, group)
 
     record = {
         "command": "measure",
@@ -297,9 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=MEASURE_KINDS)
     p.add_argument("--partition", required=True,
                    help="e.g. A|BC or A|B.  Qubits left out are traced out: a "
-                        "2-qubit group gives an exact value, and the concurrence "
-                        "or cren of one qubit against a larger group a certified "
-                        "interval")
+                        "2-qubit group gives an exact value, as the negativity "
+                        "does on any group, and the concurrence or cren of one "
+                        "qubit against a larger group a certified interval")
     p.add_argument("--q", type=float, help="Tsallis entropy parameter")
     p.add_argument("--aacute", type=float, help="Renyi entropy order")
 

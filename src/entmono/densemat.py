@@ -1,12 +1,12 @@
-"""Dense complex matrix kernel: partial transpose, Hermitian eigenvalues
-and trace norm.
+"""Dense complex matrix kernel: Hermitian eigenvalues.
 
-There is no partial trace: reductions of pure states are M·M† of their
-amplitude matrix (states.split_amplitudes).  What stays dense is the
-validation of a public DensityMatrix and the negativity of a mixed state.
+There is no partial trace and no partial transpose: reductions of pure
+states are M·M† of their amplitude matrix (states.split_amplitudes), and
+the negativity of a group comes from a factor of that matrix
+(measures.negativity).  What stays dense is the validation of a public
+DensityMatrix.
 
-Conventions: matrices are square complex ndarrays in row-major order;
-subsystem 0 is the leftmost tensor factor.
+Conventions: matrices are square complex ndarrays in row-major order.
 """
 
 import numpy as np
@@ -27,36 +27,6 @@ def _as_matrix(m) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ContractError("matrix contains NaN or Inf entries")
     return m
-
-
-def _check_dims(m: np.ndarray, dims) -> tuple:
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise DimensionError(f"subsystem dimensions must be positive, got {dims}")
-    total = int(np.prod(dims))
-    if m.shape != (total, total):
-        raise DimensionError(
-            f"matrix shape {m.shape} does not match subsystem dims {dims} "
-            f"(product {total})"
-        )
-    return dims
-
-
-def partial_transpose(rho, dims, side) -> np.ndarray:
-    """Transpose the indices of one tensor factor, leaving the rest alone.
-
-    Applying the operation twice returns the input exactly.
-    """
-    rho = _as_matrix(rho)
-    dims = _check_dims(rho, dims)
-    side = int(side)
-    if not 0 <= side < len(dims):
-        raise DimensionError(f"side {side} out of range for {len(dims)} subsystems")
-    n = len(dims)
-    work = rho.reshape(dims + dims)
-    work = np.moveaxis(work, [side, side + n], [side + n, side])
-    d = int(np.prod(dims))
-    return work.reshape(d, d)
 
 
 def herm_eigvals(m) -> np.ndarray:
@@ -86,10 +56,3 @@ def psd_eigvals(m) -> np.ndarray:
         raise ContractError(f"matrix is not PSD: min eigenvalue {vals[-1]:.3e}")
     return np.clip(vals, 0.0, None)
 
-
-def trace_norm(m) -> float:
-    """Trace norm (sum of singular values) of a general square matrix."""
-    m = _as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    return float(np.sum(np.linalg.svd(m, compute_uv=False)))

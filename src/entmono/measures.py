@@ -8,6 +8,8 @@ and pair_concurrences, which take one state or a block of them.  The
 certified value of one qubit against a group of a pure state comes from
 the same kernels on the state's amplitudes, through the one rule
 group_link (for the concurrence and the CREN); no group state is formed.
+The negativity of a group takes the QR factor of the same amplitudes
+(see negativity), so it is never formed there either.
 
 The Wootters concurrence of a two-qubit state rho depends only on the
 singular values of L^T (sy x sy) L for any factor rho = L·L†, since the
@@ -30,10 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import partial_transpose, trace_norm
 from .errors import CapabilityError, DimensionError, DomainError, ParameterError
-from .states import (DensityMatrix, PureState, gram, keep_indices, seed_path,
-                     split_amplitudes)
+from .states import (DensityMatrix, PureState, _check_dense, gram, keep_indices,
+                     seed_path, split_amplitudes)
 
 # Validity window of the concurrence closed form for the mixed-state
 # Tsallis route: (5 - sqrt(13))/2 <= q <= (5 + sqrt(13))/2.
@@ -197,14 +198,17 @@ class MeasureKind:
         elif self.name == "cren":
             # (Tr sqrt(rho_keep))^2 - 1; equals the concurrence whenever one
             # side is a single qubit (Schmidt rank <= 2).
-            out = np.maximum(0.0, np.sqrt(p).sum(axis=-1) ** 2 - 1.0)
+            out = np.sqrt(p).sum(axis=-1) ** 2 - 1.0
         elif self.name == "eof":
             out = _entropy_vn(p)
         elif self.name == "tsallis":
             out = _entropy_tsallis(p, self.q)
         else:
             out = _entropy_renyi(p, self.order)
-        return _scalar_or_array(out)
+        # every family is nonnegative, but a product state's top Schmidt
+        # coefficient can round above 1 and put a sum about 1e-16 below 0;
+        # adding 0.0 turns the -0.0 of a zero over q - 1 < 0 into 0.0
+        return _scalar_or_array(np.maximum(0.0, out) + 0.0)
 
     def pure_value(self, state: PureState, keep) -> float:
         """Exact value on a pure state for the bipartition keep | rest."""
@@ -501,25 +505,55 @@ def group_link(kind: MeasureKind, state: PureState, group, pairs, full: float):
     return MeasureValue.interval(lo, max(lo, full))
 
 
-def negativity(rho, side=0) -> MeasureValue:
-    """Negativity ||rho^{T_side}|| - 1 for the split side | rest.
+def negativity(state, side=0, group=None) -> MeasureValue:
+    """Negativity ||rho_G^{T_S}||_1 - 1 of the split S | G∖S of a pure state.
 
-    Accepts a DensityMatrix or a PureState; side is read as in
-    MeasureKind.evaluate, one subsystem index or a group of them (the
-    transpose is applied to each factor in the group).  A pure state never
-    forms its projector: with s_i its Schmidt coefficients for side | rest,
-    ||rho^{T_side}|| = (sum_i s_i)² exactly, so its negativity is the cren
-    pure_value of the same split (from_spectrum, clamped at 0).  A density
-    matrix takes the partial transpose and its trace norm, clamped at 0
-    from below (roundoff tolerance 1e-12).
+    side S and group G (default: the whole register) are read as in
+    MeasureKind.evaluate, S a proper subset of G; a DensityMatrix raises
+    ParameterError.  Every value comes from the amplitudes; no rho_G and
+    no partial transpose of it is formed.
+
+    The whole register takes the Schmidt coefficients s_i of S | rest:
+    ||rho^{T_S}||_1 = (sum_i s_i)² exactly, so the negativity is the cren
+    pure_value of the same split.  A smaller group takes a factor kernel,
+    with k the dimension of the rest of the register.  Let M_i (D x k) be
+    the amplitude block of basis state i of S, rows over G∖S, so that
+    rho_G = sum_ij |i><j| (x) M_i M_j†.  The reduced QR [M_1 ... M_{d_S}] =
+    Q R, with R = [R_1 ... R_{d_S}], gives M_i = Q R_i, hence rho_G =
+    (I (x) Q) rho~ (I (x) Q†) with rho~ = sum_ij |i><j| (x) R_i R_j†.  The
+    transpose on S touches only the |i><j| factor, so rho_G^{T_S} =
+    (I (x) Q) Y (I (x) Q†) with Y = rho~^{T_S}, the Hermitian matrix whose
+    block (i, j) is R_j R_i†.  I (x) Q is an isometry, so rho_G^{T_S} and Y
+    share their nonzero spectrum and ||rho_G^{T_S}||_1 = sum |eig(Y)|.
+
+    Y has d_S · min(D, d_S k) <= d_G rows; with D <= d_S k the QR would
+    not shrink it, and Q = I, R = M are taken.  The transpose on G∖S is
+    the full transpose of the one on S, with the same trace norm, so the
+    smaller part, whose Y is smaller, is transposed.  A Y beyond DIM_CAP
+    raises DimensionError before anything is allocated.  With Tr Y = 1 the
+    negativity is 2 sum |eig(Y) < 0|: nonnegative, and exactly 0.0 on a
+    group whose transpose keeps every eigenvalue at or above 0.
     """
-    sides, _ = _split(len(rho.dims), side)
-    if isinstance(rho, PureState):
-        return MeasureValue.exact(_CREN.pure_value(rho, sides))
-    pt = rho.matrix
-    for idx in sides:
-        pt = partial_transpose(pt, rho.dims, idx)
-    return MeasureValue.exact(max(0.0, trace_norm(pt) - 1.0))
+    if not isinstance(state, PureState):
+        raise ParameterError(f"negativity expects a PureState, got {type(state).__name__}")
+    side, group = _split(state.n_qubits, side, group)
+    if len(group) == state.n_qubits:
+        return MeasureValue.exact(_CREN.pure_value(state, side))
+    other = [j for j in group if j not in side]
+    d_s, d_o = (math.prod(state.dims[i] for i in part) for part in (side, other))
+    if d_o < d_s:
+        side, other, d_s, d_o = other, side, d_o, d_s
+    k = state.amplitudes.size // (d_s * d_o)
+    rows = min(d_o, d_s * k)
+    _check_dense(d_s * rows, "partial-transpose factor")
+    m = split_amplitudes(state.amplitudes, state.dims, side + other).reshape(d_s, d_o, k)
+    r = m.transpose(1, 0, 2).reshape(d_o, d_s * k)  # [M_1 ... M_{d_S}]
+    if d_o > rows:
+        r = np.linalg.qr(r, mode="r")
+    blocks = r.reshape(rows, d_s, k).transpose(1, 0, 2).reshape(d_s * rows, k)
+    y = gram(blocks).reshape(d_s, rows, d_s, rows).transpose(2, 1, 0, 3)
+    evs = np.linalg.eigvalsh(y.reshape(d_s * rows, d_s * rows))
+    return MeasureValue.exact(2.0 * float(np.abs(evs[evs < 0.0]).sum()))
 
 
 # The closed forms below are the entropies of the marginal spectrum

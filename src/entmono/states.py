@@ -4,9 +4,10 @@ GHZ and W states, Haar-random pure states, and reduced density matrices.
 Qubit 0 is subsystem A; the remaining qubits are B, C, ... in tensor order
 (most significant bit first in computational-basis indexing).
 
-Amplitude vectors are capped at AMP_CAP = 2**20 entries (20 qubits);
-dense matrices, including every reduced density matrix, at the 12-qubit
-DIM_CAP of the dense kernel.
+Amplitude vectors are capped at AMP_CAP = 2**20 entries (20 qubits).  The
+dense matrices formed from them, a reduced density matrix of
+PureState.reduce or the partial-transpose factor of measures.negativity,
+are capped at the 12-qubit DIM_CAP of the dense kernel.
 """
 
 import json
@@ -80,11 +81,10 @@ class DensityMatrix:
     reductions use for M·M† of a unit-norm amplitude matrix: that product
     satisfies the invariants by construction.
 
-    Its one public method is :meth:`purity`.  Reductions and marginal
-    spectra come from the amplitudes of a PureState, not from here; a
-    DensityMatrix is only the input of the dense kernels that stay (the
-    two-qubit closed forms, the assisted estimator and mixed-state
-    negativity).
+    Its one public method is :meth:`purity`.  Reductions, marginal
+    spectra and negativities come from the amplitudes of a PureState, not
+    from here; a DensityMatrix is only the input of the dense kernels that
+    stay (the two-qubit closed forms and the assisted estimator).
     """
 
     matrix: np.ndarray

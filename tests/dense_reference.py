@@ -1,8 +1,9 @@
 """Slow dense references for the property tests.
 
-The package computes reductions and the qubit-to-group concurrence
-interval from pure-state amplitudes.  These references do the same on
-dense matrices: the partial trace of the full projector, and the interval
+The package computes reductions, negativities and the qubit-to-group
+concurrence interval from pure-state amplitudes.  These references do the
+same on dense matrices: the partial trace of the full projector, the
+partial transpose and trace norm of a formed group state, and the interval
 read off an explicitly formed group state through its partial traces.
 They are kept here, outside the package, as the independent slow path.
 """
@@ -13,8 +14,46 @@ import numpy as np
 
 from entmono import (DensityMatrix, MeasureValue, PureState, concurrence_pure,
                      concurrence_two_qubit)
-from entmono.densemat import _as_matrix, _check_dims, psd_eigvals
+from entmono.densemat import _as_matrix, psd_eigvals
 from entmono.errors import DimensionError
+
+
+def _check_dims(m: np.ndarray, dims) -> tuple:
+    dims = tuple(int(d) for d in dims)
+    if any(d < 1 for d in dims):
+        raise DimensionError(f"subsystem dimensions must be positive, got {dims}")
+    total = int(np.prod(dims))
+    if m.shape != (total, total):
+        raise DimensionError(
+            f"matrix shape {m.shape} does not match subsystem dims {dims} "
+            f"(product {total})"
+        )
+    return dims
+
+
+def partial_transpose(rho, dims, side) -> np.ndarray:
+    """Transpose the indices of one tensor factor, leaving the rest alone.
+
+    Applying the operation twice returns the input exactly.
+    """
+    rho = _as_matrix(rho)
+    dims = _check_dims(rho, dims)
+    side = int(side)
+    if not 0 <= side < len(dims):
+        raise DimensionError(f"side {side} out of range for {len(dims)} subsystems")
+    n = len(dims)
+    work = rho.reshape(dims + dims)
+    work = np.moveaxis(work, [side, side + n], [side + n, side])
+    d = int(np.prod(dims))
+    return work.reshape(d, d)
+
+
+def trace_norm(m) -> float:
+    """Trace norm (sum of singular values) of a general square matrix."""
+    m = _as_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
 def partial_trace(rho, dims, keep) -> np.ndarray:

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import entmono.cli as cli
-from entmono import (BoundParams, ParameterError, bound_family, coefficient_K,
-                     prior_rhs, random_pure, save_state)
+import entmono.measures as measures
+from entmono import (BoundParams, ParameterError, PureState, bound_family,
+                     coefficient_K, prior_rhs, random_pure, save_state, seed_path)
 
 from dense_reference import slow_reduce
 
@@ -602,6 +603,70 @@ def test_negativity_of_a_mixed_group(preset, partition, group, side, capsys):
     want = numpy_negativity(slow_reduce(state, group).matrix, len(group), side)
     assert want > 0.1
     assert abs(rec["value"] - want) <= 1e-12
+
+
+@pytest.mark.parametrize("partition", ["A|BCDEFGHIJKLM", "BCDEFGHIJKLM|A"])
+def test_negativity_past_the_dense_cap(partition, capsys):
+    # the 13-qubit group would be a 8192 x 8192 dense state; transposed on A, its
+    # factor Y is 8 x 8 whichever side the partition names first
+    code, rec, _ = run_json(["measure", "--preset", "w:14", "--kind", "negativity",
+                             "--partition", partition], capsys)
+    assert code == 0 and rec["status"] == "exact"
+    assert abs(rec["value"] - 3.0 / 7.0) <= 1e-12
+
+
+def test_negativity_factor_beyond_the_dense_cap_exits_two(capsys, monkeypatch):
+    # a 7-qubit side of a 14-qubit group: Y would have 2^14 rows, and the size
+    # check comes before the amplitudes are even split
+    def forbidden(*args):
+        raise AssertionError("split_amplitudes called past the size check")
+
+    monkeypatch.setattr(measures, "split_amplitudes", forbidden)
+    code, out, err = run_cli(["measure", "--preset", "ghz:20", "--kind", "negativity",
+                              "--partition", "ABCDEFG|HIJKLMN"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("entmono: partial-transpose factor of dimension 16384 exceeds the "
+                   "dense-storage cap of 4096\n")
+
+
+def product_haar_file(tmp_path, seed: int) -> str:
+    """A state file of |a> (x) Haar(3), a and the Haar state drawn from seed."""
+    amps = np.kron(random_pure(1, seed_path(seed, 0)).amplitudes,
+                   random_pure(3, seed_path(seed, 1)).amplitudes)
+    path = tmp_path / f"product-haar-{seed}.json"
+    save_state(PureState(amps / np.linalg.norm(amps), (2,) * 4), path)
+    return str(path)
+
+
+ENTROPIC_KINDS = [["eof"], ["tsallis", "--q", "2.5"], ["tsallis", "--q", "0.5"],
+                  ["renyi", "--aacute", "2.5"], ["renyi", "--aacute", "0.7"]]
+FRACTIONAL_VERIFIES = [["eof", "--alpha", "1.5"], ["eoa", "--alpha", "0.5"],
+                       ["renyi", "--aacute", "2.5", "--alpha", "1.5"],
+                       ["reoa", "--aacute", "1.1", "--alpha", "0.5"]]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_product_qubit_reads_no_negative_value(seed, tmp_path, capsys):
+    # A's top Schmidt coefficient can round above 1; no family may read below 0,
+    # and a fractional power of the chain's full value must stay real
+    src = ["--state", product_haar_file(tmp_path, seed)]
+    for kind in ENTROPIC_KINDS:
+        for partition in ("A|BCD", "BCD|A"):
+            code, out, _ = run_cli(["measure"] + src + ["--kind", kind[0],
+                                                        "--partition", partition] + kind[1:],
+                                   capsys)
+            assert code == 0 and json.loads(out)["value"] >= 0.0, (kind, partition)
+            assert '"value": -' not in out, (kind, partition)  # no -0 either
+    for theorem in FRACTIONAL_VERIFIES:
+        code, _, err = run_cli(["verify"] + src + ["--theorem"] + theorem
+                               + ["--mu", "1,1", "--ell", "1,1", "--comparator-only"], capsys)
+        assert code in (0, 3, 4), (theorem, err)
+    code, out, _ = run_cli(["sweep"] + src + ["--kind", "eof", "--alpha-min", "1.5",
+                                              "--alpha-max", "3", "--steps", "4",
+                                              "--mu", "1,1", "--ell", "1,1"], capsys)
+    lhs = [row.split(",")[1] for row in out.splitlines()[1:]]
+    assert code == 0 and len(lhs) == 4
+    assert all(v != "null" and float(v) >= 0.0 for v in lhs), lhs
 
 
 @pytest.mark.parametrize("preset,partition", [("w:4", "A|CD"), ("ghz:5", "A|CDE"),

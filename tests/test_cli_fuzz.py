@@ -1,17 +1,21 @@
-"""Fuzz of the CLI boundary: drawn argv over all four commands, with
-negative seeds, non-finite and malformed numbers, out-of-range sizes and
-bad selectors.  Every invocation must end with a documented exit code
-(0, 2, 3 or 4) and never with a traceback, and the parser that main
-shares across calls answers each one as a fresh parser would."""
+"""Fuzz of the CLI boundary: drawn argv over all four commands, on presets
+and on state files of a product qubit next to a Haar state, with negative
+seeds, non-finite and malformed numbers, out-of-range sizes and bad
+selectors.  Every invocation must end with a documented exit code (0, 2, 3
+or 4) and never with a traceback, and the parser that main shares across
+calls answers each one as a fresh parser would."""
 
 import contextlib
 import io
 from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entmono.cli as cli
+from entmono import PureState, random_pure, save_state, seed_path
 
 FUZZ = settings(max_examples=150, deadline=None)
 SEQUENCES = settings(max_examples=40, deadline=None)
@@ -25,6 +29,12 @@ NUMBERS = st.one_of(
 SEEDS = st.one_of(st.integers(-10, 10), st.integers(-2 ** 70, 2 ** 70)).map(str)
 PRESETS = st.sampled_from(["example1", "bell", "ghz:1", "ghz:3", "ghz:4", "w:3", "w:5",
                            "ghz:x", "w:", "ghz:-2", "ghz:25", "nope"])
+# |a> (x) Haar(m) and Haar(m) (x) |a>, whose product qubit's Schmidt coefficient
+# can round above 1; argv names each file by its key, which the tests resolve
+PRODUCT_HAAR = {f"product-haar-{lead}-{m}-{seed}": (lead, m, seed)
+                for lead in ("first", "last") for m in (2, 3) for seed in range(4)}
+SOURCES = st.one_of(PRESETS.map(lambda p: ["--preset", p]),
+                    st.sampled_from(sorted(PRODUCT_HAAR)).map(lambda k: ["--state", k]))
 PARTITIONS = st.sampled_from(["A|BC", "A|B", "AB|C", "A|C", "B|AC", "A|A", "A|Z", "ABC",
                               "|B", "a|bc", "A|B|C", "AB|CD", "A|BCD"])
 THEOREMS = st.sampled_from(["concurrence", "cren", "eof", "tsallis", "renyi", "eoa", "teoa",
@@ -44,7 +54,7 @@ def argvs(draw):
         samples = draw(st.integers(-2, 25).map(str))
         return (["corpus", "--suite", suite, "--samples", samples]
                 + draw(option("--seed", SEEDS)))
-    argv = [command, "--preset", draw(PRESETS)]
+    argv = [command] + draw(SOURCES)
     if command == "measure":
         argv += ["--kind", draw(st.sampled_from(["concurrence", "cren", "negativity", "eof",
                                                  "tsallis", "renyi"])),
@@ -69,9 +79,24 @@ def argvs(draw):
     return argv
 
 
+@pytest.fixture(scope="module")
+def state_files(tmp_path_factory):
+    """PRODUCT_HAAR key -> path of its state file."""
+    root = tmp_path_factory.mktemp("product-haar")
+    paths = {}
+    for key, (lead, m, seed) in PRODUCT_HAAR.items():
+        single = random_pure(1, seed_path(seed, 0)).amplitudes
+        haar = random_pure(m, seed_path(seed, 1)).amplitudes
+        amps = np.kron(single, haar) if lead == "first" else np.kron(haar, single)
+        paths[key] = str(root / f"{key}.json")
+        save_state(PureState(amps / np.linalg.norm(amps), (2,) * (m + 1)), paths[key])
+    return paths
+
+
 @FUZZ
-@given(argvs())
-def test_every_invocation_ends_with_a_documented_exit_code(argv):
+@given(argv=argvs())
+def test_every_invocation_ends_with_a_documented_exit_code(state_files, argv):
+    argv = [state_files.get(a, a) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -101,8 +126,9 @@ def run(argv):
 
 
 @SEQUENCES
-@given(st.lists(st.one_of(argvs(), USAGE), min_size=1, max_size=6))
-def test_the_shared_parser_answers_like_a_fresh_one(sequence):
+@given(sequence=st.lists(st.one_of(argvs(), USAGE), min_size=1, max_size=6))
+def test_the_shared_parser_answers_like_a_fresh_one(state_files, sequence):
+    sequence = [[state_files.get(a, a) for a in argv] for argv in sequence]
     shared = [run(argv) for argv in sequence]
     for argv, got in zip(sequence, shared):
         with mock.patch.object(cli, "PARSER", cli.build_parser()):

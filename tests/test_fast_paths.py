@@ -4,7 +4,8 @@ trace of the full projector, the stacked marginal-spectrum and
 pair-concurrence kernels against the spectra of those reductions and
 Wootters' pre-concurrence form on the pair ensembles and against the
 Wootters form of the partial trace,
-Schmidt-coefficient negativity against the partial-transpose trace norm,
+Schmidt-coefficient and factor-kernel negativities against the
+partial-transpose trace norm,
 and the amplitude concurrence intervals of the chain links and of
 concurrence_interval against the dense intervals of the explicitly formed
 group states."""
@@ -12,18 +13,19 @@ group states."""
 import functools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entmono import (MeasureKind, PureState, bound_family,
                      concurrence_interval, ghz, measure_chain, negativity,
-                     partial_transpose, random_pure, seed_path, trace_norm,
-                     w_state)
+                     random_pure, seed_path, w_state)
 from entmono.densemat import psd_eigvals
 from entmono.measures import (marginal_spectra, pair_concurrences,
                               wootters_concurrence)
 
-from dense_reference import dense_concurrence_interval, slow_reduce
+from dense_reference import (dense_concurrence_interval, partial_transpose,
+                             slow_reduce, trace_norm)
 
 FAST = settings(max_examples=30, deadline=None)
 
@@ -78,10 +80,14 @@ def ensemble_concurrence(phi: np.ndarray) -> float:
     return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
 
 
-def slow_negativity(state: PureState, sides) -> float:
-    pt = np.outer(state.amplitudes, state.amplitudes.conj())
-    for idx in sides:
-        pt = partial_transpose(pt, state.dims, idx)
+def slow_negativity(state: PureState, sides, group=None) -> float:
+    """||rho_G^{T_S}||_1 - 1 of the group state (default: the whole register)
+    formed from the full projector."""
+    group = list(range(state.n_qubits)) if group is None else group
+    rho = slow_reduce(state, group)
+    pt = rho.matrix
+    for i in sides:
+        pt = partial_transpose(pt, rho.dims, group.index(i))
     return max(0.0, trace_norm(pt) - 1.0)
 
 
@@ -233,6 +239,33 @@ def test_pure_negativity_matches_trace_norm(state, data):
     group = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)))
     got = float(negativity(state, side=group))
     assert abs(got - slow_negativity(state, group)) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(pure_states(min_qubits=3, max_qubits=8), st.data())
+def test_group_negativity_matches_the_dense_partial_transpose(state, data):
+    n = state.n_qubits
+    group = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=n - 1)))
+    side = sorted(data.draw(st.sets(st.sampled_from(group), min_size=1,
+                                    max_size=len(group) - 1)))
+    got = negativity(state, side, group)
+    assert got.status == "exact"
+    assert abs(got.value - slow_negativity(state, side, group)) <= 1e-12
+
+
+# (side, group): a leading, a trailing and a middle side, sides of several
+# qubits that do or do not lead, and the larger part of the group as the side
+GROUP_SHAPES = [([0], [0, 1]), ([1], [0, 1]), ([3], [0, 3, 5]), ([2], [1, 2, 4]),
+                ([0, 2], [0, 1, 2, 4]), ([2, 4], [0, 2, 3, 4]), ([1, 3, 4], [1, 2, 3, 4]),
+                ([0, 1, 2, 3], [0, 1, 2, 3, 5]), ([5], [0, 1, 2, 3, 4, 5]),
+                ([1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5])]
+
+
+@pytest.mark.parametrize("side,group", GROUP_SHAPES)
+def test_every_group_shape_matches_the_dense_partial_transpose(side, group):
+    for state in [random_pure(7, seed_path(41, i)) for i in range(3)] + [w_state(7)]:
+        want = slow_negativity(state, side, group)
+        assert abs(float(negativity(state, side, group)) - want) <= 1e-12
 
 
 @FAST

@@ -263,8 +263,41 @@ class TestNegativity:
         assert float(negativity(EX1, side=0)) == pytest.approx(C_ABC, abs=1e-12)
 
     def test_separable(self):
+        # rho_AB = |0><0| (x) rho_B: its transpose on A keeps every eigenvalue >= 0
+        for i in range(20):
+            amps = np.kron([1.0, 0.0], random_pure(2, seed_path(17, i)).amplitudes)
+            assert float(negativity(PureState(amps, (2, 2, 2)), [0], [0, 1])) == 0.0
+
+    def test_a_density_matrix_is_rejected(self):
         rho = DensityMatrix(np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex), (2, 2))
-        assert float(negativity(rho, side=0)) == 0.0
+        with pytest.raises(ParameterError):
+            negativity(rho, side=0)
+
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_w_state_against_all_but_one_qubit(self, n):
+        # rho_G = (n-1)/n |W_{n-1}><W_{n-1}| + 1/n |0..0><0..0|, whose transpose on A
+        # has the one negative eigenvalue (1 - sqrt(4n - 7))/(2n)
+        got = negativity(w_state(n), [0], list(range(n - 1)))
+        assert got.status == "exact"
+        assert abs(got.value - (math.sqrt(4 * n - 7) - 1.0) / n) <= 1e-12
+
+
+# every family, with Tsallis q and Renyi orders on either side of 1
+NONNEGATIVE_KINDS = st.one_of(
+    st.sampled_from([MeasureKind("concurrence"), MeasureKind("cren"), MeasureKind("eof")]),
+    st.floats(0.05, 8.0).filter(lambda q: q != 1.0).map(lambda q: MeasureKind("tsallis", q=q)),
+    st.floats(0.05, 8.0).filter(lambda a: a != 1.0).map(lambda a: MeasureKind("renyi", order=a)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2 ** 31 - 1), NONNEGATIVE_KINDS)
+def test_pure_value_of_a_product_qubit_is_nonnegative(m, seed, kind):
+    # |a> (x) Haar(m): a Schmidt coefficient of A | rest can round above 1
+    amps = np.kron(random_pure(1, seed_path(seed, 0)).amplitudes,
+                   random_pure(m, seed_path(seed, 1)).amplitudes)
+    state = PureState(amps / np.linalg.norm(amps), (2,) * (m + 1))
+    for keep in ([0], list(range(1, m + 1)), [m]):
+        assert kind.pure_value(state, keep) >= 0.0
 
 
 class TestCren:
