@@ -7,13 +7,12 @@ compared here all have the shape
 
 with c_i a product of per-step weights.  The four right-hand sides are
 one chained sum (_chained_sum) and differ only in that weight: the
-tightened K_r = (mu_r + l_r)^s - l_r^s with s = alpha/2, alpha/sqrt(2) or
-alpha depending on the measure family, against the prior constants 1
-(CKW), 2^s - 1 (JF) and ((1+k)^s - 1)/k^s (KF).  A split m in [1, N-2]
-swaps the roles of pair and tail in steps m+1..N-2; no split is split
-N-2.  Monogamy families bound from below (>=) under hypotheses on the
-chain of residual-group values; polygamy families bound the assisted
-duals from above (<=).
+tightened K_r = (mu_r + l_r)^s - l_r^s with s = alpha/gamma, against the
+prior constants 1 (CKW), 2^s - 1 (JF) and ((1+k)^s - 1)/k^s (KF).  A
+split m in [1, N-2] swaps the roles of pair and tail in steps m+1..N-2;
+no split is split N-2.  Monogamy families bound from below (>=) under
+hypotheses on the chain of residual-group values; polygamy families
+bound the assisted duals from above (<=).
 
 Every bound is built from one measured object, the Chain of a (state,
 family) pair, which measure_chain computes once per command: the full
@@ -26,7 +25,11 @@ Parameter extraction (resolve_params), the right-hand sides, the prior
 bounds and the hypothesis checks (check_conditions) all read that
 record; none measures again.
 
-evaluate_bounds is the one pipeline behind verify and the CLI sweep, and
+THEOREMS is the one home of the families: each selector's measure,
+direction, gamma (2 for the concurrence and CREN, sqrt(2) for the EoF, 1
+otherwise) and q/order window.  A BoundFamily is a measure and its gamma;
+the direction and the alpha domain follow from them.  evaluate_bounds is
+the one pipeline behind verify and the CLI sweep, and
 BoundFamily.check_alpha the one domain rule for every exponent alpha.
 
 Hypothesis parameters outside their theorem ranges (mu >= 1 and l >= 1
@@ -45,37 +48,52 @@ from .measures import (CERT_TOL, MeasureKind, MeasureValue, assisted_estimates,
                        group_link, pair_concurrences)
 from .states import PureState, gram, seed_path, split_amplitudes
 
-SQRT2 = math.sqrt(2.0)
-
-# Order windows of the assisted-dual theorems.
-RENYI_POLY_LO = (math.sqrt(7.0) - 1.0) / 2.0
-RENYI_POLY_HI = (math.sqrt(13.0) - 1.0) / 2.0
-
 MONOGAMY = "monogamy"
 POLYGAMY = "polygamy"
+
+# theorem selector -> (measure, direction, gamma, window of q or order): the
+# one table of the bound families.  A window is a tuple of closed intervals
+# (None: the measure takes no parameter).
+THEOREMS = {
+    "concurrence": ("concurrence", MONOGAMY, 2.0, None),
+    "cren": ("cren", MONOGAMY, 2.0, None),
+    "eof": ("eof", MONOGAMY, math.sqrt(2.0), None),
+    "tsallis": ("tsallis", MONOGAMY, 1.0, ((2.0, 3.0),)),
+    "renyi": ("renyi", MONOGAMY, 1.0, ((2.0, math.inf),)),
+    "eoa": ("eof", POLYGAMY, 1.0, None),
+    "teoa": ("tsallis", POLYGAMY, 1.0, ((1.0, 2.0), (3.0, 4.0))),
+    "reoa": ("renyi", POLYGAMY, 1.0, (((math.sqrt(7.0) - 1.0) / 2.0,
+                                       (math.sqrt(13.0) - 1.0) / 2.0),)),
+}
 
 
 @dataclass(frozen=True)
 class BoundFamily:
-    """One theorem family: measure, direction, exponent scale and domains.
+    """One theorem family: its measure and gamma, a row of THEOREMS.
 
-    hypothesis_power p is the power at which the chain conditions are
-    stated (M^p comparisons); the coefficient exponent is
-    s(alpha) = alpha / scale_div.
+    The family is polygamy exactly when the measure is assisted.  gamma is
+    the power at which the chain conditions are stated (M^gamma
+    comparisons), the divisor of the coefficient exponent
+    s(alpha) = alpha / gamma, and the edge of the alpha domain:
+    [gamma, inf] for monogamy, [0, gamma] for polygamy.
     """
 
     measure: MeasureKind
-    direction: str
-    hypothesis_power: float
-    scale_div: float
-    alpha_min: float
-    alpha_max: float
+    gamma: float
+
+    @property
+    def direction(self) -> str:
+        return POLYGAMY if self.measure.assisted else MONOGAMY
+
+    @property
+    def domain(self) -> tuple:
+        return (0.0, self.gamma) if self.measure.assisted else (self.gamma, math.inf)
 
     def scale(self, alpha):
-        return alpha / self.scale_div
+        return alpha / self.gamma
 
     def check_alpha(self, alpha):
-        """ParameterError unless alpha is finite and inside [alpha_min, alpha_max].
+        """ParameterError unless alpha is finite and inside the domain.
 
         The one alpha-domain rule of every bound (1e-12 slack).  alpha may
         be an array (a sweep's grid, a corpus block): it is inside when its
@@ -87,12 +105,11 @@ class BoundFamily:
         if isinstance(alpha, np.ndarray):
             lo, hi = float(alpha.min()), float(alpha.max())
             shown = f"{lo}..{hi}"
+        low, high = self.domain
         # a NaN or -inf lo fails the first comparison
-        if not (self.alpha_min - 1e-12 <= lo and hi <= self.alpha_max + 1e-12
-                and math.isfinite(hi)):
+        if not (low - 1e-12 <= lo and hi <= high + 1e-12 and math.isfinite(hi)):
             raise ParameterError(
-                f"alpha={shown} is not finite or outside [{self.alpha_min}, "
-                f"{self.alpha_max}] for {self.label}")
+                f"alpha={shown} is not finite or outside [{low}, {high}] for {self.label}")
 
     def mu_ok(self, mu: float) -> bool:
         if self.direction == MONOGAMY:
@@ -109,39 +126,27 @@ class BoundFamily:
 
 def bound_family(measure: str, direction: str = MONOGAMY, q: float = None,
                  order: float = None) -> BoundFamily:
-    """Build the family record for a measure name and bound direction.
+    """The family record of the THEOREMS row of a measure name and direction.
 
-    The (measure, direction) pair fixes the hypothesis power, exponent
-    scale and alpha domain; the measure is assisted exactly for polygamy.
-    Entropy orders are validated against the windows in which the
-    corresponding theorem is stated.
+    The measure is assisted exactly for polygamy.  A Tsallis q or Renyi
+    order outside the row's window, the one in which the theorem is
+    stated, is a ParameterError, as is a (measure, direction) with no row.
     """
     kind = MeasureKind(str(measure), q=q, order=order, assisted=(direction == POLYGAMY))
     if direction not in (MONOGAMY, POLYGAMY):
         raise ParameterError(f"direction must be monogamy or polygamy, got {direction!r}")
-    if direction == POLYGAMY:
-        if kind.name in ("concurrence", "cren"):
-            raise ParameterError(f"no polygamy family exists for {kind.name}")
-        if kind.name == "tsallis" and not (1.0 <= kind.q <= 2.0 or 3.0 <= kind.q <= 4.0):
-            raise ParameterError(
-                f"assisted tsallis bound requires q in [1,2] or [3,4], got {kind.q}")
-        if kind.name == "renyi" and not RENYI_POLY_LO <= kind.order <= RENYI_POLY_HI:
-            raise ParameterError(
-                f"assisted renyi bound requires order in "
-                f"[{RENYI_POLY_LO:.6f}, {RENYI_POLY_HI:.6f}], got {kind.order}")
-        return BoundFamily(kind, POLYGAMY, 1.0, 1.0, 0.0, 1.0)
-
-    if kind.name in ("concurrence", "cren"):
-        return BoundFamily(kind, MONOGAMY, 2.0, 2.0, 2.0, math.inf)
-    if kind.name == "eof":
-        return BoundFamily(kind, MONOGAMY, SQRT2, SQRT2, SQRT2, math.inf)
-    if kind.name == "tsallis":
-        if not 2.0 <= kind.q <= 3.0:
-            raise ParameterError(f"tsallis monogamy bound requires q in [2,3], got {kind.q}")
-        return BoundFamily(kind, MONOGAMY, 1.0, 1.0, 1.0, math.inf)
-    if not kind.order >= 2.0:
-        raise ParameterError(f"renyi monogamy bound requires order >= 2, got {kind.order}")
-    return BoundFamily(kind, MONOGAMY, 1.0, 1.0, 1.0, math.inf)
+    rows = [row for row in THEOREMS.values() if row[:2] == (kind.name, direction)]
+    if not rows:
+        raise ParameterError(f"no {direction} family exists for {kind.name}")
+    _, _, gamma, window = rows[0]
+    if window is not None:
+        param = "q" if kind.name == "tsallis" else "order"
+        value = getattr(kind, param)
+        if not any(lo <= value <= hi for lo, hi in window):
+            allowed = " or ".join(f"[{lo:g}, {hi:g}]" for lo, hi in window)
+            raise ParameterError(f"{direction} {kind.name} bound requires {param} in "
+                                 f"{allowed}, got {value}")
+    return BoundFamily(kind, gamma)
 
 
 @dataclass(frozen=True)
@@ -268,7 +273,7 @@ def _fields(record) -> dict:
 
 
 def coefficient_K(mu, ell, alpha, family: BoundFamily):
-    """Tightening weight (mu + l)^s - l^s with s = alpha / scale_div.
+    """Tightening weight (mu + l)^s - l^s with s = alpha / gamma.
 
     Requires alpha in the family domain, mu > 0 and l >= 0, all finite (so
     the powers are real); theorem-range checks on mu and l are left to the
@@ -304,13 +309,15 @@ def coefficient_K(mu, ell, alpha, family: BoundFamily):
 
 
 def _in_range(x):
-    """x, or OverflowError if the array x holds an inf or NaN.
+    """x, or OverflowError if x is an inf or NaN, or an array holding one.
 
-    A float power beyond the float range raises OverflowError; numpy's
-    power returns inf instead (its warning silenced by the caller), so an
-    array result is checked once, and fails as the float one does.
+    A float power beyond the float range raises OverflowError, but a float
+    sum or product overflows to inf without raising, and numpy's power
+    returns inf (its warning silenced by the caller).  So every result is
+    checked once, a float by math.isfinite and an array as a whole, and a
+    scalar result fails as an array one does.
     """
-    if isinstance(x, np.ndarray) and not np.isfinite(x).all():
+    if not (np.isfinite(x).all() if isinstance(x, np.ndarray) else math.isfinite(x)):
         raise OverflowError("a power in the bound exceeds the float range")
     return x
 
@@ -332,7 +339,8 @@ def _chained_sum(values, step_weights, alpha, split) -> RhsBreakdown:
     m = N-2, the unsplit chain, where pair i carries the product of the
     first i-1 weights.  The weights may be arrays (then alpha is the
     matching grid); each product is a new array, so no coefficient aliases
-    another.  A power beyond the float range raises OverflowError.
+    another.  A product, power or sum beyond the float range raises
+    OverflowError.
     """
     values = [float(v) for v in values]
     if len(values) < 2:
@@ -439,7 +447,7 @@ def extract_mu_l(chain, pairs, family: BoundFamily):
         raise ParameterError(
             f"chain of length {len(chain)} needs {len(chain) - 1} pair values, "
             f"got {len(pairs)}")
-    p = family.hypothesis_power
+    p = family.gamma
     mus, ells = [], []
     for r in range(1, len(pairs) + 1):
         parent, tail, pair = chain[r - 1] ** p, chain[r] ** p, pairs[r - 1] ** p
@@ -490,12 +498,12 @@ def measure_chain(state: PureState, family: BoundFamily, budget: int = 200,
     from one assisted_estimates call: the N-1 pair states rho_{A,B_i} are
     M·M† of the stacked amplitude matrices of the splits {A, B_i} | rest
     (one batched gram, no PureState.reduce), and the kernel takes one
-    batched eigh and one QR per block for the whole chain (budget
-    restarts; pair i seeds seed_path(seed, i - 1), whose sub-streams 0
-    and 1 give the ensemble sizes and the draws, so each value equals
-    assisted_estimate of that pair alone).  The full value is the exact
-    pure-state measure (an assisted value of a pure state equals the
-    plain value).
+    batched eigh for the whole chain and one QR per block for the pairs
+    of each rank (budget restarts; pair i seeds seed_path(seed, i - 1),
+    whose sub-streams 0 and 1 give the ensemble sizes and the draws, so
+    each value equals assisted_estimate of that pair alone).  The full
+    value is the exact pure-state measure (an assisted value of a pure
+    state equals the plain value).
     """
     kind = family.measure
     if family.direction == POLYGAMY:
@@ -533,7 +541,7 @@ def check_conditions(chain: Chain, params: BoundParams) -> ConditionReport:
     family = params.family
     if params.mu is None:
         raise ParameterError("check_conditions needs explicit mu and ell")
-    p = family.hypothesis_power
+    p = family.gamma
     # None (uncertified) stays None through every expression below
     links = [link and link ** p for link in chain.links]
     pairs = [MeasureValue.exact(v ** p) if chain.status == "exact" else None
@@ -603,7 +611,8 @@ def evaluate_bounds(state: PureState, params: BoundParams, names, comparator_k: 
     "ours" is in names (None otherwise), and priors, the prior_rhs of each
     selected kind in PRIOR_KINDS order (kf with k = comparator_k).
     params.alpha may be a sweep's grid, for which the values are arrays
-    over it.  A power beyond the float range raises OverflowError.
+    over it.  A weight, power or sum beyond the float range raises
+    OverflowError.
     """
     if not isinstance(state, PureState):
         raise ParameterError(f"a bound needs a PureState, got {type(state).__name__}")

@@ -18,24 +18,13 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import corpus as corpus_mod
-from .bounds import BoundParams, bound_family, evaluate_bounds, verify
+from .bounds import MONOGAMY, THEOREMS, BoundParams, bound_family, evaluate_bounds, verify
 from .errors import (CapabilityError, ContractError, DimensionError,
                      DomainError, ParameterError)
 from .measures import CERT_TOL, MeasureKind, negativity
 from .states import bell, example1_params, ghz, load_state, schmidt3, w_state
 
 MEASURE_KINDS = ("concurrence", "cren", "negativity", "eof", "tsallis", "renyi")
-
-THEOREM_FAMILIES = {
-    "concurrence": ("concurrence", "monogamy"),
-    "cren": ("cren", "monogamy"),
-    "eof": ("eof", "monogamy"),
-    "tsallis": ("tsallis", "monogamy"),
-    "renyi": ("renyi", "monogamy"),
-    "eoa": ("eof", "polygamy"),
-    "teoa": ("tsallis", "polygamy"),
-    "reoa": ("renyi", "polygamy"),
-}
 
 
 def fmt(x) -> str:
@@ -165,13 +154,13 @@ def cmd_measure(args) -> int:
 
 
 def family_from_args(args, key: str):
-    """The bound family of the selector key in THEOREM_FAMILIES, with its --q/--aacute."""
+    """The bound family of the selector key in bounds.THEOREMS, with its --q/--aacute."""
     try:
-        name, direction = THEOREM_FAMILIES[key]
+        name, direction, _, _ = THEOREMS[key]
     except KeyError:
         raise ParameterError(
             f"unknown theorem selector {key!r}; expected a family in "
-            f"{sorted(THEOREM_FAMILIES)} optionally prefixed like thm1-") from None
+            f"{sorted(THEOREMS)} optionally prefixed like thm1-") from None
     kind = measure_kind(name, args)
     return bound_family(name, direction, q=kind.q, order=kind.order)
 
@@ -301,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="emit bound curves over alpha as CSV")
     add_input(p)
     p.add_argument("--kind", required=True,
-                   choices=("concurrence", "cren", "eof", "tsallis", "renyi"))
+                   choices=[key for key, row in THEOREMS.items() if row[1] == MONOGAMY])
     p.add_argument("--q", type=float)
     p.add_argument("--aacute", type=float)
     p.add_argument("--alpha-min", type=float, required=True)

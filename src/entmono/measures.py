@@ -46,8 +46,9 @@ TSALLIS_Q_HI = (5.0 + math.sqrt(13.0)) / 2.0
 # boundary, verify's margin, and group_link's exactness test
 CERT_TOL = 1e-9
 
-# assisted restarts per block: a block stacks at most pairs x (RESTART_BLOCK + 1)
-# isometries, one QR and one ensemble evaluation, which bounds memory for any budget
+# assisted restarts per block: a block stacks at most pairs x RESTART_BLOCK
+# isometries of one rank, one QR and one ensemble evaluation, which bounds
+# memory for any budget
 RESTART_BLOCK = 256
 
 # sy x sy = antidiag(-1, 1, 1, -1): L^T (sy x sy) is L^T with its columns
@@ -661,34 +662,15 @@ def assisted_estimates(rhos: np.ndarray, kind: MeasureKind, budget: int, seeds) 
     on ``budget``, on the split into RESTART_BLOCK blocks or on the other
     states of the stack, and each value equals the one of a stack of one.
 
-    One batched eigh gives every eigen-ensemble.  Each block then stacks,
-    for all P states, its restarts (the first block also the eigen-ensemble
-    first) as (R², R) matrices, R the largest rank, and takes one batched
-    QR and one :func:`_member_terms` evaluation; a block holds at most
-    P x (RESTART_BLOCK + 1) isometries, which bounds memory for any budget.
-    State i's block A sits in the top-left r_i² x r_i corner, zeros
-    elsewhere, and its members (rows of the eigen-ensemble, largest weight
-    first) get R - r_i zero rows.  The padding changes no value:
-
-    - Householder QR keeps zero rows of A zero in Q and leaves Q's first
-      r_i columns those of the QR of A alone: column j < r_i holds the same
-      entries plus trailing zeros, so its reflector v_j is the same vector
-      padded with zeros (the norm of the column below the diagonal only
-      gains zero squares); H_j = I - t_j v_j v_j† is the identity on every
-      padded row and maps the zero columns to zero; and a zero column
-      j >= r_i has t_j = 0, so H_j = I.  Q's first r_i columns are thus
-      A's QR factor with zero rows below it, and its other R - r_i columns
-      meet only the zero member rows, adding exact zero terms to
-      Q·members.  Rows m_j onward of A are zero too, so their members have
-      p = 0 and the p <= 1e-14 skip drops them.  The property tests check
-      the stacked values against a stack of one bit for bit.
-    - The eigen-ensemble enters as [I; 0] (R² x R): every column is a unit
-      vector whose entries below the diagonal are zero, so LAPACK takes
-      t_j = 0 for each (xnorm = 0 and a real diagonal) and Q = [I; 0]
-      exactly; Q·members is then the member rows themselves.
-    - numpy's pairwise summation groups a longer row differently, so each
-      average sums the member terms over the rows of the unpadded matrix
-      alone: r_i² per restart and r_i for the eigen-ensemble.
+    One batched eigh gives every eigen-ensemble: the rows of its rank-r_i
+    factor, largest weight first, whose own average is the first
+    candidate.  The states are then grouped by rank.  The P_r states of
+    rank r run their restarts as one uniform stack per block, (P_r, k,
+    r², r) with k <= RESTART_BLOCK, through one batched QR and one
+    :func:`_member_terms` call; a block holds at most P x RESTART_BLOCK
+    isometries, which bounds memory for any budget.  Every state meets
+    only matrices of its own shape, so its value is the one of a stack of
+    one.
 
     The best average of each state is returned, its eigen-ensemble's when
     budget is 0.  budget must be a nonnegative integer and seeds as long as
@@ -704,52 +686,48 @@ def assisted_estimates(rhos: np.ndarray, kind: MeasureKind, budget: int, seeds) 
 
     evs, vecs = np.linalg.eigh(rhos)
     keep = evs > _RANK_TOL  # a unit-trace state keeps at least one
-    ranks = keep.sum(axis=-1).tolist()
-    top = max(ranks)
+    ranks = keep.sum(axis=-1)
     # rows: the unnormalized eigen-ensembles, largest weight first (eigh is
-    # ascending), each padded with zero rows for its dropped eigenpairs
+    # ascending, so a state of rank r keeps its first r rows)
     members = np.swapaxes(vecs * np.sqrt(np.where(keep, evs, 0.0))[..., None, :], -1, -2)
-    members = members[:, ::-1][:, :top]
-    streams = [[np.random.default_rng(seed_path(seed, s)) for s in (0, 1)] for seed in seeds]
-    rows = np.arange(top * top)
+    members = members[:, ::-1]
 
-    best = [None] * len(rhos)
-    # budget 0 still evaluates the first block's eigen-ensemble
-    for start in range(0, max(budget, 1), RESTART_BLOCK):
-        k = min(budget - start, RESTART_BLOCK)
-        lead = int(start == 0)  # the first block leads with the eigen-ensemble [I; 0]
-        z = np.zeros((len(rhos), lead + k, top * top, top), dtype=complex)
-        z[:, :lead] = np.eye(top * top, top)
-        for block, r, (sizes, draws) in zip(z[:, lead:], ranks, streams):
-            m = sizes.integers(r, r * r + 1, size=k)
-            g = draws.normal(size=(k, 2, r * r, r))
-            block.real[:, :r * r, :r] = g[:, 0]
-            block.imag[:, :r * r, :r] = g[:, 1]
-            block[rows >= m[:, None]] = 0.0
-        terms = _member_terms(np.linalg.qr(z)[0], members[:, None], kind)
-        for i, r in enumerate(ranks):
-            if lead:
-                best[i] = float(terms[i, 0, :r].sum())
-            if k:
-                best[i] = max(best[i], float(np.max(terms[i, lead:, :r * r].sum(axis=-1))))
-    return np.array(best)
+    best = np.empty(len(rhos))
+    for r in sorted(set(ranks.tolist())):
+        group = np.flatnonzero(ranks == r)
+        own = members[group, :r]
+        best[group] = _member_terms(own, kind).sum(axis=-1)
+        streams = [[np.random.default_rng(seed_path(seeds[i], s)) for s in (0, 1)]
+                   for i in group]
+        rows = np.arange(r * r)
+        for start in range(0, budget, RESTART_BLOCK):
+            k = min(budget - start, RESTART_BLOCK)
+            z = np.empty((len(group), k, r * r, r), dtype=complex)
+            for block, (sizes, draws) in zip(z, streams):
+                m = sizes.integers(r, r * r + 1, size=k)
+                g = draws.normal(size=(k, 2, r * r, r))
+                block.real, block.imag = g[:, 0], g[:, 1]
+                block[rows >= m[:, None]] = 0.0
+            averages = _member_terms(np.linalg.qr(z)[0] @ own[:, None], kind).sum(axis=-1)
+            best[group] = np.maximum(best[group], averages.max(axis=-1))
+    return best
 
 
-def _member_terms(mixes: np.ndarray, members: np.ndarray, kind: MeasureKind) -> np.ndarray:
-    """Member terms p·F(C) of the ensemble of each isometry u in a (..., m, rank) stack.
+def _member_terms(members: np.ndarray, kind: MeasureKind) -> np.ndarray:
+    """Member terms p·F(C) of the ensembles in a (..., m, 4) stack of members.
 
-    The rows of u @ members are the unnormalized pure members of one
-    decomposition, with weights p = |row|²; members with p <= 1e-14 are
+    Each (m, 4) matrix holds the unnormalized pure members of one
+    decomposition as rows (an isometry times the eigen-ensemble, or that
+    ensemble itself), with weights p = |row|²; members with p <= 1e-14 are
     skipped (their term is 0).  All ensembles are evaluated in one stack;
     the sum of an ensemble's terms (the last axis) is its average.
     """
-    tilde = mixes @ members
-    probs = np.sum(np.abs(tilde) ** 2, axis=-1)
+    probs = np.sum(np.abs(members) ** 2, axis=-1)
     live = probs > 1e-14
     p = probs[live]
     terms = np.zeros(probs.shape)
     terms[live] = p * kind.from_concurrence(
-        _pure_two_qubit_concurrence(tilde[live] / np.sqrt(p)[:, None]))
+        _pure_two_qubit_concurrence(members[live] / np.sqrt(p)[:, None]))
     return terms
 
 

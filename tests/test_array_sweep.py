@@ -43,7 +43,7 @@ def reference_rows(args) -> list:
     state, _ = cli.load_input(args)
     family = cli.family_from_args(args, args.kind)
     selected = [b.strip() for b in args.bounds.split(",") if b.strip()]
-    base = BoundParams(family, family.alpha_min, cli.parse_floats(args.mu),
+    base = BoundParams(family, family.domain[0], cli.parse_floats(args.mu),
                        cli.parse_floats(args.ell), args.m_split)
     chain = measure_chain(state, family)
     base = resolve_params(chain, base)

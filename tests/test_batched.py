@@ -3,8 +3,9 @@ the stacked Wootters concurrence against the Hill-Wootters eigenvalue form
 and 2|ad - bc|, the blocked corpus suites against one-sample-at-a-time
 loops, the vectorized closed forms and the broadcasting coefficient_K
 against scalar calls, the Haar samples against two plain normal draws,
-and the stacked assisted estimator against its per-member loop and, on
-a whole polygamy chain of mixed pair ranks, against each pair alone."""
+and the stacked assisted estimator against its per-member loop, on a
+whole polygamy chain of mixed pair ranks against each pair alone, and on
+four pair stacks against pinned float values."""
 
 import math
 from unittest import mock
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 from entmono import (DensityMatrix, DomainError, MeasureKind,
                      ParameterError, PureState, assisted_estimate, bound_family,
                      coefficient_K, concurrence_pure, concurrence_two_qubit,
-                     eof, extract_mu_l, f_eof, f_renyi, g_tsallis,
-                     random_pure, renyi, seed_path, tsallis)
+                     eof, example1_params, extract_mu_l, f_eof, f_renyi,
+                     g_tsallis, random_pure, renyi, schmidt3, seed_path, tsallis)
 from entmono import corpus, measures
 from entmono.bounds import POLYGAMY, measure_chain
 from entmono.measures import pair_concurrences, wootters_concurrence
@@ -386,7 +387,7 @@ def coefficient_args(draw):
     size = draw(st.integers(1, 12))
     vals = lambda lo, hi: draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size))
     return (fam, vals(1e-3, 10.0), vals(0.0, 10.0),
-            vals(fam.alpha_min, min(fam.alpha_max, fam.alpha_min + 6.0)))
+            vals(fam.domain[0], min(fam.domain[1], fam.domain[0] + 6.0)))
 
 
 @FAST
@@ -422,7 +423,7 @@ def test_coefficient_K_scalars_give_floats():
 def test_coefficient_K_rejects_any_bad_entry(args, case, where):
     fam, mus, ells, alphas = (args[0], *(np.array(v) for v in args[1:]))
     at = where % mus.size
-    target, bad = {"alpha_low": (alphas, fam.alpha_min - 0.5), "mu_zero": (mus, 0.0),
+    target, bad = {"alpha_low": (alphas, fam.domain[0] - 0.5), "mu_zero": (mus, 0.0),
                    "mu_negative": (mus, -1.0), "ell_negative": (ells, -0.5),
                    "nan_mu": (mus, math.nan), "nan_ell": (ells, math.nan),
                    "nan_alpha": (alphas, math.nan)}[case]
@@ -503,8 +504,8 @@ def mixed_rank_chains(draw):
 @given(mixed_rank_chains(), seeds, st.sampled_from(ASSISTED), st.integers(1, 5),
        st.sampled_from(["0", "1", "block-1", "block", "block+1"]))
 def test_stacked_chain_matches_each_pair_alone(state, seed, kind, block, budget):
-    # one kernel pass over the chain pads every pair to the largest rank; each
-    # value must still be the pair's own estimate, bit for bit
+    # one kernel pass over the chain stacks the pairs of each rank together;
+    # each value must still be the pair's own estimate, bit for bit
     budget = {"0": 0, "1": 1, "block-1": block - 1, "block": block,
               "block+1": block + 1}[budget]
     family = bound_family(kind.name, POLYGAMY, q=kind.q, order=kind.order)
@@ -521,16 +522,109 @@ def test_stacked_chain_matches_each_pair_alone(state, seed, kind, block, budget)
 
 @pytest.mark.parametrize("kind", ASSISTED, ids=lambda k: k.label)
 def test_padded_pairs_keep_their_own_values(kind):
-    # an entangled rank-2 or rank-3 pair next to rank-4 ones: its restarts sit
-    # in 16-row blocks, and a sum over the padded rows would group four or
-    # more member terms differently.  With one restart the value is that
-    # restart's average whenever it beats the eigen-ensemble, so many seeds
-    # expose the restarts one at a time.
+    # an entangled rank-2 or rank-3 pair next to rank-4 ones, and the rank-1
+    # pair of bell x |0> next to a rank-2 one: each rank runs its own stack, so
+    # a pair's restarts must not meet rows or terms of a larger rank.  With one
+    # restart the value is that restart's average whenever it beats the
+    # eigen-ensemble, so many seeds expose the restarts one at a time.
     family = bound_family(kind.name, POLYGAMY, q=kind.q, order=kind.order)
+    bell0 = PureState(np.kron(BELL[0], ZERO), (2,) * 3)
     for i in range(150):
         rng = np.random.default_rng(seed_path(31, i))
-        state = PureState(schmidt_pair_state(rng, 5, 2 + i % 2), (2,) * 5)
-        chain = measure_chain(state, family, budget=1, seed=i)
-        alone = [assisted_estimate(state.reduce([0, j]), kind, budget=1,
-                                   seed=seed_path(i, j - 1)).value for j in range(1, 5)]
-        assert list(chain.pairs) == alone, i
+        for state in (PureState(schmidt_pair_state(rng, 5, 2 + i % 2), (2,) * 5), bell0):
+            chain = measure_chain(state, family, budget=1, seed=i)
+            alone = [assisted_estimate(state.reduce([0, j]), kind, budget=1,
+                                       seed=seed_path(i, j - 1)).value
+                     for j in range(1, state.n_qubits)]
+            assert list(chain.pairs) == alone, i
+
+
+def pinned_stacks() -> dict:
+    """The pair stacks rho_{A,B_i} of the estimates pinned in PINNED_ESTIMATES.
+
+    example1 (ranks 2, 2), bell ⊗ |0> (1, 2), Haar(4) ⊗ |0> (4, 4, 4, 2) and a
+    4-qubit state whose pair (A, B_1) has three Schmidt terms (3, 4, 4).
+    """
+    states = {
+        "example1": schmidt3(example1_params()),
+        "bell0": PureState(np.kron(BELL[0], ZERO), (2,) * 3),
+        "haar4_0": PureState(np.kron(random_pure(4, seed_path(4, 0)).amplitudes, ZERO),
+                             (2,) * 5),
+        "schmidt3": PureState(schmidt_pair_state(np.random.default_rng(seed_path(5, 0)), 4, 3),
+                              (2,) * 4),
+    }
+    return {name: np.stack([s.reduce([0, i]).matrix for i in range(1, s.n_qubits)])
+            for name, s in states.items()}
+
+
+PINNED_KINDS = {"eof": ASSISTED[0], "tsallis2": ASSISTED[1], "renyi1.2": ASSISTED[2]}
+
+# float.hex of assisted_estimates(stack, kind, budget, [seed_path(0, i) ...]),
+# recorded with numpy 2.4.6 on x86-64; budget 257 crosses RESTART_BLOCK
+PINNED_ESTIMATES = {
+    ("example1", "eof", 0): ['0x1.ec3cd694f2693p-2', '0x1.003af5900e600p-2'],
+    ("example1", "eof", 1): ['0x1.23190e55bc152p-1', '0x1.3955c82935ca0p-2'],
+    ("example1", "eof", 257): ['0x1.3a6b0bfbe6845p-1', '0x1.e928ccb1a0e50p-2'],
+    ("example1", "tsallis2", 0): ['0x1.9999999999994p-3', '0x1.47ae147ae147bp-4'],
+    ("example1", "tsallis2", 1): ['0x1.e57e6d2254ef0p-3', '0x1.d18c129ed5f1fp-4'],
+    ("example1", "tsallis2", 257): ['0x1.1df41e29b84f4p-2', '0x1.c6b8eb51609acp-3'],
+    ("example1", "renyi1.2", 0): ['0x1.c204c77f5de9ap-2', '0x1.9ff76f4d8eadfp-3'],
+    ("example1", "renyi1.2", 1): ['0x1.0a4e3291f9cfep-1', '0x1.0f191894bb495p-2'],
+    ("example1", "renyi1.2", 257): ['0x1.2b1966905e1b4p-1', '0x1.d5c6dba1cab58p-2'],
+    ("bell0", "eof", 0): ['0x1.ffffffffffff9p-1', '0x0.0p+0'],
+    ("bell0", "eof", 1): ['0x1.ffffffffffff9p-1', '0x0.0p+0'],
+    ("bell0", "eof", 257): ['0x1.0000000000001p+0', '0x0.0p+0'],
+    ("bell0", "tsallis2", 0): ['0x1.ffffffffffff8p-2', '0x0.0p+0'],
+    ("bell0", "tsallis2", 1): ['0x1.ffffffffffff9p-2', '0x0.0p+0'],
+    ("bell0", "tsallis2", 257): ['0x1.0000000000001p-1', '0x0.0p+0'],
+    ("bell0", "renyi1.2", 0): ['0x1.fffffffffffecp-1', '0x0.0p+0'],
+    ("bell0", "renyi1.2", 1): ['0x1.ffffffffffff9p-1', '0x0.0p+0'],
+    ("bell0", "renyi1.2", 257): ['0x1.0000000000001p+0', '0x0.0p+0'],
+    ("haar4_0", "eof", 0): ['0x1.32719fd49d22cp-1', '0x1.c3ddd4ed58c47p-2',
+                            '0x1.fe31092580149p-2', '0x0.0p+0'],
+    ("haar4_0", "eof", 1): ['0x1.32719fd49d22cp-1', '0x1.ef6667c689194p-2',
+                            '0x1.1af201f709c8ep-1', '0x0.0p+0'],
+    ("haar4_0", "eof", 257): ['0x1.78aa45677a938p-1', '0x1.5bd8fca60551cp-1',
+                              '0x1.7d83daa22b268p-1', '0x0.0p+0'],
+    ("haar4_0", "tsallis2", 0): ['0x1.03a56934e76bep-2', '0x1.6b90c3c94988fp-3',
+                                 '0x1.a221d4e8a3fe2p-3', '0x0.0p+0'],
+    ("haar4_0", "tsallis2", 1): ['0x1.03a56934e76bep-2', '0x1.9776e0659c47ep-3',
+                                 '0x1.e487690bb280bp-3', '0x0.0p+0'],
+    ("haar4_0", "tsallis2", 257): ['0x1.5924572b2be79p-2', '0x1.30cb29668f7e2p-2',
+                                   '0x1.5b3025d7ed156p-2', '0x0.0p+0'],
+    ("haar4_0", "renyi1.2", 0): ['0x1.1a793c4a808c1p-1', '0x1.9620362b621d2p-2',
+                                 '0x1.ceb664ecebaafp-2', '0x0.0p+0'],
+    ("haar4_0", "renyi1.2", 1): ['0x1.1a793c4a808c1p-1', '0x1.c2197eb2fff8fp-2',
+                                 '0x1.05f6986456bfep-1', '0x0.0p+0'],
+    ("haar4_0", "renyi1.2", 257): ['0x1.68752c78dd097p-1', '0x1.45d1c1268ed7bp-1',
+                                   '0x1.6bed0090a8420p-1', '0x0.0p+0'],
+    ("schmidt3", "eof", 0): ['0x1.ca49cfaa67705p-3', '0x1.21a6ef6a010ecp-2',
+                             '0x1.793cf6352e3e0p-2'],
+    ("schmidt3", "eof", 1): ['0x1.ca49cfaa67705p-3', '0x1.21a6ef6a010ecp-2',
+                             '0x1.8d6dfb05774b7p-2'],
+    ("schmidt3", "eof", 257): ['0x1.40ac6feedeb01p-2', '0x1.68351bea9afeep-2',
+                               '0x1.b3a73acaaf99dp-2'],
+    ("schmidt3", "tsallis2", 0): ['0x1.3cd5c5e4009f7p-4', '0x1.9548dc4197bb5p-4',
+                                  '0x1.14adc2c2e4664p-3'],
+    ("schmidt3", "tsallis2", 1): ['0x1.3cd5c5e4009f7p-4', '0x1.9548dc4197bb5p-4',
+                                  '0x1.34438f78299f2p-3'],
+    ("schmidt3", "tsallis2", 257): ['0x1.e7cf3458f478ap-4', '0x1.1769e82080a86p-3',
+                                    '0x1.5312d2f5ef241p-3'],
+    ("schmidt3", "renyi1.2", 0): ['0x1.7f3d60148d48bp-3', '0x1.e846e15ef2727p-3',
+                                  '0x1.454544941f202p-2'],
+    ("schmidt3", "renyi1.2", 1): ['0x1.7f3d60148d48bp-3', '0x1.e846e15ef2727p-3',
+                                  '0x1.5f29ec98f6c54p-2'],
+    ("schmidt3", "renyi1.2", 257): ['0x1.1775890f816a7p-2', '0x1.3dfbb12f596f4p-2',
+                                    '0x1.7da619f7a6de7p-2'],
+}
+
+
+def test_assisted_estimates_keep_their_pinned_values():
+    # mixed pair ranks, budgets 0, 1 and one past RESTART_BLOCK: the stacked
+    # estimator gives these exact floats
+    stacks = pinned_stacks()
+    for (name, kind, budget), expected in PINNED_ESTIMATES.items():
+        rhos = stacks[name]
+        got = measures.assisted_estimates(rhos, PINNED_KINDS[kind], budget,
+                                          [seed_path(0, i) for i in range(len(rhos))])
+        assert [float(v).hex() for v in got] == expected, (name, kind, budget)

@@ -36,15 +36,16 @@ R_TRIPLE = (math.log2(25 / 17), math.log2(25 / 21), math.log2(25 / 23))
 
 class TestFamilies:
     def test_table(self):
-        assert (CONC.hypothesis_power, CONC.scale_div, CONC.alpha_min) == (2.0, 2.0, 2.0)
-        assert CREN.hypothesis_power == 2.0
-        assert (EOF.hypothesis_power, EOF.scale_div) == (SQ2, SQ2)
-        assert EOF.alpha_min == SQ2
-        assert (TSQ2.hypothesis_power, TSQ2.scale_div, TSQ2.alpha_min) == (1.0, 1.0, 1.0)
-        assert REN2.alpha_max == math.inf
+        assert (CONC.gamma, CONC.domain[0]) == (2.0, 2.0)
+        assert CREN.gamma == 2.0
+        assert EOF.gamma == SQ2
+        assert EOF.domain[0] == SQ2
+        assert (TSQ2.gamma, TSQ2.domain[0]) == (1.0, 1.0)
+        assert REN2.domain[1] == math.inf
         poly = bound_family("eof", "polygamy")
-        assert (poly.alpha_min, poly.alpha_max) == (0.0, 1.0)
+        assert poly.domain == (0.0, 1.0)
         assert poly.measure.assisted
+        assert (CONC.direction, poly.direction) == ("monogamy", "polygamy")
 
     def test_invalid_combos(self):
         with pytest.raises(ParameterError):
@@ -199,7 +200,7 @@ class TestRhsAssemble:
                     assert np.shape(rhs) == np.shape(alpha)
                     for a, r in zip(np.atleast_1d(alpha), np.atleast_1d(rhs)):
                         ks = oracle_weights(kind, n_pairs - 1, mus, ells,
-                                            float(a) / CONC.scale_div, k)
+                                            float(a) / CONC.gamma, k)
                         expect = direct_sum_oracle(values, ks, float(a), split)
                         assert r == pytest.approx(expect, rel=1e-12), (kind, split)
 

@@ -303,6 +303,12 @@ NON_FINITE = [
     # finite but so large that a power of a value above 1 overflows
     ["verify", "--preset", "example1", "--theorem", "concurrence", "--alpha", "1e300",
      "--mu", "2", "--ell", "2"],
+    # mu + l overflows to inf in the float sum of the weight K
+    ["verify", "--preset", "example1", "--theorem", "concurrence", "--alpha", "2",
+     "--mu", "1e308", "--ell", "1e308"],
+    # each K = 1e200 is finite, but the chained product of two overflows
+    ["verify", "--preset", "w:6", "--theorem", "concurrence", "--alpha", "2",
+     "--mu", "1e200,1e200,1e200,1e200", "--ell", "1,1,1,1"],
 ]
 
 
