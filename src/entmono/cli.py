@@ -328,7 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="run randomized property suites")
     p.add_argument("--suite", required=True,
                    choices=corpus_mod.SUITE_NAMES + ("all",))
-    p.add_argument("--samples", type=int, help="suite-specific default if omitted")
+    p.add_argument("--samples", type=int,
+                   help="suite-specific default if omitted; at most "
+                        f"{corpus_mod.MAX_SAMPLES}")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", help="output path (default: stdout)")
     return parser

@@ -10,12 +10,15 @@ slack >= -tolerance everywhere means the property holds.
 
 The state-based suites (ckw, consistency, lemma2) evaluate their samples
 in blocks of at most BLOCK states, so peak memory does not grow with the
-sample count.  A block is an (S, 2**n) amplitude array drawn stream by
-stream (:func:`states.haar_block`, with the PureState checks applied to
-the whole block).  The suites have no reductions of their own: they read
-the shared pure-state kernels of :mod:`measures`, marginal_spectra and
-pair_concurrences, on the whole block, the same kernels measure_chain
-calls on one state.  Neither forms a reduced state: the marginal
+sample count.  A block is an (S, 2**n) amplitude array with one
+(master seed, index) stream per row (:func:`states.haar_block`): the
+seed words of the whole block are hashed at once, then one PCG64 per row
+makes the draw, and the PureState checks apply to the whole block.  A
+suite takes at most MAX_SAMPLES samples, so every sample index fits the
+one 32-bit entropy word that block hash gives it.  The suites have no
+reductions of their own: they read the shared pure-state kernels of
+:mod:`measures`, marginal_spectra and pair_concurrences, on the whole
+block, the same kernels measure_chain calls on one state.  Neither forms a reduced state: the marginal
 spectra are squared singular values of the amplitude matrices, and each
 pair concurrence of a 3-qubit sample is read off its (4, 2) amplitude
 matrix, a factor of the pair state, through one batched svd of the
@@ -37,10 +40,13 @@ from .bounds import bound_family, coefficient_K, extract_mu_l, prior_weight
 from .errors import ParameterError
 from .measures import (MeasureKind, f_eof, f_renyi, g_tsallis,
                        marginal_spectra, pair_concurrences)
-from .states import haar_block, seed_path
+from .states import INDEX_CAP, haar_block, seed_path
 
 # samples per evaluated block of the state-based suites
 BLOCK = 1024
+
+# largest sample count of a suite: every index is below states.INDEX_CAP
+MAX_SAMPLES = INDEX_CAP - 1
 
 SUITE_NAMES = ("lemma1", "ckw", "consistency", "hierarchy", "lemma2")
 
@@ -233,12 +239,16 @@ _SUITES = {
 
 
 def run_suite(name: str, samples: int = None, seed: int = 42) -> SuiteResult:
-    """Run one named suite; samples defaults to the suite's standard size."""
+    """Run one named suite; samples defaults to the suite's standard size.
+
+    An unknown name, or a sample count outside [1, MAX_SAMPLES], raises
+    ParameterError before anything is drawn.
+    """
     if name not in _SUITES:
         raise ParameterError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
     if samples is None:
         samples = DEFAULT_SAMPLES[name]
     samples = int(samples)
-    if samples < 1:
-        raise ParameterError(f"sample count must be >= 1, got {samples}")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ParameterError(f"sample count must be in [1, {MAX_SAMPLES}], got {samples}")
     return _SUITES[name](samples, int(seed))

@@ -10,6 +10,7 @@ PureState.reduce or the partial-transpose factor of measures.negativity,
 are capped at the 12-qubit DIM_CAP of the dense kernel.
 """
 
+import functools
 import json
 import numbers
 from dataclasses import dataclass
@@ -226,18 +227,21 @@ def random_pure(n: int, seed) -> PureState:
 def haar_block(n: int, seed, start: int, stop: int) -> np.ndarray:
     """Amplitudes of random_pure(n, seed_path(seed, i)) for start <= i < stop.
 
-    One row per sample, each drawn from its own (seed, i) stream by the one
-    draw of :func:`random_pure`, so a block holds exactly the states of the
-    one-state-at-a-time path.  The base path seed_path(seed) is built once
-    per block, and the draws become unit vectors together
-    (:func:`_haar_rows`).  The rows pass the PureState checks (finite,
-    norm² within NORM_TOL of 1) as one block.
+    One row per sample, from its own (seed, i) stream: the seed words of
+    the whole block are hashed at once (:func:`seed_words`), then one PCG64
+    per row, seeded through numpy's ISeedSequence hook with those words,
+    makes the one draw of :func:`random_pure`.  So a block holds exactly
+    the states of the one-state-at-a-time path, bit for bit.  The draws
+    become unit vectors together (:func:`_haar_rows`), and the rows pass
+    the PureState checks (finite, norm² within NORM_TOL of 1) as one block.
+    Errors are those of :func:`seed_words`.
     """
     d = 2 ** n
-    base = seed_path(seed)
+    words = seed_words(seed, start, stop)
+    fixed_words = _fixed_words()
     g = np.empty((stop - start, 2 * d))
-    for row, i in enumerate(range(start, stop)):
-        g[row] = np.random.default_rng(base + (i,)).normal(size=2 * d)
+    for row, w in enumerate(words):
+        g[row] = np.random.Generator(np.random.PCG64(fixed_words(w))).normal(size=2 * d)
     out = _haar_rows(g)
     _check_unit(out)
     return out
@@ -300,14 +304,112 @@ def seed_path(seed, *indices) -> tuple:
 
     Feeding the result to ``numpy.random.default_rng`` gives independent,
     reproducible streams per (master seed, index, ...) path, so parallel
-    and serial sample evaluation agree exactly.  A negative entry raises
-    ParameterError (the generator accepts only nonnegative integers).
+    and serial sample evaluation agree exactly; :func:`seed_words` hashes
+    the seed words of a whole block of such paths at once.  A negative
+    entry raises ParameterError (the generator accepts only nonnegative
+    integers).
     """
     base = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
     path = tuple(int(x) for x in base) + tuple(int(i) for i in indices)
     if any(x < 0 for x in path):
         raise ParameterError(f"seeds must be nonnegative integers, got {path}")
     return path
+
+
+# numpy's SeedSequence pool hash (numpy/random/bit_generator.pyx, after
+# O'Neill's seed_seq_fe, HMC-CS-2014-0905): a pool of 4 32-bit words
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
+
+# sample indices below this fit one 32-bit entropy word
+INDEX_CAP = 2 ** 32
+
+
+def seed_words(seed, start: int, stop: int) -> np.ndarray:
+    """The (stop - start, 4) uint64 array whose row i - start is
+    ``SeedSequence(seed_path(seed, i)).generate_state(4, np.uint64)``.
+
+    These are the words PCG64 seeds from, so ``default_rng(seed_path(seed,
+    i))`` is the PCG64 stream of row i - start.  numpy's pool hash is
+    32-bit integer arithmetic, so it runs on the whole block at once, in
+    uint64 arrays masked to 32 bits: the words of seed_path(seed) are
+    shared by every row, and the sample index is the last entropy word.
+    So an index must fit one word: a negative start or a stop above
+    INDEX_CAP raises ParameterError, as does a negative seed entry.
+    """
+    if start < 0 or stop > INDEX_CAP:
+        raise ParameterError(
+            f"sample indices must lie in [0, {INDEX_CAP}), got [{start}, {stop})")
+    entropy = [w for x in seed_path(seed) for w in _uint32_words(x)]
+    entropy.append(np.arange(start, stop, dtype=np.uint64))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # generate_state: 8 32-bit words from the cycled pool, paired little-endian
+    out = _hasher(_INIT_B, _MULT_B)
+    state = [out(pool[i % _POOL_SIZE]) for i in range(8)]
+    return np.stack([state[2 * k] | (state[2 * k + 1] << 32) for k in range(4)], axis=-1)
+
+
+def _hasher(init: int, mult: int):
+    """numpy's hashmix: hashes one 32-bit word per call, advancing its
+    multiplier from init by mult.  A word is a Python int (shared by all
+    rows) or a uint64 row array; an array argument is not changed."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = (const * mult) & _MASK32
+        value = (value * const) & _MASK32
+        return value ^ (value >> 16)
+    return hashmix
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _uint32_words(x: int) -> list:
+    """A nonnegative int as SeedSequence's entropy words, least significant
+    first (0 is one word)."""
+    words = [x & _MASK32]
+    while x > _MASK32:
+        x >>= 32
+        words.append(x & _MASK32)
+    return words
+
+
+@functools.cache
+def _fixed_words():
+    """The ISeedSequence that hands PCG64 one precomputed row of
+    :func:`seed_words`.
+
+    Defined on first use, so importing this module does not import
+    numpy.random.  PCG64 asks for exactly generate_state(4, np.uint64).
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedWords(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return FixedWords
 
 
 def _check_unit(amps: np.ndarray):

@@ -3,7 +3,8 @@ the stacked Wootters concurrence against the Hill-Wootters eigenvalue form
 and 2|ad - bc|, the blocked corpus suites against one-sample-at-a-time
 loops, the vectorized closed forms and the broadcasting coefficient_K
 against scalar calls, the Haar samples against two plain normal draws,
-and the stacked assisted estimator against its per-member loop, on a
+the block hash of the seed words against numpy's SeedSequence, and the
+stacked assisted estimator against its per-member loop, on a
 whole polygamy chain of mixed pair ranks against each pair alone, and on
 four pair stacks against pinned float values."""
 
@@ -23,7 +24,7 @@ from entmono import (DensityMatrix, DomainError, MeasureKind,
 from entmono import corpus, measures
 from entmono.bounds import POLYGAMY, measure_chain
 from entmono.measures import pair_concurrences, wootters_concurrence
-from entmono.states import haar_block
+from entmono.states import INDEX_CAP, haar_block, seed_words
 
 FAST = settings(max_examples=30, deadline=None)
 
@@ -261,12 +262,31 @@ def test_wootters_on_rank_deficient_bell_mixtures(cases):
 
 # -- blocked suites ----------------------------------------------------------
 
+# seeds around the 32-bit word boundaries of SeedSequence's entropy, any
+# int up to 2**160, and tuple seeds of up to 5 entries
+wide_seeds = (st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 64, 2 ** 96, 2 ** 128, 2 ** 160])
+              | st.integers(0, 2 ** 160)
+              | st.tuples(st.integers(0, 2 ** 70), st.integers(0, 2 ** 40))
+              | st.lists(st.integers(0, 2 ** 33), min_size=1, max_size=5).map(tuple))
+
+
+@st.composite
+def index_blocks(draw):
+    """(start, stop) of up to 5 indices below 2**32, ending at 2**32 half the time."""
+    count = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return INDEX_CAP - count, INDEX_CAP
+    start = draw(st.integers(0, INDEX_CAP - count))
+    return start, start + count
+
+
 @FAST
-@given(seeds, st.integers(1, 6), st.integers(1, 4))
-def test_haar_block_rows_are_the_per_sample_states(seed, count, n):
-    block = haar_block(n, seed, 3, 3 + count)
-    for row, i in zip(block, range(3, 3 + count)):
-        assert np.array_equal(row, random_pure(n, seed_path(seed, i)).amplitudes)
+@given(wide_seeds, index_blocks(), st.integers(1, 4))
+def test_haar_block_rows_are_the_per_sample_states(seed, block, n):
+    start, stop = block
+    rows = haar_block(n, seed, start, stop)
+    for row, i in zip(rows, range(start, stop)):
+        assert row.tobytes() == random_pure(n, seed_path(seed, i)).amplitudes.tobytes()
 
 
 @FAST
@@ -281,6 +301,25 @@ def test_haar_samples_are_two_plain_normal_draws(seed, index, n):
     v /= np.linalg.norm(v)
     assert random_pure(n, path).amplitudes.tobytes() == v.tobytes()
     assert haar_block(n, seed, index, index + 1)[0].tobytes() == v.tobytes()
+
+
+@FAST
+@given(wide_seeds, index_blocks())
+def test_seed_words_are_the_seed_sequence_words(seed, block):
+    start, stop = block
+    words = seed_words(seed, start, stop)
+    assert words.dtype == np.uint64 and words.shape == (stop - start, 4)
+    for row, i in zip(words, range(start, stop)):
+        expected = np.random.SeedSequence(seed_path(seed, i)).generate_state(4, np.uint64)
+        assert row.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("start, stop", [(0, INDEX_CAP + 1), (INDEX_CAP, INDEX_CAP + 2),
+                                         (-1, 2)])
+def test_indices_beyond_one_entropy_word_raise(start, stop):
+    for call in (lambda: seed_words(7, start, stop), lambda: haar_block(3, 7, start, stop)):
+        with pytest.raises(ParameterError, match="sample indices"):
+            call()
 
 
 def assert_same_result(fast, slow):

@@ -1,6 +1,7 @@
 """CLI surface tests: measure/sweep/verify/corpus subcommands, the state
 file format, CSV schema, determinism and the exit-code contract."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import entmono.cli as cli
+import entmono.corpus as corpus
 import entmono.measures as measures
 from entmono import (BoundParams, ParameterError, PureState, bound_family,
                      coefficient_K, prior_rhs, random_pure, save_state, seed_path)
@@ -400,6 +402,22 @@ def test_a_size_too_large_to_allocate_exits_two(argv, capsys, monkeypatch):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
     assert err == "entmono: too large to allocate: Unable to allocate 7.28 TiB for an array\n"
+
+
+@pytest.mark.parametrize("suite", corpus.SUITE_NAMES)
+def test_a_sample_count_past_one_entropy_word_exits_two(suite, capsys, monkeypatch):
+    # every sample index must fit one 32-bit entropy word; the count is refused
+    # before anything is drawn, so a draw fails the test instead of hanging it
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew samples past the cap")
+
+    monkeypatch.setattr(corpus, "haar_block", no_draw)
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    code, out, err = run_cli(["corpus", "--suite", suite, "--samples",
+                              "100000000000000000000"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("entmono: sample count must be in [1, 4294967295], "
+                   "got 100000000000000000000\n")
 
 
 MALFORMED = [
@@ -817,6 +835,29 @@ class TestCorpus:
             assert (suite["samples"], suite["violations"], suite["passed"],
                     suite["offenders"]) == (samples, violations, True, [])
             assert abs(suite["worst_slack"] - worst) <= 1e-12
+
+
+    # sha256 of the stdout of corpus --suite all --samples 300, recorded before
+    # the seed words were hashed block by block: pins the sample set across builds
+    PINNED_SHA256 = {
+        7: "b34d7406f997f8e96c4efa01c869d995c1688c77ba7337c1a2bf89786a22e51e",
+        2 ** 64 + 3: "7b92c80a2bb47e9984851cd543e461ea20103d1f83271081f8ad484032c70e2f",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_SHA256))
+    def test_stdout_bytes_are_pinned(self, seed, capsys):
+        code, out, _ = run_cli(["corpus", "--suite", "all", "--samples", "300",
+                                "--seed", str(seed)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_SHA256[seed]
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, entmono.cli; sys.exit('numpy.random' in sys.modules)"],
+        capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (0, "")
 
 
 def test_entry_point_subprocess():
