@@ -5,15 +5,13 @@ from .bounds import (BoundFamily, BoundParams, BoundReport, Chain,
                      ConditionReport, bound_family, check_conditions,
                      coefficient_K, extract_mu_l, measure_chain, prior_rhs,
                      resolve_params, rhs_assemble, verify)
-from .densemat import DIM_CAP, herm_eigvals
 from .errors import (CapabilityError, ContractError, DimensionError,
                      DomainError, ParameterError)
 from .measures import (MeasureKind, MeasureValue, assisted_estimate,
-                       concurrence_interval, concurrence_pure,
-                       concurrence_two_qubit, eof, f_eof, f_renyi,
+                       concurrence_pure, concurrence_two_qubit, eof, f_eof,
                        g_tsallis, negativity, renyi, tsallis)
-from .states import (AMP_CAP, DensityMatrix, PureState, SchmidtParams, bell,
-                     example1_params, ghz, load_state, random_pure,
+from .states import (AMP_CAP, DIM_CAP, DensityMatrix, PureState, SchmidtParams,
+                     bell, example1_params, ghz, load_state, random_pure,
                      save_state, schmidt3, seed_path, w_state)
 
 __version__ = "0.1.0"

@@ -44,8 +44,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import CapabilityError, ParameterError
-from .measures import (CERT_TOL, MeasureKind, MeasureValue, assisted_estimates,
-                       group_link, pair_concurrences)
+from .measures import (CERT_TOL, RENYI_ORDER_LO, MeasureKind, MeasureValue,
+                       assisted_estimates, group_link, pair_concurrences)
 from .states import PureState, gram, seed_path, split_amplitudes
 
 MONOGAMY = "monogamy"
@@ -62,8 +62,7 @@ THEOREMS = {
     "renyi": ("renyi", MONOGAMY, 1.0, ((2.0, math.inf),)),
     "eoa": ("eof", POLYGAMY, 1.0, None),
     "teoa": ("tsallis", POLYGAMY, 1.0, ((1.0, 2.0), (3.0, 4.0))),
-    "reoa": ("renyi", POLYGAMY, 1.0, (((math.sqrt(7.0) - 1.0) / 2.0,
-                                       (math.sqrt(13.0) - 1.0) / 2.0),)),
+    "reoa": ("renyi", POLYGAMY, 1.0, ((RENYI_ORDER_LO, (math.sqrt(13.0) - 1.0) / 2.0),)),
 }
 
 

@@ -38,8 +38,7 @@ import numpy as np
 
 from .bounds import bound_family, coefficient_K, extract_mu_l, prior_weight
 from .errors import ParameterError
-from .measures import (MeasureKind, f_eof, f_renyi, g_tsallis,
-                       marginal_spectra, pair_concurrences)
+from .measures import MeasureKind, marginal_spectra, pair_concurrences
 from .states import INDEX_CAP, haar_block, seed_path
 
 # samples per evaluated block of the state-based suites
@@ -141,25 +140,22 @@ def suite_ckw(samples: int, seed: int) -> SuiteResult:
     return res
 
 
-CONSISTENCY_QS = (2.0, 2.5, 3.0)
-CONSISTENCY_ORDERS = (2.0, 3.0)
+# the entropic kinds whose closed forms in the concurrence are checked
+CONSISTENCY_KINDS = (MeasureKind("eof"),
+                     *(MeasureKind("tsallis", q=q) for q in (2.0, 2.5, 3.0)),
+                     *(MeasureKind("renyi", order=order) for order in (2.0, 3.0)))
 
 
 def suite_consistency(samples: int, seed: int) -> SuiteResult:
     """On random two-qubit pure states the entropic measures equal their
-    closed-form functions of the concurrence."""
+    closed-form functions of the concurrence: from_spectrum of the marginal
+    spectrum against from_concurrence of the concurrence, per kind."""
     res = SuiteResult("consistency", samples, seed, tolerance=1e-9)
     for start, amps in _blocks(2, samples, seed):
         evs = marginal_spectra(amps, (2, 2), [0])
         c = MeasureKind("concurrence").from_spectrum(evs)
-        devs = [np.abs(MeasureKind("eof").from_spectrum(evs) - f_eof(c * c))]
-        for q in CONSISTENCY_QS:
-            devs.append(np.abs(MeasureKind("tsallis", q=q).from_spectrum(evs)
-                               - g_tsallis(c * c, q)))
-        for order in CONSISTENCY_ORDERS:
-            devs.append(np.abs(MeasureKind("renyi", order=order).from_spectrum(evs)
-                               - f_renyi(c, order)))
-        max_dev = np.max(devs, axis=0)
+        max_dev = np.max([np.abs(kind.from_spectrum(evs) - kind.from_concurrence(c))
+                          for kind in CONSISTENCY_KINDS], axis=0)
         res.record_all(-max_dev, lambda i: {"sample": start + i, "concurrence": float(c[i]),
                                             "max_dev": float(max_dev[i])})
     return res

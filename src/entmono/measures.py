@@ -3,6 +3,10 @@ intervals), negativity and its convex-roof extension, entanglement of
 formation, Tsallis-q and Renyi-entropy measures, and a heuristic
 estimator for their assisted (decomposition-maximizing) duals.
 
+Every value of a family on a spectrum comes from MeasureKind.from_spectrum;
+from_concurrence, the closed forms f_eof and g_tsallis and the suites of
+:mod:`corpus` read it, and no other function calls the entropies.
+
 Pure-state values come only from two stacked kernels, marginal_spectra
 and pair_concurrences, which take one state or a block of them.  The
 certified value of one qubit against a group of a pure state comes from
@@ -21,9 +25,12 @@ eigen-factor of its matrix (wootters_concurrence).
 
 All logarithms are base 2 and 0·log 0 := 0.  On two-qubit mixed states the
 entropic measures reduce to closed-form functions of the Wootters
-concurrence; on larger groups only the concurrence and the CREN support
-certified interval evaluation, and the entropic measures are
-deliberately unsupported rather than silently approximated.
+concurrence: the EoF always, the Tsallis-q measure for q within
+[TSALLIS_Q_LO, TSALLIS_Q_HI] and the Renyi measure for orders at or above
+RENYI_ORDER_LO; outside those windows, and on larger groups, the entropic
+measures are deliberately unsupported rather than silently approximated.
+Only the concurrence and the CREN support certified interval evaluation
+of one qubit against a larger group.
 """
 
 import math
@@ -40,6 +47,11 @@ from .states import (DensityMatrix, PureState, _check_dense, gram, keep_indices,
 # Tsallis route: (5 - sqrt(13))/2 <= q <= (5 + sqrt(13))/2.
 TSALLIS_Q_LO = (5.0 - math.sqrt(13.0)) / 2.0
 TSALLIS_Q_HI = (5.0 + math.sqrt(13.0)) / 2.0
+
+# Lower edge of the mixed-state Renyi route: E_a(rho) = f_a(C(rho)) on
+# two-qubit states is proven for a >= (sqrt(7) - 1)/2 (Wang, Mu, Vedral and
+# Fan, PRA 93, 022324, 2016)
+RENYI_ORDER_LO = (math.sqrt(7.0) - 1.0) / 2.0
 
 # roundoff allowance of every certified comparison: the verdicts of
 # bounds.check_conditions, whose saturating states sit exactly on a clause
@@ -218,8 +230,10 @@ class MeasureKind:
     def two_qubit_value(self, rho: DensityMatrix) -> float:
         """Exact value on a two-qubit mixed state via the Wootters form.
 
-        An assisted kind raises CapabilityError: its mixed-state value is
-        a maximum over decompositions, which only assisted_estimate bounds.
+        The windows of :meth:`_from_mixed_concurrence` apply (Tsallis q,
+        Renyi order).  An assisted kind raises CapabilityError: its
+        mixed-state value is a maximum over decompositions, which only
+        assisted_estimate bounds.
         """
         if self.assisted:
             raise CapabilityError(f"{self.label} of a mixed state has no exact value; "
@@ -229,14 +243,19 @@ class MeasureKind:
     def _from_mixed_concurrence(self, c: float) -> float:
         """from_concurrence of a two-qubit mixed state's Wootters concurrence c.
 
-        Tsallis takes this route only with q inside its closed-form window
-        (CapabilityError otherwise).
+        Two families take this route only inside a proven window
+        (CapabilityError otherwise): Tsallis with q in [TSALLIS_Q_LO,
+        TSALLIS_Q_HI], Renyi with order >= RENYI_ORDER_LO.
         """
         if self.name == "tsallis" and not TSALLIS_Q_LO <= self.q <= TSALLIS_Q_HI:
             raise CapabilityError(
                 f"mixed-state tsallis route requires q within "
                 f"[{TSALLIS_Q_LO:.6f}, {TSALLIS_Q_HI:.6f}], got q={self.q}"
             )
+        if self.name == "renyi" and not self.order >= RENYI_ORDER_LO:
+            raise CapabilityError(
+                f"mixed-state renyi route requires order >= {RENYI_ORDER_LO:.6f}, "
+                f"got order={self.order}")
         return self.from_concurrence(c)
 
     def evaluate(self, state, side=None, group=None) -> MeasureValue:
@@ -250,7 +269,8 @@ class MeasureKind:
         - one qubit A (on either side) against the rest of a smaller qubit
           group gives group_link of A's pure_value and of its pair values
           from pair_concurrences on the amplitudes (no reduction), with
-          the window of two_qubit_value.
+          the windows of two_qubit_value.  Only a 2-qubit group, or a kind
+          that certifies groups, reads them: any other group has no link.
 
         A 2x2-qubit DensityMatrix gives the exact two_qubit_value (side and
         group are then ignored).  Every other input raises CapabilityError:
@@ -271,7 +291,8 @@ class MeasureKind:
             return MeasureValue.exact(self.pure_value(state, side))
         a, others = sorted((side, [j for j in group if j not in side]), key=len)
         link = None
-        if len(a) == 1 and all(state.dims[i] == 2 for i in group):
+        if (len(a) == 1 and all(state.dims[i] == 2 for i in group)
+                and (len(group) == 2 or self.certifies_groups)):
             pairs = pair_concurrences(state.amplitudes, state.dims, a[0], others)
             # a pair's link is its one pair value: A's full value is not read
             full = self.pure_value(state, a) if len(group) > 2 else None
@@ -298,6 +319,7 @@ def _split(n: int, side, group=None) -> tuple:
 
 _CONCURRENCE = MeasureKind("concurrence")
 _CREN = MeasureKind("cren")
+_EOF = MeasureKind("eof")
 
 
 def marginal_spectra(amps: np.ndarray, dims: tuple, keep) -> np.ndarray:
@@ -437,24 +459,6 @@ def concurrence_two_qubit(rho: DensityMatrix) -> MeasureValue:
     return MeasureValue.exact(float(wootters_concurrence(rho.matrix[None])[0]))
 
 
-def concurrence_interval(state: PureState, side, group) -> MeasureValue:
-    """Certified concurrence of one qubit against a group of a pure state.
-
-    side is one qubit (an index or a one-index iterable) of group, a set
-    of at least 3 qubits of the register; both are read as in
-    MeasureKind.evaluate, which gives the value from group_link.
-    """
-    if not isinstance(state, PureState):
-        raise ParameterError(
-            f"concurrence_interval expects a PureState, got {type(state).__name__}")
-    side, group = _split(state.n_qubits, side, group)
-    if len(side) != 1:
-        raise ParameterError(f"concurrence_interval takes one side qubit, got {side}")
-    if len(group) < 3:
-        raise DimensionError(f"concurrence_interval requires a group of >= 3 qubits, got {group}")
-    return _CONCURRENCE.evaluate(state, side, group)
-
-
 def group_link(kind: MeasureKind, state: PureState, group, pairs, full: float):
     """Certified M(A|G∖A) of one qubit A of a qubit group G of a pure state, or None.
 
@@ -557,9 +561,10 @@ def negativity(state, side=0, group=None) -> MeasureValue:
     return MeasureValue.exact(2.0 * float(np.abs(evs[evs < 0.0]).sum()))
 
 
-# The closed forms below are the entropies of the marginal spectrum
+# The closed forms below are from_spectrum of the marginal spectrum
 # ((1+s)/2, (1-s)/2), s = sqrt(1 - C²), of a 2 x m pure state with
-# concurrence C.  Each takes a scalar (returns a float) or an array
+# concurrence C, as a function of x = C² (MeasureKind.from_concurrence takes
+# C itself).  Each takes a scalar (returns a float) or an array
 # (elementwise); any argument outside [0, 1] raises DomainError.
 
 def f_eof(x):
@@ -568,32 +573,17 @@ def f_eof(x):
     f(x) = H((1 + sqrt(1-x))/2) with H the base-2 binary entropy;
     monotonically increasing on [0, 1] with f(0) = 0, f(1) = 1.
     """
-    x = _unit_interval(x, "f_eof")
-    return _scalar_or_array(_entropy_vn(_two_level(x)))
+    return _EOF.from_spectrum(_two_level(_unit_interval(x, "f_eof")))
 
 
 def g_tsallis(x, q: float):
     """Tsallis-q entanglement as a function of squared concurrence.
 
     g_q(x) = [1 - ((1+s)/2)^q - ((1-s)/2)^q]/(q-1) with s = sqrt(1-x);
-    g_q(0) = 0 and g_2(x) = x/2 exactly.
+    g_q(0) = 0 and g_2(x) = x/2 exactly.  q is checked by MeasureKind.
     """
-    if q <= 0 or q == 1:
-        raise ParameterError(f"g_tsallis requires q > 0, q != 1, got {q}")
-    x = _unit_interval(x, "g_tsallis")
-    return _scalar_or_array(_entropy_tsallis(_two_level(x), q))
-
-
-def f_renyi(x, order: float):
-    """Renyi entanglement as a function of the concurrence (not squared).
-
-    f_a(x) = log2[((1-s)/2)^a + ((1+s)/2)^a]/(1-a) with s = sqrt(1-x²);
-    f_a(0) = 0, f_a(1) = 1, increasing on [0, 1].
-    """
-    if order <= 0 or order == 1:
-        raise ParameterError(f"f_renyi requires order > 0, order != 1, got {order}")
-    x = _unit_interval(x, "f_renyi")
-    return _scalar_or_array(_entropy_renyi(_two_level(x * x), order))
+    kind = MeasureKind("tsallis", q=q)
+    return kind.from_spectrum(_two_level(_unit_interval(x, "g_tsallis")))
 
 
 _HALVES = np.array([0.5, -0.5])
@@ -625,7 +615,10 @@ def tsallis(state, partition=None, q: float = 2.0) -> MeasureValue:
 
 
 def renyi(state, partition=None, order: float = 2.0) -> MeasureValue:
-    """Renyi entanglement of order ``order``; regimes as in :func:`eof`."""
+    """Renyi entanglement of order ``order``; regimes as in :func:`eof`.
+
+    The mixed two-qubit route additionally requires order >= RENYI_ORDER_LO.
+    """
     return MeasureKind("renyi", order=float(order)).evaluate(state, partition)
 
 

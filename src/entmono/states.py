@@ -7,7 +7,7 @@ Qubit 0 is subsystem A; the remaining qubits are B, C, ... in tensor order
 Amplitude vectors are capped at AMP_CAP = 2**20 entries (20 qubits).  The
 dense matrices formed from them, a reduced density matrix of
 PureState.reduce or the partial-transpose factor of measures.negativity,
-are capped at the 12-qubit DIM_CAP of the dense kernel.
+are capped at DIM_CAP = 2**12 rows (12 qubits).
 """
 
 import functools
@@ -18,12 +18,17 @@ from itertools import chain
 
 import numpy as np
 
-from .densemat import DIM_CAP, psd_eigvals
 from .errors import ContractError, DimensionError, ParameterError
 
 # Amplitude-vector cap: 20 qubits.  Dense matrices stay under DIM_CAP.
 MAX_QUBITS = 20
 AMP_CAP = 2 ** MAX_QUBITS
+
+# Dense storage cap: 12 qubits.  Everything in this package is desk-scale.
+DIM_CAP = 2 ** 12
+
+# Hermiticity and positivity tolerance of a public DensityMatrix
+HERM_TOL = 1e-10
 
 NORM_TOL = 1e-12
 FILE_NORM_TOL = 1e-9
@@ -76,11 +81,13 @@ class PureState:
 class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix with per-subsystem dimensions.
 
-    Invariants (Hermitian within 1e-10, trace 1 within 1e-10, minimum
-    eigenvalue >= -1e-10) are validated once at public construction.  The
-    only exception is the private :meth:`_from_gram`, which pure-state
-    reductions use for M·M† of a unit-norm amplitude matrix: that product
-    satisfies the invariants by construction.
+    Invariants are validated once at public construction, in this order:
+    shape (d, d) for d the product of dims (DimensionError), then trace 1
+    within 1e-10, finite entries, Hermitian within HERM_TOL and minimum
+    eigenvalue >= -HERM_TOL (ContractError each).  The only exception is
+    the private :meth:`_from_gram`, which pure-state reductions use for
+    M·M† of a unit-norm amplitude matrix: that product satisfies the
+    invariants by construction.
 
     Its one public method is :meth:`purity`.  Reductions, marginal
     spectra and negativities come from the amplitudes of a PureState, not
@@ -100,7 +107,14 @@ class DensityMatrix:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > 1e-10:
             raise ContractError(f"trace {tr} deviates from 1 beyond 1e-10")
-        psd_eigvals(m)  # raises on non-Hermitian or indefinite input
+        if not np.all(np.isfinite(m)):
+            raise ContractError("matrix contains NaN or Inf entries")
+        dev = np.max(np.abs(m - m.conj().T))
+        if dev > HERM_TOL:
+            raise ContractError(f"matrix is not Hermitian: max|m - m†| = {dev:.3e}")
+        low = np.linalg.eigvalsh(m)[0]
+        if low < -HERM_TOL:
+            raise ContractError(f"matrix is not PSD: min eigenvalue {low:.3e}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)

@@ -14,8 +14,20 @@ import numpy as np
 
 from entmono import (DensityMatrix, MeasureValue, PureState, concurrence_pure,
                      concurrence_two_qubit)
-from entmono.densemat import _as_matrix, psd_eigvals
 from entmono.errors import DimensionError
+
+
+def _as_matrix(m) -> np.ndarray:
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2:
+        raise DimensionError(f"expected a 2-d array, got shape {m.shape}")
+    return m
+
+
+def psd_eigvals(m) -> np.ndarray:
+    """Descending eigenvalues of a trusted PSD Hermitian matrix, roundoff
+    below zero clamped to 0."""
+    return np.clip(np.linalg.eigvalsh(_as_matrix(m))[::-1], 0.0, None)
 
 
 def _check_dims(m: np.ndarray, dims) -> tuple:

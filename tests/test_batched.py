@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from entmono import (DensityMatrix, DomainError, MeasureKind,
                      ParameterError, PureState, assisted_estimate, bound_family,
                      coefficient_K, concurrence_pure, concurrence_two_qubit,
-                     eof, example1_params, extract_mu_l, f_eof, f_renyi,
-                     g_tsallis, random_pure, renyi, schmidt3, seed_path, tsallis)
+                     example1_params, extract_mu_l, f_eof, g_tsallis,
+                     random_pure, schmidt3, seed_path)
 from entmono import corpus, measures
 from entmono.bounds import POLYGAMY, measure_chain
 from entmono.measures import pair_concurrences, wootters_concurrence
@@ -71,6 +71,15 @@ def f_renyi_ref(x, order):
     return math.log2(((1.0 - s) / 2.0) ** order + ((1.0 + s) / 2.0) ** order) / (1.0 - order)
 
 
+def closed_form_ref(kind, c):
+    """The scalar closed form of an entropic kind at concurrence c."""
+    if kind.name == "eof":
+        return f_eof_ref(c * c)
+    if kind.name == "tsallis":
+        return g_tsallis_ref(c * c, kind.q)
+    return f_renyi_ref(c, kind.order)
+
+
 def lemma1_reference(samples, seed):
     # The suite's own arithmetic: numpy's vector power differs from math.pow
     # in the last ulp on some builds, and the terms reach 1e40.  The loop
@@ -107,11 +116,8 @@ def consistency_reference(samples, seed):
     for i in range(samples):
         state = random_pure(2, seed_path(seed, i))
         c = float(concurrence_pure(state, [0]))
-        devs = [abs(float(eof(state, [0])) - f_eof_ref(c * c))]
-        for q in corpus.CONSISTENCY_QS:
-            devs.append(abs(float(tsallis(state, [0], q=q)) - g_tsallis_ref(c * c, q)))
-        for order in corpus.CONSISTENCY_ORDERS:
-            devs.append(abs(float(renyi(state, [0], order=order)) - f_renyi_ref(c, order)))
+        devs = [abs(float(kind.evaluate(state, [0])) - closed_form_ref(kind, c))
+                for kind in corpus.CONSISTENCY_KINDS]
         res.record(-max(devs), {"sample": i, "concurrence": c, "max_dev": max(devs)})
     return res
 
@@ -394,8 +400,8 @@ def test_closed_forms_match_scalar_math(xs, q, order):
     cases = ((f_eof, f_eof_ref, 1e-12),
              (lambda x: g_tsallis(x, q), lambda x: g_tsallis_ref(x, q),
               1e-12 / min(1.0, abs(q - 1.0))),
-             (lambda x: f_renyi(x, order), lambda x: f_renyi_ref(x, order),
-              1e-12 / min(1.0, abs(1.0 - order))))
+             (MeasureKind("renyi", order=order).from_concurrence,
+              lambda x: f_renyi_ref(x, order), 1e-12 / min(1.0, abs(1.0 - order))))
     for fn, ref, tol in cases:
         batch = fn(xs_arr)
         assert isinstance(batch, np.ndarray) and batch.shape == xs_arr.shape
@@ -408,7 +414,7 @@ def test_closed_forms_match_scalar_math(xs, q, order):
 
 @pytest.mark.parametrize("bad", [-0.2, 1.5, float("nan"), float("inf")])
 def test_closed_forms_reject_any_out_of_range_element(bad):
-    for fn in (f_eof, lambda x: g_tsallis(x, 2.5), lambda x: f_renyi(x, 2.5)):
+    for fn in (f_eof, lambda x: g_tsallis(x, 2.5)):
         with pytest.raises(DomainError):
             fn(bad)
         with pytest.raises(DomainError):

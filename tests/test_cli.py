@@ -15,7 +15,8 @@ import entmono.cli as cli
 import entmono.corpus as corpus
 import entmono.measures as measures
 from entmono import (BoundParams, ParameterError, PureState, bound_family,
-                     coefficient_K, prior_rhs, random_pure, save_state, seed_path)
+                     coefficient_K, prior_rhs, random_pure, save_state, seed_path,
+                     w_state)
 
 from dense_reference import slow_reduce
 
@@ -875,3 +876,78 @@ def test_float_formatting_twelve_digits():
     assert cli.fmt(1.0) == "1"
     assert cli.fmt(True) == "true"
     assert cli.fmt(float("nan")) == "null"
+
+
+@pytest.mark.parametrize("order", ["0.5", "0.8"])
+def test_a_renyi_pair_below_the_proven_order_exits_two(order, capsys):
+    code, out, err = run_cli(["measure", "--preset", "w:3", "--kind", "renyi",
+                              "--aacute", order, "--partition", "A|B"], capsys)
+    assert (code, out) == (2, "")
+    assert "mixed-state renyi route requires order >= 0.822876" in err
+
+
+@pytest.mark.parametrize("order", [repr(measures.RENYI_ORDER_LO), "0.9", "2"])
+def test_a_renyi_pair_from_the_proven_order_is_exact(order, capsys):
+    code, rec, _ = run_json(["measure", "--preset", "w:3", "--kind", "renyi",
+                             "--aacute", order, "--partition", "A|B"], capsys)
+    w3 = w_state(3)
+    c = measures.pair_concurrences(w3.amplitudes, w3.dims, 0, [1])[0]
+    ref = measures.MeasureKind("renyi", order=float(order)).from_concurrence(c)
+    assert (code, rec["status"], rec["value"]) == (0, "exact", float(cli.fmt(ref)))
+
+
+@pytest.mark.parametrize("kind", [["tsallis", "--q", "0.3"], ["renyi", "--aacute", "0.5"]])
+def test_an_entropic_kind_on_a_larger_group_is_not_supported(kind, capsys):
+    # no pair value is read, so the window of the pair closed form is not quoted
+    code, out, err = run_cli(["measure", "--preset", "w:4", "--kind", kind[0],
+                              "--partition", "A|BC"] + kind[1:], capsys)
+    assert (code, out) == (2, "")
+    assert "on a mixed 3-subsystem group is not supported" in err
+
+
+# the measure kinds, verify theorems and figure sweeps of the benchmark's
+# three_qubit_bounds workload, run on presets only so no file path enters the bytes
+PIN_MEASURE_KINDS = {"concurrence": [], "cren": [], "negativity": [], "eof": [],
+                     "tsallis": ["--q", "2.5"], "renyi": ["--aacute", "2.5"]}
+PIN_VERIFY_THEOREMS = {"concurrence": ["--alpha", "3"], "cren": ["--alpha", "3"],
+                       "eof": ["--alpha", "2"], "tsallis": ["--alpha", "2", "--q", "2.5"],
+                       "renyi": ["--alpha", "2", "--aacute", "2.5"],
+                       "eoa": ["--alpha", "0.5"], "teoa": ["--alpha", "0.5", "--q", "2"],
+                       "reoa": ["--alpha", "0.5", "--aacute", "1.2"]}
+PIN_SWEEP_KINDS = {
+    "concurrence": ["--alpha-min", "2", "--alpha-max", "5"],
+    "cren": ["--alpha-min", "2", "--alpha-max", "5"],
+    "eof": ["--alpha-min", repr(math.sqrt(2.0)), "--alpha-max", "4"],
+    "tsallis": ["--alpha-min", "1", "--alpha-max", "4", "--q", "2.5"],
+    "renyi": ["--alpha-min", "1", "--alpha-max", "4", "--aacute", "2.5"],
+}
+PIN_ARGVS = {
+    "measure": [["measure", "--preset", preset, "--kind", kind, "--partition", part] + extra
+                for preset in ("example1", "w:3", "ghz:4", "w:4")
+                for part in ("A|B", "A|BC", "AB|C", "A|CD")
+                for kind, extra in PIN_MEASURE_KINDS.items()],
+    "verify": [["verify", "--preset", preset, "--theorem", theorem] + extra
+               for preset in ("example1", "w:3")
+               for theorem, extra in PIN_VERIFY_THEOREMS.items()]
+              + [["verify", "--preset", "w:5", "--theorem", theorem, "--alpha", "3",
+                  "--mu", "1,1,1", "--ell", "1,1,1"] for theorem in ("concurrence", "cren")],
+    "sweep": [["sweep", "--preset", preset, "--kind", kind, "--steps", "61"] + extra
+              for preset in ("example1", "w:3") for kind, extra in PIN_SWEEP_KINDS.items()],
+}
+
+# sha256 over (argv, exit code, stdout) of each list above, recorded before the
+# closed forms of the measures were read from MeasureKind.from_spectrum alone
+PIN_SHA256 = {
+    "measure": "b3c4d27ed89acb54fa92ba8d4137bb1c5bd09ab96eeae00b539a4b005f1e4080",
+    "verify": "40cada5f4a1daf224d48f2d94aab8b769335a60f0a61746ddb067b4e9f1b11f7",
+    "sweep": "a68d9b1e712e99f7b423217ff180a905645f2b673cc5f8affca9485a0c20414c",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PIN_SHA256))
+def test_stdout_and_exit_codes_are_pinned(command, capsys):
+    digest = hashlib.sha256()
+    for argv in PIN_ARGVS[command]:
+        code, out, _ = run_cli(argv, capsys)
+        digest.update(f"{' '.join(argv)}\n{code}\n{out}".encode())
+    assert digest.hexdigest() == PIN_SHA256[command]

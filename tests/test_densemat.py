@@ -1,11 +1,10 @@
-"""Kernel tests: Hermitian eigenvalues, and the partial trace, partial
-transpose and trace norm of the dense test reference, each checked
-against an independent oracle."""
+"""Kernel tests: the partial trace, partial transpose and trace norm of the
+dense test reference, each checked against an independent oracle."""
 
 import numpy as np
 import pytest
 
-from entmono import ContractError, DimensionError, herm_eigvals
+from entmono import DimensionError
 
 from dense_reference import partial_trace, partial_transpose, trace_norm
 
@@ -126,35 +125,6 @@ class TestPartialTranspose:
         pt = partial_transpose(h, [2, 2], 1)
         assert abs(np.trace(pt) - np.trace(h)) < 1e-12
         assert np.allclose(pt, pt.conj().T, atol=1e-12)
-
-
-class TestHermEigvals:
-    def test_maximally_mixed(self):
-        assert np.allclose(herm_eigvals(np.eye(2) / 2), [0.5, 0.5])
-
-    def test_diagonal_sorted(self):
-        vals = herm_eigvals(np.diag([0.1, 0.9, -0.3, 0.5]))
-        assert np.allclose(vals, [0.9, 0.5, 0.1, -0.3])
-
-    def test_descending(self):
-        vals = herm_eigvals(random_hermitian(6))
-        assert np.all(np.diff(vals) <= 1e-12)
-
-    def test_characteristic_polynomial_residual(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            m = random_hermitian(4, rng)
-            for lam in herm_eigvals(m):
-                assert abs(np.linalg.det(m - lam * np.eye(4))) < 1e-8
-
-    def test_sum_matches_trace(self):
-        m = random_hermitian(8)
-        assert abs(herm_eigvals(m).sum() - np.real(np.trace(m))) < 1e-10
-
-    def test_non_hermitian_rejected(self):
-        m = random_complex((3, 3))
-        with pytest.raises(ContractError):
-            herm_eigvals(m)
 
 
 class TestTraceNorm:

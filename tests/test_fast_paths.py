@@ -7,8 +7,8 @@ Wootters form of the partial trace,
 Schmidt-coefficient and factor-kernel negativities against the
 partial-transpose trace norm,
 and the amplitude concurrence intervals of the chain links and of
-concurrence_interval against the dense intervals of the explicitly formed
-group states."""
+MeasureKind.evaluate on a group against the dense intervals of the
+explicitly formed group states."""
 
 import functools
 
@@ -17,15 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entmono import (MeasureKind, PureState, bound_family,
-                     concurrence_interval, ghz, measure_chain, negativity,
-                     random_pure, seed_path, w_state)
-from entmono.densemat import psd_eigvals
+from entmono import (DensityMatrix, MeasureKind, PureState, bound_family, ghz,
+                     measure_chain, negativity, random_pure, seed_path, w_state)
 from entmono.measures import (marginal_spectra, pair_concurrences,
                               wootters_concurrence)
 
 from dense_reference import (dense_concurrence_interval, partial_transpose,
-                             slow_reduce, trace_norm)
+                             psd_eigvals, slow_reduce, trace_norm)
 
 FAST = settings(max_examples=30, deadline=None)
 
@@ -124,7 +122,7 @@ def test_reduce_matches_partial_trace(state):
         ref = slow_reduce(state, keep)
         assert fast.dims == ref.dims
         assert np.max(np.abs(fast.matrix - ref.matrix)) <= 1e-13
-        psd_eigvals(fast.matrix)  # the trusted result meets the public contract
+        DensityMatrix(fast.matrix, fast.dims)  # the trusted result meets the public contract
 
 
 @st.composite
@@ -318,7 +316,7 @@ def test_concurrence_interval_matches_the_dense_group_interval(state, data):
     n = state.n_qubits
     group = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=3, max_size=n)))
     side = data.draw(st.sampled_from(group))
-    fast = concurrence_interval(state, side, group)
+    fast = MeasureKind("concurrence").evaluate(state, side, group)
     slow = dense_concurrence_interval(slow_reduce(state, group), side=group.index(side))
     assert fast.status == slow.status
     # squared and, away from 0, plain, as in the chain test above: a side

@@ -12,17 +12,19 @@ from hypothesis import strategies as st
 
 from entmono import (CapabilityError, DensityMatrix, DimensionError,
                      DomainError, MeasureKind, MeasureValue, ParameterError,
-                     PureState, assisted_estimate, bell, concurrence_interval,
-                     concurrence_pure, concurrence_two_qubit, eof,
-                     eof as _eof, example1_params, f_eof, f_renyi, g_tsallis,
+                     PureState, assisted_estimate, bell, concurrence_pure,
+                     concurrence_two_qubit, eof, eof as _eof, example1_params,
+                     f_eof, g_tsallis,
                      ghz, negativity, random_pure, renyi, schmidt3,
                      seed_path, tsallis, w_state)
 
-from entmono.measures import assisted_estimates
+from entmono.bounds import THEOREMS
+from entmono.measures import RENYI_ORDER_LO, assisted_estimates, pair_concurrences
 
 from dense_reference import slow_reduce
 
 EX1 = schmidt3(example1_params())
+CONCURRENCE = MeasureKind("concurrence")
 SQ2 = math.sqrt(2.0)
 
 # closed forms for the worked example
@@ -83,7 +85,7 @@ class TestNearlyPureGroup:
         sub = slow_reduce(state, [0, 2, 3]).matrix[np.ix_([0, 3, 4, 7], [0, 3, 4, 7])]
         true = float(concurrence_two_qubit(DensityMatrix(sub, (2, 2))))
         assert true == pytest.approx(4e-11, rel=1e-6)
-        for mv in (concurrence_interval(state, 0, [0, 2, 3]),
+        for mv in (CONCURRENCE.evaluate(state, 0, [0, 2, 3]),
                    MeasureKind("cren").evaluate(state, [0], [0, 2, 3])):
             assert mv.status == "interval"
             assert mv.lo <= true <= mv.hi
@@ -91,7 +93,7 @@ class TestNearlyPureGroup:
 
     def test_a_pure_group_stays_exact(self):
         # eps = 0: the group is pure and A is in a product state
-        mv = concurrence_interval(nearly_pure_group_state(0.0), 0, [0, 2, 3])
+        mv = CONCURRENCE.evaluate(nearly_pure_group_state(0.0), 0, [0, 2, 3])
         assert (mv.status, mv.value) == ("exact", 0.0)
 
 
@@ -180,31 +182,33 @@ class TestConcurrenceTwoQubit:
 
 class TestConcurrenceInterval:
     def test_pure_input_collapses(self):
-        mv = concurrence_interval(EX1, 0, [0, 1, 2])
+        mv = CONCURRENCE.evaluate(EX1, 0, [0, 1, 2])
         assert mv.status == "exact"
         assert abs(mv.value - C_ABC) < 1e-10
 
     def test_ghz4_reduction(self):
-        mv = concurrence_interval(ghz(4), 0, [0, 1, 2])
+        mv = CONCURRENCE.evaluate(ghz(4), 0, [0, 1, 2])
         assert mv.status == "interval"
         assert mv.lo == pytest.approx(0.0, abs=1e-12)  # pairwise concurrences vanish
         assert mv.hi == pytest.approx(1.0, abs=1e-10)  # sqrt(2 (1 - 1/2))
 
     def test_ordered_on_random_reductions(self):
         for i in range(500):
-            mv = concurrence_interval(random_pure(4, seed_path(77, i)), 0, [0, 1, 2])
+            mv = CONCURRENCE.evaluate(random_pure(4, seed_path(77, i)), 0, [0, 1, 2])
             lo, hi = mv.bounds
             assert lo <= hi + 1e-12
 
     def test_rejects_what_has_no_interval(self):
+        with pytest.raises(CapabilityError):
+            CONCURRENCE.evaluate(EX1.reduce([0, 1, 2]), 0, [0, 1, 2])  # a 3-qubit matrix
         with pytest.raises(ParameterError):
-            concurrence_interval(EX1.reduce([0, 1, 2]), 0, [0, 1, 2])  # not a PureState
+            CONCURRENCE.evaluate(EX1.reduce([0, 1, 2]).matrix)  # neither state type
         with pytest.raises(ParameterError):
-            concurrence_interval(ghz(4), [0, 1], [0, 1, 2])  # two side qubits
-        with pytest.raises(ParameterError):
-            concurrence_interval(ghz(4), 3, [0, 1, 2])  # side outside the group
+            CONCURRENCE.evaluate(ghz(4), 3, [0, 1, 2])  # side outside the group
         with pytest.raises(DimensionError):
-            concurrence_interval(ghz(4), 0, [0, 1])  # a pair has its closed form
+            CONCURRENCE.evaluate(ghz(4), 0, [0, 1, 4])  # group outside the register
+        with pytest.raises(CapabilityError):
+            CONCURRENCE.evaluate(ghz(5), [0, 1], [0, 1, 2, 3])  # two qubits on each side
 
 
 class TestMeasureValueArithmetic:
@@ -233,7 +237,7 @@ SIDE_ROUTES = {
     "concurrence_pure": lambda side: concurrence_pure(GHZ3, side),
     "evaluate": lambda side: MeasureKind("cren").evaluate(GHZ3, side),
     "negativity": lambda side: negativity(GHZ3, side),
-    "concurrence_interval": lambda side: concurrence_interval(GHZ3, side, [0, 1, 2]),
+    "evaluate_in_group": lambda side: CONCURRENCE.evaluate(GHZ3, side, [0, 1, 2]),
 }
 
 
@@ -345,12 +349,15 @@ class TestScalarHelpers:
             g_tsallis(0.5, -2.0)
 
     def test_f_renyi_values(self):
-        assert f_renyi(C_AB, 2.0) == pytest.approx(math.log2(25 / 21), abs=1e-12)
-        assert f_renyi(C_ABC, 2.0) == pytest.approx(math.log2(25 / 17), abs=1e-12)
-        assert f_renyi(C_ABC, 2.0) == pytest.approx(0.556393, abs=1e-6)
+        # the Renyi closed form f_a(C), from_concurrence of a renyi kind
+        f_2 = MeasureKind("renyi", order=2.0).from_concurrence
+        assert f_2(C_AB) == pytest.approx(math.log2(25 / 21), abs=1e-12)
+        assert f_2(C_ABC) == pytest.approx(math.log2(25 / 17), abs=1e-12)
+        assert f_2(C_ABC) == pytest.approx(0.556393, abs=1e-6)
         for order in (0.5, 2.0, 3.5):
-            assert f_renyi(0.0, order) == pytest.approx(0.0, abs=1e-15)
-            assert f_renyi(1.0, order) == pytest.approx(1.0, abs=1e-12)
+            f_a = MeasureKind("renyi", order=order).from_concurrence
+            assert f_a(0.0) == pytest.approx(0.0, abs=1e-15)
+            assert f_a(1.0) == pytest.approx(1.0, abs=1e-12)
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     @settings(max_examples=200, deadline=None)
@@ -363,7 +370,8 @@ class TestScalarHelpers:
     @settings(max_examples=200, deadline=None)
     def test_f_renyi_monotone(self, a, b, order):
         lo, hi = sorted((a, b))
-        assert f_renyi(lo, order) <= f_renyi(hi, order) + 1e-12
+        f_a = MeasureKind("renyi", order=order).from_concurrence
+        assert f_a(lo) <= f_a(hi) + 1e-12
 
     def test_monotone_grids(self):
         xs = np.arange(0.0, 1.0 + 1e-9, 1e-3)
@@ -373,7 +381,7 @@ class TestScalarHelpers:
             gq = [g_tsallis(float(x), q) for x in xs]
             assert np.all(np.diff(gq) >= -1e-12)
         for order in (2.0, 3.0):
-            fr = [f_renyi(float(x), order) for x in xs]
+            fr = MeasureKind("renyi", order=order).from_concurrence(xs)
             assert np.all(np.diff(fr) >= -1e-12)
 
 
@@ -426,6 +434,33 @@ class TestRenyi:
             assert float(renyi(bell(), [0], order=order)) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestRenyiMixedWindow:
+    # E_a(rho) = f_a(C(rho)) on two-qubit mixed states is proven for a >= (sqrt(7) - 1)/2
+    def test_the_edge_is_the_polygamy_window_edge(self):
+        assert RENYI_ORDER_LO == (math.sqrt(7.0) - 1.0) / 2.0
+        assert THEOREMS["reoa"][3][0][0] == RENYI_ORDER_LO
+
+    @pytest.mark.parametrize("order", [0.5, 0.8])
+    def test_below_the_edge_a_pair_has_no_value(self, order):
+        with pytest.raises(CapabilityError, match="requires order >= 0.822876"):
+            renyi(EX1.reduce([0, 1]), order=order)
+        with pytest.raises(CapabilityError, match="requires order >= 0.822876"):
+            MeasureKind("renyi", order=order).evaluate(EX1, 0, [0, 1])
+
+    @pytest.mark.parametrize("order", [RENYI_ORDER_LO, 0.9, 2.0])
+    def test_at_and_above_the_edge_a_pair_reads_the_closed_form(self, order):
+        kind = MeasureKind("renyi", order=order)
+        c_mixed = float(concurrence_two_qubit(EX1.reduce([0, 1])))
+        c_pure = float(pair_concurrences(EX1.amplitudes, EX1.dims, 0, [1])[0])
+        assert renyi(EX1.reduce([0, 1]), order=order) == \
+            MeasureValue.exact(kind.from_concurrence(c_mixed))
+        assert kind.evaluate(EX1, 0, [0, 1]) == MeasureValue.exact(kind.from_concurrence(c_pure))
+
+    def test_the_whole_register_stays_exact_below_the_edge(self):
+        kind = MeasureKind("renyi", order=0.5)
+        assert renyi(EX1, [0], order=0.5) == MeasureValue.exact(kind.pure_value(EX1, [0]))
+
+
 class TestConsistencyIdentities:
     def test_two_qubit_pure(self):
         for i in range(200):
@@ -435,7 +470,8 @@ class TestConsistencyIdentities:
             for q in (2.0, 2.5, 3.0):
                 assert abs(float(tsallis(state, [0], q=q)) - g_tsallis(c * c, q)) < 1e-9
             for order in (2.0, 3.0):
-                assert abs(float(renyi(state, [0], order=order)) - f_renyi(c, order)) < 1e-9
+                f_a = MeasureKind("renyi", order=order).from_concurrence
+                assert abs(float(renyi(state, [0], order=order)) - f_a(c)) < 1e-9
 
 
 GRID = np.linspace(0.0, 1.0, 81)

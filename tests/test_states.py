@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from entmono import (AMP_CAP, DensityMatrix, DimensionError, ParameterError,
-                     PureState, SchmidtParams, bell, concurrence_pure,
+from entmono import (AMP_CAP, ContractError, DensityMatrix, DimensionError,
+                     ParameterError, PureState, SchmidtParams, bell, concurrence_pure,
                      concurrence_two_qubit,
                      example1_params, ghz, load_state, random_pure,
                      save_state, schmidt3, seed_path, w_state)
@@ -138,12 +138,30 @@ class TestReduce:
 
 
 class TestDensityMatrixValidation:
+    # each rejection with its type and the start of its message
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(DimensionError, match=r"^matrix shape \(2, 2\) does not match"):
+            DensityMatrix(np.eye(2) / 2, (2, 2))
+        with pytest.raises(DimensionError, match=r"^matrix shape \(4,\) does not match"):
+            DensityMatrix(np.full(4, 0.25), (2,))
+
     def test_rejects_bad_trace(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ContractError, match=r"^trace \(2\+0j\) deviates from 1"):
             DensityMatrix(np.eye(2), (2,))
 
+    def test_rejects_nan_entries(self):
+        m = np.eye(2, dtype=complex) / 2
+        m[0, 1] = np.nan
+        with pytest.raises(ContractError, match="^matrix contains NaN or Inf entries"):
+            DensityMatrix(m, (2,))
+
+    def test_rejects_non_hermitian(self):
+        m = np.array([[0.5, 0.25], [0.0, 0.5]])
+        with pytest.raises(ContractError, match="^matrix is not Hermitian"):
+            DensityMatrix(m, (2,))
+
     def test_rejects_non_psd(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ContractError, match="^matrix is not PSD"):
             DensityMatrix(np.diag([1.5, -0.5]), (2,))
 
     def test_accepts_valid(self):
