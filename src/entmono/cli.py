@@ -197,12 +197,22 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     """Write the sweep_columns as CSV, one row per alpha, 12 significant digits."""
-    columns = sweep_columns(args)
-    lines = [",".join(columns)]
-    rows = zip(*(c.tolist() for c in columns.values()))
-    lines += [",".join(map(fmt, values)) for values in rows]
-    emit("\n".join(lines), args.out)
+    emit("\n".join(csv_lines(sweep_columns(args))), args.out)
     return 0
+
+
+def csv_lines(columns: dict) -> list:
+    """The header and one line per row of columns (name -> float array),
+    each value as fmt renders it.
+
+    A row is one %-format call: '%.12g' % x is fmt(x) for every finite
+    float.  A row with a non-finite value goes through fmt, which prints null.
+    """
+    row_format = ",".join(["%.12g"] * len(columns))
+    rows = zip(*(c.tolist() for c in columns.values()))
+    finite = np.logical_and.reduce([np.isfinite(c) for c in columns.values()]).tolist()
+    return [",".join(columns)] + [row_format % row if ok else ",".join(map(fmt, row))
+                                  for row, ok in zip(rows, finite)]
 
 
 def sweep_columns(args) -> dict:
@@ -264,7 +274,11 @@ COMMANDS = {"measure": cmd_measure, "sweep": cmd_sweep, "verify": cmd_verify,
 
 def build_parser() -> argparse.ArgumentParser:
     """A fresh parser for the four subcommands; its namespaces name the
-    subcommand in ``command``.  A caller may add options to its own copy."""
+    subcommand in ``command``.  A caller may add options to its own copy.
+
+    Its ``subcommands`` attribute maps each subcommand to its subparser,
+    which main parses a command line with.
+    """
     parser = argparse.ArgumentParser(
         prog="entmono",
         description="Entanglement measures and tightened one-to-group "
@@ -333,6 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
                         f"{corpus_mod.MAX_SAMPLES}")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", help="output path (default: stdout)")
+    parser.subcommands = sub.choices
     return parser
 
 
@@ -343,11 +358,23 @@ def main(argv=None) -> int:
     """Run one command line (sys.argv[1:] for None) and return its exit code.
 
     Every call parses with the module's one parser, PARSER, so main may be
-    called repeatedly in one process.  A usage error or --help raises
+    called repeatedly in one process.  A command line whose first word is a
+    subcommand is parsed once, by that subparser of PARSER; words it leaves
+    over are PARSER's "unrecognized arguments" error, as argparse's nested
+    parse reports them.  Any other command line (empty, -h, an unknown
+    word) goes through PARSER.parse_args.  A usage error or --help raises
     SystemExit (2 or 0), as argparse does; every other outcome returns the
     exit code documented at the top of this module.
     """
-    args = PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    subparser = PARSER.subcommands.get(argv[0]) if argv else None
+    if subparser is None:
+        args = PARSER.parse_args(argv)
+    else:
+        args, extra = subparser.parse_known_args(argv[1:])
+        if extra:
+            PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
+        args.command = argv[0]
     try:
         return COMMANDS[args.command](args)
     except (ParameterError, DomainError, DimensionError, ContractError,

@@ -235,10 +235,15 @@ class MeasureKind:
         mixed-state value is a maximum over decompositions, which only
         assisted_estimate bounds.
         """
+        self._require_exact_mixed()
+        return self._from_mixed_concurrence(float(concurrence_two_qubit(rho)))
+
+    def _require_exact_mixed(self):
+        """Raise CapabilityError for an assisted kind, which has no exact
+        mixed-state value (see two_qubit_value)."""
         if self.assisted:
             raise CapabilityError(f"{self.label} of a mixed state has no exact value; "
                                   f"assisted_estimate gives a heuristic one")
-        return self._from_mixed_concurrence(float(concurrence_two_qubit(rho)))
 
     def _from_mixed_concurrence(self, c: float) -> float:
         """from_concurrence of a two-qubit mixed state's Wootters concurrence c.
@@ -271,6 +276,8 @@ class MeasureKind:
           from pair_concurrences on the amplitudes (no reduction), with
           the windows of two_qubit_value.  Only a 2-qubit group, or a kind
           that certifies groups, reads them: any other group has no link.
+          An assisted kind has no exact value off the whole register: it
+          raises two_qubit_value's CapabilityError before reading any pair.
 
         A 2x2-qubit DensityMatrix gives the exact two_qubit_value (side and
         group are then ignored).  Every other input raises CapabilityError:
@@ -289,6 +296,7 @@ class MeasureKind:
         side, group = _split(state.n_qubits, side, group)
         if len(group) == state.n_qubits:
             return MeasureValue.exact(self.pure_value(state, side))
+        self._require_exact_mixed()  # before any pair value is read
         a, others = sorted((side, [j for j in group if j not in side]), key=len)
         link = None
         if (len(a) == 1 and all(state.dims[i] == 2 for i in group)

@@ -55,6 +55,21 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
 
+    @classmethod
+    def _from_checked(cls, amps: np.ndarray, dims: tuple) -> "PureState":
+        """Trusted constructor for a vector validated once by its caller.
+
+        Skips the copy and the checks of the public constructor: the caller
+        guarantees a finite 1-d complex128 array of norm² 1 within NORM_TOL
+        whose size is the product of dims, a tuple of positive ints.
+        load_state's checks, and its division by the norm, give exactly that.
+        """
+        state = object.__new__(cls)
+        amps.flags.writeable = False
+        object.__setattr__(state, "amplitudes", amps)
+        object.__setattr__(state, "dims", dims)
+        return state
+
     @property
     def n_qubits(self) -> int:
         return len(self.dims)
@@ -266,12 +281,16 @@ def _haar_rows(g: np.ndarray) -> np.ndarray:
 
     Each row is one draw, real parts first, then imaginary parts (the same
     stream as two draws of d); the draw order fixes the sample set.  Each
-    row is divided by its own np.linalg.norm: a norm over the whole block
-    sums in another order and moves amplitudes in the last bits.
+    row is divided by its own norm, the square root of the dot products of
+    its real and of its imaginary parts: the two strided dot products of
+    np.linalg.norm, without its wrapper, so the bits are the same.  A norm
+    over the whole block sums in another order and moves amplitudes in the
+    last bits.
     """
     d = g.shape[1] // 2
     v = g[:, :d] + 1j * g[:, d:]
-    v /= np.array([np.linalg.norm(row) for row in v])[:, None]
+    v /= np.sqrt(np.array([x.dot(x) for x in v.real])
+                 + np.array([y.dot(y) for y in v.imag]))[:, None]
     return v
 
 
@@ -473,10 +492,19 @@ def load_state(path) -> PureState:
     vector is renormalized to machine precision after the check.  A file
     that is not UTF-8 JSON of this shape raises ParameterError; one that
     cannot be opened raises OSError.
+
+    The vector is validated once, here: the checks above leave a finite
+    vector whose division by its norm meets every PureState invariant, so
+    the state is built by the trusted PureState._from_checked.  The file
+    is read as bytes and decoded here, with the newline translation of a
+    text-mode read, so every error message is the one a text read gives.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            rec = json.load(fh)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        rec = json.loads(text)
         n = rec["n_qubits"]
         pairs = rec["amplitudes"]
         amps = np.array([complex(re, im) for re, im in pairs], dtype=complex)
@@ -498,4 +526,4 @@ def load_state(path) -> PureState:
     norm = float(np.linalg.norm(amps))
     if abs(norm * norm - 1.0) > FILE_NORM_TOL:
         raise ParameterError(f"state file norm² = {norm * norm!r} deviates from 1 beyond {FILE_NORM_TOL}")
-    return PureState(amps / norm, (2,) * n)
+    return PureState._from_checked(amps / norm, (2,) * n)

@@ -470,6 +470,11 @@ def test_auto_clears_a_lone_mu(capsys):
 BAD_STATE_FILES = {
     "not-json": b'{"n_qubits": 2, "amplitudes": [[1, 0]',
     "not-utf8": b'{"n_qubits": 1, "amplitudes": [[1, 0], [0, 0]]} \xff\xfe',
+    # a valid 2-qubit state but for one Latin-1 byte in a string
+    "latin1-text": b'{"n_qubits": 2, "note": "caf\xe9", '
+                   b'"amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]}',
+    # a valid 2-qubit state behind a byte order mark, which UTF-8 JSON does not allow
+    "utf8-bom": b'\xef\xbb\xbf{"n_qubits": 2, "amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]}',
     "fractional-n": json.dumps({"n_qubits": 2.7, "amplitudes": [[1, 0]] + [[0, 0]] * 3}).encode(),
     "boolean-amplitude": json.dumps(
         {"n_qubits": 2, "amplitudes": [[True, False]] + [[False, False]] * 3}).encode(),

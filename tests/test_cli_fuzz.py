@@ -108,10 +108,24 @@ def test_every_invocation_ends_with_a_documented_exit_code(state_files, argv):
 
 
 # usage errors argparse rejects before any command runs, and help requests
-USAGE = st.sampled_from([[], ["--help"], ["-h"], ["bogus"], ["--version"], ["measure"],
-                         ["measure", "--help"], ["sweep", "--help"], ["verify", "--help"],
-                         ["corpus", "-h"], ["corpus", "--suite"], ["verify", "--nope", "1"],
-                         ["sweep", "--preset", "bell", "--steps", "x"]])
+MEASURE_W3 = ["measure", "--preset", "w:3", "--kind", "eof", "--partition", "A|B"]
+VERIFY_EX1 = ["verify", "--preset", "example1", "--theorem", "eof", "--alpha", "2"]
+SWEEP_EX1 = ["sweep", "--preset", "example1", "--kind", "concurrence", "--alpha-min", "2",
+             "--alpha-max", "3", "--steps", "3"]
+CORPUS_CKW = ["corpus", "--suite", "ckw", "--samples", "3"]
+USAGE_ARGVS = [
+    [], ["--help"], ["-h"], ["bogus"], ["--version"], ["measure"],
+    ["measure", "--help"], ["sweep", "--help"], ["verify", "--help"],
+    ["corpus", "-h"], ["corpus", "--suite"], ["verify", "--nope", "1"],
+    ["sweep", "--preset", "bell", "--steps", "x"],
+    # words a subcommand leaves over: the top-level parser's error
+    MEASURE_W3 + ["junk"], VERIFY_EX1 + ["junk"], SWEEP_EX1 + ["junk"],
+    CORPUS_CKW + ["junk", "-q"], MEASURE_W3 + ["--zzz", "1"], VERIFY_EX1 + ["--zzz=1"],
+    # a subparser's own errors and help
+    SWEEP_EX1[:-1] + ["x"], ["verify", "--", "x"], ["verify", "-h", "junk"],
+    ["measure", "--he"], ["MEASURE"], ["--help", "measure"],
+]
+USAGE = st.sampled_from(USAGE_ARGVS)
 
 
 def run(argv):
@@ -133,3 +147,48 @@ def test_the_shared_parser_answers_like_a_fresh_one(state_files, sequence):
     for argv, got in zip(sequence, shared):
         with mock.patch.object(cli, "PARSER", cli.build_parser()):
             assert got == run(argv), argv
+
+
+# the argv shapes of the benchmark's three-qubit pass, on the worked example
+WORKLOAD_ARGVS = (
+    [["verify", "--preset", "example1", "--theorem", theorem] + extra for theorem, extra in (
+        ("concurrence", ["--alpha", "3"]), ("cren", ["--alpha", "3"]), ("eof", ["--alpha", "2"]),
+        ("tsallis", ["--alpha", "2", "--q", "2.5"]), ("renyi", ["--alpha", "2", "--aacute", "2.5"]),
+        ("eoa", ["--alpha", "0.5"]), ("teoa", ["--alpha", "0.5", "--q", "2"]),
+        ("reoa", ["--alpha", "0.5", "--aacute", "1.2"]))]
+    + [["sweep", "--preset", "example1", "--kind", kind, "--steps", "61"] + extra
+       for kind, extra in (("concurrence", ["--alpha-min", "2", "--alpha-max", "5"]),
+                           ("eof", ["--alpha-min", "1.5", "--alpha-max", "4"]),
+                           ("tsallis", ["--alpha-min", "1", "--alpha-max", "4", "--q", "2.5"]))]
+    + [["measure", "--preset", "example1", "--kind", kind, "--partition", partition] + extra
+       for partition in ("A|BC", "A|B")
+       for kind, extra in (("concurrence", []), ("negativity", []), ("tsallis", ["--q", "2.5"]),
+                           ("renyi", ["--aacute", "2.5"]))]
+    + [CORPUS_CKW]
+)
+
+
+def run_nested(argv):
+    """run(argv) with every command line parsed by PARSER.parse_args, the
+    nested parse of argparse, instead of by the subparser its first word names."""
+    with mock.patch.object(cli.PARSER, "subcommands", {}):
+        return run(argv)
+
+
+@pytest.mark.parametrize("argv", USAGE_ARGVS + WORKLOAD_ARGVS, ids=" ".join)
+def test_both_parse_routes_answer_alike(argv):
+    assert run(argv) == run_nested(argv)
+
+
+def test_a_left_over_word_is_the_top_level_usage_error():
+    code, out, err = run(MEASURE_W3 + ["--zzz", "1"])
+    assert (code, out) == (("exit", 2), "")
+    assert err.splitlines()[-1] == "entmono: error: unrecognized arguments: --zzz 1"
+    assert err.startswith("usage: entmono [-h]")
+
+
+@SEQUENCES
+@given(argv=argvs())
+def test_both_parse_routes_answer_alike_on_drawn_argv(state_files, argv):
+    argv = [state_files.get(a, a) for a in argv]
+    assert run(argv) == run_nested(argv)

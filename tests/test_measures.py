@@ -150,6 +150,23 @@ class TestAssistedKinds:
         with pytest.raises(CapabilityError):
             MeasureKind("tsallis", q=2.0, assisted=True).evaluate(ghz(4), [0], [0, 1, 2])
 
+    @pytest.mark.parametrize("kind", [MeasureKind("eof", assisted=True),
+                                      MeasureKind("tsallis", q=5.0, assisted=True),
+                                      MeasureKind("renyi", order=0.5, assisted=True)])
+    @pytest.mark.parametrize("state,group", [(EX1, [0, 1]), (EX1, [0, 2]),
+                                             (w_state(4), [0, 1, 2])])
+    def test_a_pair_or_group_raises_before_any_pair_is_read(self, kind, state, group,
+                                                            monkeypatch):
+        # tsallis q = 5 and renyi order 0.5 lie outside the plain kinds'
+        # mixed-state windows: the error is the assisted one, not theirs
+        def unread(*args, **kwargs):
+            raise AssertionError("a pair value was read")
+        monkeypatch.setattr("entmono.measures.pair_concurrences", unread)
+        with pytest.raises(CapabilityError) as exc:
+            kind.evaluate(state, 0, group)
+        assert str(exc.value) == (f"{kind.label} of a mixed state has no exact value; "
+                                  f"assisted_estimate gives a heuristic one")
+
     def test_whole_register_is_the_plain_value(self):
         # a pure state has one decomposition, so max and min coincide
         got = self.KIND.evaluate(EX1, [0])

@@ -1,4 +1,5 @@
-"""Report rendering against its former deep-copying form.
+"""Report rendering against its former deep-copying form, and sweep rows
+and loaded states against their former value-by-value forms.
 
 BoundReport.to_dict and ConditionReport.to_dict build their dicts from the
 fields, and cli.to_json quotes strings with encode_basestring_ascii.  The
@@ -6,17 +7,22 @@ references below are the former forms: dataclasses.asdict, and an encoder
 that quotes every string, key and non-float through json.dumps.  Verify
 reports of every family at 3 and 6 qubits must give equal dicts, types
 included, and identical JSON bytes, also for a non-ASCII state path and
-for non-finite fields.
+for non-finite fields.  A sweep row rendered with one format call must
+equal the fmt of each value joined, and load_state's trusted state must
+hold the bytes of the public PureState of the normalized vector.
 """
 
 import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import entmono.cli as cli
-from entmono import (BoundParams, bound_family, example1_params, load_state,
+from entmono import (BoundParams, PureState, bound_family, example1_params, load_state,
                      random_pure, save_state, schmidt3, verify, w_state)
 
 
@@ -140,3 +146,76 @@ def test_non_ascii_state_path_renders_as_before(tmp_path, capsys):
     assert code in (0, 3, 4)
     assert out == reference_to_json({**record, **reference_to_dict(report)}) + "\n"
     assert "\\u00e4" in out
+
+
+# the former sweep row: fmt of each value, joined
+def reference_csv_lines(columns: dict) -> list:
+    rows = zip(*(c.tolist() for c in columns.values()))
+    return [",".join(columns)] + [",".join(map(cli.fmt, row)) for row in rows]
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+               1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308, 1.0, -3.0, 1e11,
+               1e12, 123456789012.0, 2.0 ** 53, 1e16, 0.1, 1 / 3]
+FINITE = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False),
+                   st.integers(-2 ** 60, 2 ** 60).map(float))
+
+
+@st.composite
+def sweep_tables(draw, values):
+    width = draw(st.integers(2, 6))
+    height = draw(st.integers(1, 8))
+    names = ["alpha", "lhs", "ours", "kf", "jf", "ckw"][:width]
+    return {name: np.array(draw(st.lists(values, min_size=height, max_size=height)))
+            for name in names}
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep_tables(FINITE))
+@example({"alpha": np.array(EDGE_FLOATS), "lhs": -np.array(EDGE_FLOATS)})
+def test_a_sweep_row_is_one_format_call_with_the_bytes_of_fmt(columns):
+    assert cli.csv_lines(columns) == reference_csv_lines(columns)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sweep_tables(st.one_of(FINITE, st.sampled_from([math.nan, math.inf, -math.inf]))))
+@example({"alpha": np.array([2.0, 3.0]), "lhs": np.array([math.inf, 0.5])})
+def test_a_non_finite_sweep_value_prints_null(columns):
+    lines = cli.csv_lines(columns)
+    assert lines == reference_csv_lines(columns)
+    for line, row in zip(lines[1:], zip(*columns.values())):
+        assert line.split(",").count("null") == sum(not math.isfinite(x) for x in row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.floats(-1e3, 1e3), min_size=2 ** (n + 1), max_size=2 ** (n + 1)),
+    st.floats(-5e-10, 5e-10))))
+def test_a_loaded_state_holds_the_bytes_of_the_public_constructor(tmp_path_factory, drawn):
+    n, flat, drift = drawn
+    raw = np.array(flat[0::2]) + 1j * np.array(flat[1::2])
+    size = np.linalg.norm(raw)
+    assume(size >= 1e-3)
+    # norm² off 1 by up to 1e-9, the file tolerance: load_state renormalizes
+    raw = raw / size * math.sqrt(1.0 + drift)
+    path = tmp_path_factory.mktemp("load") / "state.json"
+    pairs = [[float(a.real), float(a.imag)] for a in raw]
+    path.write_text(json.dumps({"n_qubits": n, "amplitudes": pairs}), encoding="utf-8")
+    got = load_state(path)
+    amps = np.array([complex(re, im) for re, im in pairs])
+    want = PureState(amps / float(np.linalg.norm(amps)), (2,) * n)
+    assert got.dims == want.dims == (2,) * n
+    assert got.amplitudes.dtype == np.complex128 and got.amplitudes.ndim == 1
+    assert not got.amplitudes.flags.writeable
+    assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+
+def test_a_crlf_file_reports_the_position_a_text_read_reports(tmp_path):
+    # a text-mode read turns CRLF into LF before the JSON parse sees it
+    path = tmp_path / "crlf.json"
+    path.write_bytes(b'{"n_qubits": 1,\r\n "amplitudes": [[1, 0], [0, 0]],\r\n x}')
+    with open(path, encoding="utf-8") as fh, pytest.raises(ValueError) as text_read:
+        json.load(fh)
+    with pytest.raises(ValueError) as loaded:
+        load_state(path)
+    assert str(loaded.value) == f"malformed state file: {text_read.value}"
