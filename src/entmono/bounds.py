@@ -44,9 +44,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import CapabilityError, ParameterError
-from .measures import (CERT_TOL, RENYI_ORDER_LO, MeasureKind, MeasureValue,
-                       assisted_estimates, group_link, pair_concurrences)
-from .states import PureState, gram, seed_path, split_amplitudes
+from .measures import CERT_TOL, RENYI_ORDER_LO, MeasureKind, MeasureValue, group_link
+from .states import PureState, seed_path
 
 MONOGAMY = "monogamy"
 POLYGAMY = "polygamy"
@@ -213,10 +212,6 @@ class ConditionReport:
         return all(s.status == "holds" for s in self.steps)
 
     @property
-    def any_fail(self) -> bool:
-        return any(s.status == "fails" for s in self.steps)
-
-    @property
     def any_undecidable(self) -> bool:
         return any(s.status == "undecidable" for s in self.steps)
 
@@ -286,10 +281,7 @@ def coefficient_K(mu, ell, alpha, family: BoundFamily):
     as the float power does.
     """
     family.check_alpha(alpha)
-    # plain floats, the hot scalar case, skip the ndarray tests
-    floats = type(mu) is float and type(ell) is float and type(alpha) is float
-    if not floats and (isinstance(mu, np.ndarray) or isinstance(ell, np.ndarray)
-                       or isinstance(alpha, np.ndarray)):
+    if any(isinstance(v, np.ndarray) for v in (mu, ell, alpha)):
         mu, ell, alpha = np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                                for v in (mu, ell, alpha)))
         # every check is a range, so the smallest and largest entries stand
@@ -490,28 +482,15 @@ def measure_chain(state: PureState, family: BoundFamily, budget: int = 200,
                   seed=0) -> Chain:
     """Measure the chain of one (state, family) once; see Chain.
 
-    Monogamy pair values are the exact closed forms of the pair
-    concurrences, all from one pair_concurrences call (bound_family keeps
-    a monogamy Tsallis q within the window of the mixed-state closed
-    form).  Polygamy pair values are heuristic assisted estimates, all
-    from one assisted_estimates call: the N-1 pair states rho_{A,B_i} are
-    M·M† of the stacked amplitude matrices of the splits {A, B_i} | rest
-    (one batched gram, no PureState.reduce), and the kernel takes one
-    batched eigh for the whole chain and one QR per block for the pairs
-    of each rank (budget restarts; pair i seeds seed_path(seed, i - 1),
-    whose sub-streams 0 and 1 give the ensemble sizes and the draws, so
-    each value equals assisted_estimate of that pair alone).  The full
-    value is the exact pure-state measure (an assisted value of a pure
-    state equals the plain value).
+    The pair values M(A,B_i) are the measure's pair_values: exact closed
+    forms of the pair concurrences for monogamy (a measure outside the
+    closed form's window raises CapabilityError), heuristic assisted
+    estimates for polygamy (budget restarts; pair i seeds
+    seed_path(seed, i - 1)).  The full value is the exact pure-state
+    measure (an assisted value of a pure state equals the plain value).
     """
     kind = family.measure
-    if family.direction == POLYGAMY:
-        others = range(1, state.n_qubits)
-        factors = np.stack([split_amplitudes(state.amplitudes, state.dims, [0, i]) for i in others])
-        pairs = assisted_estimates(gram(factors), kind, budget,
-                                   [seed_path(seed, i - 1) for i in others])
-    else:
-        pairs = kind.from_concurrence(pair_concurrences(state.amplitudes, state.dims))
+    pairs = kind.pair_values(state, budget=budget, seed=seed)
     return Chain(state, family, kind.pure_value(state, [0]), tuple(float(v) for v in pairs))
 
 

@@ -320,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="evaluate one bound instance, JSON report")
     add_input(p)
     p.add_argument("--theorem", required=True,
-                   help="family selector (concurrence, eof, cren, tsallis, renyi, "
-                        "eoa, teoa, reoa; an optional thmN- prefix is accepted)")
+                   help=f"family selector ({', '.join(THEOREMS)}; an optional "
+                        "thmN- prefix is accepted)")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--q", type=float)
     p.add_argument("--aacute", type=float)

@@ -8,7 +8,8 @@ from_concurrence, the closed forms f_eof and g_tsallis and the suites of
 :mod:`corpus` read it, and no other function calls the entropies.
 
 Pure-state values come only from two stacked kernels, marginal_spectra
-and pair_concurrences, which take one state or a block of them.  The
+and pair_concurrences, which take one state or a block of them; every
+pair value M(A, B_i) comes from MeasureKind.pair_values.  The
 certified value of one qubit against a group of a pure state comes from
 the same kernels on the state's amplitudes, through the one rule
 group_link (for the concurrence and the CREN); no group state is formed.
@@ -238,6 +239,24 @@ class MeasureKind:
         self._require_exact_mixed()
         return self._from_mixed_concurrence(float(concurrence_two_qubit(rho)))
 
+    def pair_values(self, state: PureState, side: int = 0, others=None, budget: int = 200,
+                    seed=0) -> np.ndarray:
+        """M(side, j) of a pure qubit state for each j in others (as in
+        pair_factors), as an array: the one route to pair values.
+
+        A plain kind reads pair_concurrences within the windows of
+        :meth:`_from_mixed_concurrence`.  An assisted kind runs one
+        assisted_estimates pass over the pair states, the one at position i
+        of others seeded seed_path(seed, i): each value is assisted_estimate
+        of that pair state alone (heuristic, budget restarts).
+        """
+        if self.assisted:
+            rhos = gram(pair_factors(state.amplitudes, state.dims, side, others))
+            return assisted_estimates(rhos, self, budget,
+                                      [seed_path(seed, i) for i in range(len(rhos))])
+        return self._from_mixed_concurrence(
+            pair_concurrences(state.amplitudes, state.dims, side, others))
+
     def _require_exact_mixed(self):
         """Raise CapabilityError for an assisted kind, which has no exact
         mixed-state value (see two_qubit_value)."""
@@ -245,8 +264,8 @@ class MeasureKind:
             raise CapabilityError(f"{self.label} of a mixed state has no exact value; "
                                   f"assisted_estimate gives a heuristic one")
 
-    def _from_mixed_concurrence(self, c: float) -> float:
-        """from_concurrence of a two-qubit mixed state's Wootters concurrence c.
+    def _from_mixed_concurrence(self, c):
+        """from_concurrence of two-qubit mixed states' Wootters concurrences c.
 
         Two families take this route only inside a proven window
         (CapabilityError otherwise): Tsallis with q in [TSALLIS_Q_LO,
@@ -272,10 +291,10 @@ class MeasureKind:
 
         - the whole register gives the exact pure_value;
         - one qubit A (on either side) against the rest of a smaller qubit
-          group gives group_link of A's pure_value and of its pair values
-          from pair_concurrences on the amplitudes (no reduction), with
-          the windows of two_qubit_value.  Only a 2-qubit group, or a kind
-          that certifies groups, reads them: any other group has no link.
+          group gives group_link of A's pure_value and of its pair_values
+          (no reduction), with the windows of two_qubit_value.  Only a
+          2-qubit group, or a kind that certifies groups, reads them: any
+          other group has no link.
           An assisted kind has no exact value off the whole register: it
           raises two_qubit_value's CapabilityError before reading any pair.
 
@@ -301,10 +320,10 @@ class MeasureKind:
         link = None
         if (len(a) == 1 and all(state.dims[i] == 2 for i in group)
                 and (len(group) == 2 or self.certifies_groups)):
-            pairs = pair_concurrences(state.amplitudes, state.dims, a[0], others)
+            pairs = self.pair_values(state, a[0], others)
             # a pair's link is its one pair value: A's full value is not read
             full = self.pure_value(state, a) if len(group) > 2 else None
-            link = group_link(self, state, a + others, self._from_mixed_concurrence(pairs), full)
+            link = group_link(self, state, a + others, pairs, full)
         if link is None:
             raise CapabilityError(
                 f"{self.label} on a mixed {len(group)}-subsystem group is not supported; only "
@@ -354,23 +373,35 @@ def pair_concurrences(amps: np.ndarray, dims: tuple, side: int = 0,
                       others=None) -> np.ndarray:
     """C(side, j) of pure qubit states, j in others, along a new last axis.
 
-    amps is as in :func:`marginal_spectra`; others defaults to every qubit
-    but side, ascending, so the default gives C(A,B_i), i = 1..N-1.  The
-    amplitude matrix M of the split {side, j} | rest is a factor of the
-    pair state, M·M† = rho, so its columns are a pure-state decomposition
-    of rho and the pairs of every state go through one
-    :func:`wootters_factor_concurrence` call on the stacked M, with no Gram
-    matrix and no eigh.  That holds while M has at most 4 columns (a
-    complement of at most two qubits); a wider M would make the svd larger
-    than the 4 x 4 pair state, so each pair state is then formed as M·M†,
-    pair by pair, and goes through :func:`wootters_concurrence`.
+    amps, side and others are as in :func:`pair_factors`, so the default
+    gives C(A,B_i), i = 1..N-1.  The amplitude matrix M of the split
+    {side, j} | rest is a factor of the pair state, M·M† = rho, so its
+    columns are a pure-state decomposition of rho and the pairs of every
+    state go through one :func:`wootters_factor_concurrence` call on the
+    stacked M, with no Gram matrix and no eigh.  That holds while M has at
+    most 4 columns (a complement of at most two qubits); a wider M would
+    make the svd larger than the 4 x 4 pair state, so the pair states are
+    then formed as M·M† and go through :func:`wootters_concurrence`.
+    """
+    ms = pair_factors(amps, dims, side, others)
+    if ms.shape[-1] <= 4:
+        return wootters_factor_concurrence(ms)
+    return wootters_concurrence(gram(ms))
+
+
+def pair_factors(amps: np.ndarray, dims: tuple, side: int = 0, others=None) -> np.ndarray:
+    """Amplitude matrices M of the splits {side, j} | rest along a new axis -3.
+
+    amps is as in marginal_spectra; others defaults to every subsystem but
+    side, ascending.  M·M† (gram) of entry j is the pair state on {side, j}.
+    An index outside the register raises DimensionError; an empty others,
+    or one repeating an index or side, ParameterError.
     """
     if others is None:
         others = [j for j in range(len(dims)) if j != side]
-    ms = [split_amplitudes(amps, dims, sorted((side, j))) for j in others]
-    if ms[0].shape[-1] <= 4:
-        return wootters_factor_concurrence(np.stack(ms, axis=-3))
-    return wootters_concurrence(np.stack([gram(m) for m in ms], axis=-3))
+    if not others or len(keep_indices([side, *others], len(dims))) != len(others) + 1:
+        raise ParameterError(f"pairs need distinct partners of side {side}, got {others}")
+    return np.stack([split_amplitudes(amps, dims, sorted((side, j))) for j in others], axis=-3)
 
 
 def _require_two_qubits(rho: DensityMatrix, what: str):
@@ -447,18 +478,25 @@ def wootters_factor_concurrence(factors: np.ndarray) -> np.ndarray:
 
 
 def wootters_concurrence(rhos: np.ndarray) -> np.ndarray:
-    """Wootters concurrence of each two-qubit state in an (..., 4, 4) stack.
+    """Wootters concurrence of each two-qubit state in an (..., 4, 4) stack:
+    :func:`wootters_factor_concurrence` of its _eigen_factor.  The inputs
+    are trusted to be density matrices.
+    """
+    return wootters_factor_concurrence(_eigen_factor(rhos)[0])
 
-    The factor given to :func:`wootters_factor_concurrence` is built from
-    the rank-retained eigenpairs of rho, L = V·sqrt(D): the square root
-    never touches near-zero eigenvalues, whose noise would otherwise
-    surface at the sqrt(eps) level on low-rank states.  Dropped eigenpairs
-    become zero columns of L, which only add zero singular values.  The
-    inputs are trusted to be density matrices.
+
+def _eigen_factor(rhos: np.ndarray) -> tuple:
+    """(L, ranks): the rank-retained factor L = V·sqrt(D), rho = L·L†, of
+    each state of an (..., d, d) stack, and the rank of each.
+
+    The square root never touches an eigenvalue at or below _RANK_TOL,
+    whose noise would otherwise surface at the sqrt(eps) level on low-rank
+    states; it gives a zero column instead.  eigh is ascending, so the
+    kept columns come last, largest weight at the end.
     """
     evs, vecs = np.linalg.eigh(rhos)
-    psi = vecs * np.sqrt(np.where(evs > _RANK_TOL, evs, 0.0))[..., None, :]
-    return wootters_factor_concurrence(psi)
+    keep = evs > _RANK_TOL
+    return vecs * np.sqrt(np.where(keep, evs, 0.0))[..., None, :], keep.sum(axis=-1)
 
 
 def concurrence_two_qubit(rho: DensityMatrix) -> MeasureValue:
@@ -663,8 +701,8 @@ def assisted_estimates(rhos: np.ndarray, kind: MeasureKind, budget: int, seeds) 
     on ``budget``, on the split into RESTART_BLOCK blocks or on the other
     states of the stack, and each value equals the one of a stack of one.
 
-    One batched eigh gives every eigen-ensemble: the rows of its rank-r_i
-    factor, largest weight first, whose own average is the first
+    One _eigen_factor call gives every eigen-ensemble: the rows of its
+    rank-r_i factor, largest weight first, whose own average is the first
     candidate.  The states are then grouped by rank.  The P_r states of
     rank r run their restarts as one uniform stack per block, (P_r, k,
     r², r) with k <= RESTART_BLOCK, through one batched QR and one
@@ -685,13 +723,10 @@ def assisted_estimates(rhos: np.ndarray, kind: MeasureKind, budget: int, seeds) 
     if len(seeds) != len(rhos):
         raise ParameterError(f"{len(rhos)} states need as many seeds, got {len(seeds)}")
 
-    evs, vecs = np.linalg.eigh(rhos)
-    keep = evs > _RANK_TOL  # a unit-trace state keeps at least one
-    ranks = keep.sum(axis=-1)
-    # rows: the unnormalized eigen-ensembles, largest weight first (eigh is
-    # ascending, so a state of rank r keeps its first r rows)
-    members = np.swapaxes(vecs * np.sqrt(np.where(keep, evs, 0.0))[..., None, :], -1, -2)
-    members = members[:, ::-1]
+    factors, ranks = _eigen_factor(rhos)  # a unit-trace state keeps at least one
+    # rows: the unnormalized eigen-ensembles, largest weight first, so a
+    # state of rank r keeps its first r rows
+    members = np.swapaxes(factors, -1, -2)[:, ::-1]
 
     best = np.empty(len(rhos))
     for r in sorted(set(ranks.tolist())):

@@ -27,9 +27,13 @@ AMP_CAP = 2 ** MAX_QUBITS
 # Dense storage cap: 12 qubits.  Everything in this package is desk-scale.
 DIM_CAP = 2 ** 12
 
-# Hermiticity and positivity tolerance of a public DensityMatrix
+# Input contracts, not roundoff allowances: how far an input may sit from
+# the ideal object before it is refused.  HERM_TOL bounds the Hermiticity
+# defect and the most negative eigenvalue of a DensityMatrix, NORM_TOL the
+# norm² defect of a PureState or SchmidtParams, FILE_NORM_TOL that of a
+# state file (which is renormalized after the check).  They say nothing
+# about the roundoff of any value computed from a valid input.
 HERM_TOL = 1e-10
-
 NORM_TOL = 1e-12
 FILE_NORM_TOL = 1e-9
 
@@ -79,30 +83,24 @@ class PureState:
 
         Computed as M·M† of the amplitude matrix (:func:`split_amplitudes`),
         at O(2^n · d_keep) cost and without forming the full projector;
-        keeping every subsystem gives the projector |psi><psi| itself.  The
-        product of a unit-norm amplitude matrix with its adjoint is
-        Hermitian, PSD and unit-trace by construction, so the result skips
-        the eigenvalue re-check of the public constructor.  Errors are those
-        of :func:`keep_indices`, plus DimensionError when the kept side
-        exceeds the dense cap of 12 qubits.
+        keeping every subsystem gives the projector |psi><psi| itself.
+        Errors are those of :func:`keep_indices`, plus DimensionError when
+        the kept side exceeds the dense cap of 12 qubits.
         """
         keep = keep_indices(keep, self.n_qubits)
         m = split_amplitudes(self.amplitudes, self.dims, keep)
         _check_dense(m.shape[0], "reduced state")
-        return DensityMatrix._from_gram(gram(m), tuple(self.dims[i] for i in keep))
+        return DensityMatrix(gram(m), tuple(self.dims[i] for i in keep))
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix with per-subsystem dimensions.
 
-    Invariants are validated once at public construction, in this order:
+    Invariants are validated once at construction, in this order:
     shape (d, d) for d the product of dims (DimensionError), then trace 1
     within 1e-10, finite entries, Hermitian within HERM_TOL and minimum
-    eigenvalue >= -HERM_TOL (ContractError each).  The only exception is
-    the private :meth:`_from_gram`, which pure-state reductions use for
-    M·M† of a unit-norm amplitude matrix: that product satisfies the
-    invariants by construction.
+    eigenvalue >= -HERM_TOL (ContractError each).
 
     Its one public method is :meth:`purity`.  Reductions, marginal
     spectra and negativities come from the amplitudes of a PureState, not
@@ -133,19 +131,6 @@ class DensityMatrix:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
-
-    @classmethod
-    def _from_gram(cls, m: np.ndarray, dims: tuple) -> "DensityMatrix":
-        """Trusted constructor for M·M† with M a unit-norm amplitude matrix.
-
-        Skips validation: the caller guarantees a Hermitian, PSD,
-        unit-trace complex matrix whose shape matches dims.
-        """
-        rho = object.__new__(cls)
-        m.flags.writeable = False
-        object.__setattr__(rho, "matrix", m)
-        object.__setattr__(rho, "dims", tuple(dims))
-        return rho
 
     def purity(self) -> float:
         """Tr rho² as the squared Frobenius norm (rho is Hermitian)."""

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entmono import (BoundParams, CapabilityError, MeasureValue,
-                     ParameterError, bound_family, check_conditions,
+from entmono import (BoundFamily, BoundParams, CapabilityError, DensityMatrix,
+                     MeasureKind, MeasureValue, ParameterError, bound_family, check_conditions,
                      coefficient_K, eof, example1_params, extract_mu_l, ghz,
                      measure_chain, prior_rhs, random_pure, resolve_params,
                      rhs_assemble, schmidt3, seed_path, verify, w_state)
@@ -319,7 +319,7 @@ class TestCheckConditions:
     def test_out_of_range_parameters_fail_not_raise(self):
         report = check_conditions(measure_chain(EX1, CONC),
                                   BoundParams(CONC, 2.0, (0.5,), (0.5,)))
-        assert report.any_fail
+        assert report.summary == "fails"
 
 
 class TestClause:
@@ -355,6 +355,30 @@ class TestChainLinks:
         links = measure_chain(w_state(4), family, budget=4).links
         assert [link is not None for link in links] == certified
         assert links[0].status == "exact"
+
+    def test_pair_values_outside_the_closed_form_window_raise(self):
+        # bound_family never builds this family; a hand-built one reads its
+        # pairs through the same windows as `measure`, so gets no value
+        family = BoundFamily(MeasureKind("tsallis", q=5.0), 1.0)
+        with pytest.raises(CapabilityError, match="tsallis route requires q"):
+            measure_chain(EX1, family)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: BoundParams(CONC, 2.0, (1.0, 1.0), (1.0,)), "mu and ell lengths differ"),
+    (lambda: BoundParams(CONC, 2.0, (1.0,), (1.0,), 0), "split must be a positive"),
+    (lambda: rhs_assemble([0.5, 0.4], BoundParams(CONC, 2.0)), "rhs_assemble needs explicit"),
+    (lambda: check_conditions(measure_chain(EX1, CONC), BoundParams(CONC, 2.0)),
+     "check_conditions needs explicit"),
+    (lambda: rhs_assemble([0.5, 0.4, 0.3], BoundParams(CONC, 2.0, (1.0, 1.0), (1.0, 1.0), 3)),
+     r"split 3 outside \[1, 2\]"),
+    (lambda: verify(DensityMatrix(np.eye(8) / 8, (2, 2, 2)), BoundParams(CONC, 2.0)),
+     "a bound needs a PureState"),
+], ids=["mu-ell-lengths", "split-0", "rhs-unresolved", "conditions-unresolved",
+        "split-past-n-2", "density-matrix"])
+def test_bound_inputs_are_checked(call, message):
+    with pytest.raises(ParameterError, match=message):
+        call()
 
 
 REGISTERS_4_TO_6 = {f"{name}:{n}": build(n) for name, build in (("ghz", ghz), ("w", w_state))

@@ -449,6 +449,14 @@ MALFORMED = [
      "--alpha-max", "3", "--steps", "3", "--aacute", "7"],
     ["sweep", "--preset", "example1", "--kind", "renyi", "--aacute", "2",
      "--alpha-min", "2", "--alpha-max", "3", "--steps", "3", "--q", "2"],
+    # an empty or reversed alpha range, and an unknown bound column
+    ["sweep", "--preset", "example1", "--kind", "concurrence", "--alpha-max", "2",
+     "--alpha-min", "3", "--steps", "3"],
+    ["sweep", "--preset", "example1", "--kind", "concurrence", "--alpha-min", "2",
+     "--alpha-max", "3", "--steps", "3", "--bounds", "ours,zz"],
+    # neither --preset nor --state
+    ["measure", "--kind", "eof", "--partition", "A|B"],
+    ["verify", "--theorem", "concurrence", "--alpha", "2"],
 ]
 
 
@@ -457,7 +465,7 @@ def test_malformed_arguments_exit_two(args, capsys):
     code, out, err = run_cli(args, capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith("entmono: ") and "Traceback" not in err
+    assert err.startswith("entmono: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_auto_clears_a_lone_mu(capsys):
@@ -736,10 +744,9 @@ def test_huge_renyi_order_stays_finite(partition, capsys):
 def test_verify_estimates_each_assisted_pair_once(theorem, capsys, monkeypatch):
     # one stacked kernel call per chain, carrying the N-1 distinct pair
     # seeds; no per-pair estimate or reduction runs, and the report is unchanged
-    import entmono.bounds as bounds
     import entmono.measures as measures
     from entmono.states import PureState
-    original = bounds.assisted_estimates
+    original = measures.assisted_estimates
     sources = {2: ["--preset", "example1"],
                4: ["--preset", "w:5", "--comparator-only", "--mu", "1,1,1", "--ell", "1,1,1"]}
     for n_pairs, source in sources.items():
@@ -756,7 +763,7 @@ def test_verify_estimates_each_assisted_pair_once(theorem, capsys, monkeypatch):
                                       "--budget", "20"] + theorem[1:]
         code, before, _ = run_cli(args, capsys)
         with monkeypatch.context() as patch:
-            patch.setattr(bounds, "assisted_estimates", counted)
+            patch.setattr(measures, "assisted_estimates", counted)
             patch.setattr(measures, "assisted_estimate", forbidden)
             patch.setattr(PureState, "reduce", forbidden)
             assert run_cli(args, capsys)[:2] == (code, before)

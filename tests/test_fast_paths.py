@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entmono import (DensityMatrix, MeasureKind, PureState, bound_family, ghz,
-                     measure_chain, negativity, random_pure, seed_path, w_state)
+from entmono import (CapabilityError, DensityMatrix, MeasureKind, PureState,
+                     assisted_estimate, bound_family, ghz, measure_chain, negativity,
+                     random_pure, seed_path, w_state)
 from entmono.measures import (marginal_spectra, pair_concurrences,
                               wootters_concurrence)
 
@@ -225,6 +226,35 @@ def test_pair_concurrences_match_the_dense_wootters_route(case):
             assert abs(c - dense) <= 1e-12
             if {side, j} & product:
                 assert c <= zero
+
+
+PLAIN_PAIR_KINDS = [MeasureKind("concurrence"), MeasureKind("cren"), MeasureKind("eof"),
+                    MeasureKind("tsallis", q=2.5), MeasureKind("renyi", order=2.0)]
+ASSISTED_PAIR_KINDS = [MeasureKind("eof", assisted=True),
+                       MeasureKind("tsallis", q=1.5, assisted=True),
+                       MeasureKind("renyi", order=1.2, assisted=True)]
+
+
+@FAST
+@given(pure_states(3, 7), st.data())
+def test_pair_values_are_the_values_of_the_pair_states(state, data):
+    # the one pair route against each pair state formed on its own: 5 or
+    # more qubits take the Gram route of pair_concurrences
+    n = state.n_qubits
+    side = data.draw(st.integers(0, n - 1))
+    others = data.draw(st.permutations([j for j in range(n) if j != side]))
+    others = others[:data.draw(st.integers(1, n - 1))]
+    seed = data.draw(st.integers(0, 2 ** 31 - 1))
+    rhos = [state.reduce([side, j]) for j in others]
+    for kind in PLAIN_PAIR_KINDS:
+        want = [kind.two_qubit_value(rho) for rho in rhos]
+        assert np.max(np.abs(kind.pair_values(state, side, others) - want)) <= 1e-12
+    with pytest.raises(CapabilityError):
+        MeasureKind("tsallis", q=5.0).pair_values(state, side, others)
+    kind = data.draw(st.sampled_from(ASSISTED_PAIR_KINDS))
+    want = [assisted_estimate(rho, kind, budget=8, seed=seed_path(seed, i)).value
+            for i, rho in enumerate(rhos)]
+    assert kind.pair_values(state, side, others, budget=8, seed=seed).tolist() == want
 
 
 @FAST

@@ -612,6 +612,24 @@ class TestAssistedEstimate:
         assert assisted_estimates(rhos, kind, 5, [0, 1, 2]).shape == (3,)
 
 
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: MeasureValue(0.5, "bogus"), ParameterError, "unknown certification status"),
+    (lambda: MeasureValue.interval(1, 0), ParameterError, "bad interval"),
+    (lambda: MeasureKind("eof", order=2), ParameterError, "order is only meaningful for renyi"),
+    (lambda: assisted_estimates(np.eye(4)[None] / 4, MeasureKind("eof", assisted=True), -1,
+                                [0]), ParameterError, "budget must be nonnegative"),
+    (lambda: CONCURRENCE.pair_values(EX1, 0, [0]), ParameterError, "distinct partners"),
+    (lambda: CONCURRENCE.pair_values(EX1, 0, [1, 1]), ParameterError, "distinct partners"),
+    (lambda: CONCURRENCE.pair_values(EX1, 0, []), ParameterError, "distinct partners"),
+    (lambda: CONCURRENCE.pair_values(EX1, 0, [3]), DimensionError, "out of range"),
+    (lambda: CONCURRENCE.pair_values(EX1, -1), DimensionError, "out of range"),
+], ids=["status", "reversed-interval", "eof-order", "negative-budget", "pair-with-side",
+        "repeated-pair", "no-pairs", "pair-out-of-range", "side-out-of-range"])
+def test_measure_inputs_are_checked(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestMeasureKindValidation:
     def test_bad_names_and_params(self):
         with pytest.raises(ParameterError):

@@ -169,6 +169,17 @@ class TestDensityMatrixValidation:
         assert rho.purity() == pytest.approx(0.25)
 
 
+class TestPureStateValidation:
+    @pytest.mark.parametrize("amps,dims,error,message", [
+        ([np.nan, 1.0], (2,), ContractError, "^amplitudes contain NaN or Inf"),
+        ([1.0, np.sqrt(0.1)], (2,), ParameterError, r"^state norm² = 1\.1"),
+        ([1.0, 0.0, 0.0], (2, 2), DimensionError, r"^amplitude count 3 does not match"),
+    ], ids=["nan", "norm-1.1", "size"])
+    def test_rejects(self, amps, dims, error, message):
+        with pytest.raises(error, match=message):
+            PureState(np.array(amps, dtype=complex), dims)
+
+
 class TestCaps:
     def test_amplitude_cap_is_twenty_qubits(self):
         assert AMP_CAP == 2 ** 20
