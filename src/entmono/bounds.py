@@ -6,11 +6,12 @@ compared here all have the shape
     M^alpha(A|B_1...B_{N-1})  vs  sum_i  c_i * M^alpha(A,B_i)
 
 with c_i a product of per-step weights.  The four right-hand sides are
-one chained sum (_chained_sum) and differ only in that weight: the
-tightened K_r = (mu_r + l_r)^s - l_r^s with s = alpha/gamma, against the
-prior constants 1 (CKW), 2^s - 1 (JF) and ((1+k)^s - 1)/k^s (KF).  A
-split m in [1, N-2] swaps the roles of pair and tail in steps m+1..N-2;
-no split is split N-2.  Monogamy families bound from below (>=) under
+one chained sum, which _right_sides evaluates from one list of
+M^alpha(A,B_i), and differ only in that weight: the tightened
+K_r = (mu_r + l_r)^s - l_r^s with s = alpha/gamma, against the prior
+constants 1 (CKW), 2^s - 1 (JF) and ((1+k)^s - 1)/k^s (KF).  A split m
+in [1, N-2] swaps the roles of pair and tail in steps m+1..N-2; no
+split is split N-2.  Monogamy families bound from below (>=) under
 hypotheses on the chain of residual-group values; polygamy families
 bound the assisted duals from above (<=).
 
@@ -39,7 +40,7 @@ always be evaluated.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -263,7 +264,7 @@ class BoundReport:
 
 def _fields(record) -> dict:
     """A dataclass record's fields as a new dict, in field order, values shared."""
-    return {f.name: getattr(record, f.name) for f in fields(record)}
+    return {name: getattr(record, name) for name in record.__dataclass_fields__}
 
 
 def coefficient_K(mu, ell, alpha, family: BoundFamily):
@@ -320,60 +321,69 @@ class RhsBreakdown:
     terms: tuple
 
 
-def _chained_sum(values, step_weights, alpha, split) -> RhsBreakdown:
-    """The chained sum of c_i * values[i]**alpha behind every right-hand side.
+def _right_sides(values, family: BoundFamily, alpha, split, names, mu=(), ell=(),
+                 k=None) -> dict:
+    """Each right side in names (in order) from one list of values**alpha.
 
-    step_weights[r-1] is the weight of step r (r = 1..N-2 for the N-1 pair
-    values).  With split m, pairs 1..m carry the products of the weights
-    before them, pairs m+1..N-2 the product of the first m times their own
-    weight, and the final pair the product of the first m.  split None is
-    m = N-2, the unsplit chain, where pair i carries the product of the
-    first i-1 weights.  The weights may be arrays (then alpha is the
-    matching grid); each product is a new array, so no coefficient aliases
-    another.  A product, power or sum beyond the float range raises
-    OverflowError.
+    The one kernel of the chained sums c_i * values[i]**alpha.  The step
+    weight is K_r = (mu_r + ell_r)^s - ell_r^s (coefficient_K's formula)
+    for "ours" and prior_weight(name, s, k) for a prior (kf needs
+    0 < k <= 1).  With split m (None is m = N-2), pairs 1..m carry the
+    products of the weights before them, pairs m+1..N-2 the product of the
+    first m times their own weight, and the final pair the product of the
+    first m.  The values are checked once, after the first name's weights
+    (so errors come in the order of separate sums); alpha is not checked
+    again.  A grid alpha gives arrays, no coefficient aliasing another.
+    "ours" maps to an RhsBreakdown, a prior to its sum; a weight, power or
+    sum beyond the float range raises OverflowError.
     """
-    values = [float(v) for v in values]
-    if len(values) < 2:
-        raise ParameterError(f"need at least 2 pairwise values, got {len(values)}")
-    if any(v < 0 for v in values):
-        raise ParameterError(f"measure values must be nonnegative, got {values}")
-    n_steps = len(values) - 1
-    if len(step_weights) != n_steps:
-        raise ParameterError(
-            f"{len(values)} values need {n_steps} (mu, ell) steps, got {len(step_weights)}")
-    m = n_steps if split is None else int(split)
-    if not 1 <= m <= n_steps:
-        raise ParameterError(f"split {m} outside [1, {n_steps}] for {len(values)} pairs")
+    s = family.scale(alpha if isinstance(alpha, np.ndarray) else float(alpha))
+    out, powers = {}, None
     with np.errstate(all="ignore"):
-        coeffs, head = [], 1.0
-        for w in step_weights[:m]:
-            coeffs.append(head)
-            head = head * w
-        coeffs += [head * w for w in step_weights[m:]] + [head]
-        terms = tuple(PairTerm(i + 1, c, v, c * v ** alpha)
-                      for i, (c, v) in enumerate(zip(coeffs, values)))
-        rhs = _in_range(sum(t.contribution for t in terms))
-    return RhsBreakdown(rhs, tuple(step_weights), terms)
+        for name in names:
+            if name == "ours":
+                weights = [_in_range((mu_r + ell_r) ** s - ell_r ** s)
+                           for mu_r, ell_r in zip(mu, ell)]
+            elif name == "kf" and (k is None or not 0.0 < k <= 1.0):
+                raise ParameterError(f"kf comparator requires 0 < k <= 1, got {k}")
+            else:
+                weights = [prior_weight(name, s, k)] * (len(values) - 1)
+            if powers is None:
+                values = [float(v) for v in values]
+                if len(values) < 2:
+                    raise ParameterError(f"need at least 2 pairwise values, got {len(values)}")
+                if any(v < 0 for v in values):
+                    raise ParameterError(f"measure values must be nonnegative, got {values}")
+                n_steps = len(values) - 1
+                if len(weights) != n_steps:
+                    raise ParameterError(f"{len(values)} values need {n_steps} (mu, ell) "
+                                         f"steps, got {len(weights)}")
+                m = n_steps if split is None else int(split)
+                if not 1 <= m <= n_steps:
+                    raise ParameterError(
+                        f"split {m} outside [1, {n_steps}] for {len(values)} pairs")
+                powers = [v ** alpha for v in values]
+            coeffs, head = [], 1.0
+            for w in weights[:m]:
+                coeffs.append(head)
+                head = head * w
+            coeffs += [head * w for w in weights[m:]] + [head]
+            parts = [c * p for c, p in zip(coeffs, powers)]
+            rhs = _in_range(sum(parts))
+            out[name] = rhs if name != "ours" else RhsBreakdown(rhs, tuple(weights), tuple(
+                PairTerm(i + 1, *term) for i, term in enumerate(zip(coeffs, values, parts))))
+    return out
 
 
 def rhs_assemble(values, params: BoundParams) -> RhsBreakdown:
-    """The tightened right-hand side: the chained sum with weights K_r.
-
-    values are the N-1 pairwise measures M(A,B_1)..M(A,B_{N-1}); the
-    params must carry explicit mu and ell (N-2 each), which give the step
-    weights K_r of coefficient_K.  A split of None is split N-2.
-    params.alpha may be a 1-D array of exponents: the right side, the step
-    weights and each term's coefficient and contribution are then arrays
-    over it, from the same formulas (numpy's power may differ from the
-    float one by an ulp).  A power beyond the float range raises
-    OverflowError either way.
-    """
+    """The tightened right-hand side, the "ours" entry of _right_sides, of
+    the N-1 pair values M(A,B_1)..M(A,B_{N-1}); params must carry explicit
+    mu and ell (N-2 each).  A grid params.alpha gives arrays (numpy's
+    power may differ from the float one by an ulp)."""
     if params.mu is None:
         raise ParameterError("rhs_assemble needs explicit mu and ell (resolve auto first)")
-    ks = [coefficient_K(m, l, params.alpha, params.family)
-          for m, l in zip(params.mu, params.ell)]
-    return _chained_sum(values, ks, params.alpha, params.split)
+    return _right_sides(values, params.family, params.alpha, params.split, ("ours",),
+                        params.mu, params.ell)["ours"]
 
 
 PRIOR_KINDS = ("ckw", "jf", "kf")
@@ -384,7 +394,7 @@ def prior_weight(kind: str, s, k=None):
 
     1 for "ckw", 2^s - 1 for "jf" and ((1+k)^s - 1)/k^s for "kf";
     elementwise for arrays s and k.  An unknown kind raises
-    ParameterError; k is not checked here (prior_rhs checks it).
+    ParameterError; k is not checked here (_right_sides checks it).
 
     kf is evaluated as ((1+k)/k)^s · (1 - (1+k)^-s), each factor from
     log1p and expm1: 1 + k is never rounded to 1 (a tiny k keeps the
@@ -405,21 +415,12 @@ def prior_weight(kind: str, s, k=None):
 
 def prior_rhs(values, alpha, family: BoundFamily, kind: str,
               k: float = None, split: int = None):
-    """Right-hand side of one of the three prior bounds.
-
-    The chained sum of rhs_assemble with the constant step weight of
-    prior_weight: 1 for "ckw" (the plain alpha-power sum), 2^s - 1 for
-    "jf" and ((1+k)^s - 1)/k^s with 0 < k <= 1 for "kf"; k is ignored by
-    the other two.  A split of None is split N-2.  alpha is a float, or a
-    1-D array of exponents for which an array comes back; a weight or
-    power beyond the float range raises OverflowError either way.
-    """
+    """Right-hand side of the prior bound kind, the _right_sides entry of
+    kind once alpha (a float, or a 1-D grid that gives an array) is checked
+    against the family's domain: step weight 1 for "ckw", 2^s - 1 for "jf"
+    and ((1+k)^s - 1)/k^s with 0 < k <= 1 for "kf" (k unused otherwise)."""
     family.check_alpha(alpha)
-    if kind == "kf" and (k is None or not 0.0 < k <= 1.0):
-        raise ParameterError(f"kf comparator requires 0 < k <= 1, got {k}")
-    with np.errstate(all="ignore"):
-        weight = prior_weight(kind, family.scale(alpha), k)
-    return _chained_sum(values, [weight] * (len(values) - 1), alpha, split).rhs
+    return _right_sides(values, family, alpha, split, (kind,), k=k)[kind]
 
 
 def extract_mu_l(chain, pairs, family: BoundFamily):
@@ -585,12 +586,12 @@ def evaluate_bounds(state: PureState, params: BoundParams, names, comparator_k: 
     nonnegative seed and budget, for every family, so that no chain is
     measured only to be rejected), measure the chain once
     and resolve (mu, l) into the returned params.  Then only the
-    selected right sides are evaluated: ours, rhs_assemble's breakdown if
-    "ours" is in names (None otherwise), and priors, the prior_rhs of each
-    selected kind in PRIOR_KINDS order (kf with k = comparator_k).
-    params.alpha may be a sweep's grid, for which the values are arrays
-    over it.  A weight, power or sum beyond the float range raises
-    OverflowError.
+    selected right sides are evaluated, by one _right_sides call: ours,
+    the RhsBreakdown of rhs_assemble if "ours" is in names (None
+    otherwise), and priors, the prior_rhs value of each selected kind in
+    PRIOR_KINDS order (kf with k = comparator_k).  params.alpha may be a
+    sweep's grid, for which the values are arrays over it.  A weight,
+    power or sum beyond the float range raises OverflowError.
     """
     if not isinstance(state, PureState):
         raise ParameterError(f"a bound needs a PureState, got {type(state).__name__}")
@@ -606,11 +607,10 @@ def evaluate_bounds(state: PureState, params: BoundParams, names, comparator_k: 
         raise ParameterError(f"budget must be nonnegative, got {budget}")
     chain = measure_chain(state, params.family, budget=budget, seed=seed)
     params = resolve_params(chain, params)
-    ours = rhs_assemble(chain.pairs, params) if "ours" in names else None
-    priors = {name: prior_rhs(chain.pairs, params.alpha, params.family, name,
-                              k=comparator_k, split=params.split)
-              for name in PRIOR_KINDS if name in names}
-    return chain, params, ours, priors
+    sides = _right_sides(chain.pairs, params.family, params.alpha, params.split,
+                         [name for name in ("ours",) + PRIOR_KINDS if name in names],
+                         params.mu, params.ell, comparator_k)
+    return chain, params, sides.pop("ours", None), sides
 
 
 def verify(state: PureState, params: BoundParams, comparator_k: float = 0.5,

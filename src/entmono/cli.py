@@ -28,30 +28,48 @@ MEASURE_KINDS = ("concurrence", "cren", "negativity", "eof", "tsallis", "renyi")
 
 
 def fmt(x) -> str:
-    """Floats with 12 significant digits (null if not finite); strings
-    quoted as json.dumps quotes them; everything else via json.dumps."""
+    """Floats with 12 significant digits (null if not finite); everything
+    else via json.dumps."""
     if isinstance(x, float):
         return format(x, ".12g") if math.isfinite(x) else "null"
-    if isinstance(x, str):
-        return encode_basestring_ascii(x)
     return json.dumps(x)
 
 
 def to_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON with fixed float formatting (12 significant digits)."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{pad}  {encode_basestring_ascii(str(k))}: {to_json(v, indent + 1)}'
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{pad}  {to_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    return fmt(obj)
+    """Deterministic JSON with fixed float formatting (12 significant digits),
+    each level two spaces past its container from indent levels, as fmt
+    renders its leaves and empty containers.  The pieces of every level are
+    appended into one list that is joined once."""
+    if not (isinstance(obj, (dict, list, tuple)) and obj):
+        return fmt(obj)
+    pieces = []
+    _render(obj, "\n" + "  " * indent, pieces)
+    return "".join(pieces)
+
+
+def _render(obj, pad: str, pieces: list):
+    """Append the JSON of a nonempty dict, list or tuple whose line starts
+    with pad to pieces.  Its leaves are rendered here, floats and strings
+    checked first ('%.12g' % x is fmt(x) for a finite float, and
+    encode_basestring_ascii quotes a string as json.dumps does), and only
+    a nested nonempty container takes a further call."""
+    inner, keyed = pad + "  ", isinstance(obj, dict)
+    sep = "{" if keyed else "["
+    for item in obj.items() if keyed else obj:
+        pieces += (sep, inner)
+        if keyed:
+            pieces += (encode_basestring_ascii(str(item[0])), ": ")
+            item = item[1]
+        if isinstance(item, float):
+            pieces.append("%.12g" % item if math.isfinite(item) else "null")
+        elif isinstance(item, str):
+            pieces.append(encode_basestring_ascii(item))
+        elif isinstance(item, (dict, list, tuple)) and item:
+            _render(item, inner, pieces)
+        else:  # json.dumps of an empty dict, list or tuple is {} or []
+            pieces.append(fmt(item))
+        sep = ","
+    pieces += (pad, "}" if keyed else "]")
 
 
 def emit(text: str, out_path):
@@ -109,8 +127,8 @@ def parse_partition(text: str, n_qubits: int) -> tuple:
     return left, right
 
 
-def measure_kind(name: str, args) -> MeasureKind:
-    """The MeasureKind of name with its --q/--aacute; None for negativity.
+def kind_options(name: str, args) -> dict:
+    """The q and order of the measure name from --q/--aacute.
 
     tsallis takes --q and renyi --aacute; a missing one, or one given to
     any other kind, is a ParameterError.
@@ -122,18 +140,17 @@ def measure_kind(name: str, args) -> MeasureKind:
             raise ParameterError(f"{name} requires --{opt}")
         if opt != needed and given:
             raise ParameterError(f"--{opt} is not meaningful for kind {name!r}")
-    if name == "negativity":
-        return None
-    return MeasureKind(name, q=args.q, order=args.aacute)
+    return {"q": args.q, "order": args.aacute}
 
 
 def cmd_measure(args) -> int:
     state, source = load_input(args)
     left, right = parse_partition(args.partition, state.n_qubits)
     group = sorted(left + right)
-    kind = measure_kind(args.kind, args)
+    options = kind_options(args.kind, args)
     # every kind reads the split left | right of the group from the amplitudes
-    mv = (negativity if kind is None else kind.evaluate)(state, left, group)
+    mv = (negativity if args.kind == "negativity"
+          else MeasureKind(args.kind, **options).evaluate)(state, left, group)
 
     record = {
         "command": "measure",
@@ -161,8 +178,7 @@ def family_from_args(args, key: str):
         raise ParameterError(
             f"unknown theorem selector {key!r}; expected a family in "
             f"{sorted(THEOREMS)} optionally prefixed like thm1-") from None
-    kind = measure_kind(name, args)
-    return bound_family(name, direction, q=kind.q, order=kind.order)
+    return bound_family(name, direction, **kind_options(name, args))
 
 
 def parse_floats(text):

@@ -394,13 +394,16 @@ def pair_factors(amps: np.ndarray, dims: tuple, side: int = 0, others=None) -> n
 
     amps is as in marginal_spectra; others defaults to every subsystem but
     side, ascending.  M·M† (gram) of entry j is the pair state on {side, j}.
-    An index outside the register raises DimensionError; an empty others,
-    or one repeating an index or side, ParameterError.
+    An index outside the register, or a side or partner that is not a
+    qubit, raises DimensionError; an empty others, or one repeating an
+    index or side, ParameterError.
     """
     if others is None:
         others = [j for j in range(len(dims)) if j != side]
     if not others or len(keep_indices([side, *others], len(dims))) != len(others) + 1:
         raise ParameterError(f"pairs need distinct partners of side {side}, got {others}")
+    if any(dims[i] != 2 for i in (side, *others)):
+        raise DimensionError(f"pairs need qubits, got dims {dims} at side {side} and {others}")
     return np.stack([split_amplitudes(amps, dims, sorted((side, j))) for j in others], axis=-3)
 
 

@@ -38,8 +38,26 @@ NORM_TOL = 1e-12
 FILE_NORM_TOL = 1e-9
 
 
+class _ArrayRecord:
+    """Base of PureState and DensityMatrix, frozen records whose fields are
+    one complex array and the subsystem dims, in that order."""
+
+    @classmethod
+    def _from_checked(cls, array: np.ndarray, dims: tuple):
+        """Trusted constructor: no copy and none of the public checks (for a
+        DensityMatrix an O(d³) eigvalsh); array is made read-only.  The
+        caller guarantees a complex128 array the constructor accepts for
+        dims, a tuple of positive ints: load_state's normalized vector, or
+        PureState.reduce's Gram matrix M·M† of a unit-norm M."""
+        record = object.__new__(cls)
+        array.flags.writeable = False
+        for name, value in zip(cls.__dataclass_fields__, (array, dims)):
+            object.__setattr__(record, name, value)
+        return record
+
+
 @dataclass(frozen=True)
-class PureState:
+class PureState(_ArrayRecord):
     """Normalized complex amplitude vector over an ordered qubit register."""
 
     amplitudes: np.ndarray
@@ -59,21 +77,6 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
 
-    @classmethod
-    def _from_checked(cls, amps: np.ndarray, dims: tuple) -> "PureState":
-        """Trusted constructor for a vector validated once by its caller.
-
-        Skips the copy and the checks of the public constructor: the caller
-        guarantees a finite 1-d complex128 array of norm² 1 within NORM_TOL
-        whose size is the product of dims, a tuple of positive ints.
-        load_state's checks, and its division by the norm, give exactly that.
-        """
-        state = object.__new__(cls)
-        amps.flags.writeable = False
-        object.__setattr__(state, "amplitudes", amps)
-        object.__setattr__(state, "dims", dims)
-        return state
-
     @property
     def n_qubits(self) -> int:
         return len(self.dims)
@@ -90,11 +93,11 @@ class PureState:
         keep = keep_indices(keep, self.n_qubits)
         m = split_amplitudes(self.amplitudes, self.dims, keep)
         _check_dense(m.shape[0], "reduced state")
-        return DensityMatrix(gram(m), tuple(self.dims[i] for i in keep))
+        return DensityMatrix._from_checked(gram(m), tuple(self.dims[i] for i in keep))
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(_ArrayRecord):
     """Hermitian, PSD, unit-trace matrix with per-subsystem dimensions.
 
     Invariants are validated once at construction, in this order:

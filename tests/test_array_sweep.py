@@ -19,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entmono.cli as cli
-from entmono import (BoundParams, measure_chain, prior_rhs, random_pure,
+from entmono import (BoundParams, bound_family, measure_chain, prior_rhs, random_pure,
                      resolve_params, rhs_assemble, save_state)
-from entmono.bounds import PRIOR_KINDS, _chained_sum
+from entmono.bounds import PRIOR_KINDS
+from right_sides_reference import chained_sum
 
 FAST = settings(max_examples=60, deadline=None)
 
@@ -122,23 +123,23 @@ def test_array_columns_match_the_row_loop(haar_files, data):
 
 
 def test_coefficient_layout_on_array_weights_is_unaliased():
-    weights = [np.array([2.0, 3.0]), np.array([5.0, 7.0]), np.array([11.0, 13.0])]
-    before = [w.copy() for w in weights]
+    # each coefficient of a grid is a new array, sharing memory with no other
+    # coefficient and no step weight, and entry j of each is the coefficient
+    # of the former chained sum on entry j of the weights
     values = [0.5, 0.25, 0.75, 1.0]
-
-    def coefficients(step_weights, split):
-        return [t.coefficient for t in _chained_sum(values, step_weights, 2.0, split).terms]
-
     for split in (None, 1, 2, 3):
-        coeffs = coefficients(weights, split)
-        for j in range(2):
-            scalar = coefficients([float(w[j]) for w in weights], split)
+        params = BoundParams(bound_family("concurrence"), np.array([2.0, 3.0, 5.0]),
+                             (2.0, 1.5, 3.0), (1.0, 2.0, 1.25), split)
+        breakdown = rhs_assemble(values, params)
+        weights = list(breakdown.coefficients)
+        coeffs = [t.coefficient for t in breakdown.terms]
+        for j in range(3):
+            layout = chained_sum(values, [float(w[j]) for w in weights], 2.0, split)
             got = [float(c[j]) if isinstance(c, np.ndarray) else c for c in coeffs]
-            assert got == scalar, (split, j)
+            assert got == [t.coefficient for t in layout.terms], (split, j)
         arrays = [c for c in coeffs if isinstance(c, np.ndarray)]
         for i, a in enumerate(arrays):
             assert not any(np.shares_memory(a, b) for b in arrays[i + 1:] + weights)
-    assert all(np.array_equal(w, b) for w, b in zip(weights, before))
 
 
 OVERFLOWING = [

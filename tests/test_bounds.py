@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entmono import (BoundFamily, BoundParams, CapabilityError, DensityMatrix,
-                     MeasureKind, MeasureValue, ParameterError, bound_family, check_conditions,
-                     coefficient_K, eof, example1_params, extract_mu_l, ghz,
+from entmono import (BoundFamily, BoundParams, CapabilityError, DensityMatrix, DimensionError,
+                     MeasureKind, MeasureValue, ParameterError, PureState, bound_family,
+                     check_conditions, coefficient_K, eof, example1_params, extract_mu_l, ghz,
                      measure_chain, prior_rhs, random_pure, resolve_params,
                      rhs_assemble, schmidt3, seed_path, verify, w_state)
 from entmono.bounds import PRIOR_KINDS, _clause, prior_weight
 from entmono.corpus import run_suite
+from entmono.measures import pair_concurrences
 
 EX1 = schmidt3(example1_params())
 SQ2 = math.sqrt(2.0)
@@ -379,6 +380,22 @@ class TestChainLinks:
 def test_bound_inputs_are_checked(call, message):
     with pytest.raises(ParameterError, match=message):
         call()
+
+
+@pytest.mark.parametrize("dims", [(3, 2, 2), (2, 3, 2), (2, 2, 3)])
+def test_a_subsystem_that_is_not_a_qubit_has_no_pair_values(dims):
+    # (|000> + |last>)/sqrt(2) with a qutrit at A, B or C: the pair values
+    # of every family are qubit-pair closed forms or estimates
+    amps = np.zeros(12, dtype=complex)
+    amps[0] = amps[11] = 2 ** -0.5
+    state = PureState(amps, dims)
+    for family, alpha in ((CONC, 2.0), (bound_family("eof", "polygamy"), 0.5)):
+        with pytest.raises(DimensionError, match="pairs need qubits"):
+            verify(state, BoundParams(family, alpha, (1.0,), (1.0,)), budget=8)
+        with pytest.raises(DimensionError, match="pairs need qubits"):
+            measure_chain(state, family, budget=8)
+    with pytest.raises(DimensionError, match="pairs need qubits"):
+        pair_concurrences(state.amplitudes, state.dims)
 
 
 REGISTERS_4_TO_6 = {f"{name}:{n}": build(n) for name, build in (("ghz", ghz), ("w", w_state))

@@ -582,7 +582,8 @@ def test_pair_measure_matches_the_density_matrix_route(kind, preset, partition, 
     assert code == 0 and rec["status"] == "exact"
     args = cli.build_parser().parse_args(argv)
     state, _ = cli.load_input(args)
-    dense = cli.measure_kind(args.kind, args).evaluate(slow_reduce(state, pair))
+    kind = measures.MeasureKind(args.kind, **cli.kind_options(args.kind, args))
+    dense = kind.evaluate(slow_reduce(state, pair))
     assert abs(rec["value"] - float(dense)) <= 1e-12
 
 

@@ -7,14 +7,18 @@ references below are the former forms: dataclasses.asdict, and an encoder
 that quotes every string, key and non-float through json.dumps.  Verify
 reports of every family at 3 and 6 qubits must give equal dicts, types
 included, and identical JSON bytes, also for a non-ASCII state path and
-for non-finite fields.  A sweep row rendered with one format call must
-equal the fmt of each value joined, and load_state's trusted state must
-hold the bytes of the public PureState of the normalized vector.
+for non-finite fields.  cli.to_json, which appends into one list of
+pieces, must give the bytes of the former renderer, which joined strings
+at every level, on any nesting of dicts, lists and tuples.  A sweep row
+rendered with one format call must equal the fmt of each value joined,
+and load_state's trusted state must hold the bytes of the public
+PureState of the normalized vector.
 """
 
 import dataclasses
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import pytest
@@ -146,6 +150,43 @@ def test_non_ascii_state_path_renders_as_before(tmp_path, capsys):
     assert code in (0, 3, 4)
     assert out == reference_to_json({**record, **reference_to_dict(report)}) + "\n"
     assert "\\u00e4" in out
+
+
+# to_json as it was before it appended into one list of pieces: each level
+# joins the rendered strings of its items
+def recursive_to_json(obj, indent: int = 0) -> str:
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f'{pad}  {encode_basestring_ascii(str(k))}: {recursive_to_json(v, indent + 1)}'
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f"{pad}  {recursive_to_json(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    return cli.fmt(obj)
+
+
+EDGE_LEAVES = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300,
+               -1e-300, 1.7976931348623157e308, True, False, None, 0, -7, 2 ** 70, "",
+               "zustand-äß✓", "emoji \U0001f600", 'quote " \\ \t\n']
+LEAVES = st.one_of(st.sampled_from(EDGE_LEAVES), st.floats(), st.integers(), st.booleans(),
+                   st.none(), st.text())
+KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+DOCUMENTS = st.recursive(LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=5), st.lists(inner, max_size=5).map(tuple),
+    st.dictionaries(KEYS, inner, max_size=5)), max_leaves=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(DOCUMENTS, st.integers(0, 3))
+@example({"a": [], "b": {}, "c": (), 1: [{}, [()]], None: -0.0, 2.5: math.nan}, 0)
+@example(REPORTS["concurrence-example1-auto"].to_dict(), 0)
+def test_to_json_has_the_bytes_of_the_recursive_renderer(obj, indent):
+    assert cli.to_json(obj, indent) == recursive_to_json(obj, indent)
 
 
 # the former sweep row: fmt of each value, joined
