@@ -33,10 +33,11 @@ the direction and the alpha domain follow from them.  evaluate_bounds is
 the one pipeline behind verify and the CLI sweep, and
 BoundFamily.check_alpha the one domain rule for every exponent alpha.
 
-Hypothesis parameters outside their theorem ranges (mu >= 1 and l >= 1
-for monogamy; 0 < mu <= 1, l >= 1 for polygamy) are reported as failed
-conditions rather than rejected, so that extracted maximal parameters can
-always be evaluated.
+Every hypothesis clause is one _clause verdict on (lo, hi) float
+endpoints, None marking an uncertified value.  Parameters outside their
+theorem ranges (mu >= 1 and l >= 1 for monogamy; 0 < mu <= 1, l >= 1 for
+polygamy) are such clauses, reported as failed conditions rather than
+rejected, so that extracted maximal parameters can always be evaluated.
 """
 
 import math
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, ParameterError
-from .measures import CERT_TOL, RENYI_ORDER_LO, MeasureKind, MeasureValue, group_link
+from .measures import CERT_TOL, RENYI_ORDER_LO, MeasureKind, group_link
 from .states import PureState, seed_path
 
 MONOGAMY = "monogamy"
@@ -74,7 +75,8 @@ class BoundFamily:
     the power at which the chain conditions are stated (M^gamma
     comparisons), the divisor of the coefficient exponent
     s(alpha) = alpha / gamma, and the edge of the alpha domain:
-    [gamma, inf] for monogamy, [0, gamma] for polygamy.
+    [gamma, inf] for monogamy, [0, gamma] for polygamy.  The theorem
+    ranges of (mu_r, l_r) are clauses of check_conditions.
     """
 
     measure: MeasureKind
@@ -109,14 +111,6 @@ class BoundFamily:
         if not (low - 1e-12 <= lo and hi <= high + 1e-12 and math.isfinite(hi)):
             raise ParameterError(
                 f"alpha={shown} is not finite or outside [{low}, {high}] for {self.label}")
-
-    def mu_ok(self, mu: float) -> bool:
-        if self.direction == MONOGAMY:
-            return mu >= 1.0 - CERT_TOL
-        return 0.0 < mu <= 1.0 + CERT_TOL
-
-    def ell_ok(self, ell: float) -> bool:
-        return ell >= 1.0 - CERT_TOL
 
     @property
     def label(self) -> str:
@@ -321,6 +315,18 @@ class RhsBreakdown:
     terms: tuple
 
 
+def _split_step(n_values: int, n_steps: int, split) -> int:
+    """The split m (None is N-2) of n_values pair values and n_steps (mu, ell):
+    ParameterError unless n_steps = N-2 and m is in [1, N-2]."""
+    if n_steps != n_values - 1:
+        raise ParameterError(
+            f"{n_values} values need {n_values - 1} (mu, ell) steps, got {n_steps}")
+    m = n_steps if split is None else int(split)
+    if not 1 <= m <= n_steps:
+        raise ParameterError(f"split {m} outside [1, {n_steps}] for {n_values} pairs")
+    return m
+
+
 def _right_sides(values, family: BoundFamily, alpha, split, names, mu=(), ell=(),
                  k=None) -> dict:
     """Each right side in names (in order) from one list of values**alpha.
@@ -354,14 +360,7 @@ def _right_sides(values, family: BoundFamily, alpha, split, names, mu=(), ell=()
                     raise ParameterError(f"need at least 2 pairwise values, got {len(values)}")
                 if any(v < 0 for v in values):
                     raise ParameterError(f"measure values must be nonnegative, got {values}")
-                n_steps = len(values) - 1
-                if len(weights) != n_steps:
-                    raise ParameterError(f"{len(values)} values need {n_steps} (mu, ell) "
-                                         f"steps, got {len(weights)}")
-                m = n_steps if split is None else int(split)
-                if not 1 <= m <= n_steps:
-                    raise ParameterError(
-                        f"split {m} outside [1, {n_steps}] for {len(values)} pairs")
+                m = _split_step(len(values), len(weights), split)
                 powers = [v ** alpha for v in values]
             coeffs, head = [], 1.0
             for w in weights[:m]:
@@ -495,13 +494,15 @@ def measure_chain(state: PureState, family: BoundFamily, budget: int = 200,
     return Chain(state, family, kind.pure_value(state, [0]), tuple(float(v) for v in pairs))
 
 
-def _clause(desc, lhs: MeasureValue, rhs: MeasureValue, op=">=") -> ConditionStep:
-    """Certified verdict for lhs >= rhs (or <=); None is an uncertified side."""
+def _clause(desc, lhs, rhs, op=">=") -> ConditionStep:
+    """Certified verdict for lhs >= rhs (or <=) on (lo, hi) endpoint pairs,
+    within CERT_TOL; None is an uncertified side.  The one verdict rule of
+    every hypothesis clause."""
     if lhs is None or rhs is None:
         return ConditionStep(desc, "undecidable")
     if op == "<=":
         lhs, rhs = rhs, lhs
-    (lhs_lo, lhs_hi), (rhs_lo, rhs_hi) = lhs.bounds, rhs.bounds
+    (lhs_lo, lhs_hi), (rhs_lo, rhs_hi) = lhs, rhs
     if lhs_lo >= rhs_hi - CERT_TOL:
         return ConditionStep(desc, "holds", lhs_lo - rhs_hi)
     if lhs_hi < rhs_lo - CERT_TOL:
@@ -510,48 +511,49 @@ def _clause(desc, lhs: MeasureValue, rhs: MeasureValue, op=">=") -> ConditionSte
 
 
 def check_conditions(chain: Chain, params: BoundParams) -> ConditionReport:
-    """Hypothesis check for every chain step, interval-certified.
+    """Hypothesis check for every chain step, each clause a _clause verdict.
 
-    Three-qubit pure states yield exact verdicts.  For larger registers
-    the concurrence and CREN families certify what their links allow and
-    report "undecidable" otherwise; heuristic pair values and uncertified
-    links never certify a clause.
+    Clauses run on endpoints at the power gamma: a certified link's bounds,
+    an exact pair value v as (v, v), their multiples and sums end by end;
+    an uncertified value (a heuristic pair, a None link) is None and stays
+    None.  The mu_r and l_r ranges are clauses of (mu_r, mu_r) and
+    (l_r, l_r) against (1, 1).  Three-qubit pure states yield exact
+    verdicts; beyond them the concurrence and CREN families certify what
+    their links allow.  mu and ell must be explicit, with the shape and
+    split _right_sides requires (ParameterError otherwise).
     """
     family = params.family
     if params.mu is None:
         raise ParameterError("check_conditions needs explicit mu and ell")
+    m = _split_step(len(chain.pairs), len(params.mu), params.split)
     p = family.gamma
-    # None (uncertified) stays None through every expression below
-    links = [link and link ** p for link in chain.links]
-    pairs = [MeasureValue.exact(v ** p) if chain.status == "exact" else None
-             for v in chain.pairs]
-    mono = family.direction == MONOGAMY
-    op = ">=" if mono else "<="
+    links = [None if link is None else tuple(end ** p for end in link.bounds)
+             for link in chain.links]
+    pairs = [(v ** p,) * 2 if chain.status == "exact" else None for v in chain.pairs]
+    op = ">=" if family.direction == MONOGAMY else "<="
     ptxt = "" if p == 1.0 else f"^{p:g}"
 
     steps = []
-    for r in range(1, chain.state.n_qubits - 1):
+    for r in range(1, len(params.mu) + 1):
         mu, ell = params.mu[r - 1], params.ell[r - 1]
-        steps.append(ConditionStep(
-            f"step {r}: mu_{r} >= 1" if mono else f"step {r}: 0 < mu_{r} <= 1",
-            "holds" if family.mu_ok(mu) else "fails",
-            mu - 1.0 if mono else 1.0 - mu))
-        steps.append(ConditionStep(
-            f"step {r}: l_{r} >= 1", "holds" if family.ell_ok(ell) else "fails",
-            ell - 1.0))
+        steps.append(_clause(f"step {r}: mu_{r} >= 1" if op == ">=" else
+                             f"step {r}: 0 < mu_{r} <= 1", (mu, mu), (1.0, 1.0), op))
+        steps.append(_clause(f"step {r}: l_{r} >= 1", (ell, ell), (1.0, 1.0)))
 
         # steps up to the split compare the pair against the tail; beyond it
         # the two swap roles; the second clause is x + mu*y either way
         pair_txt, tail_txt = f"M{ptxt}(A,B{r})", f"M{ptxt}(A|B{r + 1}..)"
-        if params.split is None or r <= int(params.split):
+        if r <= m:
             x, y, xt, yt = pairs[r - 1], links[r], pair_txt, tail_txt
             sum_txt = f"{xt} + mu_{r} * {yt}"
         else:
             x, y, xt, yt = links[r], pairs[r - 1], tail_txt, pair_txt
             sum_txt = f"mu_{r} * {yt} + {xt}"
-        steps.append(_clause(f"step {r}: {xt} >= l_{r} * {yt}", x, y and ell * y))
-        steps.append(_clause(f"step {r}: M{ptxt}(A|B{r}..) {op} {sum_txt}",
-                             links[r - 1], x and y and x + mu * y, op))
+        certified = x is not None and y is not None
+        steps.append(_clause(f"step {r}: {xt} >= l_{r} * {yt}", x,
+                             None if y is None else (ell * y[0], ell * y[1])))
+        steps.append(_clause(f"step {r}: M{ptxt}(A|B{r}..) {op} {sum_txt}", links[r - 1],
+                             (x[0] + mu * y[0], x[1] + mu * y[1]) if certified else None, op))
     return ConditionReport(tuple(steps))
 
 

@@ -35,7 +35,6 @@ of one qubit against a larger group.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +54,7 @@ TSALLIS_Q_HI = (5.0 + math.sqrt(13.0)) / 2.0
 RENYI_ORDER_LO = (math.sqrt(7.0) - 1.0) / 2.0
 
 # roundoff allowance of every certified comparison: the verdicts of
-# bounds.check_conditions, whose saturating states sit exactly on a clause
+# bounds._clause, whose saturating states sit exactly on a clause
 # boundary, verify's margin, and group_link's exactness test
 CERT_TOL = 1e-9
 
@@ -112,33 +111,6 @@ class MeasureValue:
     @classmethod
     def heuristic(cls, v):
         return cls(float(v), "heuristic")
-
-    # Powers (p > 0) of nonnegative values, nonnegative multiples and sums
-    # map certified ranges to certified ranges endpoint by endpoint.
-    def __pow__(self, p: float) -> "MeasureValue":
-        return _endpointwise(lambda x: x ** p, self)
-
-    def __rmul__(self, c: float) -> "MeasureValue":
-        if not c >= 0:
-            raise ParameterError(f"only a nonnegative multiple keeps a certified range, got {c}")
-        return _endpointwise(lambda x: c * x, self)
-
-    def __add__(self, other: "MeasureValue") -> "MeasureValue":
-        return _endpointwise(operator.add, self, other)
-
-
-def _endpointwise(f, *values) -> MeasureValue:
-    """f, nondecreasing in each argument, on the lower and on the upper ends.
-
-    Exact when every operand is exact; a heuristic operand has no certified
-    range and raises CapabilityError.
-    """
-    if any(v.status == "heuristic" for v in values):
-        raise CapabilityError("a heuristic value has no certified range to compute with")
-    lo = f(*(v.bounds[0] for v in values))
-    if all(v.status == "exact" for v in values):
-        return MeasureValue.exact(lo)
-    return MeasureValue.interval(lo, f(*(v.bounds[1] for v in values)))
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entmono import (BoundFamily, BoundParams, CapabilityError, DensityMatrix, DimensionError,
-                     MeasureKind, MeasureValue, ParameterError, PureState, bound_family,
+                     MeasureKind, ParameterError, PureState, bound_family,
                      check_conditions, coefficient_K, eof, example1_params, extract_mu_l, ghz,
                      measure_chain, prior_rhs, random_pure, resolve_params,
                      rhs_assemble, schmidt3, seed_path, verify, w_state)
 from entmono.bounds import PRIOR_KINDS, _clause, prior_weight
 from entmono.corpus import run_suite
-from entmono.measures import pair_concurrences
+from entmono.measures import CERT_TOL, pair_concurrences
 
 EX1 = schmidt3(example1_params())
 SQ2 = math.sqrt(2.0)
@@ -324,16 +324,17 @@ class TestCheckConditions:
 
 
 class TestClause:
-    """_clause with op "<=", the direction of the polygamy group clauses."""
+    """_clause on (lo, hi) endpoint pairs; op "<=" is the direction of the
+    polygamy group clauses and of the polygamy range 0 < mu_r <= 1."""
 
     @pytest.mark.parametrize("lhs,rhs,status,slack", [
-        (MeasureValue.exact(0.2), MeasureValue.exact(0.5), "holds", 0.3),
-        (MeasureValue.interval(0.1, 0.2), MeasureValue.interval(0.4, 0.5), "holds", 0.2),
-        (MeasureValue.exact(0.5 + 5e-10), MeasureValue.exact(0.5), "holds", -5e-10),
-        (MeasureValue.exact(0.5), MeasureValue.exact(0.2), "fails", -0.3),
-        (MeasureValue.interval(0.4, 0.6), MeasureValue.interval(0.1, 0.3), "fails", -0.1),
-        (MeasureValue.interval(0.1, 0.4), MeasureValue.exact(0.3), "undecidable", None),
-        (None, MeasureValue.exact(0.3), "undecidable", None),
+        ((0.2, 0.2), (0.5, 0.5), "holds", 0.3),
+        ((0.1, 0.2), (0.4, 0.5), "holds", 0.2),
+        ((0.5 + 5e-10, 0.5 + 5e-10), (0.5, 0.5), "holds", -5e-10),
+        ((0.5, 0.5), (0.2, 0.2), "fails", -0.3),
+        ((0.4, 0.6), (0.1, 0.3), "fails", -0.1),
+        ((0.1, 0.4), (0.3, 0.3), "undecidable", None),
+        (None, (0.3, 0.3), "undecidable", None),
     ])
     def test_at_most(self, lhs, rhs, status, slack):
         step = _clause("lhs <= rhs", lhs, rhs, "<=")
@@ -341,6 +342,42 @@ class TestClause:
         assert step.slack == (None if slack is None else pytest.approx(slack, abs=1e-15))
         # lhs <= rhs is rhs >= lhs
         assert step == _clause("lhs <= rhs", rhs, lhs)
+
+    @pytest.mark.parametrize("op,edge,beyond", [(">=", 1.0 - CERT_TOL, 0.0),
+                                                ("<=", 1.0 + CERT_TOL, math.inf)])
+    def test_range_clause_at_the_tolerance_edge(self, op, edge, beyond):
+        # mu_r >= 1 and l_r >= 1 hold down to 1 - CERT_TOL, and the polygamy
+        # mu_r <= 1 up to 1 + CERT_TOL; the next float past the edge fails
+        step = _clause("range", (edge, edge), (1.0, 1.0), op)
+        assert step.status == "holds"
+        assert step.slack == (edge - 1.0 if op == ">=" else 1.0 - edge)
+        out = math.nextafter(edge, beyond)
+        step = _clause("range", (out, out), (1.0, 1.0), op)
+        assert step.status == "fails"
+        assert step.slack == (out - 1.0 if op == ">=" else 1.0 - out)
+
+    @pytest.mark.parametrize("kind", [
+        bound_family("eof", "polygamy"), bound_family("tsallis", "polygamy", q=3.5),
+        bound_family("renyi", "polygamy", order=1.2)], ids=["eoa", "teoa", "reoa"])
+    @pytest.mark.parametrize("state", [EX1, ghz(3), w_state(4), random_pure(5, seed_path(5, 0))])
+    def test_a_polygamy_chain_certifies_no_pair_or_sum_clause(self, kind, state):
+        # its pair values are heuristic (chain.status), so they enter the
+        # clauses as None, whatever mu and l say
+        chain = measure_chain(state, kind, budget=4)
+        steps = state.n_qubits - 2
+        for mu, ell in [(1.0, 1.0), (0.5, 1.5), (1e-9, 1e200)]:
+            report = check_conditions(chain, BoundParams(kind, 1.0, (mu,) * steps,
+                                                         (ell,) * steps))
+            assert [s.status for s in report.steps[2::4] + report.steps[3::4]] == \
+                ["undecidable"] * 2 * steps
+
+    def test_exact_zero_pair_values_certify_every_clause(self):
+        # GHZ_3's pair concurrences are exactly 0: the endpoints (0.0, 0.0)
+        # are certified values, not uncertified ones
+        chain = measure_chain(ghz(3), CONC)
+        assert chain.pairs == (0.0, 0.0)
+        report = check_conditions(chain, BoundParams(CONC, 2.0, (1.0,), (1.0,)))
+        assert [s.status for s in report.steps] == ["holds"] * 4
 
 
 class TestChainLinks:
@@ -373,10 +410,21 @@ class TestChainLinks:
      "check_conditions needs explicit"),
     (lambda: rhs_assemble([0.5, 0.4, 0.3], BoundParams(CONC, 2.0, (1.0, 1.0), (1.0, 1.0), 3)),
      r"split 3 outside \[1, 2\]"),
+    # check_conditions holds its parameters to the chain as the right sides do
+    (lambda: check_conditions(measure_chain(w_state(4), CONC),
+                              BoundParams(CONC, 2.0, (1.0,), (1.0,))),
+     r"3 values need 2 \(mu, ell\) steps, got 1"),
+    (lambda: check_conditions(measure_chain(w_state(4), CONC),
+                              BoundParams(CONC, 2.0, (1.0,) * 3, (1.0,) * 3)),
+     r"3 values need 2 \(mu, ell\) steps, got 3"),
+    (lambda: check_conditions(measure_chain(w_state(4), CONC),
+                              BoundParams(CONC, 2.0, (1.0, 1.0), (1.0, 1.0), 5)),
+     r"split 5 outside \[1, 2\] for 3 pairs"),
     (lambda: verify(DensityMatrix(np.eye(8) / 8, (2, 2, 2)), BoundParams(CONC, 2.0)),
      "a bound needs a PureState"),
 ], ids=["mu-ell-lengths", "split-0", "rhs-unresolved", "conditions-unresolved",
-        "split-past-n-2", "density-matrix"])
+        "split-past-n-2", "conditions-one-step", "conditions-three-steps",
+        "conditions-split-past-n-2", "density-matrix"])
 def test_bound_inputs_are_checked(call, message):
     with pytest.raises(ParameterError, match=message):
         call()

@@ -228,24 +228,6 @@ class TestConcurrenceInterval:
             CONCURRENCE.evaluate(ghz(5), [0, 1], [0, 1, 2, 3])  # two qubits on each side
 
 
-class TestMeasureValueArithmetic:
-    def test_exact_stays_exact(self):
-        v = 2.0 * MeasureValue.exact(3.0) ** 2 + MeasureValue.exact(1.0)
-        assert (v.status, v.value) == ("exact", 19.0)
-
-    def test_interval_endpoints(self):
-        v = 2.0 * MeasureValue.interval(1.0, 2.0) ** 2 + MeasureValue.exact(1.0)
-        assert (v.status, v.bounds) == ("interval", (3.0, 9.0))
-
-    def test_heuristic_and_negative_multiples_raise(self):
-        with pytest.raises(CapabilityError):
-            MeasureValue.heuristic(0.5) ** 2
-        with pytest.raises(CapabilityError):
-            MeasureValue.exact(0.5) + MeasureValue.heuristic(0.5)
-        with pytest.raises(ParameterError):
-            -1.0 * MeasureValue.exact(0.5)
-
-
 GHZ3 = ghz(3)
 SIDE_ROUTES = {
     "eof": lambda side: eof(GHZ3, side),
