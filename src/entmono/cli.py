@@ -271,7 +271,7 @@ def sweep_columns(args) -> dict:
 
 def cmd_corpus(args) -> int:
     names = list(corpus_mod.SUITE_NAMES) if args.suite == "all" else [args.suite]
-    results = [corpus_mod.run_suite(n, args.samples, args.seed) for n in names]
+    results = corpus_mod.run_suites(names, args.samples, args.seed)
     record = {
         "command": "corpus",
         "seed": args.seed,

@@ -8,27 +8,27 @@ not depend on evaluation order; the scalar suites draw one vectorized
 block.  A suite reports its violation count and worst observed slack;
 slack >= -tolerance everywhere means the property holds.
 
-The state-based suites (ckw, consistency, lemma2) evaluate their samples
-in blocks of at most BLOCK states, so peak memory does not grow with the
-sample count.  A block is an (S, 2**n) amplitude array with one
-(master seed, index) stream per row (:func:`states.haar_block`): the
-seed words of the whole block are hashed at once, then one PCG64 per row
-makes the draw, and the PureState checks apply to the whole block.  A
-suite takes at most MAX_SAMPLES samples, so every sample index fits the
-one 32-bit entropy word that block hash gives it.  The suites have no
-reductions of their own: they read the shared pure-state kernels of
-:mod:`measures`, marginal_spectra and pair_concurrences, on the whole
-block, the same kernels measure_chain calls on one state.  Neither forms a reduced state: the marginal
-spectra are squared singular values of the amplitude matrices, and each
-pair concurrence of a 3-qubit sample is read off its (4, 2) amplitude
-matrix, a factor of the pair state, through one batched svd of the
-2 x 2 matrices M^T (sy x sy) M.  Slack arrays are recorded with
-:meth:`SuiteResult.record_all`, which keeps the first five offenders in
-sample order.  lemma1 and hierarchy draw their scalars in one block and
-evaluate them as arrays; hierarchy's weights come from the broadcasting
-bounds.coefficient_K and bounds.prior_weight.  lemma2 extracts (mu, l)
-sample by sample through bounds.extract_mu_l, then evaluates every
-(sample, alpha, variant) slack of a block as one array.
+The state-based suites (ckw, consistency, lemma2) run as one pass over
+blocks of at most BLOCK sample indices (:func:`run_suites`), so peak
+memory does not grow with the sample count.  Each block is drawn once
+(:func:`states.haar_blocks`), for the widest register still needed, and
+its 3-qubit samples are measured once, C(A|BC), C(AB) and C(AC), for
+both ckw and lemma2; consistency takes the 2-qubit block.  A suite takes
+at most MAX_SAMPLES samples, so every sample index fits the one 32-bit
+entropy word of the block's seed hash.  The suites are per-block
+consumers with no reductions of their own; the pass reads the
+pure-state kernels measure_chain calls on one state, marginal_spectra
+and pair_concurrences of :mod:`measures`.  Neither forms a reduced
+state: the marginal spectra are squared singular values of the amplitude
+matrices, and each pair concurrence of a 3-qubit sample is read off its
+(4, 2) amplitude matrix, a factor of the pair state, through one batched
+svd of the 2 x 2 matrices M^T (sy x sy) M.  Slack arrays are recorded
+with :meth:`SuiteResult.record_all`, which keeps the first five
+offenders in sample order.  lemma1 and hierarchy draw their scalars in
+one block and evaluate them as arrays; hierarchy's weights come from the
+broadcasting bounds.coefficient_K and bounds.prior_weight.  lemma2
+extracts (mu, l) sample by sample through bounds.extract_mu_l, then
+evaluates every (sample, alpha, variant) slack of a block as one array.
 """
 
 import math
@@ -39,7 +39,7 @@ import numpy as np
 from .bounds import bound_family, coefficient_K, extract_mu_l, prior_weight
 from .errors import ParameterError
 from .measures import MeasureKind, marginal_spectra, pair_concurrences
-from .states import INDEX_CAP, haar_block, seed_path
+from .states import INDEX_CAP, haar_blocks, seed_path
 
 # samples per evaluated block of the state-based suites
 BLOCK = 1024
@@ -122,22 +122,13 @@ def suite_lemma1(samples: int, seed: int) -> SuiteResult:
     return res
 
 
-def _blocks(n: int, samples: int, seed: int):
-    """(first sample index, (S, 2**n) amplitudes) per block of Haar samples."""
-    for start in range(0, samples, BLOCK):
-        yield start, haar_block(n, seed, start, min(samples, start + BLOCK))
-
-
-def suite_ckw(samples: int, seed: int) -> SuiteResult:
-    """C²(A|BC) >= C²(AB) + C²(AC) on Haar-random 3-qubit pure states."""
-    res = SuiteResult("ckw", samples, seed, tolerance=1e-9)
-    for start, amps in _blocks(3, samples, seed):
-        c_abc = MeasureKind("concurrence").from_spectrum(marginal_spectra(amps, (2, 2, 2), [0]))
-        c_ab, c_ac = pair_concurrences(amps, (2, 2, 2)).T
-        res.record_all(c_abc ** 2 - c_ab ** 2 - c_ac ** 2,
-                       lambda i: {"sample": start + i, "c_abc": float(c_abc[i]),
-                                  "c_ab": float(c_ab[i]), "c_ac": float(c_ac[i])})
-    return res
+def suite_ckw(res: SuiteResult, start: int, conc: tuple):
+    """C²(A|BC) >= C²(AB) + C²(AC) on Haar-random 3-qubit pure states;
+    records one block, conc being (C(A|BC), C(AB), C(AC)) from sample start on."""
+    c_abc, c_ab, c_ac = (c[:res.samples - start] for c in conc)
+    res.record_all(c_abc ** 2 - c_ab ** 2 - c_ac ** 2,
+                   lambda i: {"sample": start + i, "c_abc": float(c_abc[i]),
+                              "c_ab": float(c_ab[i]), "c_ac": float(c_ac[i])})
 
 
 # the entropic kinds whose closed forms in the concurrence are checked
@@ -146,19 +137,17 @@ CONSISTENCY_KINDS = (MeasureKind("eof"),
                      *(MeasureKind("renyi", order=order) for order in (2.0, 3.0)))
 
 
-def suite_consistency(samples: int, seed: int) -> SuiteResult:
+def suite_consistency(res: SuiteResult, start: int, amps: np.ndarray):
     """On random two-qubit pure states the entropic measures equal their
     closed-form functions of the concurrence: from_spectrum of the marginal
-    spectrum against from_concurrence of the concurrence, per kind."""
-    res = SuiteResult("consistency", samples, seed, tolerance=1e-9)
-    for start, amps in _blocks(2, samples, seed):
-        evs = marginal_spectra(amps, (2, 2), [0])
-        c = MeasureKind("concurrence").from_spectrum(evs)
-        max_dev = np.max([np.abs(kind.from_spectrum(evs) - kind.from_concurrence(c))
-                          for kind in CONSISTENCY_KINDS], axis=0)
-        res.record_all(-max_dev, lambda i: {"sample": start + i, "concurrence": float(c[i]),
-                                            "max_dev": float(max_dev[i])})
-    return res
+    spectrum against from_concurrence of the concurrence, per kind.  Records
+    one block of 2-qubit amplitudes, read as suite_ckw reads its conc."""
+    evs = marginal_spectra(amps[:res.samples - start], (2, 2), [0])
+    c = MeasureKind("concurrence").from_spectrum(evs)
+    max_dev = np.max([np.abs(kind.from_spectrum(evs) - kind.from_concurrence(c))
+                      for kind in CONSISTENCY_KINDS], axis=0)
+    res.record_all(-max_dev, lambda i: {"sample": start + i, "concurrence": float(c[i]),
+                                        "max_dev": float(max_dev[i])})
 
 
 def suite_hierarchy(samples: int, seed: int) -> SuiteResult:
@@ -186,43 +175,39 @@ LEMMA2_ALPHAS = (2.0, 2.5, 3.0, 4.0)
 LEMMA2_VARIANTS = ("extracted", "l=1")
 
 
-def suite_lemma2(samples: int, seed: int) -> SuiteResult:
+def suite_lemma2(res: SuiteResult, start: int, conc: tuple):
     """Chained bound on random 3-qubit pure states with extracted (mu, l).
 
     With the maximal extracted parameters the bound saturates identically;
     when the extracted l permits l = 1 (pair dominates tail), the strictly
-    weaker l = 1 instance must still hold.
+    weaker l = 1 instance must still hold.  Records one block as suite_ckw.
     """
-    res = SuiteResult("lemma2", samples, seed, tolerance=1e-9)
+    c_abc, c_ab, c_ac = (c[:res.samples - start] for c in conc)
     fam = bound_family("concurrence")
-    alphas = np.array(LEMMA2_ALPHAS)[:, None]   # the (alpha, variant) axes
-    for start, amps in _blocks(3, samples, seed):
-        c_abc = MeasureKind("concurrence").from_spectrum(marginal_spectra(amps, (2, 2, 2), [0]))
-        c_ab, c_ac = pair_concurrences(amps, (2, 2, 2)).T
-        rows = []
-        for i, (full, ab, ac) in enumerate(zip(c_abc.tolist(), c_ab.tolist(), c_ac.tolist())):
-            (mu,), (ell,) = extract_mu_l([full, ac], [ab], fam)
-            if mu is not None:  # else A carries no entanglement with C: bound is trivial
-                rows.append((i, mu, ell))
-        if not rows:
-            continue
-        idx, mu, ell = (np.array(col) for col in zip(*rows))
-        # slacks on a (sample, alpha, variant) grid, which flattens in the
-        # order of a per-sample loop; the variants are the extracted l and l = 1
-        ells = np.stack([ell, np.ones_like(ell)], axis=-1)[:, None, :]
-        k = coefficient_K(mu[:, None, None], ells, alphas, fam)
-        full, ab, ac = (x[idx, None, None] for x in (c_abc, c_ab, c_ac))
-        slack = full ** alphas - (ab ** alphas + k * ac ** alphas)
-        # the l = 1 instance applies only where the extracted l >= 1
-        slack[..., 1] = np.where(ell[:, None] >= 1.0, slack[..., 1], np.inf)
+    rows = []
+    for i, (full, ab, ac) in enumerate(zip(c_abc.tolist(), c_ab.tolist(), c_ac.tolist())):
+        (mu,), (ell,) = extract_mu_l([full, ac], [ab], fam)
+        if mu is not None:  # else A carries no entanglement with C: bound is trivial
+            rows.append((i, mu, ell))
+    if not rows:
+        return
+    idx, mu, ell = (np.array(col) for col in zip(*rows))
+    # slacks on a (sample, alpha, variant) grid, which flattens in the
+    # order of a per-sample loop; the variants are the extracted l and l = 1
+    alphas = np.array(LEMMA2_ALPHAS)[:, None]
+    ells = np.stack([ell, np.ones_like(ell)], axis=-1)[:, None, :]
+    k = coefficient_K(mu[:, None, None], ells, alphas, fam)
+    full, ab, ac = (x[idx, None, None] for x in (c_abc, c_ab, c_ac))
+    slack = full ** alphas - (ab ** alphas + k * ac ** alphas)
+    # the l = 1 instance applies only where the extracted l >= 1
+    slack[..., 1] = np.where(ell[:, None] >= 1.0, slack[..., 1], np.inf)
 
-        def detail(j):
-            r, ia, v = np.unravel_index(j, slack.shape)
-            return {"sample": start + int(idx[r]), "alpha": LEMMA2_ALPHAS[ia],
-                    "mu": float(mu[r]), "ell": float(ells[r, 0, v]),
-                    "variant": LEMMA2_VARIANTS[v]}
-        res.record_all(slack, detail)
-    return res
+    def detail(j):
+        r, ia, v = np.unravel_index(j, slack.shape)
+        return {"sample": start + int(idx[r]), "alpha": LEMMA2_ALPHAS[ia],
+                "mu": float(mu[r]), "ell": float(ells[r, 0, v]),
+                "variant": LEMMA2_VARIANTS[v]}
+    res.record_all(slack, detail)
 
 
 _SUITES = {
@@ -233,18 +218,44 @@ _SUITES = {
     "lemma2": suite_lemma2,
 }
 
+# the state suites: qubits per sample; each holds to a tolerance of 1e-9
+_QUBITS = {"ckw": 3, "consistency": 2, "lemma2": 3}
+
 
 def run_suite(name: str, samples: int = None, seed: int = 42) -> SuiteResult:
-    """Run one named suite; samples defaults to the suite's standard size.
+    """Run one named suite: run_suites([name], samples, seed)[0]."""
+    return run_suites([name], samples, seed)[0]
+
+
+def run_suites(names, samples: int = None, seed: int = 42) -> list:
+    """Run the named suites, one SuiteResult per name in order; samples
+    defaults to each suite's standard size.
 
     An unknown name, or a sample count outside [1, MAX_SAMPLES], raises
-    ParameterError before anything is drawn.
+    ParameterError before anything is drawn.  lemma1 and hierarchy run on
+    their own draws, then the state suites share one pass over blocks.
     """
-    if name not in _SUITES:
-        raise ParameterError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
-    if samples is None:
-        samples = DEFAULT_SAMPLES[name]
-    samples = int(samples)
-    if not 1 <= samples <= MAX_SAMPLES:
-        raise ParameterError(f"sample count must be in [1, {MAX_SAMPLES}], got {samples}")
-    return _SUITES[name](samples, int(seed))
+    counts = {}
+    for name in names:
+        if name not in _SUITES:
+            raise ParameterError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
+        count = int(DEFAULT_SAMPLES[name] if samples is None else samples)
+        if not 1 <= count <= MAX_SAMPLES:
+            raise ParameterError(f"sample count must be in [1, {MAX_SAMPLES}], got {count}")
+        counts[name] = count
+    seed = int(seed)
+    results = {name: SuiteResult(name, count, seed, tolerance=1e-9) if name in _QUBITS
+               else _SUITES[name](count, seed) for name, count in counts.items()}
+    state = [res for res in results.values() if res.suite in _QUBITS]
+    total = max((res.samples for res in state), default=0)
+    for start in range(0, total, BLOCK):
+        live = [res for res in state if res.samples > start]
+        sizes = {_QUBITS[res.suite] for res in live}
+        inputs = haar_blocks(sizes, seed, start, min(total, start + BLOCK))
+        if 3 in inputs:
+            amps = inputs[3]
+            c_abc = MeasureKind("concurrence").from_spectrum(marginal_spectra(amps, (2, 2, 2), [0]))
+            inputs[3] = (c_abc, *pair_concurrences(amps, (2, 2, 2)).T)
+        for res in live:
+            _SUITES[res.suite](res, start, inputs[_QUBITS[res.suite]])
+    return [results[name] for name in names]

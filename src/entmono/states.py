@@ -241,27 +241,32 @@ def random_pure(n: int, seed) -> PureState:
     return PureState(_haar_rows(rng.normal(size=(1, 2 ** (n + 1))))[0], (2,) * n)
 
 
-def haar_block(n: int, seed, start: int, stop: int) -> np.ndarray:
-    """Amplitudes of random_pure(n, seed_path(seed, i)) for start <= i < stop.
+def haar_blocks(sizes, seed, start: int, stop: int) -> dict:
+    """Amplitudes of random_pure(n, seed_path(seed, i)) for start <= i < stop:
+    n -> the (stop - start, 2**n) block, for each register size n in sizes.
 
     One row per sample, from its own (seed, i) stream: the seed words of
     the whole block are hashed at once (:func:`seed_words`), then one PCG64
     per row, seeded through numpy's ISeedSequence hook with those words,
-    makes the one draw of :func:`random_pure`.  So a block holds exactly
-    the states of the one-state-at-a-time path, bit for bit.  The draws
-    become unit vectors together (:func:`_haar_rows`), and the rows pass
-    the PureState checks (finite, norm² within NORM_TOL of 1) as one block.
-    Errors are those of :func:`seed_words`.
+    makes one draw as wide as the widest size.  An n-qubit sample is the
+    first 2**(n+1) normals of its stream (normal fills its output one value
+    after another, so a shorter draw is a prefix of a longer one), so every
+    size reads a prefix of the same rows and each stream is seeded once.
+    Each block holds exactly the states of the one-state-at-a-time path,
+    bit for bit.  The draws become unit vectors together
+    (:func:`_haar_rows`), and each block passes the PureState checks
+    (finite, norm² within NORM_TOL of 1) as a whole.  Errors are those of
+    :func:`seed_words`.
     """
-    d = 2 ** n
     words = seed_words(seed, start, stop)
     fixed_words = _fixed_words()
-    g = np.empty((stop - start, 2 * d))
+    g = np.empty((stop - start, 2 ** (max(sizes) + 1)))
     for row, w in enumerate(words):
-        g[row] = np.random.Generator(np.random.PCG64(fixed_words(w))).normal(size=2 * d)
-    out = _haar_rows(g)
-    _check_unit(out)
-    return out
+        g[row] = np.random.Generator(np.random.PCG64(fixed_words(w))).normal(size=g.shape[1])
+    blocks = {n: _haar_rows(g[:, :2 ** (n + 1)]) for n in sizes}
+    for amps in blocks.values():
+        _check_unit(amps)
+    return blocks
 
 
 def _haar_rows(g: np.ndarray) -> np.ndarray:
@@ -271,14 +276,17 @@ def _haar_rows(g: np.ndarray) -> np.ndarray:
     stream as two draws of d); the draw order fixes the sample set.  Each
     row is divided by its own norm, the square root of the dot products of
     its real and of its imaginary parts: the two strided dot products of
-    np.linalg.norm, without its wrapper, so the bits are the same.  A norm
-    over the whole block sums in another order and moves amplitudes in the
-    last bits.
+    np.linalg.norm, without its wrapper, so the bits are the same.  Each is
+    one row-times-column matmul over the stack of rows, which numpy hands
+    to the same BLAS ddot, on the same stride-2 views of the complex
+    vector, as x.dot(x) and np.linalg.norm.  A dot product of the
+    contiguous normals, or a norm over the whole block, sums in another
+    order and moves amplitudes in the last bits.
     """
     d = g.shape[1] // 2
     v = g[:, :d] + 1j * g[:, d:]
-    v /= np.sqrt(np.array([x.dot(x) for x in v.real])
-                 + np.array([y.dot(y) for y in v.imag]))[:, None]
+    re, im = v.real, v.imag
+    v /= np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0]
     return v
 
 

@@ -1,19 +1,20 @@
 """Property tests of the batched kernels against per-sample references:
 the stacked Wootters concurrence against the Hill-Wootters eigenvalue form
 and 2|ad - bc|, the blocked corpus suites against one-sample-at-a-time
-loops, the vectorized closed forms and the broadcasting coefficient_K
-against scalar calls, the Haar samples against two plain normal draws,
-the block hash of the seed words against numpy's SeedSequence, and the
-stacked assisted estimator against its per-member loop, on a
-whole polygamy chain of mixed pair ranks against each pair alone, and on
-four pair stacks against pinned float values."""
+loops and their shared pass against each suite alone, the vectorized
+closed forms and the broadcasting coefficient_K against scalar calls,
+the Haar samples against two plain normal draws, the block hash of the
+seed words against numpy's SeedSequence, and the stacked assisted
+estimator against its per-member loop, on a whole polygamy chain of
+mixed pair ranks against each pair alone, and on four pair stacks
+against pinned float values."""
 
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entmono import (DensityMatrix, DomainError, MeasureKind,
@@ -24,7 +25,7 @@ from entmono import (DensityMatrix, DomainError, MeasureKind,
 from entmono import corpus, measures
 from entmono.bounds import POLYGAMY, measure_chain
 from entmono.measures import pair_concurrences, wootters_concurrence
-from entmono.states import INDEX_CAP, haar_block, seed_words
+from entmono.states import INDEX_CAP, haar_blocks, seed_words
 
 FAST = settings(max_examples=30, deadline=None)
 
@@ -287,12 +288,16 @@ def index_blocks(draw):
 
 
 @FAST
-@given(wide_seeds, index_blocks(), st.integers(1, 4))
-def test_haar_block_rows_are_the_per_sample_states(seed, block, n):
+@given(wide_seeds, index_blocks(), st.lists(st.integers(1, 4), min_size=1, max_size=4))
+def test_haar_block_rows_are_the_per_sample_states(seed, block, sizes):
+    # one draw gives every size: an n-qubit row is a prefix of the widest row's stream
     start, stop = block
-    rows = haar_block(n, seed, start, stop)
-    for row, i in zip(rows, range(start, stop)):
-        assert row.tobytes() == random_pure(n, seed_path(seed, i)).amplitudes.tobytes()
+    blocks = haar_blocks(sizes, seed, start, stop)
+    assert sorted(blocks) == sorted(set(sizes))
+    for n, rows in blocks.items():
+        assert rows.shape == (stop - start, 2 ** n)
+        for row, i in zip(rows, range(start, stop)):
+            assert row.tobytes() == random_pure(n, seed_path(seed, i)).amplitudes.tobytes()
 
 
 @FAST
@@ -306,7 +311,7 @@ def test_haar_samples_are_two_plain_normal_draws(seed, index, n):
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     v /= np.linalg.norm(v)
     assert random_pure(n, path).amplitudes.tobytes() == v.tobytes()
-    assert haar_block(n, seed, index, index + 1)[0].tobytes() == v.tobytes()
+    assert haar_blocks([n], seed, index, index + 1)[n][0].tobytes() == v.tobytes()
 
 
 @FAST
@@ -323,7 +328,7 @@ def test_seed_words_are_the_seed_sequence_words(seed, block):
 @pytest.mark.parametrize("start, stop", [(0, INDEX_CAP + 1), (INDEX_CAP, INDEX_CAP + 2),
                                          (-1, 2)])
 def test_indices_beyond_one_entropy_word_raise(start, stop):
-    for call in (lambda: seed_words(7, start, stop), lambda: haar_block(3, 7, start, stop)):
+    for call in (lambda: seed_words(7, start, stop), lambda: haar_blocks([3], 7, start, stop)):
         with pytest.raises(ParameterError, match="sample indices"):
             call()
 
@@ -346,6 +351,36 @@ def test_batched_suites_match_per_sample_loops(seed, samples, block):
                                 ("lemma2", lemma2_reference)):
             assert_same_result(corpus.run_suite(name, samples, seed),
                                reference(samples, seed))
+
+
+@FAST
+@given(seeds, st.integers(1, 40), st.integers(1, 16),
+       st.sets(st.sampled_from(corpus.SUITE_NAMES), min_size=1).map(sorted),
+       st.lists(st.integers(1, 40), min_size=5, max_size=5, unique=True)
+       .map(lambda sizes: dict(zip(corpus.SUITE_NAMES, sizes))))
+@example(3, 7, 16, ["ckw", "consistency", "lemma2"],
+         {"lemma1": 1, "ckw": 5, "consistency": 12, "hierarchy": 1, "lemma2": 20})
+@example(3, 7, 16, ["ckw", "consistency", "lemma2"],
+         {"lemma1": 1, "ckw": 20, "consistency": 12, "hierarchy": 1, "lemma2": 5})
+def test_shared_pass_gives_each_suite_its_result_alone(seed, samples, block, names, defaults):
+    # the state suites share each block's draw and concurrences; every suite
+    # still records exactly what it records alone, also when the default
+    # sizes differ and one suite ends inside a block another reads on.  A
+    # tolerance of -inf makes every finite slack offend, so the violation
+    # counts show how many rows each suite recorded
+    suite_result = corpus.SuiteResult
+
+    def every_sample_offends(suite, samples, seed, tolerance):
+        return suite_result(suite, samples, seed, tolerance=-math.inf)
+
+    with mock.patch.object(corpus, "BLOCK", block), \
+            mock.patch.dict(corpus.DEFAULT_SAMPLES, defaults):
+        for count in (samples, None):
+            for result in (suite_result, every_sample_offends):
+                with mock.patch.object(corpus, "SuiteResult", result):
+                    shared = corpus.run_suites(names, count, seed)
+                    assert [res.to_dict() for res in shared] == \
+                        [corpus.run_suite(name, count, seed).to_dict() for name in names]
 
 
 @FAST

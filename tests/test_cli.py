@@ -405,14 +405,14 @@ def test_a_size_too_large_to_allocate_exits_two(argv, capsys, monkeypatch):
     assert err == "entmono: too large to allocate: Unable to allocate 7.28 TiB for an array\n"
 
 
-@pytest.mark.parametrize("suite", corpus.SUITE_NAMES)
+@pytest.mark.parametrize("suite", corpus.SUITE_NAMES + ("all",))
 def test_a_sample_count_past_one_entropy_word_exits_two(suite, capsys, monkeypatch):
     # every sample index must fit one 32-bit entropy word; the count is refused
     # before anything is drawn, so a draw fails the test instead of hanging it
     def no_draw(*args, **kwargs):
         raise AssertionError("drew samples past the cap")
 
-    monkeypatch.setattr(corpus, "haar_block", no_draw)
+    monkeypatch.setattr(corpus, "haar_blocks", no_draw)
     monkeypatch.setattr(np.random, "default_rng", no_draw)
     code, out, err = run_cli(["corpus", "--suite", suite, "--samples",
                               "100000000000000000000"], capsys)
@@ -850,6 +850,22 @@ class TestCorpus:
                     suite["offenders"]) == (samples, violations, True, [])
             assert abs(suite["worst_slack"] - worst) <= 1e-12
 
+    def test_each_sample_stream_is_seeded_once(self, capsys, monkeypatch):
+        # ckw, consistency and lemma2 read the same (seed, index) streams, so
+        # one run seeds as many per-sample streams as its largest state suite
+        # has samples, not one per suite and sample
+        pcg64, seeded = np.random.PCG64, []
+
+        def counting_pcg64(*args, **kwargs):
+            seeded.append(args)
+            return pcg64(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "PCG64", counting_pcg64)
+        code, rec, _ = run_json(["corpus", "--suite", "all", "--seed", "7"], capsys)
+        assert code == 0 and [s["samples"] for s in rec["suites"]] == \
+            [s[0] for s in self.SEED7.values()]
+        assert len(seeded) == max(corpus.DEFAULT_SAMPLES[name]
+                                  for name in ("ckw", "consistency", "lemma2")) == 1000
 
     # sha256 of the stdout of corpus --suite all --samples 300, recorded before
     # the seed words were hashed block by block: pins the sample set across builds
