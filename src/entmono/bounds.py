@@ -7,13 +7,14 @@ compared here all have the shape
 
 with c_i a product of per-step weights.  The four right-hand sides are
 one chained sum, which _right_sides evaluates from one list of
-M^alpha(A,B_i), and differ only in that weight: the tightened
-K_r = (mu_r + l_r)^s - l_r^s with s = alpha/gamma, against the prior
-constants 1 (CKW), 2^s - 1 (JF) and ((1+k)^s - 1)/k^s (KF).  A split m
-in [1, N-2] swaps the roles of pair and tail in steps m+1..N-2; no
-split is split N-2.  Monogamy families bound from below (>=) under
-hypotheses on the chain of residual-group values; polygamy families
-bound the assisted duals from above (<=).
+M^alpha(A,B_i), floats or stacks of samples (the corpus reads its CKW
+and lemma2 sums from it too), and differ only in that weight: the
+tightened K_r = (mu_r + l_r)^s - l_r^s with s = alpha/gamma, against
+the prior constants 1 (CKW), 2^s - 1 (JF) and ((1+k)^s - 1)/k^s (KF).
+A split m in [1, N-2] swaps the roles of pair and tail in steps
+m+1..N-2; no split is split N-2.  Monogamy families bound from below
+(>=) under hypotheses on the chain of residual-group values; polygamy
+families bound the assisted duals from above (<=).
 
 Every bound is built from one measured object, the Chain of a (state,
 family) pair, which measure_chain computes once per command: the full
@@ -100,10 +101,12 @@ class BoundFamily:
         be an array (a sweep's grid, a corpus block): it is inside when its
         smallest and largest entries are, since the check is a range (NaN
         propagates through min and max), and the error shows them as
-        min..max.
+        min..max.  An empty grid is a ParameterError.
         """
         lo = hi = shown = alpha
         if isinstance(alpha, np.ndarray):
+            if not alpha.size:
+                raise ParameterError(f"alpha grid is empty for {self.label}")
             lo, hi = float(alpha.min()), float(alpha.max())
             shown = f"{lo}..{hi}"
         low, high = self.domain
@@ -338,10 +341,17 @@ def _right_sides(values, family: BoundFamily, alpha, split, names, mu=(), ell=()
     products of the weights before them, pairs m+1..N-2 the product of the
     first m times their own weight, and the final pair the product of the
     first m.  The values are checked once, after the first name's weights
-    (so errors come in the order of separate sums); alpha is not checked
-    again.  A grid alpha gives arrays, no coefficient aliasing another.
-    "ours" maps to an RhsBreakdown, a prior to its sum; a weight, power or
-    sum beyond the float range raises OverflowError.
+    (so errors come in the order of separate sums): a negative or NaN one
+    is a ParameterError.  alpha is not checked again.  A grid alpha gives
+    arrays, no coefficient aliasing another.  "ours" maps to an
+    RhsBreakdown, a prior to its sum; a weight, power or sum beyond the
+    float range raises OverflowError.
+
+    Values may be stacked: a value that is an ndarray holds one entry per
+    sample (a corpus block), and broadcasts against alpha, mu and ell as
+    numpy does, so every entry of a sum is that sample's sum.  numpy's
+    power may differ from the float one by an ulp; float values keep the
+    float path.  One bad entry fails the whole stack.
     """
     s = family.scale(alpha if isinstance(alpha, np.ndarray) else float(alpha))
     out, powers = {}, None
@@ -355,10 +365,12 @@ def _right_sides(values, family: BoundFamily, alpha, split, names, mu=(), ell=()
             else:
                 weights = [prior_weight(name, s, k)] * (len(values) - 1)
             if powers is None:
-                values = [float(v) for v in values]
+                values = [v if isinstance(v, np.ndarray) else float(v) for v in values]
                 if len(values) < 2:
                     raise ParameterError(f"need at least 2 pairwise values, got {len(values)}")
-                if any(v < 0 for v in values):
+                # a NaN fails the comparison as a negative value does
+                if not all((v >= 0).all() if isinstance(v, np.ndarray) else v >= 0
+                           for v in values):
                     raise ParameterError(f"measure values must be nonnegative, got {values}")
                 m = _split_step(len(values), len(weights), split)
                 powers = [v ** alpha for v in values]

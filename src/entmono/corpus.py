@@ -26,9 +26,17 @@ svd of the 2 x 2 matrices M^T (sy x sy) M.  Slack arrays are recorded
 with :meth:`SuiteResult.record_all`, which keeps the first five
 offenders in sample order.  lemma1 and hierarchy draw their scalars in
 one block and evaluate them as arrays; hierarchy's weights come from the
-broadcasting bounds.coefficient_K and bounds.prior_weight.  lemma2
-extracts (mu, l) sample by sample through bounds.extract_mu_l, then
-evaluates every (sample, alpha, variant) slack of a block as one array.
+broadcasting bounds.coefficient_K and bounds.prior_weight.
+
+No suite writes a bound of its own: ckw and lemma2 read their right
+sides from the one chained-sum kernel of :mod:`bounds`, on the block's
+stacked pair concurrences.  ckw's slack is C²(A|BC) minus
+bounds.prior_rhs of kind "ckw" at alpha = 2.  lemma2 extracts (mu, l)
+sample by sample through bounds.extract_mu_l, on floats (numpy's x**2.0
+is x*x, which differs from the float power in the last bit), then takes
+every (sample, alpha, variant) right side of a block as one array of
+bounds._right_sides' tightened sum.  The state suites hold to
+measures.CERT_TOL, the roundoff allowance of a certified verdict.
 """
 
 import math
@@ -36,9 +44,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import bound_family, coefficient_K, extract_mu_l, prior_weight
+from .bounds import (_right_sides, bound_family, coefficient_K, extract_mu_l, prior_rhs,
+                     prior_weight)
 from .errors import ParameterError
-from .measures import MeasureKind, marginal_spectra, pair_concurrences
+from .measures import CERT_TOL, MeasureKind, marginal_spectra, pair_concurrences
 from .states import INDEX_CAP, haar_blocks, seed_path
 
 # samples per evaluated block of the state-based suites
@@ -46,6 +55,9 @@ BLOCK = 1024
 
 # largest sample count of a suite: every index is below states.INDEX_CAP
 MAX_SAMPLES = INDEX_CAP - 1
+
+# the family of every bound a suite checks: squared-concurrence monogamy
+_CONCURRENCE = bound_family("concurrence")
 
 SUITE_NAMES = ("lemma1", "ckw", "consistency", "hierarchy", "lemma2")
 
@@ -126,7 +138,7 @@ def suite_ckw(res: SuiteResult, start: int, conc: tuple):
     """C²(A|BC) >= C²(AB) + C²(AC) on Haar-random 3-qubit pure states;
     records one block, conc being (C(A|BC), C(AB), C(AC)) from sample start on."""
     c_abc, c_ab, c_ac = (c[:res.samples - start] for c in conc)
-    res.record_all(c_abc ** 2 - c_ab ** 2 - c_ac ** 2,
+    res.record_all(c_abc ** 2 - prior_rhs([c_ab, c_ac], 2.0, _CONCURRENCE, "ckw"),
                    lambda i: {"sample": start + i, "c_abc": float(c_abc[i]),
                               "c_ab": float(c_ab[i]), "c_ac": float(c_ac[i])})
 
@@ -154,13 +166,12 @@ def suite_hierarchy(samples: int, seed: int) -> SuiteResult:
     """Coefficient ordering (mu+l)^s - l^s >= ((1+k)^s - 1)/k^s >= 2^s - 1
     for mu >= 1 and l = 1/k, sampled over the concurrence-family domain."""
     res = SuiteResult("hierarchy", samples, seed, tolerance=1e-12)
-    fam = bound_family("concurrence")
     rng = np.random.default_rng(seed_path(seed))
     mus = rng.uniform(1.0, 5.0, samples)
     ks = rng.uniform(1e-3, 1.0, samples)
     alphas = rng.uniform(2.0, 6.0, samples)
-    s = fam.scale(alphas)
-    ours = coefficient_K(mus, 1.0 / ks, alphas, fam)
+    s = _CONCURRENCE.scale(alphas)
+    ours = coefficient_K(mus, 1.0 / ks, alphas, _CONCURRENCE)
     kf = prior_weight("kf", s, ks)
     jf = prior_weight("jf", s)
     # normalize: kf grows like 2^s/k^s, so compare relative slack
@@ -183,10 +194,9 @@ def suite_lemma2(res: SuiteResult, start: int, conc: tuple):
     weaker l = 1 instance must still hold.  Records one block as suite_ckw.
     """
     c_abc, c_ab, c_ac = (c[:res.samples - start] for c in conc)
-    fam = bound_family("concurrence")
     rows = []
     for i, (full, ab, ac) in enumerate(zip(c_abc.tolist(), c_ab.tolist(), c_ac.tolist())):
-        (mu,), (ell,) = extract_mu_l([full, ac], [ab], fam)
+        (mu,), (ell,) = extract_mu_l([full, ac], [ab], _CONCURRENCE)
         if mu is not None:  # else A carries no entanglement with C: bound is trivial
             rows.append((i, mu, ell))
     if not rows:
@@ -196,9 +206,9 @@ def suite_lemma2(res: SuiteResult, start: int, conc: tuple):
     # order of a per-sample loop; the variants are the extracted l and l = 1
     alphas = np.array(LEMMA2_ALPHAS)[:, None]
     ells = np.stack([ell, np.ones_like(ell)], axis=-1)[:, None, :]
-    k = coefficient_K(mu[:, None, None], ells, alphas, fam)
     full, ab, ac = (x[idx, None, None] for x in (c_abc, c_ab, c_ac))
-    slack = full ** alphas - (ab ** alphas + k * ac ** alphas)
+    slack = full ** alphas - _right_sides([ab, ac], _CONCURRENCE, alphas, None, ("ours",),
+                                          (mu[:, None, None],), (ells,))["ours"].rhs
     # the l = 1 instance applies only where the extracted l >= 1
     slack[..., 1] = np.where(ell[:, None] >= 1.0, slack[..., 1], np.inf)
 
@@ -218,7 +228,8 @@ _SUITES = {
     "lemma2": suite_lemma2,
 }
 
-# the state suites: qubits per sample; each holds to a tolerance of 1e-9
+# the state suites: qubits per sample; each holds to the roundoff
+# allowance of a certified verdict, measures.CERT_TOL
 _QUBITS = {"ckw": 3, "consistency": 2, "lemma2": 3}
 
 
@@ -244,7 +255,7 @@ def run_suites(names, samples: int = None, seed: int = 42) -> list:
             raise ParameterError(f"sample count must be in [1, {MAX_SAMPLES}], got {count}")
         counts[name] = count
     seed = int(seed)
-    results = {name: SuiteResult(name, count, seed, tolerance=1e-9) if name in _QUBITS
+    results = {name: SuiteResult(name, count, seed, tolerance=CERT_TOL) if name in _QUBITS
                else _SUITES[name](count, seed) for name, count in counts.items()}
     state = [res for res in results.values() if res.suite in _QUBITS]
     total = max((res.samples for res in state), default=0)

@@ -422,9 +422,19 @@ class TestChainLinks:
      r"split 5 outside \[1, 2\] for 3 pairs"),
     (lambda: verify(DensityMatrix(np.eye(8) / 8, (2, 2, 2)), BoundParams(CONC, 2.0)),
      "a bound needs a PureState"),
+    # an empty alpha grid has no smallest entry to check
+    (lambda: BoundParams(CONC, np.array([])), "alpha grid is empty"),
+    (lambda: coefficient_K(1.0, 1.0, np.array([]), CONC), "alpha grid is empty"),
+    (lambda: prior_rhs([0.5, 0.3], np.array([]), CONC, "ckw"), "alpha grid is empty"),
+    # a NaN pair value fails as a negative one, before it reaches the sum
+    (lambda: prior_rhs([0.5, math.nan], 2.0, CONC, "ckw"),
+     "measure values must be nonnegative"),
+    (lambda: prior_rhs([np.array([0.5, 0.25]), np.array([0.3, math.nan])], 2.0, CONC, "ckw"),
+     "measure values must be nonnegative"),
 ], ids=["mu-ell-lengths", "split-0", "rhs-unresolved", "conditions-unresolved",
         "split-past-n-2", "conditions-one-step", "conditions-three-steps",
-        "conditions-split-past-n-2", "density-matrix"])
+        "conditions-split-past-n-2", "density-matrix", "params-empty-alpha",
+        "coefficient-empty-alpha", "prior-empty-alpha", "nan-value", "nan-in-stack"])
 def test_bound_inputs_are_checked(call, message):
     with pytest.raises(ParameterError, match=message):
         call()

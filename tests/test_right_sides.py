@@ -8,6 +8,10 @@ Hypothesis draws 2-11 pair values (zeros included), a scalar alpha or a
 (0, 1], and inputs that leave the float range or break a rule; the kernel
 must give the reference's bits (float.hex, or the bytes of an array, and
 the type) or raise the reference's error with its message.
+
+A stack of samples (one ndarray per pair value) must give each row what
+the kernel gives on that row's floats, within a relative bound, and a
+bad row must fail the stack with the error class it fails with alone.
 """
 
 import math
@@ -17,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entmono import BoundParams, bound_family, prior_rhs, rhs_assemble
-from entmono.bounds import POLYGAMY, PRIOR_KINDS, THEOREMS, _right_sides
+from entmono.bounds import POLYGAMY, PRIOR_KINDS, THEOREMS, RhsBreakdown, _right_sides
 
 import right_sides_reference as ref
 
@@ -134,3 +138,96 @@ def test_every_right_side_has_the_bits_of_the_former_chained_sums(case):
             got = (got.pop("ours", None), got)
         assert_bits(got, want, f"selection {names}")
 
+
+# numpy's vector power and the float power differ by an ulp on some
+# inputs, so a stacked row may leave the bits of its float call: 4e-15 is
+# about 18 ulps.  An "ours" weight (mu + l)^s - l^s with its own (mu, l)
+# per row carries such an ulp times its conditioning
+# ((mu + l)^s + l^s) / ((mu + l)^s - l^s); a product of weights that
+# falls below the normal range rounds to 2^-1074 absolutely, and every
+# power of a value in [1e-3, 1] is at most 1, hence the absolute floor.
+STACK_REL = 4e-15
+STACK_ABS = 1e-300
+
+# pair values at most 1, as the measures' are, with powers in the normal range
+STACK_VALUES = st.one_of(st.sampled_from([0.0, 1.0, 0.5, 1e-3]), st.floats(1e-3, 1.0))
+
+
+@st.composite
+def stacks(draw):
+    """(rows, family, alpha, split, names, mu, ell, k, per_row) for N = 3-6:
+    1-6 rows of N-1 pair values; alpha a scalar or a 2-9-point grid of the
+    family's domain; a (mu, l) per step, shared by every row or one per row
+    (per_row); sometimes one row holds a negative or NaN value, or k lies
+    outside (0, 1]."""
+    family = FAMILIES[draw(st.sampled_from(sorted(FAMILIES)))]
+    n_values, n_rows = draw(st.integers(2, 5)), draw(st.integers(1, 6))
+    rows = np.array(draw(st.lists(st.lists(STACK_VALUES, min_size=n_values, max_size=n_values),
+                                  min_size=n_rows, max_size=n_rows)))
+    flaw = draw(st.sampled_from([None] * 5 + ["negative", "nan", "k"]))
+    if flaw in ("negative", "nan"):
+        rows[draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_values - 1))] = \
+            math.nan if flaw == "nan" else -draw(st.floats(1e-300, 1.0))
+    per_row = draw(st.booleans())
+    mu, ell = (np.array(draw(st.lists(st.lists(WEIGHTS, min_size=n_values - 1,
+                                               max_size=n_values - 1),
+                                      min_size=n_rows if per_row else 1,
+                                      max_size=n_rows if per_row else 1)))
+               for _ in range(2))
+    lo, hi = (0.0, family.gamma) if family.direction == POLYGAMY else \
+        (family.gamma, family.gamma + draw(st.sampled_from([0.0, 1.0, 10.0, 30.0])))
+    a = draw(st.floats(lo, hi))
+    if draw(st.booleans()):
+        steps = draw(st.integers(2, 9))
+        a = a + (draw(st.floats(a, hi)) - a) * np.arange(steps) / (steps - 1)
+    names = [name for name in NAMES if draw(st.booleans())] or [draw(st.sampled_from(NAMES))]
+    k = draw(st.sampled_from([None, 0.0, 1.5, math.nan]) if flaw == "k" else
+             st.one_of(st.floats(1e-3, 1.0), st.just(1.0)))
+    return (rows, family, a, draw(st.sampled_from([None, 1])), names, mu, ell, k, per_row)
+
+
+def conditioning(mu, ell, s):
+    """1 plus, over the steps, how much an ulp in a power of the weight
+    (mu_r + l_r)^s - l_r^s moves the weight relatively (1e300 for a weight
+    of 0)."""
+    cond = 1.0
+    with np.errstate(all="ignore"):
+        for mu_r, ell_r in zip(mu.tolist(), ell.tolist()):
+            hi, lo = (mu_r + ell_r) ** np.asarray(s), ell_r ** np.asarray(s)
+            cond = cond + np.nan_to_num((hi + lo) / np.abs(hi - lo), posinf=1e300)
+    return cond
+
+
+def total(side):
+    """The sum of a right side: a prior's value, or an RhsBreakdown's rhs."""
+    return side.rhs if isinstance(side, RhsBreakdown) else side
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacks())
+def test_a_stack_gives_every_row_the_right_sides_of_its_floats(case):
+    rows, family, alpha, split, names, mu, ell, k, per_row = case
+    grid = isinstance(alpha, np.ndarray)
+    # a grid's axis is the last one, so each row meets every exponent
+    column = (lambda x: x[:, None]) if grid else (lambda x: x)
+    step_mu, step_ell = ((tuple(column(x[:, r]) for r in range(x.shape[1])) if per_row
+                          else tuple(x[0].tolist())) for x in (mu, ell))
+    stacked = outcome(lambda: _right_sides([column(v) for v in rows.T], family, alpha, split,
+                                           names, step_mu, step_ell, k))
+    alone = [outcome(lambda: _right_sides(row.tolist(), family, alpha, split, names,
+                                          tuple(mu[i if per_row else 0].tolist()),
+                                          tuple(ell[i if per_row else 0].tolist()), k))
+             for i, row in enumerate(rows)]
+    failed = {result[0] for result in alone if isinstance(result, tuple)}
+    if failed:
+        assert isinstance(stacked, tuple) and stacked[0] in failed, (stacked, failed)
+        return
+    assert isinstance(stacked, dict) and list(stacked) == names, stacked
+    s = family.scale(alpha)
+    for i, sides in enumerate(alone):
+        for name in names:
+            got, want = total(stacked[name])[i], total(sides[name])
+            cond = conditioning(mu[i], ell[i], s) if per_row and name == "ours" else 1.0
+            with np.errstate(over="ignore"):  # an ill-conditioned weight allows anything
+                bound = STACK_REL * cond * np.abs(want) + STACK_ABS
+            assert np.all(np.abs(got - want) <= bound), (name, i, got, want)
