@@ -42,6 +42,7 @@ rejected, so that extracted maximal parameters can always be evaluated.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +102,8 @@ class BoundFamily:
         be an array (a sweep's grid, a corpus block): it is inside when its
         smallest and largest entries are, since the check is a range (NaN
         propagates through min and max), and the error shows them as
-        min..max.  An empty grid is a ParameterError.
+        min..max.  An empty grid, or an alpha that is neither a real number
+        nor an ndarray, is a ParameterError.
         """
         lo = hi = shown = alpha
         if isinstance(alpha, np.ndarray):
@@ -109,6 +111,9 @@ class BoundFamily:
                 raise ParameterError(f"alpha grid is empty for {self.label}")
             lo, hi = float(alpha.min()), float(alpha.max())
             shown = f"{lo}..{hi}"
+        elif not isinstance(alpha, numbers.Real):
+            raise ParameterError(
+                f"alpha must be a real number or an ndarray, got {alpha!r} for {self.label}")
         low, high = self.domain
         # a NaN or -inf lo fails the first comparison
         if not (low - 1e-12 <= lo and hi <= high + 1e-12 and math.isfinite(hi)):
@@ -341,10 +346,10 @@ def _right_sides(values, family: BoundFamily, alpha, split, names, mu=(), ell=()
     products of the weights before them, pairs m+1..N-2 the product of the
     first m times their own weight, and the final pair the product of the
     first m.  The values are checked once, after the first name's weights
-    (so errors come in the order of separate sums): a negative or NaN one
-    is a ParameterError.  alpha is not checked again.  A grid alpha gives
-    arrays, no coefficient aliasing another.  "ours" maps to an
-    RhsBreakdown, a prior to its sum; a weight, power or sum beyond the
+    (so errors come in the order of separate sums): a negative, infinite
+    or NaN one is a ParameterError.  alpha is not checked again.  A grid
+    alpha gives arrays, no coefficient aliasing another.  "ours" maps to
+    an RhsBreakdown, a prior to its sum; a weight, power or sum beyond the
     float range raises OverflowError.
 
     Values may be stacked: a value that is an ndarray holds one entry per
@@ -368,10 +373,11 @@ def _right_sides(values, family: BoundFamily, alpha, split, names, mu=(), ell=()
                 values = [v if isinstance(v, np.ndarray) else float(v) for v in values]
                 if len(values) < 2:
                     raise ParameterError(f"need at least 2 pairwise values, got {len(values)}")
-                # a NaN fails the comparison as a negative value does
-                if not all((v >= 0).all() if isinstance(v, np.ndarray) else v >= 0
-                           for v in values):
-                    raise ParameterError(f"measure values must be nonnegative, got {values}")
+                # a NaN fails the comparisons as a negative or infinite value does
+                if not all(((v >= 0) & (v < np.inf)).all() if isinstance(v, np.ndarray)
+                           else 0 <= v < math.inf for v in values):
+                    raise ParameterError(
+                        f"measure values must be nonnegative and finite, got {values}")
                 m = _split_step(len(values), len(weights), split)
                 powers = [v ** alpha for v in values]
             coeffs, head = [], 1.0
@@ -434,33 +440,19 @@ def prior_rhs(values, alpha, family: BoundFamily, kind: str,
     return _right_sides(values, family, alpha, split, (kind,), k=k)[kind]
 
 
-def extract_mu_l(chain, pairs, family: BoundFamily):
-    """Maximal feasible (mu_r, l_r) from measured chain and pair values.
+def extract_mu_l(full, ab, ac, family: BoundFamily):
+    """Maximal feasible (mu, l) of a three-qubit chain at measure level.
 
-    chain[r-1] is M(A | B_r...B_{N-1}) for r = 1..N-1 and pairs[r-1] is
-    M(A, B_r) for r = 1..N-2, all at measure level (the hypothesis power
-    is applied here).  Every step takes the pair-dominates-tail branch,
-    the one a split leaves to the steps up to it: extraction runs only on
-    three-qubit chains, whose single step precedes every split.  A zero
-    tail makes the step unconstrained: (None, None) is returned for it.
+    full is M(A|BC), ab and ac are M(A,B) and M(A,C); at g = family.gamma
+    mu = (full^g - ab^g)/ac^g and l = ab^g/ac^g, the pair-dominates-tail
+    branch of the chain's one step, which precedes every split.  A zero
+    ac^g makes the step unconstrained: (None, None).
     """
-    chain = [float(v) for v in chain]
-    pairs = [float(v) for v in pairs]
-    if len(chain) != len(pairs) + 1:
-        raise ParameterError(
-            f"chain of length {len(chain)} needs {len(chain) - 1} pair values, "
-            f"got {len(pairs)}")
-    p = family.gamma
-    mus, ells = [], []
-    for r in range(1, len(pairs) + 1):
-        parent, tail, pair = chain[r - 1] ** p, chain[r] ** p, pairs[r - 1] ** p
-        if tail == 0.0:
-            mus.append(None)
-            ells.append(None)
-        else:
-            mus.append((parent - pair) / tail)
-            ells.append(pair / tail)
-    return tuple(mus), tuple(ells)
+    g = family.gamma
+    parent, pair, tail = float(full) ** g, float(ab) ** g, float(ac) ** g
+    if tail == 0.0:
+        return None, None
+    return (parent - pair) / tail, pair / tail
 
 
 @dataclass(frozen=True)
@@ -573,22 +565,24 @@ def resolve_params(chain: Chain, params: BoundParams) -> BoundParams:
     """Fill in auto (mu, ell) with the maximal feasible values of the chain.
 
     Exact for three-qubit pure states, the only chains evaluate_bounds
-    extracts from (extract_mu_l rejects the length of any other).  For
-    assisted families the pair values are heuristic estimates and the
-    extracted parameters inherit that status (clamped into the theorem
-    ranges).  Unconstrained steps (zero denominators) fall back to (1, 1);
-    their terms vanish anyway.
+    extracts from: a chain without exactly two pair values is a
+    ParameterError.  For assisted families the pair values are heuristic
+    estimates and the extracted parameters inherit that status (clamped
+    into the theorem ranges).  An unconstrained step (zero ac) falls back
+    to (1, 1); its terms vanish anyway.
     """
     if params.mu is not None:
         return params
     family = params.family
-    mus, ells = extract_mu_l([chain.full, chain.pairs[-1]], chain.pairs[:-1], family)
-    mus = [1.0 if m is None else m for m in mus]
-    ells = [1.0 if l is None else l for l in ells]
+    if len(chain.pairs) != 2:
+        raise ParameterError(
+            f"automatic (mu, l) needs 2 pair values, got {len(chain.pairs)}")
+    mu, ell = extract_mu_l(chain.full, *chain.pairs, family)
+    if mu is None:
+        mu, ell = 1.0, 1.0
     if family.direction == POLYGAMY:
-        mus = [min(max(m, 1e-9), 1.0) for m in mus]
-        ells = [max(l, 1.0) for l in ells]
-    return BoundParams(family, params.alpha, tuple(mus), tuple(ells), params.split)
+        mu, ell = min(max(mu, 1e-9), 1.0), max(ell, 1.0)
+    return BoundParams(family, params.alpha, (mu,), (ell,), params.split)
 
 
 def evaluate_bounds(state: PureState, params: BoundParams, names, comparator_k: float = 0.5,

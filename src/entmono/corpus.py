@@ -32,9 +32,10 @@ No suite writes a bound of its own: ckw and lemma2 read their right
 sides from the one chained-sum kernel of :mod:`bounds`, on the block's
 stacked pair concurrences.  ckw's slack is C²(A|BC) minus
 bounds.prior_rhs of kind "ckw" at alpha = 2.  lemma2 extracts (mu, l)
-sample by sample through bounds.extract_mu_l, on floats (numpy's x**2.0
-is x*x, which differs from the float power in the last bit), then takes
-every (sample, alpha, variant) right side of a block as one array of
+sample by sample with bounds.extract_mu_l, the three-qubit step that
+verify's resolve_params runs, on floats (numpy's x**2.0 is x*x, which
+differs from the float power in the last bit), then takes every
+(sample, alpha, variant) right side of a block as one array of
 bounds._right_sides' tightened sum.  The state suites hold to
 measures.CERT_TOL, the roundoff allowance of a certified verdict.
 """
@@ -80,17 +81,11 @@ class SuiteResult:
     worst_slack: float = math.inf
     offenders: list = field(default_factory=list)
 
-    def record(self, slack: float, detail=None):
-        self.worst_slack = min(self.worst_slack, slack)
-        if slack < -self.tolerance:
-            self.violations += 1
-            if detail is not None and len(self.offenders) < 5:
-                self.offenders.append(detail)
-
     def record_all(self, slacks, detail):
         """Record an array of slacks; detail(i) is the offender dict of entry i.
 
-        Equivalent to calling :meth:`record` on each entry in order.
+        The worst slack is the minimum, an entry below -tolerance is a
+        violation, and the first five violations in order keep their detail.
         """
         slacks = np.asarray(slacks, dtype=float)
         if slacks.size:
@@ -196,7 +191,7 @@ def suite_lemma2(res: SuiteResult, start: int, conc: tuple):
     c_abc, c_ab, c_ac = (c[:res.samples - start] for c in conc)
     rows = []
     for i, (full, ab, ac) in enumerate(zip(c_abc.tolist(), c_ab.tolist(), c_ac.tolist())):
-        (mu,), (ell,) = extract_mu_l([full, ac], [ab], _CONCURRENCE)
+        mu, ell = extract_mu_l(full, ab, ac, _CONCURRENCE)
         if mu is not None:  # else A carries no entanglement with C: bound is trivial
             rows.append((i, mu, ell))
     if not rows:

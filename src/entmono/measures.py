@@ -108,10 +108,6 @@ class MeasureValue:
         lo, hi = float(lo), float(hi)
         return cls(0.5 * (lo + hi), "interval", lo, hi)
 
-    @classmethod
-    def heuristic(cls, v):
-        return cls(float(v), "heuristic")
-
 
 @dataclass(frozen=True)
 class MeasureKind:
@@ -662,7 +658,8 @@ def assisted_estimate(rho: DensityMatrix, kind: MeasureKind, budget: int = 200,
     stack of one state; see there for the streams and the blocks.
     """
     _require_two_qubits(rho, "assisted_estimate")
-    return MeasureValue.heuristic(assisted_estimates(rho.matrix[None], kind, budget, [seed])[0])
+    return MeasureValue(float(assisted_estimates(rho.matrix[None], kind, budget, [seed])[0]),
+                        "heuristic")
 
 
 def assisted_estimates(rhos: np.ndarray, kind: MeasureKind, budget: int, seeds) -> np.ndarray:

@@ -105,10 +105,11 @@ class DensityMatrix(_ArrayRecord):
     within 1e-10, finite entries, Hermitian within HERM_TOL and minimum
     eigenvalue >= -HERM_TOL (ContractError each).
 
-    Its one public method is :meth:`purity`.  Reductions, marginal
-    spectra and negativities come from the amplitudes of a PureState, not
-    from here; a DensityMatrix is only the input of the dense kernels that
-    stay (the two-qubit closed forms and the assisted estimator).
+    It has no public methods.  Reductions, marginal spectra and
+    negativities come from the amplitudes of a PureState, and Tr rho² from
+    the Gram purity of measures.group_link, not from here; a DensityMatrix
+    is only the input of the dense kernels that stay (the two-qubit closed
+    forms and the assisted estimator).
     """
 
     matrix: np.ndarray
@@ -134,10 +135,6 @@ class DensityMatrix(_ArrayRecord):
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
-
-    def purity(self) -> float:
-        """Tr rho² as the squared Frobenius norm (rho is Hermitian)."""
-        return float(np.vdot(self.matrix, self.matrix).real)
 
 
 @dataclass(frozen=True)

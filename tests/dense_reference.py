@@ -24,6 +24,11 @@ def _as_matrix(m) -> np.ndarray:
     return m
 
 
+def purity(rho: DensityMatrix) -> float:
+    """Tr rho² as the squared Frobenius norm (rho is Hermitian)."""
+    return float(np.vdot(rho.matrix, rho.matrix).real)
+
+
 def psd_eigvals(m) -> np.ndarray:
     """Descending eigenvalues of a trusted PSD Hermitian matrix, roundoff
     below zero clamped to 0."""
@@ -110,7 +115,7 @@ def dense_concurrence_interval(rho: DensityMatrix, side: int = 0) -> MeasureValu
     hi = sqrt(2[1 - Tr rho_side²]); a group of purity >= 1 - 1e-10 gives
     the exact pure-state value of its leading eigenvector.
     """
-    if rho.purity() >= 1.0 - 1e-10:
+    if purity(rho) >= 1.0 - 1e-10:
         evs, vecs = np.linalg.eigh(rho.matrix)
         vec = vecs[:, int(np.argmax(evs))]
         return concurrence_pure(PureState(vec / np.linalg.norm(vec), rho.dims), {side})

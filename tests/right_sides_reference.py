@@ -4,10 +4,13 @@ Before bounds._right_sides, each right side was its own chained sum: the
 tightened one took its weights from one coefficient_K call per step, and
 each prior re-checked alpha and k, took its prior_weight and ran the same
 sum again, re-raising every pair value to alpha and building its own
-PairTerm records.  The bodies below are those functions as they were;
-the property tests require the kernel to give the same bits and the same
-errors.
+PairTerm records.  The bodies below are those functions as they were,
+except that a value check also rejects an infinite value, as the kernel
+now does; the property tests require the kernel to give the same bits
+and the same errors.
 """
+
+import math
 
 import numpy as np
 
@@ -21,8 +24,8 @@ def chained_sum(values, step_weights, alpha, split) -> RhsBreakdown:
     values = [float(v) for v in values]
     if len(values) < 2:
         raise ParameterError(f"need at least 2 pairwise values, got {len(values)}")
-    if any(v < 0 for v in values):
-        raise ParameterError(f"measure values must be nonnegative, got {values}")
+    if not all(0 <= v < math.inf for v in values):
+        raise ParameterError(f"measure values must be nonnegative and finite, got {values}")
     n_steps = len(values) - 1
     if len(step_weights) != n_steps:
         raise ParameterError(

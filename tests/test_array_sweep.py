@@ -19,9 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entmono.cli as cli
-from entmono import (BoundParams, bound_family, measure_chain, prior_rhs, random_pure,
-                     resolve_params, rhs_assemble, save_state)
-from entmono.bounds import PRIOR_KINDS
+from entmono import BoundParams, bound_family, random_pure, save_state
+from entmono.bounds import PRIOR_KINDS, measure_chain, prior_rhs, resolve_params, rhs_assemble
 from right_sides_reference import chained_sum
 
 FAST = settings(max_examples=60, deadline=None)

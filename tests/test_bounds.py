@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entmono import (BoundFamily, BoundParams, CapabilityError, DensityMatrix, DimensionError,
+from entmono import (BoundParams, CapabilityError, DensityMatrix, DimensionError,
                      MeasureKind, ParameterError, PureState, bound_family,
-                     check_conditions, coefficient_K, eof, example1_params, extract_mu_l, ghz,
-                     measure_chain, prior_rhs, random_pure, resolve_params,
-                     rhs_assemble, schmidt3, seed_path, verify, w_state)
-from entmono.bounds import PRIOR_KINDS, _clause, prior_weight
+                     coefficient_K, eof, example1_params, ghz,
+                     random_pure, schmidt3, seed_path, verify, w_state)
+from entmono.bounds import (PRIOR_KINDS, BoundFamily, Chain, _clause, check_conditions,
+                            extract_mu_l, measure_chain, prior_rhs, prior_weight,
+                            resolve_params, rhs_assemble)
 from entmono.corpus import run_suite
 from entmono.measures import CERT_TOL, pair_concurrences
 
@@ -266,32 +267,27 @@ class TestPriorWeight:
 
 class TestExtract:
     def test_example1_concurrence(self):
-        (mu,), (ell,) = extract_mu_l([C_TRIPLE[0], C_TRIPLE[2]], [C_TRIPLE[1]], CONC)
+        mu, ell = extract_mu_l(*C_TRIPLE, CONC)
         assert mu == pytest.approx(2.0, abs=1e-12)
         assert ell == pytest.approx(2.0, abs=1e-12)
 
     def test_example1_eof(self):
         # mu* = (E_group^s2 - E_AB^s2)/E_AC^s2 from the closed-form values
         e_abc, e_ab, e_ac = E_TRIPLE
-        (mu,), (ell,) = extract_mu_l([e_abc, e_ac], [e_ab], EOF)
+        mu, ell = extract_mu_l(e_abc, e_ab, e_ac, EOF)
         assert mu == pytest.approx((e_abc ** SQ2 - e_ab ** SQ2) / e_ac ** SQ2, rel=1e-12)
         assert mu == pytest.approx(2.33339404125, abs=1e-9)
         assert ell == pytest.approx(2.14136155176, abs=1e-9)
 
     def test_degenerate_chain_unconstrained(self):
-        mus, ells = extract_mu_l([0.5, 0.0], [0.5], CONC)
-        assert mus == (None,) and ells == (None,)
+        assert extract_mu_l(0.5, 0.5, 0.0, CONC) == (None, None)
 
     def test_tsallis_and_renyi(self):
-        (mu_t,), (ell_t,) = extract_mu_l([T_TRIPLE[0], T_TRIPLE[2]], [T_TRIPLE[1]], TSQ2)
+        mu_t, ell_t = extract_mu_l(*T_TRIPLE, TSQ2)
         assert (mu_t, ell_t) == (pytest.approx(2.0, abs=1e-12), pytest.approx(2.0, abs=1e-12))
-        (mu_r,), (ell_r,) = extract_mu_l([R_TRIPLE[0], R_TRIPLE[2]], [R_TRIPLE[1]], REN2)
+        mu_r, ell_r = extract_mu_l(*R_TRIPLE, REN2)
         assert mu_r == pytest.approx(2.53424101976, abs=1e-9)
         assert ell_r == pytest.approx(2.09102929727, abs=1e-9)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ParameterError):
-            extract_mu_l([0.8, 0.4], [0.5, 0.5], CONC)
 
 
 class TestCheckConditions:
@@ -431,10 +427,21 @@ class TestChainLinks:
      "measure values must be nonnegative"),
     (lambda: prior_rhs([np.array([0.5, 0.25]), np.array([0.3, math.nan])], 2.0, CONC, "ckw"),
      "measure values must be nonnegative"),
+    # an alpha that is neither a real number nor an ndarray has no range to check
+    (lambda: BoundParams(CONC, [2.0, 3.0]), "alpha must be a real number or an ndarray"),
+    (lambda: BoundParams(CONC, "3"), "alpha must be a real number or an ndarray"),
+    (lambda: prior_rhs([0.5, 0.3], [2.0, 3.0], CONC, "ckw"),
+     "alpha must be a real number or an ndarray"),
+    # an infinite pair value fails as a NaN one does, before its power overflows
+    (lambda: prior_rhs([0.5, math.inf], 2.0, CONC, "ckw"), "measure values must be nonnegative"),
+    (lambda: prior_rhs([np.array([0.5, 0.25]), np.array([0.3, math.inf])], 2.0, CONC, "ckw"),
+     "measure values must be nonnegative"),
 ], ids=["mu-ell-lengths", "split-0", "rhs-unresolved", "conditions-unresolved",
         "split-past-n-2", "conditions-one-step", "conditions-three-steps",
         "conditions-split-past-n-2", "density-matrix", "params-empty-alpha",
-        "coefficient-empty-alpha", "prior-empty-alpha", "nan-value", "nan-in-stack"])
+        "coefficient-empty-alpha", "prior-empty-alpha", "nan-value", "nan-in-stack",
+        "params-list-alpha", "params-string-alpha", "prior-list-alpha", "inf-value",
+        "inf-in-stack"])
 def test_bound_inputs_are_checked(call, message):
     with pytest.raises(ParameterError, match=message):
         call()
@@ -606,3 +613,25 @@ class TestResolveParams:
                                   BoundParams(fam, 0.5))
         assert 0.0 < resolved.mu[0] <= 1.0
         assert resolved.ell[0] >= 1.0
+
+    @pytest.mark.parametrize("full,ab,ac,mu,ell", [
+        (0.9, 0.1, 0.2, 1.0, 1.0),     # extracted (4, 0.5): both clamped
+        (0.2, 0.5, 0.4, 1e-9, 1.25)])  # extracted mu -0.75 rises to 1e-9
+    def test_polygamy_extraction_is_clamped(self, full, ab, ac, mu, ell):
+        fam = bound_family("eof", "polygamy")
+        assert extract_mu_l(full, ab, ac, fam) != (mu, ell)
+        resolved = resolve_params(Chain(EX1, fam, full, (ab, ac)), BoundParams(fam, 0.5))
+        assert (resolved.mu, resolved.ell) == ((mu,), (ell,))
+
+    def test_zero_ac_falls_back_to_one(self):
+        # GHZ_3's pair concurrences are exactly 0: the step is unconstrained
+        chain = measure_chain(ghz(3), CONC)
+        assert extract_mu_l(chain.full, *chain.pairs, CONC) == (None, None)
+        resolved = resolve_params(chain, BoundParams(CONC, 2.0))
+        assert (resolved.mu, resolved.ell) == ((1.0,), (1.0,))
+
+    def test_only_a_three_qubit_chain_is_extracted(self):
+        # evaluate_bounds refuses it first (CapabilityError); called directly,
+        # resolve_params holds the chain to its two pair values itself
+        with pytest.raises(ParameterError, match=r"needs 2 pair values, got 3"):
+            resolve_params(measure_chain(w_state(4), CONC), BoundParams(CONC, 2.0))

@@ -15,8 +15,8 @@ import entmono.cli as cli
 import entmono.corpus as corpus
 import entmono.measures as measures
 from entmono import (BoundParams, ParameterError, PureState, bound_family,
-                     coefficient_K, prior_rhs, random_pure, save_state, seed_path,
-                     w_state)
+                     coefficient_K, random_pure, save_state, seed_path, w_state)
+from entmono.bounds import prior_rhs
 
 from dense_reference import slow_reduce
 

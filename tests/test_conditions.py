@@ -17,9 +17,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entmono import (BoundParams, PureState, bound_family, check_conditions, ghz,
-                     measure_chain, random_pure, resolve_params, seed_path, w_state)
-from entmono.bounds import THEOREMS
+from entmono import (BoundParams, PureState, bound_family, ghz, random_pure, seed_path,
+                     w_state)
+from entmono.bounds import THEOREMS, check_conditions, measure_chain, resolve_params
 from entmono.measures import CERT_TOL
 
 import conditions_reference as ref

@@ -20,9 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entmono import (CapabilityError, DensityMatrix, MeasureKind, PureState,
-                     assisted_estimate, bound_family, ghz, measure_chain, negativity,
-                     random_pure, seed_path, w_state)
-from entmono.measures import (marginal_spectra, pair_concurrences,
+                     bound_family, ghz, negativity, random_pure, seed_path, w_state)
+from entmono.bounds import measure_chain
+from entmono.measures import (assisted_estimate, marginal_spectra, pair_concurrences,
                               wootters_concurrence)
 
 from dense_reference import (dense_concurrence_interval, partial_transpose,

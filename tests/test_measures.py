@@ -12,14 +12,15 @@ from hypothesis import strategies as st
 
 from entmono import (CapabilityError, DensityMatrix, DimensionError,
                      DomainError, MeasureKind, MeasureValue, ParameterError,
-                     PureState, assisted_estimate, bell, concurrence_pure,
+                     PureState, bell, concurrence_pure,
                      concurrence_two_qubit, eof, eof as _eof, example1_params,
                      f_eof, g_tsallis,
                      ghz, negativity, random_pure, renyi, schmidt3,
                      seed_path, tsallis, w_state)
 
 from entmono.bounds import THEOREMS
-from entmono.measures import RENYI_ORDER_LO, assisted_estimates, pair_concurrences
+from entmono.measures import (RENYI_ORDER_LO, assisted_estimate, assisted_estimates,
+                              pair_concurrences)
 
 from dense_reference import slow_reduce
 

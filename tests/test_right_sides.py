@@ -20,8 +20,9 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entmono import BoundParams, bound_family, prior_rhs, rhs_assemble
-from entmono.bounds import POLYGAMY, PRIOR_KINDS, THEOREMS, RhsBreakdown, _right_sides
+from entmono import BoundParams, bound_family
+from entmono.bounds import (POLYGAMY, PRIOR_KINDS, THEOREMS, RhsBreakdown, _right_sides,
+                            prior_rhs, rhs_assemble)
 
 import right_sides_reference as ref
 
