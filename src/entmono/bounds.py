@@ -43,12 +43,13 @@ rejected, so that extracted maximal parameters can always be evaluated.
 
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapabilityError, ParameterError
-from .measures import CERT_TOL, RENYI_ORDER_LO, MeasureKind, group_link
+from .measures import CERT_TOL, PARAMETERS, RENYI_ORDER_LO, MeasureKind, group_link
 from .states import PureState, seed_path
 
 MONOGAMY = "monogamy"
@@ -129,8 +130,8 @@ def bound_family(measure: str, direction: str = MONOGAMY, q: float = None,
                  order: float = None) -> BoundFamily:
     """The family record of the THEOREMS row of a measure name and direction.
 
-    The measure is assisted exactly for polygamy.  A Tsallis q or Renyi
-    order outside the row's window, the one in which the theorem is
+    The measure is assisted exactly for polygamy.  Its PARAMETERS field (q
+    or order) outside the row's window, the one in which the theorem is
     stated, is a ParameterError, as is a (measure, direction) with no row.
     """
     kind = MeasureKind(str(measure), q=q, order=order, assisted=(direction == POLYGAMY))
@@ -141,7 +142,7 @@ def bound_family(measure: str, direction: str = MONOGAMY, q: float = None,
         raise ParameterError(f"no {direction} family exists for {kind.name}")
     _, _, gamma, window = rows[0]
     if window is not None:
-        param = "q" if kind.name == "tsallis" else "order"
+        param = PARAMETERS[kind.name]
         value = getattr(kind, param)
         if not any(lo <= value <= hi for lo, hi in window):
             allowed = " or ".join(f"[{lo:g}, {hi:g}]" for lo, hi in window)
@@ -150,16 +151,22 @@ def bound_family(measure: str, direction: str = MONOGAMY, q: float = None,
     return BoundFamily(kind, gamma)
 
 
+def _is_real(value) -> bool:
+    """Whether value is a real number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class BoundParams:
     """Instantiation of one bound: exponent, per-step (mu_r, l_r), split.
 
-    mu and ell both None request automatic extraction of the maximal
+    mu and ell are iterables of positive finite real numbers (not strings
+    or bools), both None to request automatic extraction of the maximal
     feasible parameters (exact only for three-qubit pure states); giving
-    only one of them is a ParameterError.  split m in [1, N-2] groups
-    steps m+1..N-2 with the swapped-role hypotheses; None, the all-steps
-    chain, is split N-2.  alpha is a float, or a 1-D array of
-    exponents (a sweep's grid) checked by BoundFamily.check_alpha.
+    only one of them is a ParameterError.  split, an integer m in [1,
+    N-2], groups steps m+1..N-2 with the swapped-role hypotheses; None,
+    the all-steps chain, is split N-2.  alpha is a float, or a 1-D array
+    of exponents (a sweep's grid) checked by BoundFamily.check_alpha.
     """
 
     family: BoundFamily
@@ -174,6 +181,10 @@ class BoundParams:
             vals = getattr(self, name)
             if vals is None:
                 continue
+            if isinstance(vals, Iterable) and not isinstance(vals, (str, bytes)):
+                vals = tuple(vals)
+            if not isinstance(vals, tuple) or not all(map(_is_real, vals)):
+                raise ParameterError(f"{name} must be an iterable of real numbers, got {vals!r}")
             vals = tuple(float(v) for v in vals)
             if any(not math.isfinite(v) or v <= 0 for v in vals):
                 raise ParameterError(f"{name} entries must be positive finite, got {vals}")
@@ -183,7 +194,8 @@ class BoundParams:
         if self.mu is not None and len(self.mu) != len(self.ell):
             raise ParameterError(
                 f"mu and ell lengths differ: {len(self.mu)} vs {len(self.ell)}")
-        if self.split is not None and int(self.split) < 1:
+        if self.split is not None and not (isinstance(self.split, numbers.Integral)
+                                           and _is_real(self.split) and self.split >= 1):
             raise ParameterError(f"split must be a positive step index, got {self.split}")
 
 

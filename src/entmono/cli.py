@@ -185,7 +185,7 @@ def parse_floats(text):
     if text is None:
         return None
     try:
-        return tuple(float(v) for v in str(text).split(",") if v.strip())
+        return tuple(float(v) for v in str(text).split(","))
     except ValueError:
         raise ParameterError(f"expected comma-separated numbers, got {text!r}") from None
 

@@ -1,6 +1,9 @@
 """Randomized property suites: scalar-lemma inequalities, squared-
 concurrence monogamy on Haar states, measure-consistency identities,
 coefficient hierarchy, and the three-qubit chained-bound saturation.
+SUITES is their one table: run_suites builds each SuiteResult from its
+row, and every suite records into the result it is given, called through
+_SUITES as suite(res) (scalar) or suite(res, start, block inputs).
 
 Each suite is deterministic in its seed.  State-based suites derive one
 RNG stream per sample from (master seed, index) so the sample set does
@@ -36,8 +39,7 @@ sample by sample with bounds.extract_mu_l, the three-qubit step that
 verify's resolve_params runs, on floats (numpy's x**2.0 is x*x, which
 differs from the float power in the last bit), then takes every
 (sample, alpha, variant) right side of a block as one array of
-bounds._right_sides' tightened sum.  The state suites hold to
-measures.CERT_TOL, the roundoff allowance of a certified verdict.
+bounds._right_sides' tightened sum.
 """
 
 import math
@@ -60,15 +62,16 @@ MAX_SAMPLES = INDEX_CAP - 1
 # the family of every bound a suite checks: squared-concurrence monogamy
 _CONCURRENCE = bound_family("concurrence")
 
-SUITE_NAMES = ("lemma1", "ckw", "consistency", "hierarchy", "lemma2")
-
-DEFAULT_SAMPLES = {
-    "lemma1": 100_000,
-    "ckw": 1000,
-    "consistency": 1000,
-    "hierarchy": 10_000,
-    "lemma2": 200,
+# name -> (default samples, qubits per sample or None, tolerance); the state
+# suites hold to the roundoff allowance of a certified verdict, CERT_TOL
+SUITES = {
+    "lemma1": (100_000, None, 1e-12),
+    "ckw": (1000, 3, CERT_TOL),
+    "consistency": (1000, 2, CERT_TOL),
+    "hierarchy": (10_000, None, 1e-12),
+    "lemma2": (200, 3, CERT_TOL),
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 @dataclass
@@ -112,11 +115,11 @@ class SuiteResult:
         }
 
 
-def suite_lemma1(samples: int, seed: int) -> SuiteResult:
+def suite_lemma1(res: SuiteResult):
     """(1+x)^t - x^t >= (1+y)^t - y^t for 0 <= y <= x, t >= 1, and the
     reversed inequality for exponents in [0, 1]."""
-    res = SuiteResult("lemma1", samples, seed, tolerance=1e-12)
-    rng = np.random.default_rng(seed_path(seed))
+    samples = res.samples
+    rng = np.random.default_rng(seed_path(res.seed))
     x = rng.uniform(0.0, 50.0, samples)
     y = rng.uniform(0.0, 1.0, samples) * x
     t = 1.0 + rng.exponential(2.0, samples)
@@ -126,7 +129,6 @@ def suite_lemma1(samples: int, seed: int) -> SuiteResult:
     for arr, tag in ((up, "t>=1"), (down, "0<=s<=1")):
         res.record_all(arr, lambda i: {"sample": i, "direction": tag, "x": float(x[i]),
                                        "y": float(y[i]), "t": float(t[i]), "s": float(s[i])})
-    return res
 
 
 def suite_ckw(res: SuiteResult, start: int, conc: tuple):
@@ -150,18 +152,18 @@ def suite_consistency(res: SuiteResult, start: int, amps: np.ndarray):
     spectrum against from_concurrence of the concurrence, per kind.  Records
     one block of 2-qubit amplitudes, read as suite_ckw reads its conc."""
     evs = marginal_spectra(amps[:res.samples - start], (2, 2), [0])
-    c = MeasureKind("concurrence").from_spectrum(evs)
+    c = _CONCURRENCE.measure.from_spectrum(evs)
     max_dev = np.max([np.abs(kind.from_spectrum(evs) - kind.from_concurrence(c))
                       for kind in CONSISTENCY_KINDS], axis=0)
     res.record_all(-max_dev, lambda i: {"sample": start + i, "concurrence": float(c[i]),
                                         "max_dev": float(max_dev[i])})
 
 
-def suite_hierarchy(samples: int, seed: int) -> SuiteResult:
+def suite_hierarchy(res: SuiteResult):
     """Coefficient ordering (mu+l)^s - l^s >= ((1+k)^s - 1)/k^s >= 2^s - 1
     for mu >= 1 and l = 1/k, sampled over the concurrence-family domain."""
-    res = SuiteResult("hierarchy", samples, seed, tolerance=1e-12)
-    rng = np.random.default_rng(seed_path(seed))
+    samples = res.samples
+    rng = np.random.default_rng(seed_path(res.seed))
     mus = rng.uniform(1.0, 5.0, samples)
     ks = rng.uniform(1e-3, 1.0, samples)
     alphas = rng.uniform(2.0, 6.0, samples)
@@ -174,7 +176,6 @@ def suite_hierarchy(samples: int, seed: int) -> SuiteResult:
     res.record_all(np.minimum((ours - kf) / scale, (kf - jf) / scale),
                    lambda i: {"sample": i, "mu": float(mus[i]), "k": float(ks[i]),
                               "alpha": float(alphas[i])})
-    return res
 
 
 LEMMA2_ALPHAS = (2.0, 2.5, 3.0, 4.0)
@@ -223,10 +224,6 @@ _SUITES = {
     "lemma2": suite_lemma2,
 }
 
-# the state suites: qubits per sample; each holds to the roundoff
-# allowance of a certified verdict, measures.CERT_TOL
-_QUBITS = {"ckw": 3, "consistency": 2, "lemma2": 3}
-
 
 def run_suite(name: str, samples: int = None, seed: int = 42) -> SuiteResult:
     """Run one named suite: run_suites([name], samples, seed)[0]."""
@@ -235,33 +232,35 @@ def run_suite(name: str, samples: int = None, seed: int = 42) -> SuiteResult:
 
 def run_suites(names, samples: int = None, seed: int = 42) -> list:
     """Run the named suites, one SuiteResult per name in order; samples
-    defaults to each suite's standard size.
+    defaults to each suite's SUITES row.
 
     An unknown name, or a sample count outside [1, MAX_SAMPLES], raises
     ParameterError before anything is drawn.  lemma1 and hierarchy run on
     their own draws, then the state suites share one pass over blocks.
     """
-    counts = {}
+    seed = int(seed)
+    results, qubits = {}, {}
     for name in names:
-        if name not in _SUITES:
+        if name not in SUITES:
             raise ParameterError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
-        count = int(DEFAULT_SAMPLES[name] if samples is None else samples)
+        default, qubits[name], tolerance = SUITES[name]
+        count = int(default if samples is None else samples)
         if not 1 <= count <= MAX_SAMPLES:
             raise ParameterError(f"sample count must be in [1, {MAX_SAMPLES}], got {count}")
-        counts[name] = count
-    seed = int(seed)
-    results = {name: SuiteResult(name, count, seed, tolerance=CERT_TOL) if name in _QUBITS
-               else _SUITES[name](count, seed) for name, count in counts.items()}
-    state = [res for res in results.values() if res.suite in _QUBITS]
+        results[name] = SuiteResult(name, count, seed, tolerance=tolerance)
+    for name, res in results.items():
+        if qubits[name] is None:
+            _SUITES[name](res)
+    state = [res for res in results.values() if qubits[res.suite] is not None]
     total = max((res.samples for res in state), default=0)
     for start in range(0, total, BLOCK):
         live = [res for res in state if res.samples > start]
-        sizes = {_QUBITS[res.suite] for res in live}
+        sizes = {qubits[res.suite] for res in live}
         inputs = haar_blocks(sizes, seed, start, min(total, start + BLOCK))
         if 3 in inputs:
             amps = inputs[3]
-            c_abc = MeasureKind("concurrence").from_spectrum(marginal_spectra(amps, (2, 2, 2), [0]))
+            c_abc = _CONCURRENCE.measure.from_spectrum(marginal_spectra(amps, (2, 2, 2), [0]))
             inputs[3] = (c_abc, *pair_concurrences(amps, (2, 2, 2)).T)
         for res in live:
-            _SUITES[res.suite](res, start, inputs[_QUBITS[res.suite]])
+            _SUITES[res.suite](res, start, inputs[qubits[res.suite]])
     return [results[name] for name in names]

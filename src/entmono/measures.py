@@ -53,6 +53,9 @@ TSALLIS_Q_HI = (5.0 + math.sqrt(13.0)) / 2.0
 # Fan, PRA 93, 022324, 2016)
 RENYI_ORDER_LO = (math.sqrt(7.0) - 1.0) / 2.0
 
+# family -> the MeasureKind field of its parameter (Tsallis q, Renyi order)
+PARAMETERS = {"tsallis": "q", "renyi": "order"}
+
 # roundoff allowance of every certified comparison: the verdicts of
 # bounds._clause, whose saturating states sit exactly on a clause
 # boundary, verify's margin, and group_link's exactness test
@@ -113,9 +116,10 @@ class MeasureValue:
 class MeasureKind:
     """Selector for one of the five measure families.
 
-    name is one of "concurrence", "cren", "eof", "tsallis" (requires q) or
-    "renyi" (requires order); assisted selects the decomposition-maximizing
-    dual, which is only available through the heuristic estimator.
+    name is one of "concurrence", "cren", "eof", "tsallis" or "renyi"; a
+    family of PARAMETERS requires its field, finite, > 0 and != 1.  assisted
+    selects the decomposition-maximizing dual, which is only available
+    through the heuristic estimator.
     """
 
     name: str
@@ -126,27 +130,20 @@ class MeasureKind:
     def __post_init__(self):
         if self.name not in ("concurrence", "cren", "eof", "tsallis", "renyi"):
             raise ParameterError(f"unknown measure kind {self.name!r}")
-        if self.name == "tsallis":
-            if self.q is None or not math.isfinite(self.q) or self.q <= 0 or self.q == 1:
-                raise ParameterError(f"tsallis requires finite q > 0, q != 1, got {self.q}")
-        elif self.q is not None:
-            raise ParameterError(f"q is only meaningful for tsallis, got kind {self.name!r}")
-        if self.name == "renyi":
-            if (self.order is None or not math.isfinite(self.order) or self.order <= 0
-                    or self.order == 1):
+        for owner, param in PARAMETERS.items():
+            value = getattr(self, param)
+            if self.name != owner:
+                if value is not None:
+                    raise ParameterError(
+                        f"{param} is only meaningful for {owner}, got kind {self.name!r}")
+            elif value is None or not math.isfinite(value) or value <= 0 or value == 1:
                 raise ParameterError(
-                    f"renyi requires finite order > 0, order != 1, got {self.order}")
-        elif self.order is not None:
-            raise ParameterError(f"order is only meaningful for renyi, got kind {self.name!r}")
+                    f"{owner} requires finite {param} > 0, {param} != 1, got {value}")
 
     @property
     def label(self) -> str:
-        if self.name == "tsallis":
-            base = f"tsallis(q={self.q:g})"
-        elif self.name == "renyi":
-            base = f"renyi(order={self.order:g})"
-        else:
-            base = self.name
+        param = PARAMETERS.get(self.name)
+        base = self.name if param is None else f"{self.name}({param}={getattr(self, param):g})"
         return f"assisted-{base}" if self.assisted else base
 
     @property
@@ -684,8 +681,9 @@ def assisted_estimates(rhos: np.ndarray, kind: MeasureKind, budget: int, seeds) 
     one.
 
     The best average of each state is returned, its eigen-ensemble's when
-    budget is 0.  budget must be a nonnegative integer and seeds as long as
-    rhos (ParameterError otherwise).
+    budget is 0, capped at the family's maximum from_concurrence(1).  budget
+    must be a nonnegative integer and seeds as long as rhos (ParameterError
+    otherwise).
     """
     if not kind.assisted:
         raise ParameterError("assisted_estimate requires a kind with assisted=True")
@@ -718,7 +716,8 @@ def assisted_estimates(rhos: np.ndarray, kind: MeasureKind, budget: int, seeds) 
                 block[rows >= m[:, None]] = 0.0
             averages = _member_terms(np.linalg.qr(z)[0] @ own[:, None], kind).sum(axis=-1)
             best[group] = np.maximum(best[group], averages.max(axis=-1))
-    return best
+    # roundoff can put an average a few ulps above the family's maximum F(1)
+    return np.minimum(best, kind.from_concurrence(1.0))
 
 
 def _member_terms(members: np.ndarray, kind: MeasureKind) -> np.ndarray:

@@ -436,12 +436,24 @@ class TestChainLinks:
     (lambda: prior_rhs([0.5, math.inf], 2.0, CONC, "ckw"), "measure values must be nonnegative"),
     (lambda: prior_rhs([np.array([0.5, 0.25]), np.array([0.3, math.inf])], 2.0, CONC, "ckw"),
      "measure values must be nonnegative"),
+    # mu and ell are iterables of real numbers: a string was read one float
+    # per character, and a number or a None entry raised TypeError
+    (lambda: BoundParams(CONC, 2.0, "12", "12"), "mu must be an iterable of real numbers"),
+    (lambda: BoundParams(CONC, 2.0, 5, 5), "mu must be an iterable of real numbers"),
+    (lambda: BoundParams(CONC, 2.0, (1.0, None), (1.0, 1.0)),
+     "mu must be an iterable of real numbers"),
+    (lambda: BoundParams(CONC, 2.0, (1.0,), (True,)), "ell must be an iterable of real numbers"),
+    # split is a positive integer: 1.7 was read as step 1, "x" raised ValueError
+    (lambda: BoundParams(CONC, 2.0, (1.0,), (1.0,), 1.7), "split must be a positive"),
+    (lambda: BoundParams(CONC, 2.0, (1.0,), (1.0,), "x"), "split must be a positive"),
+    (lambda: BoundParams(CONC, 2.0, (1.0,), (1.0,), True), "split must be a positive"),
 ], ids=["mu-ell-lengths", "split-0", "rhs-unresolved", "conditions-unresolved",
         "split-past-n-2", "conditions-one-step", "conditions-three-steps",
         "conditions-split-past-n-2", "density-matrix", "params-empty-alpha",
         "coefficient-empty-alpha", "prior-empty-alpha", "nan-value", "nan-in-stack",
         "params-list-alpha", "params-string-alpha", "prior-list-alpha", "inf-value",
-        "inf-in-stack"])
+        "inf-in-stack", "mu-string", "mu-number", "mu-none-entry", "ell-bool-entry",
+        "split-fraction", "split-string", "split-bool"])
 def test_bound_inputs_are_checked(call, message):
     with pytest.raises(ParameterError, match=message):
         call()

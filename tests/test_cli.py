@@ -421,6 +421,31 @@ def test_a_sample_count_past_one_entropy_word_exits_two(suite, capsys, monkeypat
                    "got 100000000000000000000\n")
 
 
+def test_every_suite_runs_from_its_table_row(monkeypatch):
+    # each suite is called through corpus._SUITES, whose entries a tracer
+    # rebinds in place to count calls: the scalar suites once, a state suite
+    # once per block
+    calls = {name: 0 for name in corpus.SUITE_NAMES}
+
+    def counted(name, suite):
+        def call(*args):
+            calls[name] += 1
+            return suite(*args)
+        return call
+
+    monkeypatch.setattr(corpus, "BLOCK", 1024)
+    for name, suite in list(corpus._SUITES.items()):
+        monkeypatch.setitem(corpus._SUITES, name, counted(name, suite))
+    results = corpus.run_suites(corpus.SUITE_NAMES, 1500, 7)
+    assert calls == {"lemma1": 1, "ckw": 2, "consistency": 2, "hierarchy": 1, "lemma2": 2}
+    assert [res.tolerance for res in results] == \
+        [corpus.SUITES[name][2] for name in corpus.SUITE_NAMES]
+    assert corpus.SUITE_NAMES == tuple(corpus.SUITES)
+    suite = next(action for action in cli.build_parser().subcommands["corpus"]._actions
+                 if action.dest == "suite")
+    assert tuple(suite.choices) == corpus.SUITE_NAMES + ("all",)
+
+
 MALFORMED = [
     ["corpus", "--suite", "all", "--seed", "-1"],
     ["corpus", "--suite", "ckw", "--samples", "10", "--seed", "-1"],
@@ -430,6 +455,9 @@ MALFORMED = [
      "--alpha-max", "3", "--steps", "3", "--mu", "abc", "--ell", "1"],
     ["verify", "--preset", "example1", "--theorem", "concurrence", "--alpha", "3",
      "--mu", "1,x", "--ell", "1,1"],
+    # an empty field is not a number: it was dropped, leaving mu = (1, 1)
+    ["verify", "--preset", "w:4", "--theorem", "concurrence", "--alpha", "2",
+     "--mu", "1,,1", "--ell", "1,1"],
     ["measure", "--preset", "ghz:x", "--kind", "eof", "--partition", "A|B"],
     ["measure", "--preset", "w:", "--kind", "eof", "--partition", "A|B"],
     # a lone mu or ell was dropped in favour of extracted values
@@ -864,7 +892,7 @@ class TestCorpus:
         code, rec, _ = run_json(["corpus", "--suite", "all", "--seed", "7"], capsys)
         assert code == 0 and [s["samples"] for s in rec["suites"]] == \
             [s[0] for s in self.SEED7.values()]
-        assert len(seeded) == max(corpus.DEFAULT_SAMPLES[name]
+        assert len(seeded) == max(corpus.SUITES[name][0]
                                   for name in ("ckw", "consistency", "lemma2")) == 1000
 
     # sha256 of the stdout of corpus --suite all --samples 300, recorded before

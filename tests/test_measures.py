@@ -599,6 +599,25 @@ class TestAssistedEstimate:
     (lambda: MeasureValue(0.5, "bogus"), ParameterError, "unknown certification status"),
     (lambda: MeasureValue.interval(1, 0), ParameterError, "bad interval"),
     (lambda: MeasureKind("eof", order=2), ParameterError, "order is only meaningful for renyi"),
+    (lambda: MeasureKind("tsallis"), ParameterError,
+     "^tsallis requires finite q > 0, q != 1, got None$"),
+    (lambda: MeasureKind("tsallis", q=1.0), ParameterError,
+     "^tsallis requires finite q > 0, q != 1, got 1.0$"),
+    (lambda: MeasureKind("tsallis", q=math.inf), ParameterError,
+     "^tsallis requires finite q > 0, q != 1, got inf$"),
+    (lambda: MeasureKind("renyi"), ParameterError,
+     "^renyi requires finite order > 0, order != 1, got None$"),
+    (lambda: MeasureKind("renyi", order=1), ParameterError,
+     "^renyi requires finite order > 0, order != 1, got 1$"),
+    (lambda: MeasureKind("eof", q=2.0), ParameterError,
+     "^q is only meaningful for tsallis, got kind 'eof'$"),
+    # q is checked before order, whichever family is named
+    (lambda: MeasureKind("renyi", q=2.0), ParameterError,
+     "^q is only meaningful for tsallis, got kind 'renyi'$"),
+    (lambda: MeasureKind("tsallis", order=2.0), ParameterError,
+     "^tsallis requires finite q > 0, q != 1, got None$"),
+    (lambda: MeasureKind("tsallis", q=2.0, order=2.0), ParameterError,
+     "^order is only meaningful for renyi, got kind 'tsallis'$"),
     (lambda: assisted_estimates(np.eye(4)[None] / 4, MeasureKind("eof", assisted=True), -1,
                                 [0]), ParameterError, "budget must be nonnegative"),
     (lambda: CONCURRENCE.pair_values(EX1, 0, [0]), ParameterError, "distinct partners"),
@@ -606,11 +625,24 @@ class TestAssistedEstimate:
     (lambda: CONCURRENCE.pair_values(EX1, 0, []), ParameterError, "distinct partners"),
     (lambda: CONCURRENCE.pair_values(EX1, 0, [3]), DimensionError, "out of range"),
     (lambda: CONCURRENCE.pair_values(EX1, -1), DimensionError, "out of range"),
-], ids=["status", "reversed-interval", "eof-order", "negative-budget", "pair-with-side",
+], ids=["status", "reversed-interval", "eof-order", "tsallis-no-q", "tsallis-q-1",
+        "tsallis-q-inf", "renyi-no-order", "renyi-order-1", "eof-q", "renyi-q",
+        "tsallis-order-no-q", "tsallis-order", "negative-budget", "pair-with-side",
         "repeated-pair", "no-pairs", "pair-out-of-range", "side-out-of-range"])
 def test_measure_inputs_are_checked(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("kind,label", [
+    (MeasureKind("eof"), "eof"),
+    (MeasureKind("tsallis", q=2.5), "tsallis(q=2.5)"),
+    (MeasureKind("renyi", order=2.0), "renyi(order=2)"),
+    (MeasureKind("renyi", order=1.2, assisted=True), "assisted-renyi(order=1.2)"),
+    (MeasureKind("concurrence", assisted=True), "assisted-concurrence"),
+])
+def test_label_names_the_family_and_its_parameter(kind, label):
+    assert kind.label == label
 
 
 class TestMeasureKindValidation:
