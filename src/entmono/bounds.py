@@ -104,7 +104,7 @@ class BoundFamily:
         smallest and largest entries are, since the check is a range (NaN
         propagates through min and max), and the error shows them as
         min..max.  An empty grid, or an alpha that is neither a real number
-        nor an ndarray, is a ParameterError.
+        (a bool is not one) nor an ndarray, is a ParameterError.
         """
         lo = hi = shown = alpha
         if isinstance(alpha, np.ndarray):
@@ -112,7 +112,7 @@ class BoundFamily:
                 raise ParameterError(f"alpha grid is empty for {self.label}")
             lo, hi = float(alpha.min()), float(alpha.max())
             shown = f"{lo}..{hi}"
-        elif not isinstance(alpha, numbers.Real):
+        elif not _is_real(alpha):
             raise ParameterError(
                 f"alpha must be a real number or an ndarray, got {alpha!r} for {self.label}")
         low, high = self.domain
@@ -457,12 +457,27 @@ def extract_mu_l(full, ab, ac, family: BoundFamily):
 
     full is M(A|BC), ab and ac are M(A,B) and M(A,C); at g = family.gamma
     mu = (full^g - ab^g)/ac^g and l = ab^g/ac^g, the pair-dominates-tail
-    branch of the chain's one step, which precedes every split.  A zero
-    ac^g makes the step unconstrained: (None, None).
+    branch of the chain's one step, which precedes every split.  Where
+    ac^g or ab^g is 0 no such pair exists and the result is (None, None):
+
+    - ac^g = 0: both hypotheses, M^g(A|BC) >= M^g(A,B) + mu M^g(A,C) and
+      M^g(A,B) >= l M^g(A,C), read M^g(A|BC) >= M^g(A,B) and M^g(A,B) >= 0
+      for every mu and l, so the step is unconstrained and no maximum
+      exists.
+    - ab^g = 0 < ac^g: the second hypothesis, 0 >= l ac^g, holds for no
+      l > 0, so no feasible (mu, l) exists; l = 0 is no parameter of the
+      theorem (BoundParams takes positive values).
+
+    resolve_params then takes (1, 1), where check_conditions decides the
+    second hypothesis on the exact values: it holds when ac^g = 0 and fails
+    when ab^g = 0 < ac^g.  A value within the roundoff radius of its
+    measures kernel reads exactly 0 (the decided zeros of
+    measures.SCHMIDT_RADIUS and WOOTTERS_RADIUS), so a product qubit takes
+    these branches and no mu or l is a ratio of roundoff.
     """
     g = family.gamma
     parent, pair, tail = float(full) ** g, float(ab) ** g, float(ac) ** g
-    if tail == 0.0:
+    if tail == 0.0 or pair == 0.0:
         return None, None
     return (parent - pair) / tail, pair / tail
 
@@ -580,8 +595,10 @@ def resolve_params(chain: Chain, params: BoundParams) -> BoundParams:
     extracts from: a chain without exactly two pair values is a
     ParameterError.  For assisted families the pair values are heuristic
     estimates and the extracted parameters inherit that status (clamped
-    into the theorem ranges).  An unconstrained step (zero ac) falls back
-    to (1, 1); its terms vanish anyway.
+    into the theorem ranges).  A step with no maximal pair (a zero ac or
+    ab, see extract_mu_l) falls back to (1, 1), so BoundParams never gets
+    an l of 0: with ac = 0 its terms vanish, and with ab = 0 < ac the
+    hypothesis M^g(A,B) >= l M^g(A,C) is reported as failed.
     """
     if params.mu is not None:
         return params

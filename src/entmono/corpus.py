@@ -21,15 +21,19 @@ at most MAX_SAMPLES samples, so every sample index fits the one 32-bit
 entropy word of the block's seed hash.  The suites are per-block
 consumers with no reductions of their own; the pass reads the
 pure-state kernels measure_chain calls on one state, marginal_spectra
-and pair_concurrences of :mod:`measures`.  Neither forms a reduced
-state: the marginal spectra are squared singular values of the amplitude
-matrices, and each pair concurrence of a 3-qubit sample is read off its
-(4, 2) amplitude matrix, a factor of the pair state, through one batched
-svd of the 2 x 2 matrices M^T (sy x sy) M.  Slack arrays are recorded
-with :meth:`SuiteResult.record_all`, which keeps the first five
-offenders in sample order.  lemma1 and hierarchy draw their scalars in
-one block and evaluate them as arrays; hierarchy's weights come from the
-broadcasting bounds.coefficient_K and bounds.prior_weight.
+and pair_concurrences of :mod:`measures`.  Neither forms a reduced state
+or calls LAPACK on these samples: each marginal spectrum is the closed
+form of its 2 x 2 or 2 x 4 amplitude matrix (a sum of squared 2 x 2
+minors), and each pair concurrence of a 3-qubit sample is the
+phase-aligned closed form of the 2 x 2 Wootters matrix M^T (sy x sy) M
+of its (4, 2) amplitude matrix M, a factor of the pair state.  Both are
+elementwise over the block, so a sample's values are those of a stack
+of one, and both read a value within its roundoff radius as exactly 0.
+Slack arrays are recorded with :meth:`SuiteResult.record_all`, which
+keeps the first five offenders in sample order.  lemma1 and hierarchy
+draw their scalars in one block and evaluate them as arrays; hierarchy's
+weights come from the broadcasting bounds.coefficient_K and
+bounds.prior_weight.
 
 No suite writes a bound of its own: ckw and lemma2 read their right
 sides from the one chained-sum kernel of :mod:`bounds`, on the block's

@@ -24,6 +24,13 @@ measured from its amplitude matrix alone (wootters_factor_concurrence);
 a density matrix, or a pair of a wider register, from the rank-retained
 eigen-factor of its matrix (wootters_concurrence).
 
+The qubit-sized cases take closed forms with no LAPACK call: the spectrum
+of a 2 x m amplitude matrix, m <= 8 (_qubit_spectra), and the Wootters
+value of a 2 x 2 L^T (sy x sy) L (_wootters_2x2).  Each has a roundoff
+radius, SCHMIDT_RADIUS or WOOTTERS_RADIUS, proved in its docstring, and
+reads a value within it as exactly 0 (a decided zero), so a product qubit
+reads 0 for every family.  Wider matrices keep the svd.
+
 All logarithms are base 2 and 0·log 0 := 0.  On two-qubit mixed states the
 entropic measures reduce to closed-form functions of the Wootters
 concurrence: the EoF always, the Tsallis-q measure for q within
@@ -34,7 +41,9 @@ Only the concurrence and the CREN support certified interval evaluation
 of one qubit against a larger group.
 """
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +78,25 @@ RESTART_BLOCK = 256
 # sy x sy = antidiag(-1, 1, 1, -1): L^T (sy x sy) is L^T with its columns
 # reversed and signed, exactly as the matrix product gives it
 _YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
+
+# unit roundoff of one float64 operation
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+# Roundoff radii of the closed-form qubit kernels on unit states (norm²
+# within states.NORM_TOL of 1), each proved in its kernel's docstring: a
+# computed value at or below its radius is decided to be exactly 0.
+# SCHMIDT_RADIUS is that of the concurrence 2 sqrt(sum |minor|²) of a 2 x m
+# amplitude matrix (_qubit_spectra, and the 2 x 2 members of
+# _pure_two_qubit_concurrence), WOOTTERS_RADIUS that of the phase-aligned
+# Wootters form of a 4 x 2 factor (_wootters_2x2).
+SCHMIDT_RADIUS = 16 * _UNIT_ROUNDOFF
+WOOTTERS_RADIUS = 64 * _UNIT_ROUNDOFF
+
+# m -> the indices, into the 2m entries of a 2 x m matrix with rows t and b,
+# of the factors (t_j, b_k, t_k, b_j) of each of its minors t_j b_k - t_k b_j,
+# j < k, for the m that _qubit_spectra takes
+_MINORS = {m: np.array([(j, m + k, k, m + j) for j, k in itertools.combinations(range(m), 2)]).T
+           for m in range(2, 9)}
 
 
 @dataclass(frozen=True)
@@ -117,9 +145,10 @@ class MeasureKind:
     """Selector for one of the five measure families.
 
     name is one of "concurrence", "cren", "eof", "tsallis" or "renyi"; a
-    family of PARAMETERS requires its field, finite, > 0 and != 1.  assisted
-    selects the decomposition-maximizing dual, which is only available
-    through the heuristic estimator.
+    family of PARAMETERS requires its field, a finite real number > 0 and
+    != 1 (ParameterError otherwise, for a string or a complex number too).
+    assisted selects the decomposition-maximizing dual, which is only
+    available through the heuristic estimator.
     """
 
     name: str
@@ -136,7 +165,8 @@ class MeasureKind:
                 if value is not None:
                     raise ParameterError(
                         f"{param} is only meaningful for {owner}, got kind {self.name!r}")
-            elif value is None or not math.isfinite(value) or value <= 0 or value == 1:
+            elif (not isinstance(value, numbers.Real) or not math.isfinite(value)
+                  or value <= 0 or value == 1):
                 raise ParameterError(
                     f"{owner} requires finite {param} > 0, {param} != 1, got {value}")
 
@@ -319,19 +349,71 @@ def marginal_spectra(amps: np.ndarray, dims: tuple, keep) -> np.ndarray:
 
     amps holds unit-norm amplitude vectors along its last axis; leading
     axes are a stack of states.  keep is checked by keep_indices.  The
-    spectrum is the squared singular values (the Schmidt coefficients) of
-    the amplitude matrix M of the side with fewer subsystems: both
-    marginals of a pure state share their nonzero spectrum, the smaller one
-    stays small on wide registers, and each value carries a relative, not
-    an absolute, roundoff.  eigvalsh of M·M† would read a product state's
-    zero Schmidt coefficient as noise of order 1e-16, whose square root
-    surfaces near 1e-8 in the concurrence.
+    spectrum is that of the amplitude matrix M of the side with fewer
+    subsystems: both marginals of a pure state share their nonzero
+    spectrum, and the smaller one stays small on wide registers.  A 2 x m
+    M, 2 <= m <= 8 (a qubit against at most three qubits), takes the
+    closed form _qubit_spectra, with no LAPACK call and a decided zero;
+    any other M takes the squared singular values of an svd, each with a
+    relative, not an absolute, roundoff.  eigvalsh of M·M† would read a
+    product state's zero Schmidt coefficient as noise of order 1e-16,
+    whose square root surfaces near 1e-8 in the concurrence.
     """
     keep = keep_indices(keep, len(dims))
     rest = [i for i in range(len(dims)) if i not in keep]
     side = rest if len(rest) < len(keep) else keep
-    s = np.linalg.svd(split_amplitudes(amps, dims, side), compute_uv=False)
+    m = split_amplitudes(amps, dims, side)
+    if m.shape[-2] == 2 and m.shape[-1] in _MINORS:
+        return _qubit_spectra(m)
+    s = np.linalg.svd(m, compute_uv=False)
     return s * s
+
+
+def _qubit_spectra(m: np.ndarray) -> np.ndarray:
+    """Descending spectra (p1, p2) of M·M† for an (..., 2, m) stack of unit
+    amplitude matrices, 2 <= m <= 8, in closed form.
+
+    With rows t and b of M: p1 + p2 = ||M||_F² and, by Cauchy-Binet,
+    p1 p2 = det M·M† = sum_{j<k} |t_j b_k - t_k b_j|², a sum of
+    nonnegative terms.  The larger root is taken first, from
+    p1 - p2 = sqrt((|t|² - |b|²)² + 4|<t, b>|²), also a sum of squares,
+    and then p2 = p1 p2 / p1.  Neither step subtracts two values of
+    the size of the answer: p1 >= 1/2 carries a relative roundoff, and
+    the textbook p2 = (s - sqrt(s² - 4 det))/2 or det = |t|²|b|² - |<t, b>|²
+    (which reads up to 2.6e-8 on product qubits) is never formed.
+
+    Decided zero.  The concurrence of the cut is C = 2 sqrt(p1 p2), and a
+    C at or below SCHMIDT_RADIUS = 16u (u = 2^-53) reads exactly 0 with
+    spectrum (1, 0).  The radius holds the computed C of a unit M whose
+    entries each carry a relative error of up to 2u from their own
+    construction (a product and a normalization): a minor's two complex
+    products and its difference add at most (sqrt(5) + 1)u, and the input
+    4u, of w_jk = |t_j||b_k| + |t_k||b_j|, so the vector of minor errors
+    has 2-norm at most 7.3u·sqrt(sum w_jk²) <= 7.3u·sqrt(2)|t||b| <=
+    7.3u/sqrt(2) (since |t|² + |b|² = 1), and C's error is at most twice
+    that, 10.4u, plus the relative roundoff of the sum and the square
+    root.  A product qubit, whose exact C is 0, therefore reads 0; on
+    15000 product states of 2-4 qubits the undecided C was at most 2.0u,
+    and on Haar 3-qubit states the spectrum is within 2.3u of the exact
+    one of the stored amplitudes (the svd's is within 10.4u).
+
+    Every operation is elementwise or a sum along the contiguous last axis,
+    which numpy adds in one order for every row, so a stack of one state
+    gives the bits of its row in any block.
+    """
+    cols = m.shape[-1]
+    factors = m.reshape(m.shape[:-2] + (2 * cols,))[..., _MINORS[cols]]
+    minors = factors[..., 0, :] * factors[..., 1, :] - factors[..., 2, :] * factors[..., 3, :]
+    det = (minors.real ** 2 + minors.imag ** 2).sum(axis=-1)
+    norms = (m.real ** 2 + m.imag ** 2).sum(axis=-1)
+    t2, b2 = norms[..., 0], norms[..., 1]
+    g = (m[..., 0, :] * m[..., 1, :].conj()).sum(axis=-1)
+    p1 = 0.5 * (t2 + b2 + np.sqrt((t2 - b2) ** 2 + 4.0 * (g.real ** 2 + g.imag ** 2)))
+    spectra = np.empty(np.shape(det) + (2,))
+    spectra[..., 0] = p1
+    spectra[..., 1] = np.minimum(det / p1, p1)
+    spectra[4.0 * det <= SCHMIDT_RADIUS ** 2] = (1.0, 0.0)
+    return spectra
 
 
 def pair_concurrences(amps: np.ndarray, dims: tuple, side: int = 0,
@@ -344,9 +426,11 @@ def pair_concurrences(amps: np.ndarray, dims: tuple, side: int = 0,
     columns are a pure-state decomposition of rho and the pairs of every
     state go through one :func:`wootters_factor_concurrence` call on the
     stacked M, with no Gram matrix and no eigh.  That holds while M has at
-    most 4 columns (a complement of at most two qubits); a wider M would
-    make the svd larger than the 4 x 4 pair state, so the pair states are
-    then formed as M·M† and go through :func:`wootters_concurrence`.
+    most 4 columns (a complement of at most two qubits): with 2 columns (a
+    3-qubit register) it is the closed form _wootters_2x2, with its
+    decided zero, and with 4 an svd.  A wider M would make the svd larger
+    than the 4 x 4 pair state, so the pair states are then formed as M·M†
+    and go through :func:`wootters_concurrence`.
     """
     ms = pair_factors(amps, dims, side, others)
     if ms.shape[-1] <= 4:
@@ -429,20 +513,75 @@ def wootters_factor_concurrence(factors: np.ndarray) -> np.ndarray:
     """Wootters concurrence of the two-qubit states L·L† of an (..., 4, r) stack.
 
     C = max{0, l1 - l2 - ...} where the l_i are the descending singular
-    values of L^T (sy x sy) L.  They do not depend on the factor: for any
-    L with rho = L·L† they are the square roots of the eigenvalues of
+    values of A = L^T (sy x sy) L.  They do not depend on the factor: for
+    any L with rho = L·L† they are the square roots of the eigenvalues of
     rho (sy x sy) rho* (sy x sy), since the columns of L are a pure-state
     decomposition of rho (Wootters, PRL 80, 2245, 1998).  Callers pass
     r <= 4, so the r x r matrix is no larger than rho; a factor with fewer
     than 4 columns gives fewer singular values, the missing ones being
-    zero.  No Gram matrix, eigendecomposition or square root is taken.
+    zero.  No Gram matrix, eigendecomposition or square root of rho is
+    taken.  A 2 x 2 A (r = 2, the pairs of a 3-qubit state) takes the
+    closed form _wootters_2x2, with no LAPACK call and a decided zero; any
+    other r takes an svd of A.
     """
+    if factors.shape[-1] == 2:
+        return _wootters_2x2(factors)
     lt_yy = np.swapaxes(factors, -1, -2)[..., ::-1] * _YY_SIGNS
     lam = np.linalg.svd(lt_yy @ factors, compute_uv=False)
     c = lam[..., 0]
     for i in range(1, lam.shape[-1]):
         c = c - lam[..., i]
     return np.maximum(0.0, c)
+
+
+def _wootters_2x2(factors: np.ndarray) -> np.ndarray:
+    """l1 - l2 of A = L^T (sy x sy) L for an (..., 4, 2) stack of factors
+    of unit-trace two-qubit states, in closed form.
+
+    With the columns x, y of L, A is the symmetric [[2a, b], [b, 2c]],
+    a = x1 x2 - x0 x3, c = y1 y2 - y0 y3 and b = x1 y2 + x2 y1 - x0 y3 -
+    x3 y0.  Let B = e^{-i theta/2} A with theta = arg det A (theta = 0 when
+    det A = 0): then det B = |det A| = l1 l2 is real and nonnegative, and
+    for any 2 x 2 B with det B >= 0,
+    |b11 - conj(b22)|² + |b12 + conj(b21)|² = ||B||_F² - 2 Re det B
+    = (l1 - l2)²,
+    so C = 2 sqrt(|e a - conj(e c)|² + (Re e b)²), e = e^{-i theta/2}, a
+    sum of squares that is 0 without a cancellation where C is.  The
+    textbook sqrt(||A||_F² - 2|det A|) reads up to 1.3e-8 on rotated GHZ
+    pairs and is never formed.  e is the conjugate of the square root of
+    det A/|det A|, not exp(-i theta/2): exp(-i pi/2) is 6e-17 - 1j, which
+    leaves 6e-17 on GHZ_3's exact-zero pairs, while the square root of -1
+    is 1j exactly.
+
+    Decided zero.  A C at or below WOOTTERS_RADIUS = 64u (u = 2^-53)
+    reads exactly 0.  With s = ||L||_F² = 1 and an input error of 2u per
+    entry of L (as in _qubit_spectra), each entry of A, a sum of at most
+    four products, is off by at most 10u times its weight |x|², |x||y| or
+    |y|², so the computed A is within eta = 10u·s of A in the Frobenius
+    norm.  The form f(B) above is sqrt(2)-Lipschitz in that norm, and the
+    product with the phase adds sqrt(5)u·||A||_F <= 2.3u·s, which makes
+    sqrt(2)(eta + 2.3u·s) = 17.4u·s.  The phase itself is that of the
+    computed det A, off by at most ||A||_F eta + eta² + 2u||A||_F²; an angle
+    delta adds sqrt(C² + 4 l1 l2 sin² delta) - C.  Where l1 = l2 >= eta
+    that is at most 2.4 eta + 2.8u·s, where l2 <= eta at most 3.4 eta, and
+    between the two cases less, so the whole form stays within 52u·s.  The
+    undecided form read at most 1.6u on 5000 product pairs and 7.9u on
+    5000 Haar local-unitary copies of GHZ_3, whose pairs are exactly 0.
+
+    Every operation is elementwise, in one order for every row, so a stack
+    of one gives the bits of its row in any block.
+    """
+    r0, r1, r2, r3 = (factors[..., i, :] for i in range(4))  # rows: (x_i, y_i)
+    halves = r1 * r2 - r0 * r3
+    a, c = halves[..., 0], halves[..., 1]
+    b = (r1[..., 0] * r2[..., 1] + r2[..., 0] * r1[..., 1]
+         - (r0[..., 0] * r3[..., 1] + r3[..., 0] * r0[..., 1]))
+    det = 4.0 * (a * c) - b * b
+    size = np.abs(det)
+    zero = size == 0.0
+    phase = np.sqrt((det + zero) / (size + zero)).conj()
+    conc = 2.0 * np.hypot(np.abs(phase * a - (phase * c).conj()), (phase * b).real)
+    return np.where(conc <= WOOTTERS_RADIUS, 0.0, conc)
 
 
 def wootters_concurrence(rhos: np.ndarray) -> np.ndarray:
@@ -637,8 +776,12 @@ def renyi(state, partition=None, order: float = 2.0) -> MeasureValue:
 
 
 def _pure_two_qubit_concurrence(vecs: np.ndarray) -> np.ndarray:
-    # |<phi|sy x sy|phi*>| = 2|a d - b c| for amplitudes (a, b, c, d) along the last axis
-    return 2.0 * np.abs(vecs[..., 0] * vecs[..., 3] - vecs[..., 1] * vecs[..., 2])
+    # |<phi|sy x sy|phi*>| = 2|a d - b c| for unit amplitudes (a, b, c, d) along
+    # the last axis: the one minor of _qubit_spectra's 2 x 2 matrix, with its
+    # decided zero at SCHMIDT_RADIUS
+    c = 2.0 * np.abs(vecs[..., 0] * vecs[..., 3] - vecs[..., 1] * vecs[..., 2])
+    c[c <= SCHMIDT_RADIUS] = 0.0
+    return c
 
 
 def assisted_estimate(rho: DensityMatrix, kind: MeasureKind, budget: int = 200,

@@ -12,6 +12,7 @@ are capped at DIM_CAP = 2**12 rows (12 qubits).
 
 import functools
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from itertools import chain
@@ -298,7 +299,7 @@ def split_amplitudes(amps: np.ndarray, dims: tuple, keep) -> np.ndarray:
     lead = amps.shape[:-1]
     k = len(lead)
     rest = [i for i in range(len(dims)) if i not in keep]
-    d_keep = int(np.prod([dims[i] for i in keep]))
+    d_keep = int(math.prod(dims[i] for i in keep))
     psi = amps.reshape(lead + tuple(dims))
     psi = np.transpose(psi, list(range(k)) + [k + i for i in keep + rest])
     return psi.reshape(lead + (d_keep, -1))

@@ -1,0 +1,53 @@
+"""References of the closed-form qubit kernels of measures: the svd routes
+they replaced (the marginal spectrum as the squared singular values of the
+amplitude matrix, and the Wootters concurrence as l1 - l2 - ... of the
+singular values of L^T (sy x sy) L), and the spectrum of a 2 x m amplitude
+matrix in exact rational arithmetic with one 50-digit square root."""
+
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
+import numpy as np
+
+from entmono.states import keep_indices, split_amplitudes
+
+YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
+
+
+def svd_spectra(amps: np.ndarray, dims: tuple, keep) -> np.ndarray:
+    """Squared singular values of the amplitude matrix of the smaller side."""
+    keep = keep_indices(keep, len(dims))
+    rest = [i for i in range(len(dims)) if i not in keep]
+    side = rest if len(rest) < len(keep) else keep
+    s = np.linalg.svd(split_amplitudes(amps, dims, side), compute_uv=False)
+    return s * s
+
+
+def svd_factor_concurrence(factors: np.ndarray) -> np.ndarray:
+    """max{0, l1 - l2 - ...} of the singular values of L^T (sy x sy) L."""
+    lt_yy = np.swapaxes(factors, -1, -2)[..., ::-1] * YY_SIGNS
+    lam = np.linalg.svd(lt_yy @ factors, compute_uv=False)
+    c = lam[..., 0]
+    for i in range(1, lam.shape[-1]):
+        c = c - lam[..., i]
+    return np.maximum(0.0, c)
+
+
+def exact_spectrum(m: np.ndarray) -> tuple:
+    """(p1, p2) of M·M† for one 2 x m complex matrix M, as Decimals.
+
+    The entries of M are read exactly as Fractions, so the Gram entries
+    a, d and g are exact; p1,2 = (a + d +- sqrt((a - d)² + 4|g|²))/2 then
+    takes one square root at 50 digits.
+    """
+    top, bottom = ([(Fraction(z.real), Fraction(z.imag)) for z in row] for row in m)
+    a = sum(x * x + y * y for x, y in top)
+    d = sum(x * x + y * y for x, y in bottom)
+    g_re = sum(x1 * x2 + y1 * y2 for (x1, y1), (x2, y2) in zip(top, bottom))
+    g_im = sum(y1 * x2 - x1 * y2 for (x1, y1), (x2, y2) in zip(top, bottom))
+    disc = (a - d) ** 2 + 4 * (g_re ** 2 + g_im ** 2)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        root = (Decimal(disc.numerator) / Decimal(disc.denominator)).sqrt()
+        total = Decimal((a + d).numerator) / Decimal((a + d).denominator)
+        return (total + root) / 2, (total - root) / 2

@@ -447,13 +447,16 @@ class TestChainLinks:
     (lambda: BoundParams(CONC, 2.0, (1.0,), (1.0,), 1.7), "split must be a positive"),
     (lambda: BoundParams(CONC, 2.0, (1.0,), (1.0,), "x"), "split must be a positive"),
     (lambda: BoundParams(CONC, 2.0, (1.0,), (1.0,), True), "split must be a positive"),
+    # a bool alpha is refused as mu, ell and split refuse one (it was kept as alpha = True)
+    (lambda: BoundParams(bound_family("eof", "polygamy"), True, (1.0,), (1.0,)),
+     "alpha must be a real number or an ndarray"),
 ], ids=["mu-ell-lengths", "split-0", "rhs-unresolved", "conditions-unresolved",
         "split-past-n-2", "conditions-one-step", "conditions-three-steps",
         "conditions-split-past-n-2", "density-matrix", "params-empty-alpha",
         "coefficient-empty-alpha", "prior-empty-alpha", "nan-value", "nan-in-stack",
         "params-list-alpha", "params-string-alpha", "prior-list-alpha", "inf-value",
         "inf-in-stack", "mu-string", "mu-number", "mu-none-entry", "ell-bool-entry",
-        "split-fraction", "split-string", "split-bool"])
+        "split-fraction", "split-string", "split-bool", "alpha-bool"])
 def test_bound_inputs_are_checked(call, message):
     with pytest.raises(ParameterError, match=message):
         call()

@@ -618,6 +618,11 @@ class TestAssistedEstimate:
      "^tsallis requires finite q > 0, q != 1, got None$"),
     (lambda: MeasureKind("tsallis", q=2.0, order=2.0), ParameterError,
      "^order is only meaningful for renyi, got kind 'tsallis'$"),
+    # a parameter that is not a real number raised TypeError in math.isfinite
+    (lambda: MeasureKind("tsallis", q="2"), ParameterError,
+     "^tsallis requires finite q > 0, q != 1, got 2$"),
+    (lambda: MeasureKind("tsallis", q=2.5 + 0j), ParameterError,
+     r"^tsallis requires finite q > 0, q != 1, got \(2\.5\+0j\)$"),
     (lambda: assisted_estimates(np.eye(4)[None] / 4, MeasureKind("eof", assisted=True), -1,
                                 [0]), ParameterError, "budget must be nonnegative"),
     (lambda: CONCURRENCE.pair_values(EX1, 0, [0]), ParameterError, "distinct partners"),
@@ -627,7 +632,8 @@ class TestAssistedEstimate:
     (lambda: CONCURRENCE.pair_values(EX1, -1), DimensionError, "out of range"),
 ], ids=["status", "reversed-interval", "eof-order", "tsallis-no-q", "tsallis-q-1",
         "tsallis-q-inf", "renyi-no-order", "renyi-order-1", "eof-q", "renyi-q",
-        "tsallis-order-no-q", "tsallis-order", "negative-budget", "pair-with-side",
+        "tsallis-order-no-q", "tsallis-order", "tsallis-q-string", "tsallis-q-complex",
+        "negative-budget", "pair-with-side",
         "repeated-pair", "no-pairs", "pair-out-of-range", "side-out-of-range"])
 def test_measure_inputs_are_checked(call, error, message):
     with pytest.raises(error, match=message):
