@@ -55,6 +55,16 @@ from .states import PureState, seed_path
 MONOGAMY = "monogamy"
 POLYGAMY = "polygamy"
 
+# Input contract, not a roundoff allowance: how far an alpha may sit outside
+# its family's domain before check_alpha refuses it, so an edge reached by a
+# float computation (a sweep grid's last point) is still inside
+ALPHA_DOMAIN_SLACK = 1e-12
+
+# Input contract, not a roundoff allowance: the smallest mu that automatic
+# (mu, l) hands a polygamy theorem, whose range 0 < mu <= 1 excludes the 0 or
+# negative mu that heuristic pair values can extract
+POLYGAMY_MU_FLOOR = 1e-9
+
 # theorem selector -> (measure, direction, gamma, window of q or order): the
 # one table of the bound families.  A window is a tuple of closed intervals
 # (None: the measure takes no parameter).
@@ -99,7 +109,7 @@ class BoundFamily:
     def check_alpha(self, alpha):
         """ParameterError unless alpha is finite and inside the domain.
 
-        The one alpha-domain rule of every bound (1e-12 slack).  alpha may
+        The one alpha-domain rule of every bound (ALPHA_DOMAIN_SLACK).  alpha may
         be an array (a sweep's grid, a corpus block): it is inside when its
         smallest and largest entries are, since the check is a range (NaN
         propagates through min and max), and the error shows them as
@@ -117,7 +127,8 @@ class BoundFamily:
                 f"alpha must be a real number or an ndarray, got {alpha!r} for {self.label}")
         low, high = self.domain
         # a NaN or -inf lo fails the first comparison
-        if not (low - 1e-12 <= lo and hi <= high + 1e-12 and math.isfinite(hi)):
+        if not (low - ALPHA_DOMAIN_SLACK <= lo and hi <= high + ALPHA_DOMAIN_SLACK
+                and math.isfinite(hi)):
             raise ParameterError(
                 f"alpha={shown} is not finite or outside [{low}, {high}] for {self.label}")
 
@@ -610,7 +621,7 @@ def resolve_params(chain: Chain, params: BoundParams) -> BoundParams:
     if mu is None:
         mu, ell = 1.0, 1.0
     if family.direction == POLYGAMY:
-        mu, ell = min(max(mu, 1e-9), 1.0), max(ell, 1.0)
+        mu, ell = min(max(mu, POLYGAMY_MU_FLOOR), 1.0), max(ell, 1.0)
     return BoundParams(family, params.alpha, (mu,), (ell,), params.split)
 
 

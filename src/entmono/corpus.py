@@ -31,9 +31,11 @@ elementwise over the block, so a sample's values are those of a stack
 of one, and both read a value within its roundoff radius as exactly 0.
 Slack arrays are recorded with :meth:`SuiteResult.record_all`, which
 keeps the first five offenders in sample order.  lemma1 and hierarchy
-draw their scalars in one block and evaluate them as arrays; hierarchy's
-weights come from the broadcasting bounds.coefficient_K and
-bounds.prior_weight.
+draw their scalars in one block; hierarchy evaluates them as whole
+arrays, its weights from the broadcasting bounds.coefficient_K and
+bounds.prior_weight, and lemma1 over slices of LEMMA1_BLOCK samples, so
+its power temporaries stay in cache (the slack bits are those of the
+whole arrays).
 
 No suite writes a bound of its own: ckw and lemma2 read their right
 sides from the one chained-sum kernel of :mod:`bounds`, on the block's
@@ -59,6 +61,10 @@ from .states import INDEX_CAP, haar_blocks, seed_path
 
 # samples per evaluated block of the state-based suites
 BLOCK = 1024
+
+# samples per evaluated slice of lemma1: its float temporaries stay
+# cache-sized (64 KB each) instead of streaming whole arrays through memory
+LEMMA1_BLOCK = 8192
 
 # largest sample count of a suite: every index is below states.INDEX_CAP
 MAX_SAMPLES = INDEX_CAP - 1
@@ -119,20 +125,38 @@ class SuiteResult:
         }
 
 
+def _lemma1_gap(a, b, e):
+    """((1+a)^e - a^e) - ((1+b)^e - b^e), elementwise."""
+    return ((1.0 + a) ** e - a ** e) - ((1.0 + b) ** e - b ** e)
+
+
 def suite_lemma1(res: SuiteResult):
     """(1+x)^t - x^t >= (1+y)^t - y^t for 0 <= y <= x, t >= 1, and the
-    reversed inequality for exponents in [0, 1]."""
+    reversed inequality for exponents in [0, 1].
+
+    The four scalars are drawn whole, y and t built in place (y *= x and
+    t += 1.0 round as uniform * x and 1.0 + exponential do); the gaps are
+    evaluated over LEMMA1_BLOCK samples at a time, "t>=1" for every slice
+    before "0<=s<=1", so offenders keep the order of two whole arrays.
+    Each power is elementwise, so a sample's slack has the same bits in a
+    slice as in the whole array.
+    """
     samples = res.samples
     rng = np.random.default_rng(seed_path(res.seed))
     x = rng.uniform(0.0, 50.0, samples)
-    y = rng.uniform(0.0, 1.0, samples) * x
-    t = 1.0 + rng.exponential(2.0, samples)
+    y = rng.uniform(0.0, 1.0, samples)
+    y *= x
+    t = rng.exponential(2.0, samples)
+    t += 1.0
     s = rng.uniform(0.0, 1.0, samples)
-    up = ((1.0 + x) ** t - x ** t) - ((1.0 + y) ** t - y ** t)
-    down = ((1.0 + y) ** s - y ** s) - ((1.0 + x) ** s - x ** s)
-    for arr, tag in ((up, "t>=1"), (down, "0<=s<=1")):
-        res.record_all(arr, lambda i: {"sample": i, "direction": tag, "x": float(x[i]),
-                                       "y": float(y[i]), "t": float(t[i]), "s": float(s[i])})
+    # up is the gap of (x, y) at t, down the gap of (y, x) at s
+    for tag, a, b, e in (("t>=1", x, y, t), ("0<=s<=1", y, x, s)):
+        for lo in range(0, samples, LEMMA1_BLOCK):
+            part = slice(lo, lo + LEMMA1_BLOCK)
+            res.record_all(_lemma1_gap(a[part], b[part], e[part]),
+                           lambda i: {"sample": lo + i, "direction": tag,
+                                      "x": float(x[lo + i]), "y": float(y[lo + i]),
+                                      "t": float(t[lo + i]), "s": float(s[lo + i])})
 
 
 def suite_ckw(res: SuiteResult, start: int, conc: tuple):

@@ -70,6 +70,11 @@ PARAMETERS = {"tsallis": "q", "renyi": "order"}
 # boundary, verify's margin, and group_link's exactness test
 CERT_TOL = 1e-9
 
+# Roundoff allowance, not an input contract: how far an interval's lo may
+# exceed its hi, the two ends coming from different computations, before
+# MeasureValue refuses the interval
+INTERVAL_ORDER_TOL = 1e-15
+
 # assisted restarts per block: a block stacks at most pairs x RESTART_BLOCK
 # isometries of one rank, one QR and one ensemble evaluation, which bounds
 # memory for any budget
@@ -117,7 +122,7 @@ class MeasureValue:
         if self.status not in ("exact", "interval", "heuristic"):
             raise ParameterError(f"unknown certification status {self.status!r}")
         if self.status == "interval":
-            if self.lo is None or self.hi is None or self.lo > self.hi + 1e-15:
+            if self.lo is None or self.hi is None or self.lo > self.hi + INTERVAL_ORDER_TOL:
                 raise ParameterError(f"bad interval [{self.lo}, {self.hi}]")
 
     def __float__(self):

@@ -32,9 +32,11 @@ DIM_CAP = 2 ** 12
 # the ideal object before it is refused.  HERM_TOL bounds the Hermiticity
 # defect and the most negative eigenvalue of a DensityMatrix, NORM_TOL the
 # norm² defect of a PureState or SchmidtParams, FILE_NORM_TOL that of a
-# state file (which is renormalized after the check).  They say nothing
-# about the roundoff of any value computed from a valid input.
+# state file (which is renormalized after the check), TRACE_TOL the trace
+# defect of a DensityMatrix.  They say nothing about the roundoff of any
+# value computed from a valid input.
 HERM_TOL = 1e-10
+TRACE_TOL = 1e-10
 NORM_TOL = 1e-12
 FILE_NORM_TOL = 1e-9
 
@@ -103,7 +105,7 @@ class DensityMatrix(_ArrayRecord):
 
     Invariants are validated once at construction, in this order:
     shape (d, d) for d the product of dims (DimensionError), then trace 1
-    within 1e-10, finite entries, Hermitian within HERM_TOL and minimum
+    within TRACE_TOL, finite entries, Hermitian within HERM_TOL and minimum
     eigenvalue >= -HERM_TOL (ContractError each).
 
     It has no public methods.  Reductions, marginal spectra and
@@ -123,8 +125,8 @@ class DensityMatrix(_ArrayRecord):
         if m.shape != (d, d):
             raise DimensionError(f"matrix shape {m.shape} does not match dims {dims}")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > 1e-10:
-            raise ContractError(f"trace {tr} deviates from 1 beyond 1e-10")
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ContractError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
         if not np.all(np.isfinite(m)):
             raise ContractError("matrix contains NaN or Inf entries")
         dev = np.max(np.abs(m - m.conj().T))
@@ -246,12 +248,16 @@ def haar_blocks(sizes, seed, start: int, stop: int) -> dict:
     One row per sample, from its own (seed, i) stream: the seed words of
     the whole block are hashed at once (:func:`seed_words`), then one PCG64
     per row, seeded through numpy's ISeedSequence hook with those words,
-    makes one draw as wide as the widest size.  An n-qubit sample is the
-    first 2**(n+1) normals of its stream (normal fills its output one value
-    after another, so a shorter draw is a prefix of a longer one), so every
-    size reads a prefix of the same rows and each stream is seeded once.
-    Each block holds exactly the states of the one-state-at-a-time path,
-    bit for bit.  The draws become unit vectors together
+    makes one draw as wide as the widest size, written into its row of the
+    block in place (standard_normal(out=row): no draw array, no copy).  An
+    n-qubit sample is the first 2**(n+1) normals of its stream (the draw
+    fills its output one value after another, so a shorter draw is a prefix
+    of a longer one), so every size reads a prefix of the same rows and
+    each stream is seeded once.  random_pure draws normal(0, 1), which is
+    0.0 + 1.0*z of the same z, so the two differ only where z is -0.0
+    (probability about 2**-53 per value, where the sum reads +0.0): each
+    block holds the states of the one-state-at-a-time path, bit for bit,
+    as the block tests check.  The draws become unit vectors together
     (:func:`_haar_rows`), and each block passes the PureState checks
     (finite, norm² within NORM_TOL of 1) as a whole.  Errors are those of
     :func:`seed_words`.
@@ -260,7 +266,7 @@ def haar_blocks(sizes, seed, start: int, stop: int) -> dict:
     fixed_words = _fixed_words()
     g = np.empty((stop - start, 2 ** (max(sizes) + 1)))
     for row, w in enumerate(words):
-        g[row] = np.random.Generator(np.random.PCG64(fixed_words(w))).normal(size=g.shape[1])
+        np.random.Generator(np.random.PCG64(fixed_words(w))).standard_normal(out=g[row])
     blocks = {n: _haar_rows(g[:, :2 ** (n + 1)]) for n in sizes}
     for amps in blocks.values():
         _check_unit(amps)

@@ -1,8 +1,10 @@
 """Property tests of the batched kernels against per-sample references:
 the stacked Wootters concurrence against the Hill-Wootters eigenvalue form
 and 2|ad - bc|, the blocked corpus suites against one-sample-at-a-time
-loops and their shared pass against each suite alone, the vectorized
-closed forms and the broadcasting coefficient_K against scalar calls,
+loops and their shared pass against each suite alone, lemma1's slices
+against its whole arrays bit for bit and its traced memory peak, the
+vectorized closed forms and the broadcasting coefficient_K against scalar
+calls,
 the Haar samples against two plain normal draws, the block hash of the
 seed words against numpy's SeedSequence, and the stacked assisted
 estimator against its per-member loop, on a whole polygamy chain of
@@ -10,6 +12,7 @@ mixed pair ranks against each pair alone, and on four pair stacks
 against pinned float values."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -413,6 +416,56 @@ def test_offenders_match_per_sample_loops(seed, samples, block):
             assert fast.offenders == slow.offenders
             assert [list(o) for o in fast.offenders] == [list(o) for o in slow.offenders]
             assert abs(fast.worst_slack - slow.worst_slack) <= 1e-12
+
+
+@st.composite
+def slice_counts(draw):
+    """(LEMMA1_BLOCK, samples): a count that ends inside a slice, at a slice
+    edge or one past it, after up to three whole slices."""
+    block = draw(st.integers(1, 16))
+    whole = draw(st.integers(0, 3))
+    return block, max(1, block * whole + draw(st.sampled_from([-1, 0, 1, block // 2])))
+
+
+@FAST
+@given(seeds, slice_counts(), st.sampled_from([1e-12, -1.0, -math.inf]))
+@example(3, (1, 1), -math.inf)
+@example(3, (16, 16), -math.inf)
+@example(3, (16, 17), -math.inf)
+@example(3, (4, 11), -math.inf)
+def test_lemma1_slices_are_the_whole_arrays_bit_for_bit(seed, counts, tolerance):
+    # lemma1 evaluates its gaps LEMMA1_BLOCK samples at a time; every slack is
+    # the bits of the whole-array evaluation, so the worst slack, the count and
+    # the offenders (a tolerance of -1 makes every slack below 1 offend, one of
+    # -inf every slack) are exactly the reference's, key by key and in order
+    block, samples = counts
+    suite_result = corpus.SuiteResult
+
+    def result(suite, samples, seed, **_):
+        return suite_result(suite, samples, seed, tolerance=tolerance)
+
+    with mock.patch.object(corpus, "LEMMA1_BLOCK", block), \
+            mock.patch.object(corpus, "SuiteResult", result):
+        fast, slow = corpus.run_suite("lemma1", samples, seed), lemma1_reference(samples, seed)
+    assert fast.tolerance == slow.tolerance == tolerance
+    assert float.hex(fast.worst_slack) == float.hex(slow.worst_slack)
+    assert fast.violations == slow.violations
+    assert [list(o.items()) for o in fast.offenders] == [list(o.items()) for o in slow.offenders]
+
+
+def test_lemma1_memory_is_its_draws_and_a_few_slices():
+    # x, y, t and s are drawn whole (3.2 MB); the gap's temporaries live one
+    # slice at a time, four 64 KB arrays at once, and one whole-array
+    # temporary would add 0.8 MB
+    samples = corpus.SUITES["lemma1"][0]
+    corpus.run_suites(["lemma1"], None, 7)
+    tracemalloc.start()
+    try:
+        corpus.run_suites(["lemma1"], None, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * samples + 300_000
 
 
 @FAST
