@@ -35,10 +35,12 @@ the one pipeline behind verify and the CLI sweep, and
 BoundFamily.check_alpha the one domain rule for every exponent alpha.
 
 Every hypothesis clause is one _clause verdict on (lo, hi) float
-endpoints, None marking an uncertified value.  Parameters outside their
-theorem ranges (mu >= 1 and l >= 1 for monogamy; 0 < mu <= 1, l >= 1 for
-polygamy) are such clauses, reported as failed conditions rather than
-rejected, so that extracted maximal parameters can always be evaluated.
+endpoints, None marking an uncertified value, except the clauses that
+extracted (mu, l) satisfy by proof (check_conditions).  Parameters
+outside their theorem ranges (mu >= 1 and l >= 1 for monogamy;
+0 < mu <= 1, l >= 1 for polygamy) are such clauses, reported as failed
+conditions rather than rejected, so that extracted maximal parameters can
+always be evaluated.
 """
 
 import math
@@ -552,8 +554,10 @@ def _clause(desc, lhs, rhs, op=">=") -> ConditionStep:
     return ConditionStep(desc, "undecidable")
 
 
-def check_conditions(chain: Chain, params: BoundParams) -> ConditionReport:
-    """Hypothesis check for every chain step, each clause a _clause verdict.
+def check_conditions(chain: Chain, params: BoundParams,
+                     extracted: bool = False) -> ConditionReport:
+    """Hypothesis check for every chain step, each clause a _clause verdict
+    unless extracted parameters decide it by proof.
 
     Clauses run on endpoints at the power gamma: a certified link's bounds,
     an exact pair value v as (v, v), their multiples and sums end by end;
@@ -563,11 +567,34 @@ def check_conditions(chain: Chain, params: BoundParams) -> ConditionReport:
     verdicts; beyond them the concurrence and CREN families certify what
     their links allow.  mu and ell must be explicit, with the shape and
     split _right_sides requires (ParameterError otherwise).
+
+    extracted says that params are the chain's own extract_mu_l pair, as
+    resolve_params returns it with neither its (1, 1) fallback nor its
+    polygamy clamp acting (verify decides this).  On an exact (monogamy)
+    chain of three qubits, with F = M(A|BC), x = M^g(A,B), y = M^g(A,C),
+    g = gamma and the links (F^g, F^g) and (y, y) that group_link gives
+    the whole register and the last pair, the extracted
+    mu* = (F^g - x)/y and l* = x/y make the pair clause x >= l* y and the
+    sum clause F^g >= x + mu* y equalities, whatever floats x, y and F
+    are; both read "holds" with slack 0.0.  mu* >= 1 is
+    F^g >= M^g(A,B) + M^g(A,C), a published monogamy inequality for every
+    family bound_family builds, within its THEOREMS window: Coffman,
+    Kundu and Wootters (PRA 61, 052306, 2000) for the concurrence, and
+    for the CREN, which equals the concurrence on a qubit against a
+    group and on a qubit pair; Bai, Xu and Wang (PRL 113, 100503, 2014)
+    for the EoF at gamma = sqrt(2); Kim (PRA 81, 062328, 2010) for
+    Tsallis-q, 2 <= q <= 3; Kim and Sanders (J. Phys. A 43, 445305,
+    2010) for Renyi order >= 2.  So that clause reads "holds", its slack
+    the computed mu - 1.  The l clause, M(A,B) >= M(A,C), stays the one
+    comparison of measured values.  A polygamy chain's pair values are
+    heuristic, so its clauses are decided as without extraction.
     """
     family = params.family
     if params.mu is None:
         raise ParameterError("check_conditions needs explicit mu and ell")
     m = _split_step(len(chain.pairs), len(params.mu), params.split)
+    proven = extracted and chain.status == "exact"
+    theorem = proven and _stated(family)
     p = family.gamma
     links = [None if link is None else tuple(end ** p for end in link.bounds)
              for link in chain.links]
@@ -578,8 +605,9 @@ def check_conditions(chain: Chain, params: BoundParams) -> ConditionReport:
     steps = []
     for r in range(1, len(params.mu) + 1):
         mu, ell = params.mu[r - 1], params.ell[r - 1]
-        steps.append(_clause(f"step {r}: mu_{r} >= 1" if op == ">=" else
-                             f"step {r}: 0 < mu_{r} <= 1", (mu, mu), (1.0, 1.0), op))
+        mu_desc = f"step {r}: mu_{r} >= 1" if op == ">=" else f"step {r}: 0 < mu_{r} <= 1"
+        steps.append(ConditionStep(mu_desc, "holds", mu - 1.0) if theorem
+                     else _clause(mu_desc, (mu, mu), (1.0, 1.0), op))
         steps.append(_clause(f"step {r}: l_{r} >= 1", (ell, ell), (1.0, 1.0)))
 
         # steps up to the split compare the pair against the tail; beyond it
@@ -591,12 +619,27 @@ def check_conditions(chain: Chain, params: BoundParams) -> ConditionReport:
         else:
             x, y, xt, yt = links[r], pairs[r - 1], tail_txt, pair_txt
             sum_txt = f"mu_{r} * {yt} + {xt}"
+        pair_desc = f"step {r}: {xt} >= l_{r} * {yt}"
+        sum_desc = f"step {r}: M{ptxt}(A|B{r}..) {op} {sum_txt}"
+        if proven:
+            steps += [ConditionStep(desc, "holds", 0.0) for desc in (pair_desc, sum_desc)]
+            continue
         certified = x is not None and y is not None
-        steps.append(_clause(f"step {r}: {xt} >= l_{r} * {yt}", x,
-                             None if y is None else (ell * y[0], ell * y[1])))
-        steps.append(_clause(f"step {r}: M{ptxt}(A|B{r}..) {op} {sum_txt}", links[r - 1],
+        steps.append(_clause(pair_desc, x, None if y is None else (ell * y[0], ell * y[1])))
+        steps.append(_clause(sum_desc, links[r - 1],
                              (x[0] + mu * y[0], x[1] + mu * y[1]) if certified else None, op))
     return ConditionReport(tuple(steps))
+
+
+def _stated(family: BoundFamily) -> bool:
+    """Whether family is one bound_family builds, a THEOREMS row with its
+    q or order inside the row's window: the families whose theorem
+    check_conditions cites."""
+    kind = family.measure
+    try:
+        return bound_family(kind.name, family.direction, kind.q, kind.order) == family
+    except ParameterError:
+        return False
 
 
 def resolve_params(chain: Chain, params: BoundParams) -> BoundParams:
@@ -675,6 +718,18 @@ def verify(state: PureState, params: BoundParams, comparator_k: float = 0.5,
     families, see measures.group_link); for every other family pass
     comparator_only to skip straight to the bound comparison (conditions
     then report undecidable).
+
+    Automatic (mu, l) that resolve_params takes from extract_mu_l as they
+    are, with neither its (1, 1) fallback nor its polygamy clamp acting,
+    saturate the bound: with s = alpha/g, F = M(A|BC), x = M^g(A,B),
+    y = M^g(A,C), mu* = (F^g - x)/y and l* = x/y, (mu* + l*) y = F^g, so
+    the right side x^s + ((mu* + l*)^s - l*^s) y^s is
+    x^s + F^(g s) - x^s = F^alpha.  The identity holds on whatever values
+    were measured, heuristic ones too, so such a report's margin is
+    exactly 0.0 in either direction, and check_conditions decides its
+    defining clauses by proof.  Its mu, l, coefficients, terms, rhs and
+    priors stay the computed floats, whose agreement with the identity
+    the corpus's lemma2 suite and the tests check.
     """
     family = params.family
     if (isinstance(state, PureState) and state.n_qubits > 3
@@ -683,10 +738,16 @@ def verify(state: PureState, params: BoundParams, comparator_k: float = 0.5,
             f"{family.label} beyond 3 qubits lacks certified chain values "
             f"M(A|B_r..B_{state.n_qubits - 1}); rerun with comparator_only=True")
 
+    auto = params.mu is None
     chain, params, breakdown, priors = evaluate_bounds(
         state, params, ("ours",) + PRIOR_KINDS, comparator_k, budget, seed)
+    extracted = auto and (*params.mu, *params.ell) == extract_mu_l(chain.full, *chain.pairs,
+                                                                   family)
     lhs = chain.full ** params.alpha
-    margin = lhs - breakdown.rhs if family.direction == MONOGAMY else breakdown.rhs - lhs
+    if extracted:
+        margin = 0.0
+    else:
+        margin = lhs - breakdown.rhs if family.direction == MONOGAMY else breakdown.rhs - lhs
     return BoundReport(
         family=family.label,
         direction=family.direction,
@@ -700,7 +761,7 @@ def verify(state: PureState, params: BoundParams, comparator_k: float = 0.5,
         ell=params.ell,
         split=params.split,
         margin=margin,
-        conditions=check_conditions(chain, params),
+        conditions=check_conditions(chain, params, extracted),
         priors=priors,
         value_status=chain.status,
     )

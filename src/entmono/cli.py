@@ -21,7 +21,7 @@ from . import corpus as corpus_mod
 from .bounds import MONOGAMY, THEOREMS, BoundParams, bound_family, evaluate_bounds, verify
 from .errors import (CapabilityError, ContractError, DimensionError,
                      DomainError, ParameterError)
-from .measures import CERT_TOL, MeasureKind, negativity
+from .measures import CERT_TOL, PARAMETERS, MeasureKind, negativity
 from .states import bell, example1_params, ghz, load_state, schmidt3, w_state
 
 MEASURE_KINDS = ("concurrence", "cren", "negativity", "eof", "tsallis", "renyi")
@@ -127,20 +127,24 @@ def parse_partition(text: str, n_qubits: int) -> tuple:
     return left, right
 
 
+# MeasureKind parameter field -> the option that gives it
+FIELD_OPTIONS = {"q": "q", "order": "aacute"}
+
+
 def kind_options(name: str, args) -> dict:
     """The q and order of the measure name from --q/--aacute.
 
-    tsallis takes --q and renyi --aacute; a missing one, or one given to
-    any other kind, is a ParameterError.
+    A kind takes the option of its measures.PARAMETERS field (FIELD_OPTIONS);
+    a missing one, or one given to any other kind, is a ParameterError.
     """
-    needed = {"tsallis": "q", "renyi": "aacute"}.get(name)
-    for opt in ("q", "aacute"):
+    needed = FIELD_OPTIONS.get(PARAMETERS.get(name))
+    for opt in FIELD_OPTIONS.values():
         given = getattr(args, opt) is not None
         if opt == needed and not given:
             raise ParameterError(f"{name} requires --{opt}")
         if opt != needed and given:
             raise ParameterError(f"--{opt} is not meaningful for kind {name!r}")
-    return {"q": args.q, "order": args.aacute}
+    return {field: getattr(args, opt) for field, opt in FIELD_OPTIONS.items()}
 
 
 def cmd_measure(args) -> int:

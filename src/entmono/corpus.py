@@ -45,7 +45,11 @@ sample by sample with bounds.extract_mu_l, the three-qubit step that
 verify's resolve_params runs, on floats (numpy's x**2.0 is x*x, which
 differs from the float power in the last bit), then takes every
 (sample, alpha, variant) right side of a block as one array of
-bounds._right_sides' tightened sum.
+bounds._right_sides' tightened sum.  Its extracted variant saturates the
+bound identically, so verify reports that margin as exactly 0 without
+computing it; the variant is the float regression check of _right_sides
+that verify's margin no longer makes.  Its l = 1 variant checks the
+paper's bound itself.
 """
 
 import math
@@ -213,9 +217,11 @@ LEMMA2_VARIANTS = ("extracted", "l=1")
 def suite_lemma2(res: SuiteResult, start: int, conc: tuple):
     """Chained bound on random 3-qubit pure states with extracted (mu, l).
 
-    With the maximal extracted parameters the bound saturates identically;
-    when the extracted l permits l = 1 (pair dominates tail), the strictly
-    weaker l = 1 instance must still hold.  Records one block as suite_ckw.
+    With the maximal extracted parameters the bound saturates identically
+    (see bounds.verify), so that variant's slack is the roundoff of
+    _right_sides, which verify no longer computes for such a step; when the
+    extracted l permits l = 1 (pair dominates tail), the strictly weaker
+    l = 1 instance must still hold.  Records one block as suite_ckw.
     """
     c_abc, c_ab, c_ac = (c[:res.samples - start] for c in conc)
     rows = []

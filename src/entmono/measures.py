@@ -67,7 +67,9 @@ PARAMETERS = {"tsallis": "q", "renyi": "order"}
 
 # roundoff allowance of every certified comparison: the verdicts of
 # bounds._clause, whose saturating states sit exactly on a clause
-# boundary, verify's margin, and group_link's exactness test
+# boundary, the exit code of a computed verify margin, and group_link's
+# exactness test (a step of extracted (mu, l) saturates by proof instead,
+# see bounds.check_conditions)
 CERT_TOL = 1e-9
 
 # Roundoff allowance, not an input contract: how far an interval's lo may
@@ -369,7 +371,9 @@ def marginal_spectra(amps: np.ndarray, dims: tuple, keep) -> np.ndarray:
     side = rest if len(rest) < len(keep) else keep
     m = split_amplitudes(amps, dims, side)
     if m.shape[-2] == 2 and m.shape[-1] in _MINORS:
-        return _qubit_spectra(m)
+        # one state runs as a stack of one: numpy rounds the 0-d arithmetic
+        # of a lone matrix differently from its array loops
+        return _qubit_spectra(m[None])[0] if m.ndim == 2 else _qubit_spectra(m)
     s = np.linalg.svd(m, compute_uv=False)
     return s * s
 
@@ -402,9 +406,13 @@ def _qubit_spectra(m: np.ndarray) -> np.ndarray:
     and on Haar 3-qubit states the spectrum is within 2.3u of the exact
     one of the stored amplitudes (the svd's is within 10.4u).
 
-    Every operation is elementwise or a sum along the contiguous last axis,
-    which numpy adds in one order for every row, so a stack of one state
-    gives the bits of its row in any block.
+    Every operation is elementwise or a sum along the contiguous last axis.
+    For m <= 4 numpy adds such a sum in one order for every row, so a stack
+    of one state gives the bits of its row in any block (marginal_spectra
+    runs one state as such a stack).  The 28 minors of m = 8, a qubit
+    against three qubits, are summed in another order inside a block, and
+    about half the rows of a 4-qubit block differ from their stack of one
+    in the last bit.
     """
     cols = m.shape[-1]
     factors = m.reshape(m.shape[:-2] + (2 * cols,))[..., _MINORS[cols]]

@@ -2,13 +2,16 @@
 they replaced (the marginal spectrum as the squared singular values of the
 amplitude matrix, and the Wootters concurrence as l1 - l2 - ... of the
 singular values of L^T (sy x sy) L), and the spectrum of a 2 x m amplitude
-matrix in exact rational arithmetic with one 50-digit square root."""
+matrix in exact rational arithmetic with one 50-digit square root; and the
+states with known values they are tested on: Haar local-unitary copies of
+a state, and a product qubit times a Haar state."""
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 
+from entmono import PureState, random_pure, seed_path
 from entmono.states import keep_indices, split_amplitudes
 
 YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
@@ -51,3 +54,27 @@ def exact_spectrum(m: np.ndarray) -> tuple:
         root = (Decimal(disc.numerator) / Decimal(disc.denominator)).sqrt()
         total = Decimal((a + d).numerator) / Decimal((a + d).denominator)
         return (total + root) / 2, (total - root) / 2
+
+
+def haar_unitary(rng) -> np.ndarray:
+    """A Haar 2 x 2 unitary: the QR of a complex Gaussian, phases fixed."""
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def local_copy(state: PureState, seed) -> PureState:
+    """U_1 x ... x U_n applied to a qubit state, each U_i Haar."""
+    rng = np.random.default_rng(seed)
+    psi = state.amplitudes.reshape(state.dims)
+    for i in range(state.n_qubits):
+        psi = np.moveaxis(np.tensordot(haar_unitary(rng), psi, axes=([1], [i])), 0, i)
+    return PureState(psi.reshape(-1), state.dims)
+
+
+def product_state(n: int, position: int, seed) -> PureState:
+    """A Haar qubit at position times a Haar state of the other n - 1 qubits."""
+    one = random_pure(1, seed_path(seed, 0)).amplitudes
+    rest = random_pure(n - 1, seed_path(seed, 1)).amplitudes.reshape(2, -1)
+    psi = np.moveaxis(np.einsum("a,bc->abc", one, rest).reshape((2,) * n), 0, position)
+    amps = psi.reshape(-1)
+    return PureState(amps / np.linalg.norm(amps), (2,) * n)

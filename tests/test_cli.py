@@ -998,10 +998,17 @@ PIN_ARGVS = {
 # closed forms of the measures were read from MeasureKind.from_spectrum alone.
 # verify was re-recorded when the qubit kernels became closed forms, which
 # moved only two example1 margins to exact zeros: tsallis -2.77555756156e-17
-# -> 0 and renyi 5.55111512313e-17 -> 0
+# -> 0 and renyi 5.55111512313e-17 -> 0.  It was re-recorded again when
+# extracted (mu, l) began to report the margin they saturate as exactly 0,
+# which moved nine margins and nothing else: example1 concurrence
+# 1.11022302463e-16 and eoa 1.11022302463e-16; w:3 concurrence
+# 1.11022302463e-16, cren -2.22044604925e-16, eof 1.11022302463e-16, tsallis
+# 2.77555756156e-17, renyi -1.11022302463e-16, teoa 1.11022302463e-16 and
+# reoa -1.11022302463e-16, each -> 0.  These bytes no longer depend on the
+# host's SIMD kernels
 PIN_SHA256 = {
     "measure": "b3c4d27ed89acb54fa92ba8d4137bb1c5bd09ab96eeae00b539a4b005f1e4080",
-    "verify": "ae36b2e88101567480e42c19e234900bc696eb5247bc106e607a3a3da827dcc1",
+    "verify": "957aa69d688aeed4747b4e8126427556e8648a7bf121ba0b2d9aee4b787e8cd8",
     "sweep": "a68d9b1e712e99f7b423217ff180a905645f2b673cc5f8affca9485a0c20414c",
 }
 
