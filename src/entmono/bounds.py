@@ -736,7 +736,8 @@ def verify(state: PureState, params: BoundParams, comparator_k: float = 0.5,
             and not family.measure.certifies_groups and not comparator_only):
         raise CapabilityError(
             f"{family.label} beyond 3 qubits lacks certified chain values "
-            f"M(A|B_r..B_{state.n_qubits - 1}); rerun with comparator_only=True")
+            f"M(A|B_r..B_{state.n_qubits - 1}); rerun with comparator_only=True "
+            "(--comparator-only on the command line)")
 
     auto = params.mu is None
     chain, params, breakdown, priors = evaluate_bounds(

@@ -26,20 +26,25 @@ from .states import bell, example1_params, ghz, load_state, schmidt3, w_state
 
 MEASURE_KINDS = ("concurrence", "cren", "negativity", "eof", "tsallis", "renyi")
 
+# the one print rule of a float in JSON and CSV output: FLOAT_FORMAT % x
+# (12 significant digits) if x is finite, NON_FINITE otherwise
+FLOAT_FORMAT = "%.12g"
+NON_FINITE = "null"
+
 
 def fmt(x) -> str:
-    """Floats with 12 significant digits (null if not finite); everything
+    """A float by the print rule (FLOAT_FORMAT, NON_FINITE); everything
     else via json.dumps."""
     if isinstance(x, float):
-        return format(x, ".12g") if math.isfinite(x) else "null"
+        return FLOAT_FORMAT % x if math.isfinite(x) else NON_FINITE
     return json.dumps(x)
 
 
 def to_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON with fixed float formatting (12 significant digits),
-    each level two spaces past its container from indent levels, as fmt
-    renders its leaves and empty containers.  The pieces of every level are
-    appended into one list that is joined once."""
+    """Deterministic JSON, each level two spaces past its container from
+    indent levels, as fmt renders its leaves (floats by the print rule) and
+    empty containers.  The pieces of every level are appended into one
+    list that is joined once."""
     if not (isinstance(obj, (dict, list, tuple)) and obj):
         return fmt(obj)
     pieces = []
@@ -50,9 +55,9 @@ def to_json(obj, indent: int = 0) -> str:
 def _render(obj, pad: str, pieces: list):
     """Append the JSON of a nonempty dict, list or tuple whose line starts
     with pad to pieces.  Its leaves are rendered here, floats and strings
-    checked first ('%.12g' % x is fmt(x) for a finite float, and
-    encode_basestring_ascii quotes a string as json.dumps does), and only
-    a nested nonempty container takes a further call."""
+    checked first (floats by the print rule, and encode_basestring_ascii
+    quotes a string as json.dumps does), and only a nested nonempty
+    container takes a further call."""
     inner, keyed = pad + "  ", isinstance(obj, dict)
     sep = "{" if keyed else "["
     for item in obj.items() if keyed else obj:
@@ -61,7 +66,7 @@ def _render(obj, pad: str, pieces: list):
             pieces += (encode_basestring_ascii(str(item[0])), ": ")
             item = item[1]
         if isinstance(item, float):
-            pieces.append("%.12g" % item if math.isfinite(item) else "null")
+            pieces.append(FLOAT_FORMAT % item if math.isfinite(item) else NON_FINITE)
         elif isinstance(item, str):
             pieces.append(encode_basestring_ascii(item))
         elif isinstance(item, (dict, list, tuple)) and item:
@@ -216,7 +221,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    """Write the sweep_columns as CSV, one row per alpha, 12 significant digits."""
+    """Write the sweep_columns as CSV, one row per alpha, floats as fmt prints them."""
     emit("\n".join(csv_lines(sweep_columns(args))), args.out)
     return 0
 
@@ -225,10 +230,11 @@ def csv_lines(columns: dict) -> list:
     """The header and one line per row of columns (name -> float array),
     each value as fmt renders it.
 
-    A row is one %-format call: '%.12g' % x is fmt(x) for every finite
-    float.  A row with a non-finite value goes through fmt, which prints null.
+    A row of finite floats is one %-format call of FLOAT_FORMAT per
+    column.  A row with a non-finite value goes through fmt, which prints
+    NON_FINITE.
     """
-    row_format = ",".join(["%.12g"] * len(columns))
+    row_format = ",".join([FLOAT_FORMAT] * len(columns))
     rows = zip(*(c.tolist() for c in columns.values()))
     finite = np.logical_and.reduce([np.isfinite(c) for c in columns.values()]).tolist()
     return [",".join(columns)] + [row_format % row if ok else ",".join(map(fmt, row))

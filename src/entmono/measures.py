@@ -77,6 +77,17 @@ CERT_TOL = 1e-9
 # MeasureValue refuses the interval
 INTERVAL_ORDER_TOL = 1e-15
 
+# Roundoff allowance, not an input contract: _member_terms skips an ensemble
+# member whose weight p = |row|² is at most this, counting its term p·F(C) <=
+# p·F(1) as 0, rather than normalize a row that is roundoff by sqrt(p)
+MEMBER_WEIGHT_CUT = 1e-14
+
+# Input contract, not a roundoff allowance: how far outside [0, 1] the
+# squared concurrence given to f_eof or g_tsallis may lie, a C² computed
+# elsewhere that rounds past an end, before it is a DomainError; an
+# accepted argument is clamped into [0, 1]
+UNIT_INTERVAL_SLACK = 1e-12
+
 # assisted restarts per block: a block stacks at most pairs x RESTART_BLOCK
 # isometries of one rank, one QR and one ensemble evaluation, which bounds
 # memory for any budget
@@ -881,12 +892,13 @@ def _member_terms(members: np.ndarray, kind: MeasureKind) -> np.ndarray:
 
     Each (m, 4) matrix holds the unnormalized pure members of one
     decomposition as rows (an isometry times the eigen-ensemble, or that
-    ensemble itself), with weights p = |row|²; members with p <= 1e-14 are
-    skipped (their term is 0).  All ensembles are evaluated in one stack;
-    the sum of an ensemble's terms (the last axis) is its average.
+    ensemble itself), with weights p = |row|²; members with p <=
+    MEMBER_WEIGHT_CUT are skipped (their term is 0).  All ensembles are
+    evaluated in one stack; the sum of an ensemble's terms (the last axis)
+    is its average.
     """
     probs = np.sum(np.abs(members) ** 2, axis=-1)
-    live = probs > 1e-14
+    live = probs > MEMBER_WEIGHT_CUT
     p = probs[live]
     terms = np.zeros(probs.shape)
     terms[live] = p * kind.from_concurrence(
@@ -896,7 +908,7 @@ def _member_terms(members: np.ndarray, kind: MeasureKind) -> np.ndarray:
 
 def _unit_interval(x, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    inside = (x >= -1e-12) & (x <= 1.0 + 1e-12)
+    inside = (x >= -UNIT_INTERVAL_SLACK) & (x <= 1.0 + UNIT_INTERVAL_SLACK)
     if not inside.all():
         bad = float(x[~inside][0])
         raise DomainError(f"{what} requires an argument in [0, 1], got {bad!r}")

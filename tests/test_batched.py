@@ -374,6 +374,10 @@ def test_batched_suites_match_per_sample_loops(seed, samples, block):
          {"lemma1": 1, "ckw": 5, "consistency": 12, "hierarchy": 1, "lemma2": 20})
 @example(3, 7, 16, ["ckw", "consistency", "lemma2"],
          {"lemma1": 1, "ckw": 20, "consistency": 12, "hierarchy": 1, "lemma2": 5})
+# corpus --suite all --samples 3000 --seed 7 against each suite alone: the
+# state pass crosses two boundaries of the default BLOCK
+@example(7, 3000, corpus.BLOCK, list(corpus.SUITE_NAMES),
+         {"lemma1": 1, "ckw": 5, "consistency": 12, "hierarchy": 1, "lemma2": 20})
 def test_shared_pass_gives_each_suite_its_result_alone(seed, samples, block, names, defaults):
     # the state suites share each block's draw and concurrences; every suite
     # still records exactly what it records alone, also when the default
@@ -416,6 +420,15 @@ def test_offenders_match_per_sample_loops(seed, samples, block):
             assert fast.offenders == slow.offenders
             assert [list(o) for o in fast.offenders] == [list(o) for o in slow.offenders]
             assert abs(fast.worst_slack - slow.worst_slack) <= 1e-12
+
+
+def test_a_lemma2_block_without_a_maximal_pair_records_nothing():
+    # C(A,C) = 0 in every sample: extract_mu_l gives no (mu, l), so the block
+    # adds no slack, violation or offender
+    res = corpus.SuiteResult("lemma2", 3, 0, tolerance=corpus.CERT_TOL)
+    full = np.array([0.5, 0.8, 1.0])
+    corpus.suite_lemma2(res, 0, (full, full, np.zeros(3)))
+    assert res == corpus.SuiteResult("lemma2", 3, 0, tolerance=corpus.CERT_TOL)
 
 
 @st.composite

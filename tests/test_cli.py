@@ -214,7 +214,10 @@ class TestVerify:
             ["verify", "--preset", "ghz:4", "--theorem", "thm3-eof",
              "--alpha", "1.5", "--mu", "1,1", "--ell", "1,1"], capsys)
         assert code == 2
-        assert "comparator_only" in err
+        # the library's keyword and the flag that sets it
+        assert err == ("entmono: monogamy:eof beyond 3 qubits lacks certified chain values "
+                       "M(A|B_r..B_3); rerun with comparator_only=True (--comparator-only on "
+                       "the command line)\n")
 
     def test_comparator_only_downgrades(self, capsys):
         code, rec, _ = run_json(
@@ -477,7 +480,10 @@ MALFORMED = [
      "--alpha-max", "3", "--steps", "3", "--aacute", "7"],
     ["sweep", "--preset", "example1", "--kind", "renyi", "--aacute", "2",
      "--alpha-min", "2", "--alpha-max", "3", "--steps", "3", "--q", "2"],
-    # an empty or reversed alpha range, and an unknown bound column
+    # a grid of one step, an empty or reversed alpha range, and an unknown
+    # bound column
+    ["sweep", "--preset", "example1", "--kind", "concurrence", "--alpha-min", "2",
+     "--alpha-max", "3", "--steps", "1"],
     ["sweep", "--preset", "example1", "--kind", "concurrence", "--alpha-max", "2",
      "--alpha-min", "3", "--steps", "3"],
     ["sweep", "--preset", "example1", "--kind", "concurrence", "--alpha-min", "2",
@@ -494,6 +500,22 @@ def test_malformed_arguments_exit_two(args, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("entmono: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+MESSAGES = [
+    (["measure", "--preset", "example1", "--kind", "concurrence", "--partition", "A|A"],
+     "partition sides overlap in 'A|A'"),
+    (["measure", "--preset", "example1", "--kind", "concurrence", "--partition", "A|"],
+     "both partition sides must be nonempty, got 'A|'"),
+    (["measure", "--preset", "example1", "--kind", "tsallis", "--partition", "A|B"],
+     "tsallis requires --q"),
+]
+
+
+@pytest.mark.parametrize("args,message", MESSAGES,
+                         ids=["partition-overlap", "partition-side-empty", "tsallis-without-q"])
+def test_an_error_prints_its_message(args, message, capsys):
+    assert run_cli(args, capsys) == (2, "", f"entmono: {message}\n")
 
 
 def test_auto_clears_a_lone_mu(capsys):
@@ -516,6 +538,8 @@ BAD_STATE_FILES = {
         {"n_qubits": 2, "amplitudes": [[True, False]] + [[False, False]] * 3}).encode(),
     "nan-amplitude": json.dumps(
         {"n_qubits": 1, "amplitudes": [[float("nan"), 0], [0, 0]]}).encode(),
+    "nan-amplitude-of-two-qubits":
+        b'{"n_qubits": 2, "amplitudes": [[NaN, 0], [1, 0], [0, 0], [0, 0]]}',
 }
 
 
@@ -831,6 +855,107 @@ def test_split_at_the_last_step_is_no_split(args, capsys):
     split_code, split, _ = run_json(argv + ["--m-split", str(n_steps)], capsys)
     assert (plain.pop("split"), split.pop("split")) == (None, n_steps)
     assert (split_code, split) == (code, plain)
+
+
+def three_qubit_product(position: int) -> PureState:
+    """A Haar qubit at position (1 or 2) times a Haar state of the other two."""
+    one = random_pure(1, seed_path(3, position)).amplitudes
+    rest = random_pure(2, seed_path(4, position)).amplitudes.reshape(2, 2)
+    amps = np.moveaxis(np.einsum("a,bc->abc", one, rest), 0, position).reshape(-1)
+    return PureState(amps / np.linalg.norm(amps), (2, 2, 2))
+
+
+def amplitudes_at(n: int, entries: dict) -> PureState:
+    amps = np.zeros(2 ** n, dtype=complex)
+    for index, value in entries.items():
+        amps[index] = value
+    return PureState(amps, (2,) * n)
+
+
+# states of the cases below, written to files that an argv names as "@name"
+STATE_FILES = {
+    # bell x |0>: pair ranks 1 and 2 in one stacked estimator pass
+    "bell0": lambda: amplitudes_at(3, {0: math.sqrt(0.5), 6: math.sqrt(0.5)}),
+    # Haar(4) x |0>: pair ranks 4, 4, 4 and 2, two rank groups of one chain
+    "haar4-0": lambda: PureState(np.kron(random_pure(4, seed_path(4, 0)).amplitudes,
+                                         [1.0, 0.0]), (2,) * 5),
+    # a nearly pure group ACD: C(A|CD) = 4e-11 gets an interval, not the far
+    # larger upper leg C(A|BCD) = 8.9e-6 as an exact value
+    "near": lambda: amplitudes_at(4, {0: math.sqrt(1 - 4e-11), 4: math.sqrt(2e-11),
+                                      15: math.sqrt(2e-11)}),
+    "product-1": lambda: three_qubit_product(1),
+    "product-2": lambda: three_qubit_product(2),
+}
+
+
+def holds(rec):
+    return rec["conditions"]["summary"] == "holds"
+
+
+def pair_clauses_undecidable(rec):
+    steps = [s for s in rec["conditions"]["steps"] if "M(A," in s["description"]]
+    return bool(steps) and all(s["status"] == "undecidable" for s in steps)
+
+
+def zero_term(position):
+    return lambda rec: rec["terms"][position - 1]["value"] == 0.0
+
+
+def a_certified_interval(rec):
+    return rec["status"] == "interval" and rec["lo"] <= rec["hi"]
+
+
+# argv ("@out" is an output file), the exit codes it may end with, and a
+# predicate of its JSON report (None: no predicate); each command runs twice
+# and must end with the same exit code, output and stderr both times
+SECOND_RUN = [
+    # the array sweep on the N > 3 coefficient layout
+    (["sweep", "--preset", "w:5", "--kind", "concurrence", "--alpha-min", "2",
+      "--alpha-max", "5", "--steps", "61", "--mu", "1,1,1", "--ell", "1,1,1",
+      "--out", "@out"], {0}, None),
+    # GHZ_3's pair concurrences are exactly 0, certified endpoints: every clause holds
+    (["verify", "--preset", "ghz:3", "--theorem", "concurrence", "--alpha", "2",
+      "--mu", "1", "--ell", "1"], {0}, holds),
+    # a polygamy chain's pair values are heuristic, whatever mu and l say
+    (["verify", "--preset", "example1", "--theorem", "teoa", "--q", "2", "--alpha", "0.5",
+      "--mu", "0.5", "--ell", "1.5"], {3}, pair_clauses_undecidable),
+    # pair concurrences of a 4-qubit state from its 4-column amplitude matrices
+    (["verify", "--preset", "w:4", "--theorem", "concurrence", "--alpha", "2",
+      "--mu", "1,1", "--ell", "1,1"], {0, 3}, None),
+    (["verify", "--state", "@bell0", "--theorem", "eoa", "--alpha", "0.5"], {3}, None),
+    # 257 restarts cross a restart block
+    (["verify", "--state", "@haar4-0", "--theorem", "eoa", "--alpha", "0.5",
+      "--mu", "1,1,1", "--ell", "1,1,1", "--comparator-only", "--budget", "257"], {3}, None),
+    (["measure", "--state", "@near", "--kind", "concurrence", "--partition", "A|CD"], {0},
+     a_certified_interval),
+] + [
+    # a product qubit's pair values are decided zeros: automatic (mu, l) gets
+    # no l of 0 and no mu of roundoff, so the verify never exits 2
+    (["verify", "--state", f"@product-{position}", "--theorem"] + theorem, {0, 3, 4},
+     zero_term(position))
+    for position in (1, 2) for theorem in (["concurrence", "--alpha", "3"],
+                                           ["eof", "--alpha", "2"])
+]
+
+
+@pytest.mark.parametrize("argv,codes,check", SECOND_RUN,
+                         ids=[" ".join(argv[:5]) for argv, _, _ in SECOND_RUN])
+def test_a_second_run_prints_the_same_bytes(argv, codes, check, tmp_path, capsys):
+    names = {arg[1:] for arg in argv if arg.startswith("@") and arg != "@out"}
+    for name in names:
+        save_state(STATE_FILES[name](), tmp_path / f"{name}.json")
+    runs = []
+    for run in ("a", "b"):
+        out = tmp_path / f"{run}.out"
+        args = [str(out) if arg == "@out" else str(tmp_path / f"{arg[1:]}.json")
+                if arg.startswith("@") else arg for arg in argv]
+        code, text, err = run_cli(args, capsys)
+        runs.append((code, out.read_bytes() if out.exists() else text, err))
+    assert runs[0] == runs[1]
+    code, text, err = runs[0]
+    assert code in codes, err
+    if check is not None:
+        assert check(json.loads(text))
 
 
 class TestCorpus:

@@ -630,11 +630,14 @@ class TestAssistedEstimate:
     (lambda: CONCURRENCE.pair_values(EX1, 0, []), ParameterError, "distinct partners"),
     (lambda: CONCURRENCE.pair_values(EX1, 0, [3]), DimensionError, "out of range"),
     (lambda: CONCURRENCE.pair_values(EX1, -1), DimensionError, "out of range"),
+    (lambda: concurrence_two_qubit(np.eye(4) / 4), ParameterError,
+     "^concurrence_two_qubit expects a DensityMatrix, got ndarray$"),
 ], ids=["status", "reversed-interval", "eof-order", "tsallis-no-q", "tsallis-q-1",
         "tsallis-q-inf", "renyi-no-order", "renyi-order-1", "eof-q", "renyi-q",
         "tsallis-order-no-q", "tsallis-order", "tsallis-q-string", "tsallis-q-complex",
         "negative-budget", "pair-with-side",
-        "repeated-pair", "no-pairs", "pair-out-of-range", "side-out-of-range"])
+        "repeated-pair", "no-pairs", "pair-out-of-range", "side-out-of-range",
+        "two-qubit-array"])
 def test_measure_inputs_are_checked(call, error, message):
     with pytest.raises(error, match=message):
         call()

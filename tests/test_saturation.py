@@ -26,9 +26,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entmono import BoundParams, MeasureKind, bound_family, ghz, random_pure, verify, w_state
+from entmono import (BoundParams, MeasureKind, bound_family, example1_params, ghz, random_pure,
+                     schmidt3, verify, w_state)
 from entmono.bounds import (MONOGAMY, POLYGAMY, POLYGAMY_MU_FLOOR, THEOREMS, BoundFamily,
-                            ConditionStep, extract_mu_l, measure_chain)
+                            ConditionStep, _clause, extract_mu_l, measure_chain)
 
 from qubit_reference import local_copy, product_state
 
@@ -139,3 +140,19 @@ def test_the_mu_clause_cites_no_theorem_outside_the_table():
     assert report.conditions.steps[0] == ConditionStep("step 1: mu_1 >= 1", "fails", mu - 1.0)
     assert [step.status for step in report.conditions.steps[1:]] == ["holds"] * 3
     assert report.margin == 0.0
+
+
+@pytest.mark.parametrize("state", [schmidt3(example1_params()), w_state(3)],
+                         ids=["example1", "w3"])
+def test_a_family_outside_its_window_cites_no_theorem(state):
+    # Tsallis q = 3.5 lies outside the monogamy window 2 <= q <= 3, so
+    # bound_family refuses the hand-built family: its extracted mu clause is
+    # the float comparison (which W_3 fails, mu* < 1 at gamma = 1), while
+    # the pair and sum clauses stay proven
+    family = BoundFamily(MeasureKind("tsallis", q=3.5), 1.0)
+    report = verify(state, BoundParams(family, 2.0))
+    mu = report.mu[0]
+    assert report.margin == 0.0
+    assert report.conditions.steps[0] == _clause("step 1: mu_1 >= 1", (mu, mu), (1.0, 1.0))
+    assert [(step.status, step.slack) for step in report.conditions.steps[2:]] == \
+        [("holds", 0.0)] * 2

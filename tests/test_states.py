@@ -175,10 +175,15 @@ class TestPureStateValidation:
         ([np.nan, 1.0], (2,), ContractError, "^amplitudes contain NaN or Inf"),
         ([1.0, np.sqrt(0.1)], (2,), ParameterError, r"^state norm² = 1\.1"),
         ([1.0, 0.0, 0.0], (2, 2), DimensionError, r"^amplitude count 3 does not match"),
-    ], ids=["nan", "norm-1.1", "size"])
+        ([1.0], (2, 0), ParameterError, r"^subsystem dims must be positive, got \(2, 0\)"),
+    ], ids=["nan", "norm-1.1", "size", "zero-dim"])
     def test_rejects(self, amps, dims, error, message):
         with pytest.raises(error, match=message):
             PureState(np.array(amps, dtype=complex), dims)
+
+    def test_a_haar_state_has_a_qubit(self):
+        with pytest.raises(ParameterError, match="^random_pure requires n >= 1 qubits, got 0$"):
+            random_pure(0, 1)
 
 
 class TestCaps:
