@@ -29,24 +29,26 @@ record; none measures again.
 
 THEOREMS is the one home of the families: each selector's measure,
 direction, gamma (2 for the concurrence and CREN, sqrt(2) for the EoF, 1
-otherwise) and q/order window.  A BoundFamily is a measure and its gamma;
-the direction and the alpha domain follow from them.  evaluate_bounds is
-the one pipeline behind verify and the CLI sweep, and
-BoundFamily.check_alpha the one domain rule for every exponent alpha.
+otherwise) and q/order window.  A BoundFamily is a measure, which must
+sit inside its THEOREMS row; the direction, gamma and the alpha domain
+follow from it.  evaluate_bounds is the one pipeline behind verify and
+the CLI sweep, and BoundFamily.check_alpha the one domain rule for every
+exponent alpha.
 
 Every hypothesis clause is one _clause verdict on (lo, hi) float
-endpoints, None marking an uncertified value, except the clauses that
-extracted (mu, l) satisfy by proof (check_conditions).  Parameters
-outside their theorem ranges (mu >= 1 and l >= 1 for monogamy;
-0 < mu <= 1, l >= 1 for polygamy) are such clauses, reported as failed
-conditions rather than rejected, so that extracted maximal parameters can
-always be evaluated.
+endpoints, None marking an uncertified value, except the clauses that a
+step extracted unchanged from an exact chain decides by proof
+(check_conditions decides which, from the request and the chain).
+Parameters outside their theorem ranges (mu >= 1 and l >= 1 for
+monogamy; 0 < mu <= 1, l >= 1 for polygamy) are such clauses, reported
+as failed conditions rather than rejected, so that extracted maximal
+parameters can always be evaluated.
 """
 
 import math
 import numbers
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,18 +86,36 @@ THEOREMS = {
 
 @dataclass(frozen=True)
 class BoundFamily:
-    """One theorem family: its measure and gamma, a row of THEOREMS.
+    """One theorem family: its measure, inside a row of THEOREMS.
 
-    The family is polygamy exactly when the measure is assisted.  gamma is
-    the power at which the chain conditions are stated (M^gamma
-    comparisons), the divisor of the coefficient exponent
-    s(alpha) = alpha / gamma, and the edge of the alpha domain:
-    [gamma, inf] for monogamy, [0, gamma] for polygamy.  The theorem
-    ranges of (mu_r, l_r) are clauses of check_conditions.
+    The family is polygamy exactly when the measure is assisted.  gamma,
+    read from the (name, direction) row, is the power at which the chain
+    conditions are stated (M^gamma comparisons), the divisor of the
+    coefficient exponent s(alpha) = alpha / gamma, and the edge of the
+    alpha domain: [gamma, inf] for monogamy, [0, gamma] for polygamy.  A
+    measure with no row, or with its PARAMETERS field (q or order) outside
+    the row's window, the one in which the theorem is stated, is a
+    ParameterError.  The theorem ranges of (mu_r, l_r) are clauses of
+    check_conditions.
     """
 
     measure: MeasureKind
-    gamma: float
+    gamma: float = field(init=False)
+
+    def __post_init__(self):
+        kind, direction = self.measure, self.direction
+        rows = [row for row in THEOREMS.values() if row[:2] == (kind.name, direction)]
+        if not rows:
+            raise ParameterError(f"no {direction} family exists for {kind.name}")
+        _, _, gamma, window = rows[0]
+        if window is not None:
+            param = PARAMETERS[kind.name]
+            value = getattr(kind, param)
+            if not any(lo <= value <= hi for lo, hi in window):
+                allowed = " or ".join(f"[{lo:g}, {hi:g}]" for lo, hi in window)
+                raise ParameterError(f"{direction} {kind.name} bound requires {param} in "
+                                     f"{allowed}, got {value}")
+        object.__setattr__(self, "gamma", gamma)
 
     @property
     def direction(self) -> str:
@@ -141,27 +161,13 @@ class BoundFamily:
 
 def bound_family(measure: str, direction: str = MONOGAMY, q: float = None,
                  order: float = None) -> BoundFamily:
-    """The family record of the THEOREMS row of a measure name and direction.
-
-    The measure is assisted exactly for polygamy.  Its PARAMETERS field (q
-    or order) outside the row's window, the one in which the theorem is
-    stated, is a ParameterError, as is a (measure, direction) with no row.
-    """
+    """The BoundFamily of a measure name and direction, its measure
+    assisted exactly for polygamy.  A direction other than monogamy or
+    polygamy is a ParameterError; BoundFamily checks the row and window."""
     kind = MeasureKind(str(measure), q=q, order=order, assisted=(direction == POLYGAMY))
     if direction not in (MONOGAMY, POLYGAMY):
         raise ParameterError(f"direction must be monogamy or polygamy, got {direction!r}")
-    rows = [row for row in THEOREMS.values() if row[:2] == (kind.name, direction)]
-    if not rows:
-        raise ParameterError(f"no {direction} family exists for {kind.name}")
-    _, _, gamma, window = rows[0]
-    if window is not None:
-        param = PARAMETERS[kind.name]
-        value = getattr(kind, param)
-        if not any(lo <= value <= hi for lo, hi in window):
-            allowed = " or ".join(f"[{lo:g}, {hi:g}]" for lo, hi in window)
-            raise ParameterError(f"{direction} {kind.name} bound requires {param} in "
-                                 f"{allowed}, got {value}")
-    return BoundFamily(kind, gamma)
+    return BoundFamily(kind)
 
 
 def _is_real(value) -> bool:
@@ -554,47 +560,48 @@ def _clause(desc, lhs, rhs, op=">=") -> ConditionStep:
     return ConditionStep(desc, "undecidable")
 
 
-def check_conditions(chain: Chain, params: BoundParams,
-                     extracted: bool = False) -> ConditionReport:
-    """Hypothesis check for every chain step, each clause a _clause verdict
-    unless extracted parameters decide it by proof.
+def check_conditions(chain: Chain, params: BoundParams) -> ConditionReport:
+    """Hypothesis check for every chain step of the request params, each
+    clause a _clause verdict unless the step saturates by proof.
 
-    Clauses run on endpoints at the power gamma: a certified link's bounds,
-    an exact pair value v as (v, v), their multiples and sums end by end;
-    an uncertified value (a heuristic pair, a None link) is None and stays
-    None.  The mu_r and l_r ranges are clauses of (mu_r, mu_r) and
-    (l_r, l_r) against (1, 1).  Three-qubit pure states yield exact
-    verdicts; beyond them the concurrence and CREN families certify what
-    their links allow.  mu and ell must be explicit, with the shape and
-    split _right_sides requires (ParameterError otherwise).
+    params is a request as verify and the sweep accept it: explicit mu and
+    ell, with the shape and split _right_sides requires (ParameterError
+    otherwise), or both None for the chain's own, resolved by
+    resolve_params (whose ParameterError a chain beyond three qubits
+    raises).  Clauses run on endpoints at the power gamma: a certified
+    link's bounds, an exact pair value v as (v, v), their multiples and
+    sums end by end; an uncertified value (a heuristic pair, a None link)
+    is None and stays None.  The mu_r and l_r ranges are clauses of
+    (mu_r, mu_r) and (l_r, l_r) against (1, 1).  Three-qubit pure states
+    yield exact verdicts; beyond them the concurrence and CREN families
+    certify what their links allow.
 
-    extracted says that params are the chain's own extract_mu_l pair, as
-    resolve_params returns it with neither its (1, 1) fallback nor its
-    polygamy clamp acting (verify decides this).  On an exact (monogamy)
-    chain of three qubits, with F = M(A|BC), x = M^g(A,B), y = M^g(A,C),
+    A step of an automatic request that resolve_params took from
+    extract_mu_l unchanged (_saturated: neither its (1, 1) fallback nor
+    its polygamy clamp acted) is decided by proof on an exact (monogamy)
+    chain of three qubits.  With F = M(A|BC), x = M^g(A,B), y = M^g(A,C),
     g = gamma and the links (F^g, F^g) and (y, y) that group_link gives
     the whole register and the last pair, the extracted
     mu* = (F^g - x)/y and l* = x/y make the pair clause x >= l* y and the
     sum clause F^g >= x + mu* y equalities, whatever floats x, y and F
     are; both read "holds" with slack 0.0.  mu* >= 1 is
     F^g >= M^g(A,B) + M^g(A,C), a published monogamy inequality for every
-    family bound_family builds, within its THEOREMS window: Coffman,
-    Kundu and Wootters (PRA 61, 052306, 2000) for the concurrence, and
-    for the CREN, which equals the concurrence on a qubit against a
-    group and on a qubit pair; Bai, Xu and Wang (PRL 113, 100503, 2014)
-    for the EoF at gamma = sqrt(2); Kim (PRA 81, 062328, 2010) for
-    Tsallis-q, 2 <= q <= 3; Kim and Sanders (J. Phys. A 43, 445305,
-    2010) for Renyi order >= 2.  So that clause reads "holds", its slack
-    the computed mu - 1.  The l clause, M(A,B) >= M(A,C), stays the one
-    comparison of measured values.  A polygamy chain's pair values are
-    heuristic, so its clauses are decided as without extraction.
+    family, each of which BoundFamily holds inside its THEOREMS window:
+    Coffman, Kundu and Wootters (PRA 61, 052306, 2000) for the
+    concurrence, and for the CREN, which equals the concurrence on a
+    qubit against a group and on a qubit pair; Bai, Xu and Wang (PRL 113,
+    100503, 2014) for the EoF at gamma = sqrt(2); Kim (PRA 81, 062328,
+    2010) for Tsallis-q, 2 <= q <= 3; Kim and Sanders (J. Phys. A 43,
+    445305, 2010) for Renyi order >= 2.  So that clause reads "holds",
+    its slack the computed mu - 1.  The l clause, M(A,B) >= M(A,C), stays
+    the one comparison of measured values.  A polygamy chain's pair
+    values are heuristic, so its clauses are decided as without
+    extraction.
     """
+    request, params = params, resolve_params(chain, params)
     family = params.family
-    if params.mu is None:
-        raise ParameterError("check_conditions needs explicit mu and ell")
     m = _split_step(len(chain.pairs), len(params.mu), params.split)
-    proven = extracted and chain.status == "exact"
-    theorem = proven and _stated(family)
+    proven = chain.status == "exact" and _saturated(chain, request, params)
     p = family.gamma
     links = [None if link is None else tuple(end ** p for end in link.bounds)
              for link in chain.links]
@@ -606,7 +613,7 @@ def check_conditions(chain: Chain, params: BoundParams,
     for r in range(1, len(params.mu) + 1):
         mu, ell = params.mu[r - 1], params.ell[r - 1]
         mu_desc = f"step {r}: mu_{r} >= 1" if op == ">=" else f"step {r}: 0 < mu_{r} <= 1"
-        steps.append(ConditionStep(mu_desc, "holds", mu - 1.0) if theorem
+        steps.append(ConditionStep(mu_desc, "holds", mu - 1.0) if proven
                      else _clause(mu_desc, (mu, mu), (1.0, 1.0), op))
         steps.append(_clause(f"step {r}: l_{r} >= 1", (ell, ell), (1.0, 1.0)))
 
@@ -631,20 +638,20 @@ def check_conditions(chain: Chain, params: BoundParams,
     return ConditionReport(tuple(steps))
 
 
-def _stated(family: BoundFamily) -> bool:
-    """Whether family is one bound_family builds, a THEOREMS row with its
-    q or order inside the row's window: the families whose theorem
-    check_conditions cites."""
-    kind = family.measure
-    try:
-        return bound_family(kind.name, family.direction, kind.q, kind.order) == family
-    except ParameterError:
-        return False
+def _saturated(chain: Chain, request: BoundParams, params: BoundParams) -> bool:
+    """Whether params, request resolved on chain, are the chain's own
+    extract_mu_l pair: request is automatic, and resolve_params' (1, 1)
+    fallback and polygamy clamp did not act.  Such a step saturates its
+    pair and sum clauses (check_conditions) and its bound (verify)."""
+    return request.mu is None and (*params.mu, *params.ell) == extract_mu_l(
+        chain.full, *chain.pairs, params.family)
 
 
 def resolve_params(chain: Chain, params: BoundParams) -> BoundParams:
     """Fill in auto (mu, ell) with the maximal feasible values of the chain.
 
+    The one resolution of a request, which evaluate_bounds and
+    check_conditions both apply; explicit (mu, ell) come back as given.
     Exact for three-qubit pure states, the only chains evaluate_bounds
     extracts from: a chain without exactly two pair values is a
     ParameterError.  For assisted families the pair values are heuristic
@@ -652,7 +659,8 @@ def resolve_params(chain: Chain, params: BoundParams) -> BoundParams:
     into the theorem ranges).  A step with no maximal pair (a zero ac or
     ab, see extract_mu_l) falls back to (1, 1), so BoundParams never gets
     an l of 0: with ac = 0 its terms vanish, and with ab = 0 < ac the
-    hypothesis M^g(A,B) >= l M^g(A,C) is reported as failed.
+    hypothesis M^g(A,B) >= l M^g(A,C) is reported as failed.  A step
+    that neither the fallback nor the clamp moved is _saturated.
     """
     if params.mu is not None:
         return params
@@ -719,17 +727,18 @@ def verify(state: PureState, params: BoundParams, comparator_k: float = 0.5,
     comparator_only to skip straight to the bound comparison (conditions
     then report undecidable).
 
-    Automatic (mu, l) that resolve_params takes from extract_mu_l as they
-    are, with neither its (1, 1) fallback nor its polygamy clamp acting,
-    saturate the bound: with s = alpha/g, F = M(A|BC), x = M^g(A,B),
-    y = M^g(A,C), mu* = (F^g - x)/y and l* = x/y, (mu* + l*) y = F^g, so
-    the right side x^s + ((mu* + l*)^s - l*^s) y^s is
-    x^s + F^(g s) - x^s = F^alpha.  The identity holds on whatever values
-    were measured, heuristic ones too, so such a report's margin is
-    exactly 0.0 in either direction, and check_conditions decides its
-    defining clauses by proof.  Its mu, l, coefficients, terms, rhs and
-    priors stay the computed floats, whose agreement with the identity
-    the corpus's lemma2 suite and the tests check.
+    An automatic step that resolve_params takes from extract_mu_l as it
+    is, with neither its (1, 1) fallback nor its polygamy clamp acting
+    (_saturated), saturates the bound: with s = alpha/g, F = M(A|BC),
+    x = M^g(A,B), y = M^g(A,C), mu* = (F^g - x)/y and l* = x/y,
+    (mu* + l*) y = F^g, so the right side x^s + ((mu* + l*)^s - l*^s) y^s
+    is x^s + F^(g s) - x^s = F^alpha.  The identity holds on whatever
+    values were measured, heuristic ones too, so such a report's margin
+    is exactly 0.0 in either direction, and check_conditions, handed the
+    same request, decides its defining clauses by proof.  Its mu, l,
+    coefficients, terms, rhs and priors stay the computed floats, whose
+    agreement with the identity the corpus's lemma2 suite and the tests
+    check.
     """
     family = params.family
     if (isinstance(state, PureState) and state.n_qubits > 3
@@ -739,13 +748,10 @@ def verify(state: PureState, params: BoundParams, comparator_k: float = 0.5,
             f"M(A|B_r..B_{state.n_qubits - 1}); rerun with comparator_only=True "
             "(--comparator-only on the command line)")
 
-    auto = params.mu is None
-    chain, params, breakdown, priors = evaluate_bounds(
+    chain, resolved, breakdown, priors = evaluate_bounds(
         state, params, ("ours",) + PRIOR_KINDS, comparator_k, budget, seed)
-    extracted = auto and (*params.mu, *params.ell) == extract_mu_l(chain.full, *chain.pairs,
-                                                                   family)
     lhs = chain.full ** params.alpha
-    if extracted:
+    if _saturated(chain, params, resolved):
         margin = 0.0
     else:
         margin = lhs - breakdown.rhs if family.direction == MONOGAMY else breakdown.rhs - lhs
@@ -758,11 +764,11 @@ def verify(state: PureState, params: BoundParams, comparator_k: float = 0.5,
         rhs=breakdown.rhs,
         coefficients=breakdown.coefficients,
         terms=breakdown.terms,
-        mu=params.mu,
-        ell=params.ell,
+        mu=resolved.mu,
+        ell=resolved.ell,
         split=params.split,
         margin=margin,
-        conditions=check_conditions(chain, params, extracted),
+        conditions=check_conditions(chain, params),
         priors=priors,
         value_status=chain.status,
     )

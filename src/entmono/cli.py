@@ -18,13 +18,17 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import corpus as corpus_mod
-from .bounds import MONOGAMY, THEOREMS, BoundParams, bound_family, evaluate_bounds, verify
+from .bounds import (MONOGAMY, PRIOR_KINDS, THEOREMS, BoundParams, bound_family,
+                     evaluate_bounds, verify)
 from .errors import (CapabilityError, ContractError, DimensionError,
                      DomainError, ParameterError)
 from .measures import CERT_TOL, PARAMETERS, MeasureKind, negativity
 from .states import bell, example1_params, ghz, load_state, schmidt3, w_state
 
 MEASURE_KINDS = ("concurrence", "cren", "negativity", "eof", "tsallis", "renyi")
+
+# the sweep's bound columns in header order: ours, then PRIOR_KINDS reversed
+SWEEP_BOUNDS = ("ours",) + PRIOR_KINDS[::-1]
 
 # the one print rule of a float in JSON and CSV output: FLOAT_FORMAT % x
 # (12 significant digits) if x is finite, NON_FINITE otherwise
@@ -247,11 +251,12 @@ def sweep_columns(args) -> dict:
     The grid alpha_i = alpha_min + (alpha_max - alpha_min) * i / (steps - 1)
     is evaluated elementwise (the float values a per-step loop gives).  The
     columns are alpha, lhs = M(A|B_1...B_{N-1})^alpha and the selected
-    bounds in the order ours, kf, jf, ckw, from one bounds.evaluate_bounds
-    call on the whole grid, the rule verify evaluates at one alpha; bounds
-    not selected are never evaluated.  The grid passes the family's alpha
-    rule there, so a non-finite or out-of-domain grid is a ParameterError.
-    A power beyond the float range raises OverflowError.
+    bounds in SWEEP_BOUNDS order (ours, kf, jf, ckw), from one
+    bounds.evaluate_bounds call on the whole grid, the rule verify
+    evaluates at one alpha; bounds not selected are never evaluated.  The
+    grid passes the family's alpha rule there, so a non-finite or
+    out-of-domain grid is a ParameterError.  A power beyond the float
+    range raises OverflowError.
     """
     state, _ = load_input(args)
     family = family_from_args(args, args.kind)
@@ -261,7 +266,7 @@ def sweep_columns(args) -> dict:
         raise ParameterError("--alpha-max must exceed --alpha-min")
     selected = [b.strip() for b in args.bounds.split(",") if b.strip()]
     for b in selected:
-        if b not in ("ours", "kf", "jf", "ckw"):
+        if b not in SWEEP_BOUNDS:
             raise ParameterError(f"unknown bound column {b!r}")
 
     with np.errstate(over="ignore", invalid="ignore"):  # BoundParams rejects inf and NaN
@@ -270,12 +275,9 @@ def sweep_columns(args) -> dict:
     params = BoundParams(family, alphas, parse_floats(args.mu), parse_floats(args.ell),
                          args.m_split)
     chain, _, ours, priors = evaluate_bounds(state, params, selected, comparator_k=args.k)
+    sides = priors if ours is None else {"ours": ours.rhs, **priors}
     columns = {"alpha": alphas, "lhs": chain.full ** alphas}
-    if ours is not None:
-        columns["ours"] = ours.rhs
-    for name in ("kf", "jf", "ckw"):
-        if name in priors:
-            columns[name] = priors[name]
+    columns.update((name, sides[name]) for name in SWEEP_BOUNDS if name in sides)
     return columns
 
 
@@ -336,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-min", type=float, required=True)
     p.add_argument("--alpha-max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--bounds", default="ours,kf,jf,ckw",
-                   help="comma subset of ours,kf,jf,ckw")
+    p.add_argument("--bounds", default=",".join(SWEEP_BOUNDS),
+                   help=f"comma subset of {','.join(SWEEP_BOUNDS)}")
     p.add_argument("--k", type=float, default=0.5, help="comparator k (0 < k <= 1)")
     p.add_argument("--mu", help="comma-separated mu_r (default: extracted)")
     p.add_argument("--ell", help="comma-separated l_r (default: extracted)")
@@ -354,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", help="comma-separated mu_r")
     p.add_argument("--ell", help="comma-separated l_r")
     p.add_argument("--auto", action="store_true",
-                   help="extract maximal feasible (mu, l) (default when omitted)")
+                   help="extract maximal feasible (mu, l), discarding any --mu or "
+                        "--ell given (the default when both are omitted)")
     p.add_argument("--comparator-only", action="store_true", dest="comparator_only")
     p.add_argument("--k", type=float, default=0.5)
     p.add_argument("--m-split", type=int, dest="m_split")

@@ -2,9 +2,11 @@
 they replaced (the marginal spectrum as the squared singular values of the
 amplitude matrix, and the Wootters concurrence as l1 - l2 - ... of the
 singular values of L^T (sy x sy) L), and the spectrum of a 2 x m amplitude
-matrix in exact rational arithmetic with one 50-digit square root; and the
-states with known values they are tested on: Haar local-unitary copies of
-a state, and a product qubit times a Haar state."""
+matrix in exact rational arithmetic with one 50-digit square root; Cayley's
+hyperdeterminant of a 3-qubit amplitude array, which ties the three
+concurrence kernels together; and the states with known values they are
+tested on: Haar local-unitary copies of a state, and a product qubit times
+a Haar state."""
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -54,6 +56,32 @@ def exact_spectrum(m: np.ndarray) -> tuple:
         root = (Decimal(disc.numerator) / Decimal(disc.denominator)).sqrt()
         total = Decimal((a + d).numerator) / Decimal((a + d).denominator)
         return (total + root) / 2, (total - root) / 2
+
+
+def hyperdeterminant(amps: np.ndarray) -> complex:
+    """Cayley's hyperdeterminant of the 2 x 2 x 2 amplitude array a_ijk.
+
+    Det = d1 - 2 d2 + 4 d3 (Miyake, PRA 67, 012108, 2003), with
+    d1 = a000² a111² + a001² a110² + a010² a101² + a100² a011²,
+    d2 the six products a000 a111 a011 a100 + a000 a111 a101 a010
+    + a000 a111 a110 a001 + a011 a100 a101 a010 + a011 a100 a110 a001
+    + a101 a010 a110 a001 and d3 = a000 a110 a101 a011 + a111 a001 a010 a100:
+    a degree-4 polynomial with no square root.  For a 3-qubit pure state
+    the three-tangle is 4|Det| = C²(A|BC) - C²(A,B) - C²(A,C) (Coffman,
+    Kundu and Wootters, PRA 61, 052306, 2000).
+    """
+    a = np.asarray(amps, dtype=complex).reshape(2, 2, 2)
+    d1 = (a[0, 0, 0] ** 2 * a[1, 1, 1] ** 2 + a[0, 0, 1] ** 2 * a[1, 1, 0] ** 2
+          + a[0, 1, 0] ** 2 * a[1, 0, 1] ** 2 + a[1, 0, 0] ** 2 * a[0, 1, 1] ** 2)
+    d2 = (a[0, 0, 0] * a[1, 1, 1] * a[0, 1, 1] * a[1, 0, 0]
+          + a[0, 0, 0] * a[1, 1, 1] * a[1, 0, 1] * a[0, 1, 0]
+          + a[0, 0, 0] * a[1, 1, 1] * a[1, 1, 0] * a[0, 0, 1]
+          + a[0, 1, 1] * a[1, 0, 0] * a[1, 0, 1] * a[0, 1, 0]
+          + a[0, 1, 1] * a[1, 0, 0] * a[1, 1, 0] * a[0, 0, 1]
+          + a[1, 0, 1] * a[0, 1, 0] * a[1, 1, 0] * a[0, 0, 1])
+    d3 = (a[0, 0, 0] * a[1, 1, 0] * a[1, 0, 1] * a[0, 1, 1]
+          + a[1, 1, 1] * a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0])
+    return complex(d1 - 2.0 * d2 + 4.0 * d3)
 
 
 def haar_unitary(rng) -> np.ndarray:

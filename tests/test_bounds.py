@@ -2,6 +2,7 @@
 against a direct-summation oracle, parameter extraction, hypothesis
 checking and full verification reports."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,11 +14,11 @@ from entmono import (BoundParams, CapabilityError, DensityMatrix, DimensionError
                      MeasureKind, ParameterError, PureState, bound_family,
                      coefficient_K, eof, example1_params, ghz,
                      random_pure, schmidt3, seed_path, verify, w_state)
-from entmono.bounds import (PRIOR_KINDS, BoundFamily, Chain, _clause, check_conditions,
-                            extract_mu_l, measure_chain, prior_rhs, prior_weight,
-                            resolve_params, rhs_assemble)
+from entmono.bounds import (POLYGAMY, PRIOR_KINDS, THEOREMS, BoundFamily, Chain, _clause,
+                            check_conditions, extract_mu_l, measure_chain, prior_rhs,
+                            prior_weight, resolve_params, rhs_assemble)
 from entmono.corpus import run_suite
-from entmono.measures import CERT_TOL, pair_concurrences
+from entmono.measures import CERT_TOL, PARAMETERS, pair_concurrences
 
 EX1 = schmidt3(example1_params())
 SQ2 = math.sqrt(2.0)
@@ -48,6 +49,29 @@ class TestFamilies:
         assert poly.domain == (0.0, 1.0)
         assert poly.measure.assisted
         assert (CONC.direction, poly.direction) == ("monogamy", "polygamy")
+        # gamma is read from the family's THEOREMS row, never given
+        assert [f.name for f in dataclasses.fields(BoundFamily) if f.init] == ["measure"]
+
+    @pytest.mark.parametrize("key", [key for key, row in THEOREMS.items() if row[3]])
+    def test_a_window_is_closed_and_nothing_past_it_builds(self, key):
+        # each finite edge builds the row's family (but for q or order 1,
+        # which MeasureKind refuses), and the next float outward is refused
+        name, direction, gamma, window = THEOREMS[key]
+        param = PARAMETERS[name]
+
+        def build(value):
+            return BoundFamily(MeasureKind(name, assisted=direction == POLYGAMY,
+                                           **{param: value}))
+
+        for lo, hi in window:
+            for edge, outward in ((lo, -math.inf), (hi, math.inf)):
+                if not math.isfinite(edge):
+                    continue
+                if edge != 1.0:
+                    assert build(edge).gamma == gamma
+                with pytest.raises(ParameterError,
+                                   match=f"{direction} {name} bound requires {param} in"):
+                    build(math.nextafter(edge, outward))
 
     def test_invalid_combos(self):
         with pytest.raises(ParameterError):
@@ -318,6 +342,30 @@ class TestCheckConditions:
                                   BoundParams(CONC, 2.0, (0.5,), (0.5,)))
         assert report.summary == "fails"
 
+    def test_explicit_parameters_are_compared_not_proven(self):
+        # W_3: F^2 = 8/9 and both pairs 4/9, so the sum clause at (5, 0.2)
+        # reads 8/9 >= 4/9 + 5 * 4/9 and fails by 16/9; no explicit step is
+        # taken as proven
+        chain = measure_chain(w_state(3), CONC)
+        report = check_conditions(chain, BoundParams(CONC, 2.0, (5.0,), (0.2,)))
+        full, ab, ac = (v ** 2 for v in (chain.full, *chain.pairs))
+        sum_step = report.steps[3]
+        assert sum_step == _clause(sum_step.description, (full, full), (ab + 5.0 * ac,) * 2)
+        assert sum_step.status == "fails"
+        assert sum_step.slack == pytest.approx(-16 / 9, abs=1e-12)
+
+    @pytest.mark.parametrize("key", THEOREMS)
+    @pytest.mark.parametrize("state", [EX1, w_state(3)], ids=["example1", "w3"])
+    def test_an_automatic_request_is_decided_as_verify_decides_it(self, key, state):
+        name, direction, gamma, _ = THEOREMS[key]
+        options = {"tsallis": {"q": 2.5}, "renyi": {"order": 3.0}, "teoa": {"q": 3.5},
+                   "reoa": {"order": 1.2}}.get(key, {})
+        family = bound_family(name, direction, **options)
+        alpha = gamma / 2 if direction == POLYGAMY else gamma
+        request = BoundParams(family, alpha)
+        assert check_conditions(measure_chain(state, family, budget=4), request) == \
+            verify(state, request, budget=4).conditions
+
 
 class TestClause:
     """_clause on (lo, hi) endpoint pairs; op "<=" is the direction of the
@@ -390,20 +438,14 @@ class TestChainLinks:
         assert [link is not None for link in links] == certified
         assert links[0].status == "exact"
 
-    def test_pair_values_outside_the_closed_form_window_raise(self):
-        # bound_family never builds this family; a hand-built one reads its
-        # pairs through the same windows as `measure`, so gets no value
-        family = BoundFamily(MeasureKind("tsallis", q=5.0), 1.0)
-        with pytest.raises(CapabilityError, match="tsallis route requires q"):
-            measure_chain(EX1, family)
-
 
 @pytest.mark.parametrize("call,message", [
     (lambda: BoundParams(CONC, 2.0, (1.0, 1.0), (1.0,)), "mu and ell lengths differ"),
     (lambda: BoundParams(CONC, 2.0, (1.0,), (1.0,), 0), "split must be a positive"),
     (lambda: rhs_assemble([0.5, 0.4], BoundParams(CONC, 2.0)), "rhs_assemble needs explicit"),
-    (lambda: check_conditions(measure_chain(EX1, CONC), BoundParams(CONC, 2.0)),
-     "check_conditions needs explicit"),
+    # an automatic request is resolved as verify resolves it, on three qubits only
+    (lambda: check_conditions(measure_chain(w_state(4), CONC), BoundParams(CONC, 2.0)),
+     r"automatic \(mu, l\) needs 2 pair values, got 3"),
     (lambda: rhs_assemble([0.5, 0.4, 0.3], BoundParams(CONC, 2.0, (1.0, 1.0), (1.0, 1.0), 3)),
      r"split 3 outside \[1, 2\]"),
     # check_conditions holds its parameters to the chain as the right sides do
@@ -451,7 +493,7 @@ class TestChainLinks:
     (lambda: BoundParams(bound_family("eof", "polygamy"), True, (1.0,), (1.0,)),
      "alpha must be a real number or an ndarray"),
     (lambda: bound_family("eof", "sideways"), "direction must be monogamy or polygamy"),
-], ids=["mu-ell-lengths", "split-0", "rhs-unresolved", "conditions-unresolved",
+], ids=["mu-ell-lengths", "split-0", "rhs-unresolved", "conditions-auto-four-qubits",
         "split-past-n-2", "conditions-one-step", "conditions-three-steps",
         "conditions-split-past-n-2", "density-matrix", "params-empty-alpha",
         "coefficient-empty-alpha", "prior-empty-alpha", "nan-value", "nan-in-stack",

@@ -4,9 +4,10 @@ references of qubit_reference: the spectrum of a 2 x m amplitude matrix
 svd route, and the Wootters value of a 2 x 2 L^T (sy x sy) L
 (_wootters_2x2) within WOOTTERS_RADIUS of the svd route; W_3 and GHZ_3
 and their Haar local-unitary copies against their known values; product
-qubits, whose values read exactly 0 (the decided zeros); and a stack of
-one state against its row of a 1024-row block, bit for bit, which
-corpus --suite all and the CLI both rely on."""
+qubits, whose values read exactly 0 (the decided zeros); the three
+concurrence kernels of a 3-qubit state against the three-tangle of its
+hyperdeterminant; and a stack of one state against its row of a 1024-row
+block, bit for bit, which corpus --suite all and the CLI both rely on."""
 
 import functools
 import math
@@ -22,11 +23,18 @@ from entmono.measures import (SCHMIDT_RADIUS, WOOTTERS_RADIUS, marginal_spectra,
                               pair_concurrences, pair_factors)
 from entmono.states import haar_blocks, split_amplitudes
 
-from qubit_reference import (exact_spectrum, local_copy, product_state,
+from qubit_reference import (exact_spectrum, hyperdeterminant, local_copy, product_state,
                              svd_factor_concurrence, svd_spectra)
 
 FAST = settings(max_examples=40, deadline=None)
 SEEDS = st.integers(0, 2 ** 31 - 1)
+UNIT_ROUNDOFF = 2.0 ** -53
+
+# Over 36,000 draws (3000 seeds of each state kind below, with each focus
+# qubit) the three-tangle residual was at most 7.6u on AVX-512 kernels and
+# 7.2u on AVX2 ones (worst on a rotated W_3); the bound leaves room for the
+# draws of any run
+TANGLE_ULPS = 32
 
 PLAIN_KINDS = [MeasureKind("concurrence"), MeasureKind("cren"), MeasureKind("eof"),
                MeasureKind("tsallis", q=2.5), MeasureKind("renyi", order=2.0)]
@@ -114,6 +122,25 @@ def test_product_qubits_read_exactly_zero(n, data, seed):
                 == [0.0]
         # the member concurrences of an assisted estimate share the decided zero
         assert ASSISTED_EOF.pair_values(state, position, others, budget=3).tolist() == [0.0, 0.0]
+
+
+@FAST
+@given(st.sampled_from(["haar", "w", "ghz", "product"]), st.integers(0, 2), SEEDS)
+def test_the_concurrence_kernels_obey_the_three_tangle_identity(name, side, seed):
+    # C²(A|BC) = C²(A,B) + C²(A,C) + 4|Det psi| for every choice of the
+    # focus qubit A (Coffman, Kundu and Wootters); the hyperdeterminant has
+    # no square root, so a kernel biased low fails here though ckw's >= 0
+    # check would pass it
+    if name == "haar":
+        state = random_pure(3, seed)
+    elif name == "product":
+        state = product_state(3, seed % 3, seed)
+    else:
+        state = local_copy((w_state if name == "w" else ghz)(3), seed)
+    full = MeasureKind("concurrence").pure_value(state, [side])
+    ab, ac = pair_concurrences(state.amplitudes, state.dims, side).tolist()
+    tangle = 4.0 * abs(hyperdeterminant(state.amplitudes))
+    assert abs(full ** 2 - ab ** 2 - ac ** 2 - tangle) <= TANGLE_ULPS * UNIT_ROUNDOFF
 
 
 @functools.lru_cache(maxsize=None)

@@ -20,16 +20,13 @@ its window.
 """
 
 import dataclasses
-import math
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entmono import (BoundParams, MeasureKind, bound_family, example1_params, ghz, random_pure,
-                     schmidt3, verify, w_state)
-from entmono.bounds import (MONOGAMY, POLYGAMY, POLYGAMY_MU_FLOOR, THEOREMS, BoundFamily,
-                            ConditionStep, _clause, extract_mu_l, measure_chain)
+from entmono import BoundParams, bound_family, ghz, random_pure, verify, w_state
+from entmono.bounds import (MONOGAMY, POLYGAMY, POLYGAMY_MU_FLOOR, THEOREMS, ConditionStep,
+                            extract_mu_l, measure_chain)
 
 from qubit_reference import local_copy, product_state
 
@@ -128,31 +125,3 @@ def test_a_polygamy_extraction_saturates_unless_clamped(name, seed, family, s):
     assert abs(floats.margin) <= MARGIN_ULPS * UNIT_ROUNDOFF
     # heuristic pair values decide no pair or sum clause
     assert [step.status for step in report.conditions.steps[2:]] == ["undecidable"] * 2
-
-
-def test_the_mu_clause_cites_no_theorem_outside_the_table():
-    # a hand-built concurrence family at gamma = 1 is no THEOREMS row, and
-    # C(A|BC) >= C(A,B) + C(A,C) fails on W_3: mu* = (2 sqrt(2) - 2)/2 < 1
-    family = BoundFamily(MeasureKind("concurrence"), 1.0)
-    report = verify(w_state(3), BoundParams(family, 2.0))
-    mu = report.mu[0]
-    assert mu == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-14)
-    assert report.conditions.steps[0] == ConditionStep("step 1: mu_1 >= 1", "fails", mu - 1.0)
-    assert [step.status for step in report.conditions.steps[1:]] == ["holds"] * 3
-    assert report.margin == 0.0
-
-
-@pytest.mark.parametrize("state", [schmidt3(example1_params()), w_state(3)],
-                         ids=["example1", "w3"])
-def test_a_family_outside_its_window_cites_no_theorem(state):
-    # Tsallis q = 3.5 lies outside the monogamy window 2 <= q <= 3, so
-    # bound_family refuses the hand-built family: its extracted mu clause is
-    # the float comparison (which W_3 fails, mu* < 1 at gamma = 1), while
-    # the pair and sum clauses stay proven
-    family = BoundFamily(MeasureKind("tsallis", q=3.5), 1.0)
-    report = verify(state, BoundParams(family, 2.0))
-    mu = report.mu[0]
-    assert report.margin == 0.0
-    assert report.conditions.steps[0] == _clause("step 1: mu_1 >= 1", (mu, mu), (1.0, 1.0))
-    assert [(step.status, step.slack) for step in report.conditions.steps[2:]] == \
-        [("holds", 0.0)] * 2
