@@ -17,12 +17,13 @@ m+1..N-2; no split is split N-2.  Monogamy families bound from below
 families bound the assisted duals from above (<=).
 
 Every bound is built from one measured object, the Chain of a (state,
-family) pair, which measure_chain computes once per command: the full
-value M(A|B_1...B_{N-1}) and the pair values M(A,B_i) with their
-provenance (exact closed forms, or heuristic assisted estimates).  Its
-links M(A|B_r...B_{N-1}), each a certified MeasureValue or None, are
-built when read, which only the hypothesis checks do, by
-measures.group_link, the one rule behind `measure` on a group too.
+family) pair, which Chain(state, family, budget=, seed=) checks and
+measures once per command (no caller hands it values): the full value
+M(A|B_1...B_{N-1}) and the pair values M(A,B_i) with their provenance
+(exact closed forms, or heuristic assisted estimates).  Its links
+M(A|B_r...B_{N-1}), each a certified MeasureValue or None, are built
+when read, which only the hypothesis checks do, by measures.group_link,
+the one rule behind `measure` on a group too.
 Parameter extraction (resolve_params), the right-hand sides, the prior
 bounds and the hypothesis checks (check_conditions) all read that
 record; none measures again.
@@ -48,12 +49,12 @@ parameters can always be evaluated.
 import math
 import numbers
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 
 import numpy as np
 
 from .errors import CapabilityError, ParameterError
-from .measures import CERT_TOL, PARAMETERS, RENYI_ORDER_LO, MeasureKind, group_link
+from .measures import CERT_TOL, PARAMETERS, RENYI_ORDER_LO, MeasureKind, check_budget, group_link
 from .states import PureState, seed_path
 
 MONOGAMY = "monogamy"
@@ -304,9 +305,10 @@ def coefficient_K(mu, ell, alpha, family: BoundFamily):
     """Tightening weight (mu + l)^s - l^s with s = alpha / gamma.
 
     Requires alpha in the family domain, mu > 0 and l >= 0, all finite (so
-    the powers are real); theorem-range checks on mu and l are left to the
-    condition reports.  For monogamy parameters mu, l >= 1 the weight is at
-    least 2^s - 1.
+    the powers are real), a scalar mu or l a real number as in BoundParams
+    (a bool or a string is not one); theorem-range checks on mu and l are
+    left to the condition reports.  For monogamy parameters mu, l >= 1 the
+    weight is at least 2^s - 1.
 
     Scalars give a float.  If any argument is an ndarray the three
     broadcast and the weights come back as an array; every entry is
@@ -323,6 +325,9 @@ def coefficient_K(mu, ell, alpha, family: BoundFamily):
         checked = [(float(mu.min()), float(ell.min())),
                    (float(mu.max()), float(ell.max()))] if mu.size else []
     else:
+        for name, value in (("mu", mu), ("ell", ell)):
+            if not _is_real(value):
+                raise ParameterError(f"{name} must be a real number or an ndarray, got {value!r}")
         mu, ell, alpha = float(mu), float(ell), float(alpha)
         checked = [(mu, ell)]
     for m, l in checked:
@@ -503,12 +508,41 @@ def extract_mu_l(full, ab, ac, family: BoundFamily):
 
 @dataclass(frozen=True)
 class Chain:
-    """The measured chain of one (state, family); see measure_chain."""
+    """The measured chain of one (state, family), the only way to measure it.
+
+    Chain(state, family, budget=..., seed=...) checks its input, then
+    measures once; full and pairs are measured, never given.  The state
+    must be a PureState of at least 3 qubits, the seed a nonnegative
+    integer (seed_path) and the budget one too (check_budget), in that
+    order, each a ParameterError before any measure is called.  The
+    pair values M(A,B_i) are the measure's pair_values: exact closed forms
+    of the pair concurrences for monogamy (a measure outside the closed
+    form's window raises CapabilityError), heuristic assisted estimates
+    for polygamy (budget restarts; pair i seeds seed_path(seed, i - 1)).
+    The full value is the exact pure-state measure (an assisted value of a
+    pure state equals the plain value).
+    """
 
     state: PureState
     family: BoundFamily
-    full: float        # M(A|B_1...B_{N-1}), exact
-    pairs: tuple       # M(A,B_1)..M(A,B_{N-1})
+    full: float = field(init=False)     # M(A|B_1...B_{N-1}), exact
+    pairs: tuple = field(init=False)    # M(A,B_1)..M(A,B_{N-1})
+    _: KW_ONLY
+    budget: InitVar[int] = 200
+    seed: InitVar[int] = 0
+
+    def __post_init__(self, budget, seed):
+        state, kind = self.state, self.family.measure
+        if not isinstance(state, PureState):
+            raise ParameterError(f"a bound needs a PureState, got {type(state).__name__}")
+        if state.n_qubits < 3:
+            raise ParameterError(
+                f"a bound needs at least 3 qubits (2 pair terms), got {state.n_qubits}")
+        seed_path(seed)
+        check_budget(budget)
+        pairs = kind.pair_values(state, budget=budget, seed=seed)
+        object.__setattr__(self, "full", kind.pure_value(state, [0]))
+        object.__setattr__(self, "pairs", tuple(float(v) for v in pairs))
 
     @property
     def status(self) -> str:
@@ -526,22 +560,6 @@ class Chain:
         return tuple(group_link(kind, self.state, [0, *range(r, n)], self.pairs[r - 1:],
                                 self.full)
                      for r in range(1, n))
-
-
-def measure_chain(state: PureState, family: BoundFamily, budget: int = 200,
-                  seed=0) -> Chain:
-    """Measure the chain of one (state, family) once; see Chain.
-
-    The pair values M(A,B_i) are the measure's pair_values: exact closed
-    forms of the pair concurrences for monogamy (a measure outside the
-    closed form's window raises CapabilityError), heuristic assisted
-    estimates for polygamy (budget restarts; pair i seeds
-    seed_path(seed, i - 1)).  The full value is the exact pure-state
-    measure (an assisted value of a pure state equals the plain value).
-    """
-    kind = family.measure
-    pairs = kind.pair_values(state, budget=budget, seed=seed)
-    return Chain(state, family, kind.pure_value(state, [0]), tuple(float(v) for v in pairs))
 
 
 def _clause(desc, lhs, rhs, op=">=") -> ConditionStep:
@@ -567,11 +585,11 @@ def check_conditions(chain: Chain, params: BoundParams) -> ConditionReport:
     params is a request as verify and the sweep accept it: explicit mu and
     ell, with the shape and split _right_sides requires (ParameterError
     otherwise), or both None for the chain's own, resolved by
-    resolve_params (whose ParameterError a chain beyond three qubits
-    raises).  Clauses run on endpoints at the power gamma: a certified
-    link's bounds, an exact pair value v as (v, v), their multiples and
-    sums end by end; an uncertified value (a heuristic pair, a None link)
-    is None and stays None.  The mu_r and l_r ranges are clauses of
+    resolve_params (a chain beyond three qubits raises the one
+    CapabilityError of _refuse_automatic).  Clauses run on endpoints at
+    the power gamma: a certified link's bounds, an exact pair value v as
+    (v, v), their multiples and sums end by end; an uncertified value (a
+    heuristic pair, a None link) is None and stays None.  The mu_r and l_r ranges are clauses of
     (mu_r, mu_r) and (l_r, l_r) against (1, 1).  Three-qubit pure states
     yield exact verdicts; beyond them the concurrence and CREN families
     certify what their links allow.
@@ -647,14 +665,24 @@ def _saturated(chain: Chain, request: BoundParams, params: BoundParams) -> bool:
         chain.full, *chain.pairs, params.family)
 
 
+def _refuse_automatic(state: PureState, params: BoundParams):
+    """CapabilityError for an automatic request (mu and ell None) on more
+    than three qubits: the one refusal of automatic (mu, l), whose maximal
+    parameters are extracted from the exact three-qubit chain only."""
+    if params.mu is None and state.n_qubits > 3:
+        raise CapabilityError(
+            "automatic (mu, l) extraction needs the exact three-qubit chain; "
+            f"supply mu and ell explicitly for {state.n_qubits}-qubit states")
+
+
 def resolve_params(chain: Chain, params: BoundParams) -> BoundParams:
     """Fill in auto (mu, ell) with the maximal feasible values of the chain.
 
     The one resolution of a request, which evaluate_bounds and
     check_conditions both apply; explicit (mu, ell) come back as given.
-    Exact for three-qubit pure states, the only chains evaluate_bounds
-    extracts from: a chain without exactly two pair values is a
-    ParameterError.  For assisted families the pair values are heuristic
+    Exact for three-qubit pure states, the only chains extracted from: an
+    automatic request on a wider chain raises the CapabilityError of
+    _refuse_automatic.  For assisted families the pair values are heuristic
     estimates and the extracted parameters inherit that status (clamped
     into the theorem ranges).  A step with no maximal pair (a zero ac or
     ab, see extract_mu_l) falls back to (1, 1), so BoundParams never gets
@@ -664,10 +692,8 @@ def resolve_params(chain: Chain, params: BoundParams) -> BoundParams:
     """
     if params.mu is not None:
         return params
+    _refuse_automatic(chain.state, params)
     family = params.family
-    if len(chain.pairs) != 2:
-        raise ParameterError(
-            f"automatic (mu, l) needs 2 pair values, got {len(chain.pairs)}")
     mu, ell = extract_mu_l(chain.full, *chain.pairs, family)
     if mu is None:
         mu, ell = 1.0, 1.0
@@ -680,31 +706,21 @@ def evaluate_bounds(state: PureState, params: BoundParams, names, comparator_k: 
                     budget: int = 200, seed=0) -> tuple:
     """(chain, params, ours, priors) of the bounds named in names, one instance.
 
-    The one rule behind verify and the sweep: check the input (a pure
-    state of at least 3 qubits, exactly 3 for automatic (mu, l), and a
-    nonnegative seed and budget, for every family, so that no chain is
-    measured only to be rejected), measure the chain once
-    and resolve (mu, l) into the returned params.  Then only the
-    selected right sides are evaluated, by one _right_sides call: ours,
-    the RhsBreakdown of rhs_assemble if "ours" is in names (None
-    otherwise), and priors, the prior_rhs value of each selected kind in
-    PRIOR_KINDS order (kf with k = comparator_k).  params.alpha may be a
-    sweep's grid, for which the values are arrays over it.  A weight,
-    power or sum beyond the float range raises OverflowError.
+    The one rule behind verify and the sweep: refuse automatic (mu, l)
+    beyond three qubits (_refuse_automatic, before anything is measured),
+    build the Chain, which checks the rest of the input (a pure state of
+    at least 3 qubits, a nonnegative seed and budget, for every family)
+    before it measures once, and resolve (mu, l) into the returned params.
+    Then only the selected right sides are evaluated, by one _right_sides
+    call: ours, the RhsBreakdown of rhs_assemble if "ours" is in names
+    (None otherwise), and priors, the prior_rhs value of each selected
+    kind in PRIOR_KINDS order (kf with k = comparator_k).  params.alpha
+    may be a sweep's grid, for which the values are arrays over it.  A
+    weight, power or sum beyond the float range raises OverflowError.
     """
-    if not isinstance(state, PureState):
-        raise ParameterError(f"a bound needs a PureState, got {type(state).__name__}")
-    if state.n_qubits < 3:
-        raise ParameterError(
-            f"a bound needs at least 3 qubits (2 pair terms), got {state.n_qubits}")
-    if params.mu is None and state.n_qubits != 3:
-        raise CapabilityError(
-            "automatic (mu, l) extraction needs the exact three-qubit chain; "
-            f"supply mu and ell explicitly for {state.n_qubits}-qubit states")
-    seed_path(seed)  # raises ParameterError for a negative seed
-    if int(budget) < 0:
-        raise ParameterError(f"budget must be nonnegative, got {budget}")
-    chain = measure_chain(state, params.family, budget=budget, seed=seed)
+    if isinstance(state, PureState):
+        _refuse_automatic(state, params)
+    chain = Chain(state, params.family, budget=budget, seed=seed)
     params = resolve_params(chain, params)
     sides = _right_sides(chain.pairs, params.family, params.alpha, params.split,
                          [name for name in ("ours",) + PRIOR_KINDS if name in names],

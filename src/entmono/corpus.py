@@ -20,8 +20,8 @@ both ckw and lemma2; consistency takes the 2-qubit block.  A suite takes
 at most MAX_SAMPLES samples, so every sample index fits the one 32-bit
 entropy word of the block's seed hash.  The suites are per-block
 consumers with no reductions of their own; the pass reads the
-pure-state kernels measure_chain calls on one state, marginal_spectra
-and pair_concurrences of :mod:`measures`.  Neither forms a reduced state
+pure-state kernels that measure a bounds.Chain, marginal_spectra and
+pair_concurrences of :mod:`measures`.  Neither forms a reduced state
 or calls LAPACK on these samples: each marginal spectrum is the closed
 form of its 2 x 2 or 2 x 4 amplitude matrix (a sum of squared 2 x 2
 minors), and each pair concurrence of a 3-qubit sample is the
@@ -61,7 +61,7 @@ from .bounds import (_right_sides, bound_family, coefficient_K, extract_mu_l, pr
                      prior_weight)
 from .errors import ParameterError
 from .measures import CERT_TOL, MeasureKind, marginal_spectra, pair_concurrences
-from .states import INDEX_CAP, haar_blocks, seed_path
+from .states import INDEX_CAP, _is_integer, haar_blocks, seed_path
 
 # samples per evaluated block of the state-based suites
 BLOCK = 1024
@@ -268,17 +268,22 @@ def run_suites(names, samples: int = None, seed: int = 42) -> list:
     """Run the named suites, one SuiteResult per name in order; samples
     defaults to each suite's SUITES row.
 
-    An unknown name, or a sample count outside [1, MAX_SAMPLES], raises
-    ParameterError before anything is drawn.  lemma1 and hierarchy run on
-    their own draws, then the state suites share one pass over blocks.
+    An unknown name, a sample count that is not an integer in [1,
+    MAX_SAMPLES] or a seed that seed_path refuses raises ParameterError
+    before anything is drawn (a bool, a float or a string is no count or
+    seed).  lemma1 and hierarchy run on their own draws, then the state
+    suites share one pass over blocks.
     """
-    seed = int(seed)
+    (seed,) = seed_path([seed])  # one integer entry: a tuple is no corpus seed
     results, qubits = {}, {}
     for name in names:
         if name not in SUITES:
             raise ParameterError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
         default, qubits[name], tolerance = SUITES[name]
-        count = int(default if samples is None else samples)
+        count = default if samples is None else samples
+        if not _is_integer(count):
+            raise ParameterError(f"sample count must be an integer, got {count!r}")
+        count = int(count)
         if not 1 <= count <= MAX_SAMPLES:
             raise ParameterError(f"sample count must be in [1, {MAX_SAMPLES}], got {count}")
         results[name] = SuiteResult(name, count, seed, tolerance=tolerance)

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, DimensionError, DomainError, ParameterError
-from .states import (DensityMatrix, PureState, _check_dense, gram, keep_indices,
+from .states import (DensityMatrix, PureState, _check_dense, _is_integer, gram, keep_indices,
                      seed_path, split_amplitudes)
 
 # Validity window of the concurrence closed form for the mixed-state
@@ -826,6 +826,15 @@ def assisted_estimate(rho: DensityMatrix, kind: MeasureKind, budget: int = 200,
                         "heuristic")
 
 
+def check_budget(budget):
+    """ParameterError unless budget, a count of restarts, is a nonnegative
+    integer; a bool or a float is not one."""
+    if not _is_integer(budget):
+        raise ParameterError(f"budget must be a nonnegative integer, got {budget!r}")
+    if budget < 0:
+        raise ParameterError(f"budget must be nonnegative, got {budget}")
+
+
 def assisted_estimates(rhos: np.ndarray, kind: MeasureKind, budget: int, seeds) -> np.ndarray:
     """assisted_estimate of each two-qubit state of a (P, 4, 4) stack, in one pass.
 
@@ -849,14 +858,12 @@ def assisted_estimates(rhos: np.ndarray, kind: MeasureKind, budget: int, seeds) 
 
     The best average of each state is returned, its eigen-ensemble's when
     budget is 0, capped at the family's maximum from_concurrence(1).  budget
-    must be a nonnegative integer and seeds as long as rhos (ParameterError
+    must pass check_budget and seeds be as long as rhos (ParameterError
     otherwise).
     """
     if not kind.assisted:
         raise ParameterError("assisted_estimate requires a kind with assisted=True")
-    budget = int(budget)
-    if budget < 0:
-        raise ParameterError(f"budget must be nonnegative, got {budget}")
+    check_budget(budget)
     if len(seeds) != len(rhos):
         raise ParameterError(f"{len(rhos)} states need as many seeds, got {len(seeds)}")
 

@@ -332,6 +332,11 @@ def gram(m: np.ndarray) -> np.ndarray:
     return m @ np.swapaxes(m.conj(), -1, -2)
 
 
+def _is_integer(value) -> bool:
+    """Whether value is an integer (a numpy one too); a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def seed_path(seed, *indices) -> tuple:
     """Flatten a seed plus derivation indices into an int tuple.
 
@@ -340,10 +345,14 @@ def seed_path(seed, *indices) -> tuple:
     and serial sample evaluation agree exactly; :func:`seed_words` hashes
     the seed words of a whole block of such paths at once.  A negative
     entry raises ParameterError (the generator accepts only nonnegative
-    integers).
+    integers), and so does an entry that is not an integer (a bool or a
+    float is not one).
     """
     base = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    path = tuple(int(x) for x in base) + tuple(int(i) for i in indices)
+    path = base + indices
+    if not all(map(_is_integer, path)):
+        raise ParameterError(f"seeds must be nonnegative integers, got {path!r}")
+    path = tuple(map(int, path))
     if any(x < 0 for x in path):
         raise ParameterError(f"seeds must be nonnegative integers, got {path}")
     return path

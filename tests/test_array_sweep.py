@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import entmono.cli as cli
 from entmono import BoundParams, bound_family, random_pure, save_state
-from entmono.bounds import PRIOR_KINDS, measure_chain, prior_rhs, resolve_params, rhs_assemble
+from entmono.bounds import PRIOR_KINDS, Chain, prior_rhs, resolve_params, rhs_assemble
 from right_sides_reference import chained_sum
 
 FAST = settings(max_examples=60, deadline=None)
@@ -45,7 +45,7 @@ def reference_rows(args) -> list:
     selected = [b.strip() for b in args.bounds.split(",") if b.strip()]
     base = BoundParams(family, family.domain[0], cli.parse_floats(args.mu),
                        cli.parse_floats(args.ell), args.m_split)
-    chain = measure_chain(state, family)
+    chain = Chain(state, family)
     base = resolve_params(chain, base)
 
     header = ["alpha", "lhs"] + [b for b in ("ours", "kf", "jf", "ckw") if b in selected]

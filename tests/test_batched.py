@@ -26,7 +26,7 @@ from entmono import (DensityMatrix, DomainError, MeasureKind,
                      example1_params, f_eof, g_tsallis,
                      random_pure, schmidt3, seed_path)
 from entmono import corpus, measures
-from entmono.bounds import POLYGAMY, extract_mu_l, measure_chain
+from entmono.bounds import POLYGAMY, Chain, extract_mu_l
 from entmono.measures import assisted_estimate, pair_concurrences, wootters_concurrence
 from entmono.states import INDEX_CAP, haar_blocks, seed_words
 
@@ -665,7 +665,7 @@ def test_stacked_chain_matches_each_pair_alone(state, seed, kind, block, budget)
               "block+1": block + 1}[budget]
     family = bound_family(kind.name, POLYGAMY, q=kind.q, order=kind.order)
     with mock.patch.object(measures, "RESTART_BLOCK", block):
-        chain = measure_chain(state, family, budget=budget, seed=seed)
+        chain = Chain(state, family, budget=budget, seed=seed)
         alone = [assisted_estimate(state.reduce([0, i]), kind, budget=budget,
                                    seed=seed_path(seed, i - 1)).value
                  for i in range(1, state.n_qubits)]
@@ -708,7 +708,7 @@ def test_padded_pairs_keep_their_own_values(kind):
     for i in range(150):
         rng = np.random.default_rng(seed_path(31, i))
         for state in (PureState(schmidt_pair_state(rng, 5, 2 + i % 2), (2,) * 5), bell0):
-            chain = measure_chain(state, family, budget=1, seed=i)
+            chain = Chain(state, family, budget=1, seed=i)
             alone = [assisted_estimate(state.reduce([0, j]), kind, budget=1,
                                        seed=seed_path(i, j - 1)).value
                      for j in range(1, state.n_qubits)]

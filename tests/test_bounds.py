@@ -3,6 +3,7 @@ against a direct-summation oracle, parameter extraction, hypothesis
 checking and full verification reports."""
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -10,15 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entmono.bounds as bounds
 from entmono import (BoundParams, CapabilityError, DensityMatrix, DimensionError,
                      MeasureKind, ParameterError, PureState, bound_family,
                      coefficient_K, eof, example1_params, ghz,
                      random_pure, schmidt3, seed_path, verify, w_state)
 from entmono.bounds import (POLYGAMY, PRIOR_KINDS, THEOREMS, BoundFamily, Chain, _clause,
-                            check_conditions, extract_mu_l, measure_chain, prior_rhs,
+                            check_conditions, evaluate_bounds, extract_mu_l, prior_rhs,
                             prior_weight, resolve_params, rhs_assemble)
 from entmono.corpus import run_suite
-from entmono.measures import CERT_TOL, PARAMETERS, pair_concurrences
+from entmono.measures import CERT_TOL, PARAMETERS, assisted_estimate, pair_concurrences
 
 EX1 = schmidt3(example1_params())
 SQ2 = math.sqrt(2.0)
@@ -28,6 +30,7 @@ EOF = bound_family("eof")
 CREN = bound_family("cren")
 TSQ2 = bound_family("tsallis", q=2.0)
 REN2 = bound_family("renyi", order=2.0)
+EOA = bound_family("eof", "polygamy")
 
 # closed-form measure triples (group, AB, AC) for the worked example
 C_TRIPLE = (0.8, 2 * math.sqrt(2) / 5, 0.4)
@@ -316,7 +319,7 @@ class TestExtract:
 
 class TestCheckConditions:
     def test_example1_saturating_parameters(self):
-        report = check_conditions(measure_chain(EX1, CONC),
+        report = check_conditions(Chain(EX1, CONC),
                                   BoundParams(CONC, 2.0, (2.0,), (2.0,)))
         assert report.all_hold
         clauses = [s for s in report.steps if "M^2" in s.description]
@@ -325,20 +328,20 @@ class TestCheckConditions:
             assert step.slack == pytest.approx(0.0, abs=1e-12)
 
     def test_example1_overtight_mu_fails(self):
-        report = check_conditions(measure_chain(EX1, CONC),
+        report = check_conditions(Chain(EX1, CONC),
                                   BoundParams(CONC, 2.0, (2.1,), (2.0,)))
         failing = [s for s in report.steps if s.status == "fails"]
         assert len(failing) == 1
         assert failing[0].slack == pytest.approx(-0.1 * 0.16, abs=1e-12)
 
     def test_ghz4_undecidable(self):
-        report = check_conditions(measure_chain(ghz(4), CONC),
+        report = check_conditions(Chain(ghz(4), CONC),
                                   BoundParams(CONC, 2.0, (1.0, 1.0), (1.0, 1.0)))
         assert report.any_undecidable
         assert report.summary == "undecidable"
 
     def test_out_of_range_parameters_fail_not_raise(self):
-        report = check_conditions(measure_chain(EX1, CONC),
+        report = check_conditions(Chain(EX1, CONC),
                                   BoundParams(CONC, 2.0, (0.5,), (0.5,)))
         assert report.summary == "fails"
 
@@ -346,7 +349,7 @@ class TestCheckConditions:
         # W_3: F^2 = 8/9 and both pairs 4/9, so the sum clause at (5, 0.2)
         # reads 8/9 >= 4/9 + 5 * 4/9 and fails by 16/9; no explicit step is
         # taken as proven
-        chain = measure_chain(w_state(3), CONC)
+        chain = Chain(w_state(3), CONC)
         report = check_conditions(chain, BoundParams(CONC, 2.0, (5.0,), (0.2,)))
         full, ab, ac = (v ** 2 for v in (chain.full, *chain.pairs))
         sum_step = report.steps[3]
@@ -363,7 +366,7 @@ class TestCheckConditions:
         family = bound_family(name, direction, **options)
         alpha = gamma / 2 if direction == POLYGAMY else gamma
         request = BoundParams(family, alpha)
-        assert check_conditions(measure_chain(state, family, budget=4), request) == \
+        assert check_conditions(Chain(state, family, budget=4), request) == \
             verify(state, request, budget=4).conditions
 
 
@@ -407,7 +410,7 @@ class TestClause:
     def test_a_polygamy_chain_certifies_no_pair_or_sum_clause(self, kind, state):
         # its pair values are heuristic (chain.status), so they enter the
         # clauses as None, whatever mu and l say
-        chain = measure_chain(state, kind, budget=4)
+        chain = Chain(state, kind, budget=4)
         steps = state.n_qubits - 2
         for mu, ell in [(1.0, 1.0), (0.5, 1.5), (1e-9, 1e200)]:
             report = check_conditions(chain, BoundParams(kind, 1.0, (mu,) * steps,
@@ -418,7 +421,7 @@ class TestClause:
     def test_exact_zero_pair_values_certify_every_clause(self):
         # GHZ_3's pair concurrences are exactly 0: the endpoints (0.0, 0.0)
         # are certified values, not uncertified ones
-        chain = measure_chain(ghz(3), CONC)
+        chain = Chain(ghz(3), CONC)
         assert chain.pairs == (0.0, 0.0)
         report = check_conditions(chain, BoundParams(CONC, 2.0, (1.0,), (1.0,)))
         assert [s.status for s in report.steps] == ["holds"] * 4
@@ -434,7 +437,7 @@ class TestChainLinks:
         # one rule, measures.group_link: the whole register and (unless
         # assisted) the last pair are exact; a mixed group of more than two
         # qubits is certified for the concurrence and CREN only
-        links = measure_chain(w_state(4), family, budget=4).links
+        links = Chain(w_state(4), family, budget=4).links
         assert [link is not None for link in links] == certified
         assert links[0].status == "exact"
 
@@ -443,19 +446,16 @@ class TestChainLinks:
     (lambda: BoundParams(CONC, 2.0, (1.0, 1.0), (1.0,)), "mu and ell lengths differ"),
     (lambda: BoundParams(CONC, 2.0, (1.0,), (1.0,), 0), "split must be a positive"),
     (lambda: rhs_assemble([0.5, 0.4], BoundParams(CONC, 2.0)), "rhs_assemble needs explicit"),
-    # an automatic request is resolved as verify resolves it, on three qubits only
-    (lambda: check_conditions(measure_chain(w_state(4), CONC), BoundParams(CONC, 2.0)),
-     r"automatic \(mu, l\) needs 2 pair values, got 3"),
     (lambda: rhs_assemble([0.5, 0.4, 0.3], BoundParams(CONC, 2.0, (1.0, 1.0), (1.0, 1.0), 3)),
      r"split 3 outside \[1, 2\]"),
     # check_conditions holds its parameters to the chain as the right sides do
-    (lambda: check_conditions(measure_chain(w_state(4), CONC),
+    (lambda: check_conditions(Chain(w_state(4), CONC),
                               BoundParams(CONC, 2.0, (1.0,), (1.0,))),
      r"3 values need 2 \(mu, ell\) steps, got 1"),
-    (lambda: check_conditions(measure_chain(w_state(4), CONC),
+    (lambda: check_conditions(Chain(w_state(4), CONC),
                               BoundParams(CONC, 2.0, (1.0,) * 3, (1.0,) * 3)),
      r"3 values need 2 \(mu, ell\) steps, got 3"),
-    (lambda: check_conditions(measure_chain(w_state(4), CONC),
+    (lambda: check_conditions(Chain(w_state(4), CONC),
                               BoundParams(CONC, 2.0, (1.0, 1.0), (1.0, 1.0), 5)),
      r"split 5 outside \[1, 2\] for 3 pairs"),
     (lambda: verify(DensityMatrix(np.eye(8) / 8, (2, 2, 2)), BoundParams(CONC, 2.0)),
@@ -493,13 +493,52 @@ class TestChainLinks:
     (lambda: BoundParams(bound_family("eof", "polygamy"), True, (1.0,), (1.0,)),
      "alpha must be a real number or an ndarray"),
     (lambda: bound_family("eof", "sideways"), "direction must be monogamy or polygamy"),
-], ids=["mu-ell-lengths", "split-0", "rhs-unresolved", "conditions-auto-four-qubits",
-        "split-past-n-2", "conditions-one-step", "conditions-three-steps",
+    # library input is checked, not coerced: a budget, seed or sample count
+    # is an integer and a scalar mu or ell a real number, and a bool is neither
+    (lambda: verify(EX1, BoundParams(EOA, 0.5), budget=2.7),
+     r"^budget must be a nonnegative integer, got 2\.7$"),
+    (lambda: verify(EX1, BoundParams(EOA, 0.5), budget="abc"),
+     r"^budget must be a nonnegative integer, got 'abc'$"),
+    (lambda: verify(EX1, BoundParams(CONC, 2.0), budget=True),
+     r"^budget must be a nonnegative integer, got True$"),
+    (lambda: assisted_estimate(EX1.reduce([0, 1]), EOA.measure, budget=2.7),
+     r"^budget must be a nonnegative integer, got 2\.7$"),
+    (lambda: verify(EX1, BoundParams(EOA, 0.5), seed=0.7),
+     r"^seeds must be nonnegative integers, got \(0\.7,\)$"),
+    (lambda: verify(EX1, BoundParams(EOA, 0.5), seed=True),
+     r"^seeds must be nonnegative integers, got \(True,\)$"),
+    (lambda: verify(EX1, BoundParams(CONC, 2.0), seed="x"),
+     r"^seeds must be nonnegative integers, got \('x',\)$"),
+    (lambda: seed_path((3, 1.5), 2), r"^seeds must be nonnegative integers, got \(3, 1\.5, 2\)$"),
+    (lambda: run_suite("ckw", samples=2.5, seed=7), r"^sample count must be an integer, got 2\.5$"),
+    (lambda: run_suite("ckw", samples="3"), r"^sample count must be an integer, got '3'$"),
+    (lambda: run_suite("ckw", samples=True), r"^sample count must be an integer, got True$"),
+    (lambda: run_suite("ckw", samples=2, seed=7.9),
+     r"^seeds must be nonnegative integers, got \(7\.9,\)$"),
+    (lambda: run_suite("ckw", samples=2, seed=(7, 9)),
+     r"^seeds must be nonnegative integers, got \(\(7, 9\),\)$"),
+    (lambda: coefficient_K(True, 1, 2.0, CONC),
+     r"^mu must be a real number or an ndarray, got True$"),
+    (lambda: coefficient_K("2", 1, 2.0, CONC),
+     r"^mu must be a real number or an ndarray, got '2'$"),
+    (lambda: coefficient_K("abc", 1, 2.0, CONC),
+     r"^mu must be a real number or an ndarray, got 'abc'$"),
+    (lambda: coefficient_K(2.0, "1", 2.0, CONC),
+     r"^ell must be a real number or an ndarray, got '1'$"),
+], ids=["mu-ell-lengths", "split-0", "rhs-unresolved", "split-past-n-2",
+        "conditions-one-step", "conditions-three-steps",
         "conditions-split-past-n-2", "density-matrix", "params-empty-alpha",
         "coefficient-empty-alpha", "prior-empty-alpha", "nan-value", "nan-in-stack",
         "params-list-alpha", "params-string-alpha", "prior-list-alpha", "inf-value",
         "inf-in-stack", "mu-string", "mu-number", "mu-none-entry", "ell-bool-entry",
-        "split-fraction", "split-string", "split-bool", "alpha-bool", "direction"])
+        "split-fraction", "split-string", "split-bool", "alpha-bool", "direction",
+        "verify-fractional-budget", "verify-string-budget", "verify-bool-budget",
+        "estimate-fractional-budget", "verify-fractional-seed", "verify-bool-seed",
+        "verify-string-seed", "seed-path-fractional-entry", "suite-fractional-samples",
+        "suite-string-samples", "suite-bool-samples", "suite-fractional-seed",
+        "suite-tuple-seed",
+        "coefficient-bool-mu", "coefficient-string-mu", "coefficient-text-mu",
+        "coefficient-string-ell"])
 def test_bound_inputs_are_checked(call, message):
     with pytest.raises(ParameterError, match=message):
         call()
@@ -516,9 +555,100 @@ def test_a_subsystem_that_is_not_a_qubit_has_no_pair_values(dims):
         with pytest.raises(DimensionError, match="pairs need qubits"):
             verify(state, BoundParams(family, alpha, (1.0,), (1.0,)), budget=8)
         with pytest.raises(DimensionError, match="pairs need qubits"):
-            measure_chain(state, family, budget=8)
+            Chain(state, family, budget=8)
     with pytest.raises(DimensionError, match="pairs need qubits"):
         pair_concurrences(state.amplitudes, state.dims)
+
+
+AUTOMATIC_REFUSAL = ("automatic (mu, l) extraction needs the exact three-qubit chain; "
+                     "supply mu and ell explicitly for {}-qubit states")
+
+
+def forbid_measuring(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a measure was called")
+    monkeypatch.setattr(MeasureKind, "pair_values", forbidden)
+    monkeypatch.setattr(MeasureKind, "pure_value", forbidden)
+
+
+class TestChain:
+    """A Chain is its measurement: it checks its input, then measures once."""
+
+    def test_a_chain_takes_no_values(self):
+        P = inspect.Parameter
+        kinds = [(p.name, p.kind, p.default) for p in inspect.signature(Chain).parameters.values()]
+        assert kinds == [("state", P.POSITIONAL_OR_KEYWORD, P.empty),
+                         ("family", P.POSITIONAL_OR_KEYWORD, P.empty),
+                         ("budget", P.KEYWORD_ONLY, 200), ("seed", P.KEYWORD_ONLY, 0)]
+        assert not hasattr(bounds, "measure_chain")
+
+    def test_values_in_the_old_positional_order_are_refused(self):
+        # W_3 has full 0.943 and pairs 2/3: handed (0.1, (0.09, 0.08)), a chain
+        # would let check_conditions prove clauses for values W_3 does not have
+        with pytest.raises(TypeError):
+            Chain(w_state(3), CONC, 0.1, (0.09, 0.08))
+
+    @pytest.mark.parametrize("family", [CONC, EOA], ids=["concurrence", "eoa"])
+    @pytest.mark.parametrize("state,options,message", [
+        (DensityMatrix(np.eye(8) / 8, (2, 2, 2)), {},
+         "a bound needs a PureState, got DensityMatrix"),
+        (ghz(2), {}, "a bound needs at least 3 qubits (2 pair terms), got 2"),
+        (w_state(3), {"seed": -1}, "seeds must be nonnegative integers, got (-1,)"),
+        (w_state(3), {"budget": -1}, "budget must be nonnegative, got -1"),
+        # in the order the state, its size, the seed, the budget
+        (ghz(2), {"seed": -1, "budget": -1},
+         "a bound needs at least 3 qubits (2 pair terms), got 2"),
+        (w_state(3), {"seed": -1, "budget": -1}, "seeds must be nonnegative integers, got (-1,)"),
+    ], ids=["density-matrix", "two-qubits", "negative-seed", "negative-budget",
+            "qubits-before-seed", "seed-before-budget"])
+    def test_bad_input_is_refused_before_anything_is_measured(self, family, state, options,
+                                                             message, monkeypatch):
+        forbid_measuring(monkeypatch)
+        with pytest.raises(ParameterError) as refused:
+            Chain(state, family, **options)
+        assert str(refused.value) == message
+
+
+# every caller of an automatic request beyond three qubits meets the one refusal
+AUTOMATIC_CALLERS = {
+    "verify": lambda state, request: verify(state, request),
+    "evaluate_bounds": lambda state, request: evaluate_bounds(state, request, ("ours",)),
+    "resolve_params": lambda state, request: resolve_params(Chain(state, request.family),
+                                                            request),
+    "check_conditions": lambda state, request: check_conditions(Chain(state, request.family),
+                                                                request),
+}
+
+
+@pytest.mark.parametrize("caller", AUTOMATIC_CALLERS)
+@pytest.mark.parametrize("n", [4, 5])
+def test_automatic_mu_l_has_one_refusal(caller, n):
+    with pytest.raises(CapabilityError) as refused:
+        AUTOMATIC_CALLERS[caller](w_state(n), BoundParams(CONC, 2.0))
+    assert str(refused.value) == AUTOMATIC_REFUSAL.format(n)
+    assert refused.traceback[-1].name == "_refuse_automatic"
+
+
+@pytest.mark.parametrize("caller", ["verify", "evaluate_bounds"])
+def test_automatic_mu_l_is_refused_before_the_chain_is_measured(caller, monkeypatch):
+    forbid_measuring(monkeypatch)
+    with pytest.raises(CapabilityError, match="automatic"):
+        AUTOMATIC_CALLERS[caller](w_state(4), BoundParams(CONC, 2.0))
+    # a state that is no pure register of three or more qubits hears Chain first
+    for state, message in [(DensityMatrix(np.eye(16) / 16, (2,) * 4), "a bound needs a PureState"),
+                           (ghz(2), "a bound needs at least 3 qubits")]:
+        with pytest.raises(ParameterError, match=message):
+            AUTOMATIC_CALLERS[caller](state, BoundParams(CONC, 2.0))
+
+
+def test_numpy_integers_are_integers():
+    request = BoundParams(EOA, 0.5)
+    assert verify(EX1, request, budget=np.int64(4), seed=np.uint8(3)) == \
+        verify(EX1, request, budget=4, seed=3)
+    assert run_suite("ckw", np.int32(20), np.int64(7)).to_dict() == \
+        run_suite("ckw", 20, 7).to_dict()
+    assert coefficient_K(np.int64(2), np.float32(1.5), 2.0, CONC) == \
+        coefficient_K(2, 1.5, 2.0, CONC)
 
 
 REGISTERS_4_TO_6 = {f"{name}:{n}": build(n) for name, build in (("ghz", ghz), ("w", w_state))
@@ -663,11 +793,11 @@ class TestCorpusSuites:
 class TestResolveParams:
     def test_passthrough_when_explicit(self):
         params = BoundParams(CONC, 2.0, (1.5,), (1.2,))
-        assert resolve_params(measure_chain(EX1, CONC), params) is params
+        assert resolve_params(Chain(EX1, CONC), params) is params
 
     def test_polygamy_clamped_into_range(self):
         fam = bound_family("eof", "polygamy")
-        resolved = resolve_params(measure_chain(EX1, fam, budget=20, seed=3),
+        resolved = resolve_params(Chain(EX1, fam, budget=20, seed=3),
                                   BoundParams(fam, 0.5))
         assert 0.0 < resolved.mu[0] <= 1.0
         assert resolved.ell[0] >= 1.0
@@ -675,21 +805,28 @@ class TestResolveParams:
     @pytest.mark.parametrize("full,ab,ac,mu,ell", [
         (0.9, 0.1, 0.2, 1.0, 1.0),     # extracted (4, 0.5): both clamped
         (0.2, 0.5, 0.4, 1e-9, 1.25)])  # extracted mu -0.75 rises to 1e-9
-    def test_polygamy_extraction_is_clamped(self, full, ab, ac, mu, ell):
+    def test_polygamy_extraction_is_clamped(self, full, ab, ac, mu, ell, monkeypatch):
+        # a chain is measured, never handed values: the measure returns the point
         fam = bound_family("eof", "polygamy")
         assert extract_mu_l(full, ab, ac, fam) != (mu, ell)
-        resolved = resolve_params(Chain(EX1, fam, full, (ab, ac)), BoundParams(fam, 0.5))
+        monkeypatch.setattr(MeasureKind, "pure_value", lambda self, state, side: full)
+        monkeypatch.setattr(MeasureKind, "pair_values",
+                            lambda self, state, budget, seed: np.array([ab, ac]))
+        chain = Chain(EX1, fam)
+        assert (chain.full, chain.pairs) == (full, (ab, ac))
+        resolved = resolve_params(chain, BoundParams(fam, 0.5))
         assert (resolved.mu, resolved.ell) == ((mu,), (ell,))
 
     def test_zero_ac_falls_back_to_one(self):
         # GHZ_3's pair concurrences are exactly 0: the step is unconstrained
-        chain = measure_chain(ghz(3), CONC)
+        chain = Chain(ghz(3), CONC)
         assert extract_mu_l(chain.full, *chain.pairs, CONC) == (None, None)
         resolved = resolve_params(chain, BoundParams(CONC, 2.0))
         assert (resolved.mu, resolved.ell) == ((1.0,), (1.0,))
 
     def test_only_a_three_qubit_chain_is_extracted(self):
-        # evaluate_bounds refuses it first (CapabilityError); called directly,
-        # resolve_params holds the chain to its two pair values itself
-        with pytest.raises(ParameterError, match=r"needs 2 pair values, got 3"):
-            resolve_params(measure_chain(w_state(4), CONC), BoundParams(CONC, 2.0))
+        # called directly, resolve_params refuses a wider chain as
+        # evaluate_bounds does, with the one refusal of automatic (mu, l)
+        with pytest.raises(CapabilityError) as refused:
+            resolve_params(Chain(w_state(4), CONC), BoundParams(CONC, 2.0))
+        assert str(refused.value) == AUTOMATIC_REFUSAL.format(4)

@@ -219,6 +219,16 @@ class TestVerify:
                        "M(A|B_r..B_3); rerun with comparator_only=True (--comparator-only on "
                        "the command line)\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--preset", "w:4", "--theorem", "concurrence", "--alpha", "2"],
+        ["sweep", "--preset", "w:4", "--kind", "concurrence", "--alpha-min", "2",
+         "--alpha-max", "3", "--steps", "3"]], ids=["verify", "sweep"])
+    def test_automatic_mu_l_beyond_three_qubits_exits_two(self, argv, capsys):
+        # the one refusal of automatic (mu, l), for verify and the sweep alike
+        assert run_cli(argv, capsys) == (
+            2, "", "entmono: automatic (mu, l) extraction needs the exact three-qubit chain; "
+                   "supply mu and ell explicitly for 4-qubit states\n")
+
     def test_comparator_only_downgrades(self, capsys):
         code, rec, _ = run_json(
             ["verify", "--preset", "ghz:4", "--theorem", "thm3-eof",

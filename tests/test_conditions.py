@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from entmono import (BoundParams, PureState, bound_family, ghz, random_pure, seed_path,
                      w_state)
-from entmono.bounds import THEOREMS, check_conditions, measure_chain, resolve_params
+from entmono.bounds import THEOREMS, Chain, check_conditions, resolve_params
 from entmono.measures import CERT_TOL
 
 import conditions_reference as ref
@@ -56,7 +56,7 @@ STATES = {
 
 @functools.lru_cache(maxsize=None)
 def chain_of(key, state, n):
-    return measure_chain(STATES[state](n), FAMILIES[key], budget=3)
+    return Chain(STATES[state](n), FAMILIES[key], budget=3)
 
 
 @st.composite

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from entmono import (CapabilityError, DensityMatrix, MeasureKind, PureState,
                      bound_family, ghz, negativity, random_pure, seed_path, w_state)
-from entmono.bounds import measure_chain
+from entmono.bounds import Chain
 from entmono.measures import (assisted_estimate, marginal_spectra, pair_concurrences,
                               wootters_concurrence)
 
@@ -109,7 +109,7 @@ def slow_chain_bounds(state: PureState):
 
 
 def fast_chain_bounds(state: PureState):
-    chain = measure_chain(state, bound_family("concurrence"))
+    chain = Chain(state, bound_family("concurrence"))
     return [link.bounds for link in chain.links]
 
 
@@ -322,8 +322,8 @@ def test_chain_bounds_match_group_state_intervals(state):
 @given(pure_states(min_qubits=3))
 def test_cren_links_are_the_concurrence_links(state):
     # group_link proves the CREN of one qubit against a group is its concurrence
-    conc = measure_chain(state, bound_family("concurrence")).links
-    cren = measure_chain(state, bound_family("cren")).links
+    conc = Chain(state, bound_family("concurrence")).links
+    cren = Chain(state, bound_family("cren")).links
     for c, r in zip(conc, cren):
         assert c.status == r.status
         assert np.max(np.abs(np.subtract(c.bounds, r.bounds))) <= 1e-12

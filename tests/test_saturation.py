@@ -25,8 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entmono import BoundParams, bound_family, ghz, random_pure, verify, w_state
-from entmono.bounds import (MONOGAMY, POLYGAMY, POLYGAMY_MU_FLOOR, THEOREMS, ConditionStep,
-                            extract_mu_l, measure_chain)
+from entmono.bounds import (MONOGAMY, POLYGAMY, POLYGAMY_MU_FLOOR, THEOREMS, Chain,
+                            ConditionStep, extract_mu_l)
 
 from qubit_reference import local_copy, product_state
 
@@ -85,7 +85,7 @@ def without(report, *names) -> dict:
 def test_an_extracted_monogamy_step_is_proven_and_its_floats_agree(state, family, s):
     alpha = family.gamma * s
     report = verify(state, BoundParams(family, alpha))
-    chain = measure_chain(state, family)
+    chain = Chain(state, family)
     mu, ell = extract_mu_l(chain.full, *chain.pairs, family)
     if mu is None:
         # the (1, 1) fallback: the report of explicit (1, 1), float verdicts and all
@@ -114,7 +114,7 @@ def test_a_polygamy_extraction_saturates_unless_clamped(name, seed, family, s):
     state = random_pure(3, seed) if name == "haar" else local_copy(w_state(3), seed)
     alpha = family.gamma * s
     report = verify(state, BoundParams(family, alpha), budget=4)
-    chain = measure_chain(state, family, budget=4)
+    chain = Chain(state, family, budget=4)
     mu, ell = extract_mu_l(chain.full, *chain.pairs, family)
     unclamped = mu is not None and POLYGAMY_MU_FLOOR <= mu <= 1.0 and ell >= 1.0
     floats = explicit(state, family, alpha, *report.mu, *report.ell, budget=4)
