@@ -25,11 +25,13 @@ a density matrix, or a pair of a wider register, from the rank-retained
 eigen-factor of its matrix (wootters_concurrence).
 
 The qubit-sized cases take closed forms with no LAPACK call: the spectrum
-of a 2 x m amplitude matrix, m <= 8 (_qubit_spectra), and the Wootters
-value of a 2 x 2 L^T (sy x sy) L (_wootters_2x2).  Each has a roundoff
-radius, SCHMIDT_RADIUS or WOOTTERS_RADIUS, proved in its docstring, and
-reads a value within it as exactly 0 (a decided zero), so a product qubit
-reads 0 for every family.  Wider matrices keep the svd.
+of a 2 x m amplitude matrix, m <= 8 (_qubit_spectra), the Wootters value
+of a 2 x 2 L^T (sy x sy) L (_wootters_2x2), and the restarts of the
+assisted estimator on a rank-2 pair (_householder_q2, _range_terms).  The
+first two have a roundoff radius, SCHMIDT_RADIUS or WOOTTERS_RADIUS,
+proved in its docstring, and read a value within it as exactly 0 (a
+decided zero), so a product qubit reads 0 for every family.  Wider
+matrices keep the svd.
 
 All logarithms are base 2 and 0·log 0 := 0.  On two-qubit mixed states the
 entropic measures reduce to closed-form functions of the Wootters
@@ -89,8 +91,8 @@ MEMBER_WEIGHT_CUT = 1e-14
 UNIT_INTERVAL_SLACK = 1e-12
 
 # assisted restarts per block: a block stacks at most pairs x RESTART_BLOCK
-# isometries of one rank, one QR and one ensemble evaluation, which bounds
-# memory for any budget
+# isometries of one rank, one QR (a closed form at rank 2) and one
+# ensemble evaluation, which bounds memory for any budget
 RESTART_BLOCK = 256
 
 # sy x sy = antidiag(-1, 1, 1, -1): L^T (sy x sy) is L^T with its columns
@@ -813,13 +815,16 @@ def assisted_estimate(rho: DensityMatrix, kind: MeasureKind, budget: int = 200,
     """Heuristic lower estimate of an assisted (max-decomposition) measure.
 
     Random pure-state decompositions of the two-qubit state are generated
-    by mixing the eigen-ensemble with Haar isometries (ensemble sizes up
-    to rank²); the best ensemble average over ``budget`` restarts is
-    returned.  It is flagged heuristic and never feeds certified verdicts.
-    The estimate is at least the non-assisted measure (every decomposition
-    average dominates the convex-roof minimum) and is nondecreasing in
-    ``budget`` for a fixed seed.  It is :func:`assisted_estimates` on a
-    stack of one state; see there for the streams and the blocks.
+    by mixing the eigen-ensemble with isometries Q (ensemble sizes up to
+    rank²), each the Householder Q factor of a complex Gaussian block; the
+    best ensemble average over ``budget`` restarts is returned.  Q is not
+    Haar: Re Q_00 = -|x_0 cos theta|/||x|| <= 0, with x the block's first
+    column and theta = arg x_0 (Mezzadri, Notices AMS 54, 592, 2007).  It
+    is flagged heuristic and never feeds certified verdicts.  The estimate
+    is at least the non-assisted measure (every decomposition average
+    dominates the convex-roof minimum) and is nondecreasing in ``budget``
+    for a fixed seed.  It is :func:`assisted_estimates` on a stack of one
+    state; see there for the streams and the blocks.
     """
     _require_two_qubits(rho, "assisted_estimate")
     return MeasureValue(float(assisted_estimates(rho.matrix[None], kind, budget, [seed])[0]),
@@ -852,9 +857,12 @@ def assisted_estimates(rhos: np.ndarray, kind: MeasureKind, budget: int, seeds) 
     rank r run their restarts as one uniform stack per block, (P_r, k,
     r², r) with k <= RESTART_BLOCK, through one batched QR and one
     :func:`_member_terms` call; a block holds at most P x RESTART_BLOCK
-    isometries, which bounds memory for any budget.  Every state meets
-    only matrices of its own shape, so its value is the one of a stack of
-    one.
+    isometries, which bounds memory for any budget.  Rank 2, every pair of
+    a 3-qubit register, takes the same Q in closed form
+    (:func:`_householder_q2`) and reads its members on the range of the
+    state (:func:`_range_terms`), with no LAPACK call and no member formed.
+    Every state meets only matrices of its own shape, so its value is the
+    one of a stack of one.
 
     The best average of each state is returned, its eigen-ensemble's when
     budget is 0, capped at the family's maximum from_concurrence(1).  budget
@@ -888,10 +896,98 @@ def assisted_estimates(rhos: np.ndarray, kind: MeasureKind, budget: int, seeds) 
                 g = draws.normal(size=(k, 2, r * r, r))
                 block.real, block.imag = g[:, 0], g[:, 1]
                 block[rows >= m[:, None]] = 0.0
-            averages = _member_terms(np.linalg.qr(z)[0] @ own[:, None], kind).sum(axis=-1)
+            if r == 2:
+                terms = _range_terms(*_householder_q2(z), own, kind)
+            else:
+                terms = _member_terms(np.linalg.qr(z)[0] @ own[:, None], kind)
+            averages = terms.sum(axis=-1)
             best[group] = np.maximum(best[group], averages.max(axis=-1))
     # roundoff can put an average a few ulps above the family's maximum F(1)
     return np.minimum(best, kind.from_concurrence(1.0))
+
+
+def _householder_q2(z: np.ndarray) -> tuple:
+    """Columns (q0, q1) of the Q factor of an (..., n, 2) stack z = [x y],
+    as LAPACK's zgeqrf and zungqr (numpy.linalg.qr) give it, in closed form.
+
+    With beta1 = -copysign(||x||, Re x_0), v = y - (q0ᴴy)q0,
+    alpha2 = v_1 - x_1 v_0/(x_0 - beta1) and
+    beta2 = -copysign(||v||, Re alpha2): q0 = x/beta1 and q1 = v/beta2.
+
+    Proof, in exact arithmetic.  zlarfg gives the first reflector
+    H1 = I - tau u uᴴ, u = e_0 + (0, x_1, ..., x_{n-1})/(x_0 - beta1), with
+    H1ᴴx = beta1·e_0 and this beta1.  Q = H1·H2 and H2 fixes e_0, so
+    x = Q R e_0 = beta1·Q e_0 gives q0 = x/beta1.  Then y = R_01 q0 + R_11 q1
+    with R_01 = q0ᴴy, so q1 = v/R_11, and |R_11| = ||v||.  zgeqrf reflects
+    the entries 1..n-1 of H1ᴴy next, starting at alpha2 = (H1ᴴy)_1, and
+    takes R_11 = -copysign(||v||, Re alpha2).  Since H1ᴴq0 = e_0,
+    H1ᴴv = H1ᴴy - R_01 e_0: its entry 0 is 0 and its entry 1 is alpha2.
+    With H1ᴴ = I - conj(tau) u uᴴ these read v_0 = conj(tau)(uᴴv) and
+    alpha2 = v_1 - u_1 v_0, the formula above.  x_0 - beta1 never cancels:
+    Re x_0 and -beta1 have one sign, so |x_0 - beta1| >= ||x||.  zlarfg
+    takes H = I instead when the entries below its alpha are all 0 and
+    alpha is real, which a complex Gaussian block meets with probability 0.
+
+    Roundoff.  q0 is within a few u (u = 2^-53) of x/beta1 entry by entry
+    at any column scale.  v is one Gram-Schmidt step, whose error is a few
+    u·||y||, so q1 is within a few u·||y||/||v|| = u/sin(x, y) of v/beta2,
+    the first-order sensitivity that LAPACK's Q has too.  The sign of beta2
+    follows the computed Re alpha2, so where |Re alpha2| is within roundoff
+    of 0, an event of probability about u/sin(x, y) on Gaussian blocks, the
+    two may take opposite signs of q1, another isometry of the same
+    distribution.
+    """
+    x, y = z[..., 0], z[..., 1]
+    beta1 = -np.copysign(np.sqrt((x.real ** 2 + x.imag ** 2).sum(axis=-1)), x[..., 0].real)
+    q0 = x / beta1[..., None]
+    v = y - (q0.conj() * y).sum(axis=-1)[..., None] * q0
+    alpha2 = v[..., 1] - x[..., 1] * v[..., 0] / (x[..., 0] - beta1)
+    beta2 = -np.copysign(np.sqrt((v.real ** 2 + v.imag ** 2).sum(axis=-1)), alpha2.real)
+    return q0, v / beta2[..., None]
+
+
+def _range_terms(a: np.ndarray, b: np.ndarray, own: np.ndarray, kind: MeasureKind) -> np.ndarray:
+    """Member terms p·F(C) of rank-2 ensembles, read on the 2-dimensional
+    range of each state, with no member formed.
+
+    own is a (P, 2, 4) stack of eigen-members e0, e1 (orthogonal, with
+    lambda_k = ||e_k||²), and a, b the (P, k, n) columns of the isometries
+    Q; member j of ensemble (i, t) is a_j e0 + b_j e1 of state i, as in
+    Q @ own.  With s(phi) = phi_0 phi_3 - phi_1 phi_2 = phiᵀJphi/2,
+    J = antidiag(1, -1, -1, 1), a member's minor is the quadratic form
+    s00 a² + s01 ab + s11 b² with s00 = s(e0), s11 = s(e1) and
+    s01 = e0ᵀJe1 (Osborne, PRA 72, 022309, 2005), and its weight is
+    p = lambda_0|a|² + lambda_1|b|².  So C = 2|s00 a² + s01 ab + s11 b²|/p,
+    the value _pure_two_qubit_concurrence gives the normalized member, with
+    the same decided zero at SCHMIDT_RADIUS, and a member of weight at most
+    MEMBER_WEIGHT_CUT is skipped, as in _member_terms.
+
+    Roundoff, to first order in u.  |s00| <= lambda_0/2, |s11| <= lambda_1/2
+    and |s01| <= sqrt(lambda_0 lambda_1) (|phiᵀJpsi| <= ||phi|| ||psi||), so
+    the three terms of the form have magnitudes summing to at most p.  With
+    complex products within sqrt(5)u and sums within u of their terms'
+    magnitudes, the computed form is within (3 sqrt(5) + 5)u·p of that of
+    the stored a, b, e0, e1, the weight within 9u·p, and C within 35u.
+    Where every member of the range is a product (s00 = s01 = s11 = 0 for
+    the stored e_k), only the errors of the computed s remain, at most
+    (sqrt(5) + 3)u·p in the form, so C is at most 10.5u, below
+    SCHMIDT_RADIUS = 16u, and reads exactly 0.  The weight leaves out the
+    cross term 2 Re(a b̄ e1ᴴe0), which eigh's roundoff keeps within O(u)·p.
+    """
+    # lambda_k and each entry e_k[j] of every state as (P, 1, 1), to broadcast against a, b
+    lam0, lam1 = (own.real ** 2 + own.imag ** 2).sum(axis=-1).T[..., None, None]
+    e0, e1 = np.moveaxis(own, 0, -1)[..., None, None]
+    s00 = e0[0] * e0[3] - e0[1] * e0[2]
+    s11 = e1[0] * e1[3] - e1[1] * e1[2]
+    s01 = e0[0] * e1[3] + e1[0] * e0[3] - e0[1] * e1[2] - e1[1] * e0[2]
+    probs = lam0 * (a.real ** 2 + a.imag ** 2) + lam1 * (b.real ** 2 + b.imag ** 2)
+    live = probs > MEMBER_WEIGHT_CUT
+    p = probs[live]
+    c = 2.0 * np.abs(((s00 * a + s01 * b) * a + s11 * (b * b))[live]) / p
+    c[c <= SCHMIDT_RADIUS] = 0.0
+    terms = np.zeros(probs.shape)
+    terms[live] = p * kind.from_concurrence(c)
+    return terms
 
 
 def _member_terms(members: np.ndarray, kind: MeasureKind) -> np.ndarray:

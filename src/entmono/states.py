@@ -43,7 +43,20 @@ FILE_NORM_TOL = 1e-9
 
 class _ArrayRecord:
     """Base of PureState and DensityMatrix, frozen records whose fields are
-    one complex array and the subsystem dims, in that order."""
+    one complex array and the subsystem dims, in that order.
+
+    Two records are equal when they have one type, equal dims and equal
+    arrays entry by entry (the dataclass __eq__ would ask numpy for the
+    truth of an array, which raises); like their arrays, they are not
+    hashable.
+    """
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        array, dims = self.__dataclass_fields__
+        return (getattr(self, dims) == getattr(other, dims)
+                and np.array_equal(getattr(self, array), getattr(other, array)))
 
     @classmethod
     def _from_checked(cls, array: np.ndarray, dims: tuple):
@@ -59,7 +72,7 @@ class _ArrayRecord:
         return record
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState(_ArrayRecord):
     """Normalized complex amplitude vector over an ordered qubit register."""
 
@@ -99,7 +112,7 @@ class PureState(_ArrayRecord):
         return DensityMatrix._from_checked(gram(m), tuple(self.dims[i] for i in keep))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix(_ArrayRecord):
     """Hermitian, PSD, unit-trace matrix with per-subsystem dimensions.
 

@@ -6,10 +6,11 @@ against its whole arrays bit for bit and its traced memory peak, the
 vectorized closed forms and the broadcasting coefficient_K against scalar
 calls,
 the Haar samples against two plain normal draws, the block hash of the
-seed words against numpy's SeedSequence, and the stacked assisted
-estimator against its per-member loop, on a whole polygamy chain of
-mixed pair ranks against each pair alone, and on four pair stacks
-against pinned float values."""
+seed words against numpy's SeedSequence, the closed-form rank-2 isometry
+against LAPACK's QR and its range terms against the explicit members, and
+the stacked assisted estimator against its per-member loop, on a whole
+polygamy chain of mixed pair ranks against each pair alone, and on four
+pair stacks against pinned float values."""
 
 import math
 import tracemalloc
@@ -606,6 +607,61 @@ def test_assisted_estimate_matches_member_loop(seed, n, budget, kind, block):
     assert abs(fast - assisted_reference(rho, kind, budget, seed_path(seed, 1))) < 1e-12
 
 
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+@st.composite
+def gaussian_blocks(draw):
+    """A stack of complex Gaussian 4 x 2 blocks with rows m.. zeroed, m in
+    {2, 3, 4}, and each column scaled by its own power of 2."""
+    rng = np.random.default_rng(draw(seeds))
+    m = draw(st.integers(2, 4))
+    z = rng.normal(size=(64, 4, 2)) + 1j * rng.normal(size=(64, 4, 2))
+    z[:, m:] = 0.0
+    return z * 2.0 ** np.array(draw(st.lists(st.integers(-200, 200), min_size=2, max_size=2)))
+
+
+@FAST
+@given(gaussian_blocks())
+def test_closed_form_q_is_lapacks(z):
+    # q0 within 16u entry by entry; q1 within 16u·||y||/|R_11|, its
+    # Gram-Schmidt sensitivity (u/sin of the angle between the columns)
+    q, r = np.linalg.qr(z)
+    q0, q1 = measures._householder_q2(z)
+    assert np.all(np.abs(q0 - q[..., 0]) <= 16 * UNIT_ROUNDOFF)
+    radius = 16 * UNIT_ROUNDOFF * np.linalg.norm(z[..., 1], axis=-1) / np.abs(r[:, 1, 1])
+    assert np.all(np.abs(q1 - q[..., 1]) <= radius[:, None])
+    # the zeroed rows stay exactly 0, so their members are skipped
+    m = np.count_nonzero(z[0, :, 0])
+    assert not q0[:, m:].any() and not q1[:, m:].any()
+
+
+def rank2_members(state: PureState) -> np.ndarray:
+    """The (2, 2, 4) eigen-members e0, e1 of the pairs (A, B) and (A, C) of
+    a 3-qubit state, as assisted_estimates takes them."""
+    rhos = np.stack([state.reduce([0, i]).matrix for i in (1, 2)])
+    factors, ranks = measures._eigen_factor(rhos)
+    assert ranks.tolist() == [2, 2]
+    return np.swapaxes(factors, -1, -2)[:, ::-1][:, :2]
+
+
+@FAST
+@given(seeds, st.booleans(), gaussian_blocks(), st.sampled_from(ASSISTED))
+def test_range_terms_are_the_member_terms(seed, product, z, kind):
+    # a Haar 3-qubit state, or A in a product with a Haar state of B and C,
+    # whose pairs have product ranges: each term p·F(C) read on the range is
+    # within 64u of the one of the explicit member Q @ own, and exactly 0
+    # where every member is a product
+    rng = np.random.default_rng(seed)
+    amps = np.kron(haar(rng, 2), haar(rng, 4)) if product else haar(rng, 8)
+    own = rank2_members(PureState(amps, (2,) * 3))
+    q0, q1 = measures._householder_q2(np.stack([z, z]))
+    range_terms = measures._range_terms(q0, q1, own, kind)
+    member_terms = measures._member_terms(np.stack([q0, q1], axis=-1) @ own[:, None], kind)
+    assert np.all(np.abs(range_terms - member_terms) <= 64 * UNIT_ROUNDOFF)
+    assert not product or not range_terms.any()
+
+
 ZERO = np.array([1.0, 0.0])
 
 
@@ -736,19 +792,21 @@ def pinned_stacks() -> dict:
 PINNED_KINDS = {"eof": ASSISTED[0], "tsallis2": ASSISTED[1], "renyi1.2": ASSISTED[2]}
 
 # float.hex of assisted_estimates(stack, kind, budget, [seed_path(0, i) ...]),
-# recorded with numpy 2.4.6 on x86-64; budget 257 crosses RESTART_BLOCK.  The
+# recorded with numpy 2.4.6 on x86-64 (the example1 rows at budgets 1 and 257
+# re-recorded for the closed-form rank-2 restarts, within 12 ulps of their
+# former LAPACK QR values); budget 257 crosses RESTART_BLOCK.  The
 # Bell pair of bell0 at budget 257 averages a few ulps above the family's
 # maximum (1 + 2^-52, 0.5 + 2^-53, 1 + 2^-52) and reads the cap F(1) exactly
 PINNED_ESTIMATES = {
     ("example1", "eof", 0): ['0x1.ec3cd694f2693p-2', '0x1.003af5900e600p-2'],
-    ("example1", "eof", 1): ['0x1.23190e55bc152p-1', '0x1.3955c82935ca0p-2'],
-    ("example1", "eof", 257): ['0x1.3a6b0bfbe6845p-1', '0x1.e928ccb1a0e50p-2'],
+    ("example1", "eof", 1): ['0x1.23190e55bc152p-1', '0x1.3955c82935ca2p-2'],
+    ("example1", "eof", 257): ['0x1.3a6b0bfbe684bp-1', '0x1.e928ccb1a0e51p-2'],
     ("example1", "tsallis2", 0): ['0x1.9999999999994p-3', '0x1.47ae147ae147bp-4'],
-    ("example1", "tsallis2", 1): ['0x1.e57e6d2254ef0p-3', '0x1.d18c129ed5f1fp-4'],
-    ("example1", "tsallis2", 257): ['0x1.1df41e29b84f4p-2', '0x1.c6b8eb51609acp-3'],
+    ("example1", "tsallis2", 1): ['0x1.e57e6d2254ef0p-3', '0x1.d18c129ed5f24p-4'],
+    ("example1", "tsallis2", 257): ['0x1.1df41e29b84f1p-2', '0x1.c6b8eb51609a9p-3'],
     ("example1", "renyi1.2", 0): ['0x1.c204c77f5de9ap-2', '0x1.9ff76f4d8eadfp-3'],
-    ("example1", "renyi1.2", 1): ['0x1.0a4e3291f9cfep-1', '0x1.0f191894bb495p-2'],
-    ("example1", "renyi1.2", 257): ['0x1.2b1966905e1b4p-1', '0x1.d5c6dba1cab58p-2'],
+    ("example1", "renyi1.2", 1): ['0x1.0a4e3291f9cf9p-1', '0x1.0f191894bb49ep-2'],
+    ("example1", "renyi1.2", 257): ['0x1.2b1966905e1c0p-1', '0x1.d5c6dba1cab58p-2'],
     ("bell0", "eof", 0): ['0x1.ffffffffffff9p-1', '0x0.0p+0'],
     ("bell0", "eof", 1): ['0x1.ffffffffffff9p-1', '0x0.0p+0'],
     ("bell0", "eof", 257): ['0x1.0000000000000p+0', '0x0.0p+0'],
@@ -797,12 +855,27 @@ PINNED_ESTIMATES = {
 }
 
 
-def test_assisted_estimates_keep_their_pinned_values():
+def assert_pinned(names):
     # mixed pair ranks, budgets 0, 1 and one past RESTART_BLOCK: the stacked
     # estimator gives these exact floats
     stacks = pinned_stacks()
     for (name, kind, budget), expected in PINNED_ESTIMATES.items():
+        if name not in names:
+            continue
         rhos = stacks[name]
         got = measures.assisted_estimates(rhos, PINNED_KINDS[kind], budget,
                                           [seed_path(0, i) for i in range(len(rhos))])
         assert [float(v).hex() for v in got] == expected, (name, kind, budget)
+
+
+def test_three_qubit_estimates_keep_their_pinned_values():
+    # pairs of rank 1 and 2: a 1 x 1 QR and the closed-form rank-2 restarts,
+    # elementwise arithmetic that reads the same bits on AVX-512 and AVX2
+    # kernels
+    assert_pinned(("example1", "bell0"))
+
+
+def test_wider_register_estimates_keep_their_pinned_values():
+    # pairs of rank 3 and 4 run LAPACK's batched QR and a matmul, which round
+    # otherwise in the last bits on AVX2 kernels
+    assert_pinned(("haar4_0", "schmidt3"))
