@@ -253,11 +253,10 @@ def sweep_columns(args) -> dict:
     columns are alpha, lhs = M(A|B_1...B_{N-1})^alpha and the selected
     bounds in SWEEP_BOUNDS order (ours, kf, jf, ckw), from one
     bounds.evaluate_bounds call on the whole grid, the rule verify
-    evaluates at one alpha, with the same --budget and --seed, which the
-    chain checks by the same rules; bounds not selected are never
-    evaluated.  The grid passes the family's alpha rule there, so a
-    non-finite or out-of-domain grid is a ParameterError.  A power beyond
-    the float range raises OverflowError.
+    evaluates at one alpha; bounds not selected are never evaluated.  The
+    grid passes the family's alpha rule there, so a non-finite or
+    out-of-domain grid is a ParameterError.  A power beyond the float
+    range raises OverflowError.
     """
     state, _ = load_input(args)
     family = family_from_args(args, args.kind)
@@ -275,8 +274,7 @@ def sweep_columns(args) -> dict:
                   + (args.alpha_max - args.alpha_min) * np.arange(args.steps) / (args.steps - 1))
     params = BoundParams(family, alphas, parse_floats(args.mu), parse_floats(args.ell),
                          args.m_split)
-    chain, _, ours, priors = evaluate_bounds(state, params, selected, comparator_k=args.k,
-                                             budget=args.budget, seed=args.seed)
+    chain, _, ours, priors = evaluate_bounds(state, params, selected, comparator_k=args.k)
     sides = priors if ours is None else {"ours": ours.rhs, **priors}
     columns = {"alpha": alphas, "lhs": chain.full ** alphas}
     columns.update((name, sides[name]) for name in SWEEP_BOUNDS if name in sides)
@@ -320,15 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--state", help="path to a JSON state file")
         p.add_argument("--out", help="output path (default: stdout)")
 
-    def add_estimator(p):
-        # checked by the one Chain rule for every family, used by polygamy ones
-        p.add_argument("--seed", type=int, default=0,
-                       help="nonnegative seed of the assisted (polygamy) estimator's "
-                            "streams; pair i draws from its own sub-streams")
-        p.add_argument("--budget", type=int, default=200,
-                       help="nonnegative number of random restarts of the assisted "
-                            "(polygamy) estimator per pair")
-
     p = sub.add_parser("measure", help="compute one measure on one bipartition")
     add_input(p)
     p.add_argument("--kind", required=True, choices=MEASURE_KINDS)
@@ -355,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", help="comma-separated mu_r (default: extracted)")
     p.add_argument("--ell", help="comma-separated l_r (default: extracted)")
     p.add_argument("--m-split", type=int, dest="m_split")
-    add_estimator(p)
 
     p = sub.add_parser("verify", help="evaluate one bound instance, JSON report")
     add_input(p)
@@ -373,7 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--comparator-only", action="store_true", dest="comparator_only")
     p.add_argument("--k", type=float, default=0.5)
     p.add_argument("--m-split", type=int, dest="m_split")
-    add_estimator(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="nonnegative seed of the assisted (polygamy) estimator's "
+                        "streams; pair i draws from its own sub-streams")
+    p.add_argument("--budget", type=int, default=200,
+                   help="nonnegative number of random restarts of the assisted "
+                        "(polygamy) estimator per pair")
 
     p = sub.add_parser("corpus", help="run randomized property suites")
     p.add_argument("--suite", required=True,

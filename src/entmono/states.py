@@ -45,18 +45,12 @@ class _ArrayRecord:
     """Base of PureState and DensityMatrix, frozen records whose fields are
     one complex array and the subsystem dims, in that order.
 
-    Two records are equal when they have one type, equal dims and equal
-    arrays entry by entry (the dataclass __eq__ would ask numpy for the
-    truth of an array, which raises); like their arrays, they are not
-    hashable.
+    Records compare by identity (eq=False: the dataclass __eq__ would ask
+    numpy for the truth of an array, which raises) and, like their
+    arrays, are not hashable.
     """
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        array, dims = self.__dataclass_fields__
-        return (getattr(self, dims) == getattr(other, dims)
-                and np.array_equal(getattr(self, array), getattr(other, array)))
+    __hash__ = None
 
     @classmethod
     def _from_checked(cls, array: np.ndarray, dims: tuple):

@@ -848,28 +848,6 @@ def test_negative_budget_or_seed_exits_two_for_every_theorem(theorem, bad, capsy
     assert "nonnegative" in err
 
 
-SWEEP_W3 = ["sweep", "--preset", "w:3", "--kind", "concurrence", "--alpha-min", "2",
-            "--alpha-max", "3", "--steps", "3"]
-
-
-@pytest.mark.parametrize("bad,message", [
-    (["--seed", "-2"], "seeds must be nonnegative integers, got (-2,)"),
-    (["--budget", "-1"], "budget must be nonnegative, got -1"),
-    (["--seed", "-2", "--budget", "-1"], "seeds must be nonnegative integers, got (-2,)"),
-], ids=["seed", "budget", "seed-before-budget"])
-def test_sweep_checks_budget_and_seed_as_verify_does(bad, message, capsys):
-    assert run_cli(SWEEP_W3 + bad, capsys) == (2, "", f"entmono: {message}\n")
-    verify = ["verify", "--preset", "w:3", "--theorem", "concurrence", "--alpha", "2"]
-    assert run_cli(verify + bad, capsys) == (2, "", f"entmono: {message}\n")
-
-
-def test_a_monogamy_sweep_reads_no_estimator_stream(capsys):
-    # the sweep's kinds are monogamy ones, whose chains draw nothing
-    default = run_cli(SWEEP_W3, capsys)
-    assert default[0] == 0
-    assert run_cli(SWEEP_W3 + ["--seed", "7", "--budget", "3"], capsys) == default
-
-
 @pytest.mark.parametrize("args", [
     ["--preset", "w:5", "--theorem", "concurrence", "--mu", "1,1,1", "--ell", "1,1,1"],
     ["--preset", "ghz:6", "--theorem", "concurrence", "--mu", "1.5,1,2,1",
