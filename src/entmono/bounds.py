@@ -518,7 +518,9 @@ class Chain:
     pair values M(A,B_i) are the measure's pair_values: exact closed forms
     of the pair concurrences for monogamy (a measure outside the closed
     form's window raises CapabilityError), heuristic assisted estimates
-    for polygamy (budget restarts; pair i seeds seed_path(seed, i - 1)).
+    for polygamy (budget restarts; pair i seeds seed_path(seed, i - 1),
+    which shifts the restart grid of a rank-2 pair and seeds the two
+    streams of random isometries of a rank-3 or rank-4 one).
     The full value is the exact pure-state measure (an assisted value of a
     pure state equals the plain value).
     """

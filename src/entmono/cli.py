@@ -362,11 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=float, default=0.5)
     p.add_argument("--m-split", type=int, dest="m_split")
     p.add_argument("--seed", type=int, default=0,
-                   help="nonnegative seed of the assisted (polygamy) estimator's "
-                        "streams; pair i draws from its own sub-streams")
+                   help="nonnegative seed of the assisted (polygamy) estimator; "
+                        "pair i has its own sub-seed, which shifts the grid of a "
+                        "rank-2 pair and seeds the two random streams of a rank-3 "
+                        "or rank-4 one")
     p.add_argument("--budget", type=int, default=200,
-                   help="nonnegative number of random restarts of the assisted "
-                        "(polygamy) estimator per pair")
+                   help="nonnegative number of restarts of the assisted (polygamy) "
+                        "estimator per pair: grid points for a rank-2 pair, random "
+                        "isometries for a rank-3 or rank-4 one, none for a pure one")
 
     p = sub.add_parser("corpus", help="run randomized property suites")
     p.add_argument("--suite", required=True,

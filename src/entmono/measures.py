@@ -27,7 +27,7 @@ eigen-factor of its matrix (wootters_concurrence).
 The qubit-sized cases take closed forms with no LAPACK call: the spectrum
 of a 2 x m amplitude matrix, m <= 8 (_qubit_spectra), the Wootters value
 of a 2 x 2 L^T (sy x sy) L (_wootters_2x2), and the restarts of the
-assisted estimator on a rank-2 pair (_householder_q2, _range_terms).  The
+assisted estimator on a rank-2 pair (_rank2_grid, _range_terms).  The
 first two have a roundoff radius, SCHMIDT_RADIUS or WOOTTERS_RADIUS,
 proved in its docstring, and read a value within it as exactly 0 (a
 decided zero), so a product qubit reads 0 for every family.  Wider
@@ -91,9 +91,16 @@ MEMBER_WEIGHT_CUT = 1e-14
 UNIT_INTERVAL_SLACK = 1e-12
 
 # assisted restarts per block: a block stacks at most pairs x RESTART_BLOCK
-# isometries of one rank, one QR (a closed form at rank 2) and one
-# ensemble evaluation, which bounds memory for any budget
+# ensembles of one rank (grid points at rank 2, isometries through one QR
+# at ranks 3 and 4) and one ensemble evaluation, which bounds memory for
+# any budget
 RESTART_BLOCK = 256
+
+# the plastic number g, the real root of g³ = g + 1: the R2 sequence
+# frac(shift + j·(1/g, 1/g²)) is the two-dimensional Kronecker sequence that
+# _rank2_grid walks (M. Roberts, "The unreasonable effectiveness of
+# quasirandom sequences", 2018)
+_PLASTIC = 1.324717957244746
 
 # sy x sy = antidiag(-1, 1, 1, -1): L^T (sy x sy) is L^T with its columns
 # reversed and signed, exactly as the matrix product gives it
@@ -263,7 +270,10 @@ class MeasureKind:
         :meth:`_from_mixed_concurrence`.  An assisted kind runs one
         assisted_estimates pass over the pair states, the one at position i
         of others seeded seed_path(seed, i): each value is assisted_estimate
-        of that pair state alone (heuristic, budget restarts).
+        of that pair state alone (heuristic, budget restarts).  A restart of
+        a rank-2 pair, every pair of a 3-qubit register, is a point of a
+        grid over U(2) that its seed shifts; one of a rank-3 or rank-4 pair
+        is a Gaussian-block isometry from the seed's two streams.
         """
         if self.assisted:
             rhos = gram(pair_factors(state.amplitudes, state.dims, side, others))
@@ -814,17 +824,27 @@ def assisted_estimate(rho: DensityMatrix, kind: MeasureKind, budget: int = 200,
                       seed=0) -> MeasureValue:
     """Heuristic lower estimate of an assisted (max-decomposition) measure.
 
-    Random pure-state decompositions of the two-qubit state are generated
-    by mixing the eigen-ensemble with isometries Q (ensemble sizes up to
-    rank²), each the Householder Q factor of a complex Gaussian block; the
-    best ensemble average over ``budget`` restarts is returned.  Q is not
-    Haar: Re Q_00 = -|x_0 cos theta|/||x|| <= 0, with x the block's first
-    column and theta = arg x_0 (Mezzadri, Notices AMS 54, 592, 2007).  It
-    is flagged heuristic and never feeds certified verdicts.  The estimate
-    is at least the non-assisted measure (every decomposition average
-    dominates the convex-roof minimum) and is nondecreasing in ``budget``
-    for a fixed seed.  It is :func:`assisted_estimates` on a stack of one
-    state; see there for the streams and the blocks.
+    The best average over the eigen-ensemble of the two-qubit state and
+    ``budget`` restarts, each one pure-state decomposition, is returned.
+    What a restart and the seed are depends on the rank of the state:
+
+    - rank 1: no restart is run, since a pure state's one decomposition
+      is itself;
+    - rank 2 (every pair of a 3-qubit register): restart j is the
+      two-member ensemble of grid point j of a low-discrepancy grid over
+      U(2), and the seed draws the grid's shift (:func:`_rank2_grid`);
+    - ranks 3 and 4: restart j mixes the eigen-ensemble with an isometry
+      Q (ensemble sizes up to rank²), the Householder Q factor of a complex
+      Gaussian block, and the seed owns the two streams of sizes and
+      blocks.  Q is not Haar: Re Q_00 = -|x_0 cos theta|/||x|| <= 0, with
+      x the block's first column and theta = arg x_0 (Mezzadri, Notices AMS
+      54, 592, 2007).
+
+    It is flagged heuristic and never feeds certified verdicts.  The
+    estimate is at least the non-assisted measure (every decomposition
+    average dominates the convex-roof minimum) and is nondecreasing in
+    ``budget`` for a fixed seed.  It is :func:`assisted_estimates` on a
+    stack of one state; see there for the streams, the grid and the blocks.
     """
     _require_two_qubits(rho, "assisted_estimate")
     return MeasureValue(float(assisted_estimates(rho.matrix[None], kind, budget, [seed])[0]),
@@ -844,25 +864,41 @@ def assisted_estimates(rhos: np.ndarray, kind: MeasureKind, budget: int, seeds) 
     """assisted_estimate of each two-qubit state of a (P, 4, 4) stack, in one pass.
 
     rhos are trusted density matrices and seeds holds one seed per state.
-    State i draws from two streams of its own: restart j takes its ensemble
-    size m_j in [r_i, r_i²] from seed_path(seeds[i], 0) and an r_i² x r_i
-    complex Gaussian block from seed_path(seeds[i], 1), restart-major, with
-    r_i the state's rank; rows m_j onward are zeroed.  So no draw depends
-    on ``budget``, on the split into RESTART_BLOCK blocks or on the other
-    states of the stack, and each value equals the one of a stack of one.
-
     One _eigen_factor call gives every eigen-ensemble: the rows of its
     rank-r_i factor, largest weight first, whose own average is the first
-    candidate.  The states are then grouped by rank.  The P_r states of
-    rank r run their restarts as one uniform stack per block, (P_r, k,
-    r², r) with k <= RESTART_BLOCK, through one batched QR and one
-    :func:`_member_terms` call; a block holds at most P x RESTART_BLOCK
-    isometries, which bounds memory for any budget.  Rank 2, every pair of
-    a 3-qubit register, takes the same Q in closed form
-    (:func:`_householder_q2`) and reads its members on the range of the
-    state (:func:`_range_terms`), with no LAPACK call and no member formed.
-    Every state meets only matrices of its own shape, so its value is the
-    one of a stack of one.
+    candidate.  The states are then grouped by rank, and state i runs
+    ``budget`` restarts of its own:
+
+    - rank 1 runs none: its only ensemble is the eigen-ensemble.
+    - rank 2, every pair of a 3-qubit register: restart j is the
+      two-member ensemble V_j·(e0, e1) of the unitary V_j of
+      :func:`_rank2_grid`, j = 1..budget, on a grid shifted by two uniforms
+      drawn once from seed_path(seeds[i], 0).  Every two-member ensemble of
+      a rank-2 state is a unitary applied to its eigen-ensemble (Hughston,
+      Jozsa and Wootters, Phys. Lett. A 183, 14, 1993), and the grid
+      spreads the V_j evenly over U(2).  The members are read on the range
+      of the state (:func:`_range_terms`), with no draw after the shift,
+      no LAPACK call and no member formed.  The grid leaves out the three-
+      and four-member ensembles of a rank-2 state, where the maximum may
+      lie.  Measured at budget 200 on 770 pairs (the three_qubit_bounds
+      states of seeds 3, 5 and 29, passes 0-3, and 300 more Haar 3-qubit
+      states) for the EoA, Tsallis q = 2 and Renyi 1.2: the estimate falls
+      short of a 4000-restart estimate of random isometries by a median of
+      1.7e-4 to 2.7e-4 and at most 5.0e-3, less than 200 random isometries
+      do at every quantile from the minimum to the median (medians 6.5e-4
+      to 1.0e-3, at most 1.4e-2).
+    - ranks 3 and 4, pairs of registers of 4 or more qubits: restart j
+      takes its ensemble size m_j in [r_i, r_i²] from seed_path(seeds[i],
+      0) and an r_i² x r_i complex Gaussian block from seed_path(seeds[i],
+      1), restart-major; rows m_j onward are zeroed.  The P_r states of
+      rank r run their restarts as one (P_r, k, r², r) stack per block
+      through one batched QR and one :func:`_member_terms` call.
+
+    A block holds k <= RESTART_BLOCK restarts of each state of one rank,
+    which bounds memory for any budget.  No restart depends on ``budget``,
+    on that split into blocks or on the other states of the stack, so each
+    value equals the one of a stack of one, and every state meets only
+    matrices of its own shape.  A budget of 0 builds no stream.
 
     The best average of each state is returned, its eigen-ensemble's when
     budget is 0, capped at the family's maximum from_concurrence(1).  budget
@@ -885,65 +921,61 @@ def assisted_estimates(rhos: np.ndarray, kind: MeasureKind, budget: int, seeds) 
         group = np.flatnonzero(ranks == r)
         own = members[group, :r]
         best[group] = _member_terms(own, kind).sum(axis=-1)
-        streams = [[np.random.default_rng(seed_path(seeds[i], s)) for s in (0, 1)]
-                   for i in group]
-        rows = np.arange(r * r)
+        if r == 1 or budget == 0:
+            continue
+        if r == 2:
+            shifts = np.stack([np.random.default_rng(seed_path(seeds[i], 0)).random(2)
+                               for i in group])
+        else:
+            streams = [[np.random.default_rng(seed_path(seeds[i], s)) for s in (0, 1)]
+                       for i in group]
+            rows = np.arange(r * r)
         for start in range(0, budget, RESTART_BLOCK):
             k = min(budget - start, RESTART_BLOCK)
-            z = np.empty((len(group), k, r * r, r), dtype=complex)
-            for block, (sizes, draws) in zip(z, streams):
-                m = sizes.integers(r, r * r + 1, size=k)
-                g = draws.normal(size=(k, 2, r * r, r))
-                block.real, block.imag = g[:, 0], g[:, 1]
-                block[rows >= m[:, None]] = 0.0
             if r == 2:
-                terms = _range_terms(*_householder_q2(z), own, kind)
+                terms = _range_terms(*_rank2_grid(shifts, start, start + k), own, kind)
             else:
+                z = np.empty((len(group), k, r * r, r), dtype=complex)
+                for block, (sizes, draws) in zip(z, streams):
+                    m = sizes.integers(r, r * r + 1, size=k)
+                    g = draws.normal(size=(k, 2, r * r, r))
+                    block.real, block.imag = g[:, 0], g[:, 1]
+                    block[rows >= m[:, None]] = 0.0
                 terms = _member_terms(np.linalg.qr(z)[0] @ own[:, None], kind)
-            averages = terms.sum(axis=-1)
-            best[group] = np.maximum(best[group], averages.max(axis=-1))
+            best[group] = np.maximum(best[group], terms.sum(axis=-1).max(axis=-1))
     # roundoff can put an average a few ulps above the family's maximum F(1)
     return np.minimum(best, kind.from_concurrence(1.0))
 
 
-def _householder_q2(z: np.ndarray) -> tuple:
-    """Columns (q0, q1) of the Q factor of an (..., n, 2) stack z = [x y],
-    as LAPACK's zgeqrf and zungqr (numpy.linalg.qr) give it, in closed form.
+def _rank2_grid(shifts: np.ndarray, start: int, stop: int) -> tuple:
+    """Columns (a, b) of the unitaries V_j, start < j <= stop, of each shift
+    of a (P, 2) stack, as two (P, stop - start, 2) arrays: member t of
+    restart j of state i is a[i, j, t]·e0 + b[i, j, t]·e1, with e0, e1 the
+    eigen-members of the state (as _range_terms reads them).
 
-    With beta1 = -copysign(||x||, Re x_0), v = y - (q0ᴴy)q0,
-    alpha2 = v_1 - x_1 v_0/(x_0 - beta1) and
-    beta2 = -copysign(||v||, Re alpha2): q0 = x/beta1 and q1 = v/beta2.
+    V_j = [[c, e·s], [-s, e·c]] with c = sqrt(1 - u), s = sqrt(u) and
+    e = exp(2 pi i v), where (u, v) = frac(shift + j·(1/g, 1/g²)) is point j
+    of the R2 sequence, g = _PLASTIC, under a Cranley-Patterson shift.
+    |(V_j)_00|² = 1 - u is uniform on [0, 1], as under Haar measure.  V_j is
+    unitary, so the members phi_t = sum_k (V_j)_tk e_k of a restart give
+    sum_t phi_t phi_t† = sum_kl (V_jᵀ conj(V_j))_kl e_k e_l† =
+    e0 e0† + e1 e1†: each restart is a decomposition of the state.  A point
+    depends only on its shift and j, through elementwise arithmetic, so the
+    grid of a budget b is bit for bit the prefix of that of any b' > b,
+    however either is split into blocks.
 
-    Proof, in exact arithmetic.  zlarfg gives the first reflector
-    H1 = I - tau u uᴴ, u = e_0 + (0, x_1, ..., x_{n-1})/(x_0 - beta1), with
-    H1ᴴx = beta1·e_0 and this beta1.  Q = H1·H2 and H2 fixes e_0, so
-    x = Q R e_0 = beta1·Q e_0 gives q0 = x/beta1.  Then y = R_01 q0 + R_11 q1
-    with R_01 = q0ᴴy, so q1 = v/R_11, and |R_11| = ||v||.  zgeqrf reflects
-    the entries 1..n-1 of H1ᴴy next, starting at alpha2 = (H1ᴴy)_1, and
-    takes R_11 = -copysign(||v||, Re alpha2).  Since H1ᴴq0 = e_0,
-    H1ᴴv = H1ᴴy - R_01 e_0: its entry 0 is 0 and its entry 1 is alpha2.
-    With H1ᴴ = I - conj(tau) u uᴴ these read v_0 = conj(tau)(uᴴv) and
-    alpha2 = v_1 - u_1 v_0, the formula above.  x_0 - beta1 never cancels:
-    Re x_0 and -beta1 have one sign, so |x_0 - beta1| >= ||x||.  zlarfg
-    takes H = I instead when the entries below its alpha are all 0 and
-    alpha is real, which a complex Gaussian block meets with probability 0.
-
-    Roundoff.  q0 is within a few u (u = 2^-53) of x/beta1 entry by entry
-    at any column scale.  v is one Gram-Schmidt step, whose error is a few
-    u·||y||, so q1 is within a few u·||y||/||v|| = u/sin(x, y) of v/beta2,
-    the first-order sensitivity that LAPACK's Q has too.  The sign of beta2
-    follows the computed Re alpha2, so where |Re alpha2| is within roundoff
-    of 0, an event of probability about u/sin(x, y) on Gaussian blocks, the
-    two may take opposite signs of q1, another isometry of the same
-    distribution.
+    Roundoff (u below is the unit roundoff 2^-53, not the grid's u).  The
+    computed c² + s² is within 3u of 1, |e|² within 4u of 1 for a cos and
+    sin within one ulp, and e·s, e·c add 2u each, so V_jᵀ conj(V_j) is
+    within 10u of the identity in the 2-norm.  The members of a restart
+    then reproduce e0 e0† + e1 e1† within 10u·lambda_0 <= 10u in every
+    entry, and the state within that plus the residual of its eigen-factor.
     """
-    x, y = z[..., 0], z[..., 1]
-    beta1 = -np.copysign(np.sqrt((x.real ** 2 + x.imag ** 2).sum(axis=-1)), x[..., 0].real)
-    q0 = x / beta1[..., None]
-    v = y - (q0.conj() * y).sum(axis=-1)[..., None] * q0
-    alpha2 = v[..., 1] - x[..., 1] * v[..., 0] / (x[..., 0] - beta1)
-    beta2 = -np.copysign(np.sqrt((v.real ** 2 + v.imag ** 2).sum(axis=-1)), alpha2.real)
-    return q0, v / beta2[..., None]
+    j = np.arange(start + 1, stop + 1, dtype=float)[:, None]
+    u, v = np.moveaxis((shifts[:, None] + j * [1.0 / _PLASTIC, _PLASTIC ** -2.0]) % 1.0, -1, 0)
+    c, s = np.sqrt(1.0 - u), np.sqrt(u)
+    e = np.exp(2j * np.pi * v)
+    return np.stack([c, -s], axis=-1), np.stack([e * s, e * c], axis=-1)
 
 
 def _range_terms(a: np.ndarray, b: np.ndarray, own: np.ndarray, kind: MeasureKind) -> np.ndarray:
@@ -951,9 +983,9 @@ def _range_terms(a: np.ndarray, b: np.ndarray, own: np.ndarray, kind: MeasureKin
     range of each state, with no member formed.
 
     own is a (P, 2, 4) stack of eigen-members e0, e1 (orthogonal, with
-    lambda_k = ||e_k||²), and a, b the (P, k, n) columns of the isometries
-    Q; member j of ensemble (i, t) is a_j e0 + b_j e1 of state i, as in
-    Q @ own.  With s(phi) = phi_0 phi_3 - phi_1 phi_2 = phiᵀJphi/2,
+    lambda_k = ||e_k||²), and a, b the (P, k, n) columns of the unitaries
+    of _rank2_grid (n = 2), or of any isometries Q; member j of ensemble
+    (i, t) is a_j e0 + b_j e1 of state i, as in Q @ own.  With s(phi) = phi_0 phi_3 - phi_1 phi_2 = phiᵀJphi/2,
     J = antidiag(1, -1, -1, 1), a member's minor is the quadratic form
     s00 a² + s01 ab + s11 b² with s00 = s(e0), s11 = s(e1) and
     s01 = e0ᵀJe1 (Osborne, PRA 72, 022309, 2005), and its weight is

@@ -1140,10 +1140,14 @@ PIN_ARGVS = {
 # 1.11022302463e-16, cren -2.22044604925e-16, eof 1.11022302463e-16, tsallis
 # 2.77555756156e-17, renyi -1.11022302463e-16, teoa 1.11022302463e-16 and
 # reoa -1.11022302463e-16, each -> 0.  These bytes no longer depend on the
-# host's SIMD kernels
+# host's SIMD kernels.  verify was re-recorded once more when the restarts
+# of a rank-2 assisted pair became points of a grid over U(2): the example1
+# eoa, teoa and reoa reports moved their pair values and every number
+# derived from them, and kept exit code 3.  The w:3 ones did not move: the
+# estimates of a W pair read its eigen-ensemble's value on both
 PIN_SHA256 = {
     "measure": "b3c4d27ed89acb54fa92ba8d4137bb1c5bd09ab96eeae00b539a4b005f1e4080",
-    "verify": "957aa69d688aeed4747b4e8126427556e8648a7bf121ba0b2d9aee4b787e8cd8",
+    "verify": "7408a51e6ad167e8be611c46eeffb814b69dd16207f00379668a18c1820f2764",
     "sweep": "a68d9b1e712e99f7b423217ff180a905645f2b673cc5f8affca9485a0c20414c",
 }
 
